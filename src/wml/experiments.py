@@ -20,9 +20,7 @@ residual, with the raw values kept in the table.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,8 +195,8 @@ _JAC_QUAD = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14, max_subdivisions=4000
 def _cauchy_submersion(overrides):
     """Joint 1x2 Jacobian of the Cauchy zeroth weak moment on a (mu, s) grid.
 
-    The rank check uses the honest finite-difference Jacobian of the
-    normalised-kernel pairing.  The positivity metric is the kernel
+    The rank check uses the analytic Jacobian of the normalised-kernel
+    pairing.  The positivity metric is the kernel
     window sensitivity E[X^2 phi_s(X)] / s^3, i.e. the derivative of the
     pairing when only the Gaussian window (not its normalisation) varies
     with s; that is the quantity whose strict positivity underwrites the
@@ -483,15 +481,6 @@ def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult
         )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("WML_THREADS", "").strip()
-    if raw:
-        n = int(raw)
-        if n > 0:
-            return n
-    return min(8, os.cpu_count() or 1)
-
-
 def sweep_kernel(fam, kfam, spec: FeatureMapSpec, lambda_grid, theta_grid):
     """Diagnostics on a (lambda, theta) grid: one row per pair, in grid
     order, each with the metric-tensor and rank summaries."""
@@ -500,10 +489,7 @@ def sweep_kernel(fam, kfam, spec: FeatureMapSpec, lambda_grid, theta_grid):
     if not lambdas or not thetas:
         raise EmptyGrid("sweep grids must be non-empty")
 
-    points = [(lam, th) for lam in lambdas for th in thetas]
-
-    def row(point):
-        lam, th = point
+    def row(lam, th):
         rep = jacobian(fam, kfam, th, lam, spec)
         g = metric_tensor(rep)
         model_rank = numerical_rank(rep.d_theta).rank
@@ -524,10 +510,4 @@ def sweep_kernel(fam, kfam, spec: FeatureMapSpec, lambda_grid, theta_grid):
         })
         return out
 
-    workers = _worker_count()
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, points))
-    else:
-        rows = [row(point) for point in points]
-    return tuple(rows)
+    return tuple(row(lam, th) for lam in lambdas for th in thetas)

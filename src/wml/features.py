@@ -35,6 +35,10 @@ from .models import (
     ModelFamily,
     ModelSpec,
     NoDensity,
+    Unsupported,
+    _breakpoints,
+    _charfn_score,
+    _score,
     char_fn,
     density,
     kernel_eval,
@@ -58,6 +62,7 @@ __all__ = [
     "feature_map",
     "weak_char_fn",
     "weak_cumulants",
+    "weak_moment_jacobian",
     "moments_to_cumulants",
     "influence_value",
     "influence_bound",
@@ -139,10 +144,10 @@ def _moment_integrand(m, k, j):
     return integrand
 
 
-def _integrate_support(m, f, cfg) -> IntegralResult:
+def _integrate_support(m, f, cfg, points=None) -> IntegralResult:
     if support(m) == "half":
-        return integrate_half_line(f, cfg)
-    return integrate_real_line(f, cfg)
+        return integrate_half_line(f, cfg, points)
+    return integrate_real_line(f, cfg, points)
 
 
 def _require_converged(res: IntegralResult, what: str) -> IntegralResult:
@@ -198,20 +203,25 @@ def weak_moment(m: ModelSpec, k: KernelSpec, j: int, spec: FeatureMapSpec | None
     cfg = spec.quadrature
 
     if spec.path == "density":
-        res = _require_converged(_integrate_support(m, _moment_integrand(m, k, j), cfg),
-                                 f"weak moment j={j} (density path)")
-        return MomentEstimate(float(np.real(res.value)), res.error_estimate, "density")
+        return _density_estimate(m, k, j, cfg)
     if spec.path == "charfn":
-        res = _require_converged(_charfn_moment(m, k, j, cfg), f"weak moment j={j} (charfn path)")
-        return MomentEstimate(float(np.real(res.value)), res.error_estimate, "charfn")
+        return _charfn_estimate(m, k, j, cfg)
     # auto
     try:
-        res = _require_converged(_integrate_support(m, _moment_integrand(m, k, j), cfg),
-                                 f"weak moment j={j} (density path)")
-        return MomentEstimate(float(np.real(res.value)), res.error_estimate, "density")
+        return _density_estimate(m, k, j, cfg)
     except NoDensity:
-        res = _require_converged(_charfn_moment(m, k, j, cfg), f"weak moment j={j} (charfn path)")
-        return MomentEstimate(float(np.real(res.value)), res.error_estimate, "charfn")
+        return _charfn_estimate(m, k, j, cfg)
+
+
+def _density_estimate(m, k, j, cfg) -> MomentEstimate:
+    res = _require_converged(_integrate_support(m, _moment_integrand(m, k, j), cfg, _breakpoints(m, k)),
+                             f"weak moment j={j} (density path)")
+    return MomentEstimate(float(np.real(res.value)), float(res.error_estimate), "density")
+
+
+def _charfn_estimate(m, k, j, cfg) -> MomentEstimate:
+    res = _require_converged(_charfn_moment(m, k, j, cfg), f"weak moment j={j} (charfn path)")
+    return MomentEstimate(float(np.real(res.value)), float(res.error_estimate), "charfn")
 
 
 def feature_map(fam: ModelFamily, theta, k: KernelSpec, spec: FeatureMapSpec) -> FeatureVector:
@@ -232,6 +242,90 @@ def feature_map(fam: ModelFamily, theta, k: KernelSpec, spec: FeatureMapSpec) ->
     return FeatureVector(np.array(values), np.array(errors), tuple(paths))
 
 
+# model parameter name -> the score it selects in models._score
+_SCORE_NAMES = {"mu": "location", "sigma": "scale", "a": "a"}
+
+
+def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_params,
+                         spec: FeatureMapSpec):
+    """Derivatives of w_j, j in ``spec.orders``, with respect to the
+    named fields of ``m`` (``model_params``, from 'mu', 'sigma', 'a') and
+    of ``k`` (``kernel_params``, from 's', 'c'), with their error
+    estimates: two (K+1, p+q) arrays, columns in the order named.
+
+    Every entry is an integral, and all (K+1)(p+q) of them share one
+    adaptive pass.  On the density route
+
+        d/dtheta w_j = E[X^j phi(X) d/dtheta log f(X)],
+        d/dlambda w_j = E[X^j d/dlambda phi(X)];
+
+    on the char-fn route the Parseval pairing differentiates c(u) in
+    closed form (d/dtheta c = c d/dtheta log c) and the window transform
+    through d/dc Psi_j = (Psi_{j+1} - c Psi_j) / s^2 and
+    d/ds Psi_j = (Psi_{j+2} - 2c Psi_{j+1} + (c^2 - s^2) Psi_j) / s^3.
+    The route follows ``spec.path`` as in :func:`weak_moment`.
+    """
+    unknown = [name for name in model_params if name not in _SCORE_NAMES]
+    unknown += [name for name in kernel_params if name not in ("s", "c")]
+    if unknown:
+        raise Unsupported(f"no analytic derivative for parameters {unknown}")
+    if spec.path == "density" or (spec.path == "auto" and support_has_density(m)):
+        route = "density"
+        scores = [_score(m, _SCORE_NAMES[name]) for name in model_params]
+        res = _integrate_support(m, _density_derivatives(m, k, spec.orders, scores, kernel_params),
+                                 spec.quadrature, _breakpoints(m, k))
+    else:
+        route = "charfn"
+        scores = [_charfn_score(m, _SCORE_NAMES[name]) for name in model_params]
+        res = integrate_real_line(_charfn_derivatives(m, k, spec.orders, scores, kernel_params),
+                                  spec.quadrature.oscillatory())
+    _require_converged(res, f"Jacobian of orders {spec.orders} ({route} path)")
+    shape = (len(spec.orders), len(model_params) + len(kernel_params))
+    return res.value.reshape(shape), res.error_estimate.reshape(shape)
+
+
+def _density_derivatives(m, k, orders, scores, kernel_params):
+    powers = np.array(orders)[:, None]
+
+    def integrand(x):
+        phi, dphi_ds, dphi_dc = kernel_eval(k, x, derivs=True)
+        dens = density(m, x)
+        base = phi * dens
+        # as in _moment_integrand: x^j only where the damped base is nonzero
+        nz = base != 0.0
+        xs = x[nz]
+        dphi = {"s": dphi_ds[nz], "c": dphi_dc[nz]}
+        cols = [base[nz] * score(xs) for score in scores]
+        cols += [dphi[name] * dens[nz] for name in kernel_params]
+        out = np.zeros((powers.size, len(cols), x.size))
+        out[:, :, nz] = (xs ** powers)[:, None, :] * np.array(cols)
+        return out.reshape(-1, x.size)
+
+    return integrand
+
+
+def _charfn_derivatives(m, k, orders, scores, kernel_params):
+    s, c = k.s, k.c
+    coeffs = [_window_transform_coeffs(j, k) for j in range(max(orders) + 3)]
+
+    def integrand(u):
+        cf = char_fn(m, u)
+        window = np.exp(-1j * u * c - 0.5 * s * s * u * u) / (2.0 * np.pi)
+        psi = [np.polynomial.polynomial.polyval(u, p) * window for p in coeffs]
+        dcf = [cf * score(u) for score in scores]
+        rows = []
+        for j in orders:
+            rows += [d * psi[j] for d in dcf]
+            for name in kernel_params:
+                if name == "s":
+                    rows.append(cf * (psi[j + 2] - 2.0 * c * psi[j + 1] + (c * c - s * s) * psi[j]) / s**3)
+                else:
+                    rows.append(cf * (psi[j + 1] - c * psi[j]) / (s * s))
+        return np.real(rows)
+
+    return integrand
+
+
 def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float, cfg: QuadratureConfig | None = None) -> complex:
     """Weak characteristic function E[e^{iuX} phi(X)] by complex quadrature
     of the density pairing (entire in u)."""
@@ -240,7 +334,8 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float, cfg: QuadratureConfig | 
     if not support_has_density(m):
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
     f = lambda x: np.exp(1j * u * x) * kernel_eval(k, x) * density(m, x)
-    res = _require_converged(_integrate_support(m, f, cfg.oscillatory()), f"weak char fn at u={u}")
+    res = _require_converged(_integrate_support(m, f, cfg.oscillatory(), _breakpoints(m, k)),
+                             f"weak char fn at u={u}")
     return complex(res.value)
 
 

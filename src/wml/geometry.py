@@ -14,9 +14,10 @@ verdicts here are finite linear algebra on that matrix:
 * rank enrichment: joint rank minus model rank counts the independent
   directions contributed by kernel variation alone.
 
-Derivatives are central finite differences with one step of Richardson
-extrapolation; weak moments are quadrature outputs, so the quadrature
-tolerance must sit well below the differencing step (the defaults do).
+Derivatives are analytic: each Jacobian entry is itself an integral
+(the score of the model, or the kernel's parameter derivative, under
+the same pairing), and all of them come from one adaptive quadrature
+pass per point, each with its own error estimate.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMapSpec, FeatureVector, feature_map
-from .models import KernelFamily, ModelFamily
+from .features import FeatureMapSpec, FeatureVector, feature_map, weak_moment_jacobian
+from .models import KernelFamily, ModelFamily, Unsupported
 
 __all__ = [
     "StepUnderflow",
@@ -51,7 +52,7 @@ _EPS = np.finfo(float).eps
 
 
 class StepUnderflow(Exception):
-    """The parameter box is too small to hold the difference stencil."""
+    """The point is not strictly inside its parameter box."""
 
 
 class DimensionMismatch(Exception):
@@ -60,11 +61,11 @@ class DimensionMismatch(Exception):
 
 @dataclass(frozen=True)
 class JacobianReport:
-    """Finite-difference derivative of the joint feature map at one point."""
+    """Derivative of the joint feature map at one point, with the
+    quadrature error estimate of every entry."""
 
     d_theta: np.ndarray        # (K+1, p)
     d_lambda: np.ndarray       # (K+1, q)
-    step_sizes: np.ndarray     # (p + q,)
     error_estimates: np.ndarray  # (K+1, p + q)
 
     @property
@@ -197,66 +198,32 @@ class CollisionCandidate:
     objective: float
 
 
-def _column_step(x: float, lo: float, hi: float) -> float:
-    h = np.cbrt(_EPS) * max(1.0, abs(x))
-    margin = min(hi - x, x - lo)
-    if margin <= 0.0:
-        raise StepUnderflow(f"point {x} is not interior to the box [{lo}, {hi}]")
-    h = min(h, 0.45 * margin)
-    if h < 64.0 * _EPS * max(1.0, abs(x)):
-        raise StepUnderflow(f"box [{lo}, {hi}] too small for a stencil around {x}")
-    return h
-
-
 def jacobian(fam: ModelFamily, kfam: KernelFamily, theta, lam,
              spec: FeatureMapSpec) -> JacobianReport:
-    """Central differences with one Richardson step, column by column.
-
-    Step h_a = cbrt(eps) * max(1, |x_a|), shrunk to fit the box; the
-    per-entry error estimate is |extrapolated - coarse|.
-    """
+    """Analytic Jacobian of the joint map at (theta, lam), which must lie
+    strictly inside the family boxes; see
+    :func:`wml.features.weak_moment_jacobian` for the integrals.  The
+    family's parameters must be the model's own fields (as in every
+    catalog family)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if theta.size != fam.p:
         raise DimensionMismatch(f"family {fam.name} expects {fam.p} parameters")
     if lam.size != kfam.q:
         raise DimensionMismatch(f"kernel family expects {kfam.q} parameters")
+    for x, (lo, hi) in zip(np.concatenate((theta, lam)), tuple(fam.box) + tuple(kfam.box)):
+        if not lo < x < hi:
+            raise StepUnderflow(f"point {x} is not interior to the box [{lo}, {hi}]")
 
-    z0 = np.concatenate((theta, lam))
-    boxes = tuple(fam.box) + tuple(kfam.box)
-    n_feat = len(spec.orders)
-
-    def evaluate(z) -> np.ndarray:
-        return feature_map(fam, z[: fam.p], kfam.make(z[fam.p:]), spec).values
-
-    cols = []
-    errs = []
-    steps = []
-    for a in range(z0.size):
-        lo, hi = boxes[a]
-        h = _column_step(z0[a], lo, hi)
-        col_h = _central_diff(evaluate, z0, a, h)
-        col_h2 = _central_diff(evaluate, z0, a, 0.5 * h)
-        extrapolated = (4.0 * col_h2 - col_h) / 3.0
-        cols.append(extrapolated)
-        errs.append(np.abs(extrapolated - col_h))
-        steps.append(h)
-
-    full = np.column_stack(cols) if cols else np.zeros((n_feat, 0))
+    m = fam.make(theta)
+    if any(getattr(m, name, None) != value for name, value in zip(fam.param_names, theta)):
+        raise Unsupported(f"family {fam.name}: parameters {fam.param_names} are not fields of {m}")
+    full, errors = weak_moment_jacobian(m, kfam.make(lam), fam.param_names, kfam.param_names, spec)
     return JacobianReport(
         d_theta=full[:, : fam.p].copy(),
         d_lambda=full[:, fam.p:].copy(),
-        step_sizes=np.array(steps),
-        error_estimates=np.column_stack(errs),
+        error_estimates=errors,
     )
-
-
-def _central_diff(evaluate, z0, a, h):
-    zp = z0.copy()
-    zm = z0.copy()
-    zp[a] += h
-    zm[a] -= h
-    return (evaluate(zp) - evaluate(zm)) / (2.0 * h)
 
 
 def metric_tensor(report: JacobianReport) -> MetricTensor:

@@ -242,6 +242,9 @@ def char_fn(m: ModelSpec, u):
                 return 1.0 + 0.0j
             res = integrate_half_line(lambda x: np.exp(1j * ui * x) * _lognorm_pdf(x, m.mu, m.sigma),
                                       _CHARFN_CFG)
+            if not res.converged:
+                raise NonConvergence(f"log-normal char fn at u={ui}: error {res.error_estimate:.3e}"
+                                     " after budget exhausted", res)
             return res.value
         out = np.array([one(ui) for ui in np.atleast_1d(uv)]).reshape(uv.shape)
     elif isinstance(m, StieltjesLogNormal):
@@ -306,9 +309,50 @@ def _score(m: ModelSpec, which: str):
     elif isinstance(m, SymmetricStable) and m.alpha == 1.0:
         if which == "location":
             return lambda x: 2.0 * (x - m.mu) / (m.sigma**2 + (x - m.mu) ** 2)
+        if which == "scale":
+            return lambda x: ((x - m.mu) ** 2 - m.sigma**2) / (m.sigma * (m.sigma**2 + (x - m.mu) ** 2))
     elif isinstance(m, SymmetricStable) and m.alpha == 2.0:
-        return _score(Gaussian(m.mu, m.sigma * np.sqrt(2.0)), which)
+        # Gaussian with standard deviation sqrt(2) sigma: the scale score
+        # carries the chain-rule factor sqrt(2)
+        score = _score(Gaussian(m.mu, m.sigma * np.sqrt(2.0)), which)
+        if which == "scale":
+            return lambda x: np.sqrt(2.0) * score(x)
+        return score
     raise ValueError(f"no '{which}' score for {type(m).__name__}")
+
+
+def _charfn_score(m: ModelSpec, which: str):
+    """d/dtheta log c(u) of a closed-form characteristic function."""
+    if isinstance(m, (Gaussian, Cauchy, SymmetricStable)) and which == "location":
+        return lambda u: 1j * u
+    if isinstance(m, Gaussian) and which == "scale":
+        return lambda u: -m.sigma * u * u
+    if isinstance(m, SymmetricStable) and which == "scale":
+        return lambda u: -m.alpha * m.sigma ** (m.alpha - 1.0) * np.abs(u) ** m.alpha
+    raise Unsupported(f"no closed-form '{which}' derivative of the char fn of {type(m).__name__}")
+
+
+_OFFSETS = np.array([-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 10.0])
+
+
+def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
+    """Quadrature breakpoints for a pairing of ``m`` with the window
+    ``k``: the model's location +- {0, 1, 3, 6, 10} scales (placed in
+    log x for the half-line models) and the window's centre
+    +- {0, 1, 3, 6, 10} s, so that the first panels see a narrow peak
+    wherever it sits.  The points at 10 scales keep the panels next to
+    the 6-scale ones short enough that their nodes sample the tails."""
+    if isinstance(m, LogNormal):
+        model = np.exp(m.mu + m.sigma * _OFFSETS)
+    elif isinstance(m, StieltjesLogNormal):
+        model = np.exp(_OFFSETS)
+    elif isinstance(m, Cauchy):
+        model = m.mu + _OFFSETS
+    elif isinstance(m, (Gaussian, SymmetricStable)):
+        model = m.mu + m.sigma * _OFFSETS
+    else:
+        raise Unsupported("two-sample container has no scalar breakpoints")
+    return np.concatenate((model, k.c + k.s * _OFFSETS))
 
 
 def classical_fisher_info(m: ModelSpec, which: str = "location",

@@ -9,7 +9,11 @@ integrands.  The engine here is deliberately simple and robust:
 * each panel is integrated with the embedded 7-point Gauss / 15-point
   Kronrod pair, whose difference provides the local error estimate;
 * panels are bisected worst-first until the global estimate meets
-  ``max(abs_tol, rel_tol * |value|)`` or the subdivision budget runs out.
+  ``max(abs_tol, rel_tol * |value|)`` or the subdivision budget runs out;
+  optional breakpoints seed the first panels.
+
+An integrand may also return an (m, n) array: m integrals over one
+shared panel tree, each held to its own tolerance.
 
 The half-line is reduced to the real line by the logarithmic
 substitution ``x = e^y``, so endpoint behaviour at 0 becomes ordinary
@@ -90,7 +94,8 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Outcome of one adaptive integration."""
+    """Outcome of one adaptive integration; for an (m, n)-valued
+    integrand ``value`` and ``error_estimate`` have shape (m,)."""
 
     value: complex
     error_estimate: float
@@ -100,38 +105,47 @@ class IntegralResult:
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1] (QUADPACK dqk15).
 _XGK = np.array([
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.000000000000000000000000000000000,
 ])
 _WGK = np.array([
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
 ])
 _WG = np.array([
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
 ])
+
+# The pair laid out over one panel's 15 nodes in evaluation order: the
+# seven left nodes, the seven right nodes, the centre.
+_KRONROD = np.concatenate((_WGK[:7], _WGK[:7], _WGK[7:]))
+_GAUSS = np.zeros(15)
+_GAUSS[1:7:2] = _GAUSS[8:14:2] = _WG[:3]
+_GAUSS[14] = _WG[3]
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
 def _kronrod_panel(f, a, b):
-    """Integrate one panel, returning (value, error_estimate, evaluations).
+    """Integrate one panel, returning (value, error_estimate, evaluations);
+    value and error are arrays of shape (m,) for an (m, n)-valued
+    integrand.
 
     The error model is QUADPACK's: the raw Gauss/Kronrod difference is
     rescaled by the panel's variation so that smooth panels are not
@@ -142,43 +156,64 @@ def _kronrod_panel(f, a, b):
     hlgth = 0.5 * (b - a)
     nodes = np.concatenate((centr - hlgth * _XGK[:7], centr + hlgth * _XGK[:7], [centr]))
     fv = np.asarray(f(nodes))
-    if fv.shape != nodes.shape:
-        raise ValueError("integrand must return one value per node")
-    if not np.all(np.isfinite(fv.view(float) if fv.dtype.kind == "c" else fv)):
-        bad = nodes[~np.isfinite(np.abs(fv))]
+    if fv.shape[-1:] != nodes.shape or fv.ndim > 2:
+        raise ValueError("integrand must return one value, or one column of values, per node")
+    finite = np.isfinite(fv)
+    if not finite.all():
+        bad = nodes[~finite.reshape(-1, nodes.size).all(axis=0)]
         raise NonFiniteEvaluation(f"integrand returned a non-finite value near x={bad[:3]}")
 
-    flo, fhi, fc = fv[:7], fv[7:14], fv[14]
-    resk = np.dot(_WGK[:7], flo + fhi) + _WGK[7] * fc
-    resg = np.dot(_WG[:3], flo[1::2] + fhi[1::2]) + _WG[3] * fc
-    resabs = np.dot(_WGK[:7], np.abs(flo) + np.abs(fhi)) + _WGK[7] * abs(fc)
-    reskh = 0.5 * resk
-    resasc = np.dot(_WGK[:7], np.abs(flo - reskh) + np.abs(fhi - reskh)) + _WGK[7] * abs(fc - reskh)
+    ah = abs(hlgth)
+    resk = fv @ _KRONROD
+    resg = fv @ _GAUSS
+    resabs = np.abs(fv) @ _KRONROD * ah
+    resasc = np.abs(fv - 0.5 * resk[..., None]) @ _KRONROD * ah
+    abserr = np.abs(resk - resg) * ah
+    if fv.ndim == 1:
+        if resasc != 0.0 and abserr != 0.0:
+            abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+        if resabs > _TINY / (50.0 * _EPS):
+            abserr = max(50.0 * _EPS * resabs, abserr)
+    else:
+        varies = (resasc != 0.0) & (abserr != 0.0)
+        abserr[varies] = resasc[varies] * np.minimum(1.0, (200.0 * abserr[varies] / resasc[varies]) ** 1.5)
+        floor = resabs > _TINY / (50.0 * _EPS)
+        abserr[floor] = np.maximum(50.0 * _EPS * resabs[floor], abserr[floor])
+    return resk * hlgth, abserr, 15
 
-    value = resk * hlgth
-    resabs *= abs(hlgth)
-    resasc *= abs(hlgth)
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and abserr != 0.0:
-        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-    if resabs > _TINY / (50.0 * _EPS):
-        abserr = max(50.0 * _EPS * resabs, abserr)
-    return value, abserr, 15
 
+def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
+    """Worst-panel-first bisection with the embedded pair, starting from
+    the panels between consecutive ``edges``.
 
-def _adaptive(f, a, b, cfg: QuadratureConfig) -> IntegralResult:
-    """Worst-panel-first bisection of [a, b] with the embedded pair."""
-    value, err, nev = _kronrod_panel(f, a, b)
-    heap = [(-err, 0, a, b, value, err)]
-    counter = 1
-    val_sum, err_sum = value, err
-    evaluations = nev
+    A scalar integrand bisects the panel of largest error estimate.  An
+    (m, n)-valued one shares the panels among its m components: it
+    bisects the panel of largest err_i / scale_i, with scale_i the
+    tolerance of component i at the first estimate (for m = 1 the same
+    order), and converges when every component meets its own
+    ``max(abs_tol, rel_tol * |value_i|)``.
+    """
+    panels = [(pa, pb) + _kronrod_panel(f, pa, pb) for pa, pb in zip(edges[:-1], edges[1:])]
+    val_sum = sum(p[2] for p in panels)
+    err_sum = sum(p[3] for p in panels)
+    evaluations = sum(p[4] for p in panels)
+    if np.ndim(val_sum) == 0:
+        tolerance = lambda v: max(cfg.abs_tol, cfg.rel_tol * abs(v))
+        met = lambda e, v: e <= tolerance(v)
+        priority = float
+    else:
+        tolerance = lambda v: np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(v))
+        met = lambda e, v: bool(np.all(e <= tolerance(v)))
+        scale = tolerance(val_sum)
+        priority = lambda e: float(np.max(e / scale))
+    heap = [(-priority(e), i, pa, pb, v, e) for i, (pa, pb, v, e, _) in enumerate(panels)]
+    heapq.heapify(heap)
+    counter = len(heap)
     subdivisions = 0
     stuck_err = 0.0  # panels too narrow to split further
 
     while True:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(val_sum))
-        if err_sum <= tol:
+        if met(err_sum, val_sum):
             return IntegralResult(val_sum, err_sum, evaluations, True)
         if subdivisions >= cfg.max_subdivisions or not heap:
             return IntegralResult(val_sum, err_sum, evaluations, False)
@@ -187,30 +222,35 @@ def _adaptive(f, a, b, cfg: QuadratureConfig) -> IntegralResult:
         mid = 0.5 * (pa + pb)
         if mid <= pa or mid >= pb:
             # panel narrower than one ulp; its error is irreducible
-            stuck_err += perr
-            if stuck_err > tol:
+            stuck_err = stuck_err + perr
+            if not met(stuck_err, val_sum):
                 return IntegralResult(val_sum, err_sum, evaluations, False)
             continue
         v1, e1, n1 = _kronrod_panel(f, pa, mid)
         v2, e2, n2 = _kronrod_panel(f, mid, pb)
         evaluations += n1 + n2
         subdivisions += 1
-        val_sum += (v1 + v2) - pval
-        err_sum += (e1 + e2) - perr
-        heapq.heappush(heap, (-e1, counter, pa, mid, v1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, pb, v2, e2))
+        val_sum = val_sum + ((v1 + v2) - pval)
+        err_sum = err_sum + ((e1 + e2) - perr)
+        heapq.heappush(heap, (-priority(e1), counter, pa, mid, v1, e1))
+        heapq.heappush(heap, (-priority(e2), counter + 1, mid, pb, v2, e2))
         counter += 2
 
 
-def integrate_real_line(f, cfg: QuadratureConfig | None = None) -> IntegralResult:
+def integrate_real_line(f, cfg: QuadratureConfig | None = None, points=None) -> IntegralResult:
     """Approximate the integral of ``f`` over the whole real line.
 
-    ``f`` must accept an ndarray of points and return finite values; it
-    must be absolutely integrable.  Uses the substitution
+    ``f`` must accept an ndarray of n points and return n finite values,
+    or an (m, n) array for m integrands sharing one panel tree; it must
+    be absolutely integrable.  Uses the substitution
     ``x = t / (1 - t^2)`` with Jacobian ``(1 + t^2) / (1 - t^2)^2``.
     Beyond the representable floating-point range (|x| > ~1e150) the
     transformed integrand is treated as zero, which for an integrable
     ``f`` discards a tail of mass below 1e-150.
+
+    ``points`` are breakpoints in x: the first panels end there, so a
+    feature narrower than one panel of the transformed line (a peak far
+    from 0) is seen from the start.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -221,18 +261,27 @@ def integrate_real_line(f, cfg: QuadratureConfig | None = None) -> IntegralResul
         x = t[good] / one[good]
         jac = (1.0 + t[good] * t[good]) / (one[good] * one[good])
         fx = np.asarray(f(x))
-        vals = np.zeros(t.shape, dtype=np.result_type(fx.dtype, np.float64))
-        vals[good] = fx * jac
+        vals = np.zeros(fx.shape[:-1] + t.shape, dtype=np.result_type(fx.dtype, np.float64))
+        vals[..., good] = fx * jac
         return vals
 
-    return _adaptive(transformed, -1.0, 1.0, cfg)
+    edges = [-1.0, 1.0]
+    if points is not None:
+        x = np.asarray(points, dtype=float)
+        x = x[np.abs(x) < 1e150]
+        # inverse of x = t / (1 - t^2), written to avoid cancellation
+        t = 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * x * x))
+        edges = sorted({*edges, *t[np.abs(t) < 1.0].tolist()})
+    return _adaptive(transformed, edges, cfg)
 
 
-def integrate_half_line(f, cfg: QuadratureConfig | None = None) -> IntegralResult:
+def integrate_half_line(f, cfg: QuadratureConfig | None = None, points=None) -> IntegralResult:
     """Approximate the integral of ``f`` over (0, inf).
 
     Applies the logarithmic substitution ``x = e^y`` and reuses
-    :func:`integrate_real_line` on ``y -> f(e^y) e^y``.  The substituted
+    :func:`integrate_real_line` on ``y -> f(e^y) e^y``; ``f`` may be
+    (m, n)-valued as there, and ``points`` are breakpoints in x (those
+    outside the range below are dropped).  The substituted
     range is clipped to |log x| <= 64, i.e. x in [e^-64, e^64]; outside
     it the integrand is treated as zero.  Every density/kernel pairing in
     this package is identically zero in double precision well inside
@@ -245,11 +294,15 @@ def integrate_half_line(f, cfg: QuadratureConfig | None = None) -> IntegralResul
         good = np.abs(y) < 64.0
         x = np.exp(y[good])
         fx = np.asarray(f(x))
-        vals = np.zeros(y.shape, dtype=np.result_type(fx.dtype, np.float64))
-        vals[good] = fx * x
+        vals = np.zeros(fx.shape[:-1] + y.shape, dtype=np.result_type(fx.dtype, np.float64))
+        vals[..., good] = fx * x
         return vals
 
-    return integrate_real_line(substituted, cfg)
+    if points is not None:
+        x = np.asarray(points, dtype=float)
+        y = np.log(x[x > 0.0])
+        points = y[np.abs(y) < 64.0]
+    return integrate_real_line(substituted, cfg, points)
 
 
 @lru_cache(maxsize=64)

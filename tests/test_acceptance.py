@@ -104,7 +104,7 @@ def test_c05_behrens_fisher_w0_and_flattening():
 
 
 def test_c06_cauchy_submersion():
-    # rank from the honest finite-difference Jacobian; positivity from the
+    # rank from the analytic Jacobian; positivity from the
     # kernel-window sensitivity E[X^2 phi_s(X)]/s^3, the quantity whose
     # strict positivity carries the location-family rank-1 argument
     res = experiment("cauchy-submersion")
@@ -201,7 +201,7 @@ def test_c12_derivative_correctness_and_psd_metric():
         eigs = np.linalg.eigvalsh(g.matrix)
         psd_ok = psd_ok and sym and np.all(eigs >= -1e-10 * max(np.trace(g.matrix), 1e-300))
     ok = worst < 1e-6 and psd_ok
-    report(12, "finite-difference derivatives vs analytic", ok,
+    report(12, "Jacobian derivatives vs closed form", ok,
            f"worst rel err {worst:.3e} over 20 random points; metric sym+PSD: {psd_ok}")
     assert worst < 1e-6
     assert psd_ok

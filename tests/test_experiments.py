@@ -99,18 +99,6 @@ def test_sweep_empty_grid():
         sweep_kernel(cauchy_family(), scale_kernel_family(), spec, [(1.0,)], [])
 
 
-def test_sweep_respects_thread_env(monkeypatch):
-    spec = FeatureMapSpec(orders=(0,),
-                          quadrature=QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14))
-    lam = [(s,) for s in (0.5, 1.0)]
-    theta = [(0.0,), (1.0,)]
-    monkeypatch.setenv("WML_THREADS", "1")
-    serial = sweep_kernel(cauchy_family(), scale_kernel_family(), spec, lam, theta)
-    monkeypatch.setenv("WML_THREADS", "4")
-    threaded = sweep_kernel(cauchy_family(), scale_kernel_family(), spec, lam, theta)
-    assert serial == threaded
-
-
 def test_numeric_failure_is_reported_not_raised():
     # an unreachable quadrature target exhausts the budget; the result
     # carries the diagnostic instead of propagating the exception

@@ -59,6 +59,37 @@ def test_gaussian_w0_closed_form():
         assert est.path == "density"
 
 
+def gaussian_tilted_moments(mu, sigma, s, c, orders):
+    """Closed form: N(mu, sigma^2) times the N(c, s^2) window is w_0 N(m, v),
+    so w_j = w_0 E[Y^j] with Y ~ N(m, v); also a magnitude scale per order."""
+    v = 1.0 / (1.0 / sigma**2 + 1.0 / s**2)
+    m = v * (mu / sigma**2 + c / s**2)
+    w0 = gaussian_w0(mu, sigma, s, c)
+    raw = [1.0, m]
+    for j in range(2, max(orders) + 1):
+        raw.append(m * raw[-1] + (j - 1) * v * raw[-2])
+    values = np.array([w0 * raw[j] for j in orders])
+    scales = np.array([w0 * (abs(m) + 3.0 * np.sqrt(v)) ** j for j in orders])
+    return values, scales
+
+
+def test_narrow_models_away_from_zero_match_closed_form():
+    # a model narrower than the node spacing of the first panel used to be
+    # missed: w_0 of Gaussian(2.5, 0.05) came out as 6.3e-64, reported
+    # converged; the breakpoints at the model and the window find it
+    est = weak_moment(Gaussian(2.5, 0.05), KernelSpec(1.0), 0)
+    assert est.value == pytest.approx(0.017643392013970950, rel=1e-10)
+    assert type(est.error) is float
+    orders = (0, 1, 2, 3, 4)
+    for mu in (-4.5, -2.5, 1.0, 4.0):
+        for sigma in (0.05, 0.1):
+            for s, c in ((0.3, 0.0), (1.0, 2.0), (10.0, 0.0), (10.0, 2.0)):
+                fv = feature_map(gaussian_family(), [mu, sigma], KernelSpec(s, c),
+                                 FeatureMapSpec(orders=orders))
+                truth, scale = gaussian_tilted_moments(mu, sigma, s, c, orders)
+                assert np.all(np.abs(fv.values - truth) <= 1e-9 * scale + 1e-13), (mu, sigma, s, c)
+
+
 def test_cauchy_w0_is_damped_voigt_value():
     # the pairing of a probability density with a sub-maximal kernel stays
     # below the kernel's peak; oracle: independent quadrature

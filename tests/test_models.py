@@ -29,7 +29,7 @@ from wml.models import (
     stieltjes_family,
     support,
 )
-from wml.quad import integrate_half_line, integrate_real_line
+from wml.quad import NonConvergence, QuadratureConfig, integrate_half_line, integrate_real_line
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -143,6 +143,14 @@ def test_lognormal_char_fn_by_quadrature():
     assert got.real == pytest.approx(oracle_re, abs=1e-9)
 
 
+def test_lognormal_char_fn_reports_inner_nonconvergence(monkeypatch):
+    import wml.models
+
+    monkeypatch.setattr(wml.models, "_CHARFN_CFG", QuadratureConfig(max_subdivisions=1))
+    with pytest.raises(NonConvergence):
+        char_fn(LogNormal(0, 1), 0.5)
+
+
 def test_classical_moments():
     assert classical_moment(LogNormal(0, 1), 2) == pytest.approx(np.exp(2.0), rel=1e-14)
     assert classical_moment(Gaussian(1.5, 2.0), 1) == 1.5
@@ -195,6 +203,17 @@ def test_fisher_information():
         classical_fisher_info(SymmetricStable(1.5, 0, 1), "location")
     with pytest.raises(ValueError):
         classical_fisher_info(Cauchy(0), "scale")
+
+
+def test_stable_scale_fisher_information():
+    # alpha = 2 is a Gaussian with standard deviation sqrt(2) sigma, so the
+    # stable scale carries information 2 / sigma^2; alpha = 1 is a Cauchy
+    # with scale sigma, information 1 / (2 sigma^2)
+    for sigma in (0.6, 1.0, 2.5):
+        assert classical_fisher_info(SymmetricStable(2.0, 0.3, sigma), "scale") == pytest.approx(
+            2.0 / sigma**2, rel=1e-8)
+        assert classical_fisher_info(SymmetricStable(1.0, 0.3, sigma), "scale") == pytest.approx(
+            0.5 / sigma**2, rel=1e-8)
 
 
 def test_kernel_eval():

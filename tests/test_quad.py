@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from wml.quad import (
+    _WG,
+    _WGK,
+    _XGK,
     NonFiniteEvaluation,
     QuadratureConfig,
     gauss_hermite,
@@ -180,3 +183,58 @@ def test_gauss_hermite_rejects_bad_scale_and_nan():
         gauss_hermite(lambda x: x, 5, scale=0.0)
     with pytest.raises(NonFiniteEvaluation):
         gauss_hermite(lambda x: np.full_like(x, np.nan), 5)
+
+
+def test_gauss_kronrod_constants_exact_to_full_degree():
+    # the 15-point Kronrod rule integrates x^d exactly on [-1, 1] up to
+    # d = 22, its 7-point Gauss subrule up to d = 13; summed in exact
+    # arithmetic, the double-rounded constants must hold that to a few ulp
+    import mpmath
+
+    with mpmath.workdps(50):
+        kronrod = [(mpmath.mpf(float(x)), mpmath.mpf(float(w))) for x, w in zip(_XGK, _WGK)]
+        gauss = [(mpmath.mpf(float(_XGK[i])), mpmath.mpf(float(w)))
+                 for i, w in zip((1, 3, 5, 7), _WG)]
+        for pairs, degree in ((kronrod, 22), (gauss, 13)):
+            for d in range(degree + 1):
+                # nodes are listed once per +-x pair; the centre x = 0 once
+                got = sum(w * (x**d + (-x) ** d) / (2 if x == 0 else 1) for x, w in pairs)
+                exact = mpmath.mpf(2) / (d + 1) if d % 2 == 0 else 0
+                assert abs(got - exact) < 4e-16, (len(pairs), d)
+
+
+def test_vector_integrand_shares_one_panel_tree():
+    # rows with their own scales converge together, each to its own
+    # tolerance; a one-row integrand keeps the scalar panel tree
+    cfg = QuadratureConfig()
+    rows = lambda x: np.array([np.exp(-x * x), 1e-6 * x * x * np.exp(-x * x), np.exp(-(x - 3.0) ** 2)])
+    res = integrate_real_line(rows, cfg)
+    assert res.converged is True
+    assert res.evaluations % 15 == 0
+    assert res.value.shape == res.error_estimate.shape == (3,)
+    truth = np.array([SQRT_PI, 1e-6 * SQRT_PI / 2, SQRT_PI])
+    assert np.all(np.abs(res.value - truth) <= np.maximum(cfg.abs_tol, cfg.rel_tol * truth))
+    assert np.all(res.error_estimate <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(res.value)))
+
+    f = lambda x: 1.0 / (1.0 + x * x) ** 2
+    scalar = integrate_real_line(f)
+    single = integrate_real_line(lambda x: f(x)[None, :])
+    assert single.evaluations == scalar.evaluations
+    assert single.value[0] == pytest.approx(scalar.value, rel=1e-15)
+
+    half = integrate_half_line(lambda x: np.array([np.exp(-x), x * np.exp(-x)]))
+    assert half.value == pytest.approx([1.0, 1.0], rel=1e-10)
+
+
+def test_breakpoints_reveal_a_narrow_peak():
+    # a peak of width 0.01 at x = 40 falls between the nodes of the first
+    # panel; breakpoints around the peak make the first panels see it
+    peak = lambda x: np.exp(-0.5 * ((x - 40.0) / 0.01) ** 2) / (0.01 * np.sqrt(2 * np.pi))
+    assert integrate_real_line(peak).value < 1e-6
+    points = 40.0 + 0.01 * np.array([-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 10.0])
+    res = integrate_real_line(peak, points=points)
+    assert res.converged
+    assert res.value == pytest.approx(1.0, rel=1e-10)
+    # points outside the half-line are dropped
+    on_half = integrate_half_line(peak, points=np.concatenate(([-1.0, 0.0, np.inf], points)))
+    assert on_half.value == pytest.approx(1.0, rel=1e-10)
