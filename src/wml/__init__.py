@@ -79,8 +79,6 @@ from .quad import (
     NonFiniteEvaluation,
     QuadratureConfig,
     QuadratureError,
-    gauss_hermite,
-    hermite_rule,
     integrate_half_line,
     integrate_real_line,
 )

@@ -163,7 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("experiment")
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--tol", action="append", default=[],
                        metavar="METRIC=VALUE", help="override one tolerance")
 
@@ -190,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    overrides = {"seed": args.seed, "tolerances": {}}
+    overrides = {"tolerances": {}}
     for item in args.tol:
         key, eq, val = item.partition("=")
         if not eq:

@@ -25,7 +25,7 @@ x^j phi(x) supplies the influence bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -38,6 +38,7 @@ from .models import (
     Unsupported,
     _breakpoints,
     _charfn_score,
+    _closed_form_char_fn,
     _score,
     char_fn,
     density,
@@ -130,20 +131,6 @@ class WeakCumulants:
         object.__setattr__(self, "kappa", k)
 
 
-def _moment_integrand(m, k, j):
-    # multiply x^j only where the damped base is nonzero: at points where
-    # phi * f underflows to 0 the true product is far below double range,
-    # while x^j alone may overflow
-    def integrand(x):
-        base = kernel_eval(k, x) * density(m, x)
-        out = np.zeros_like(base)
-        nz = base != 0.0
-        out[nz] = x[nz] ** j * base[nz]
-        return out
-
-    return integrand
-
-
 def _integrate_support(m, f, cfg, points=None) -> IntegralResult:
     if support(m) == "half":
         return integrate_half_line(f, cfg, points)
@@ -176,52 +163,26 @@ def _window_transform_coeffs(j: int, k: KernelSpec) -> np.ndarray:
     return p
 
 
-def _charfn_moment(m, k, j, cfg) -> IntegralResult:
-    coeffs = _window_transform_coeffs(j, k)
-    s2 = k.s * k.s
-    c = k.c
-
-    def integrand(u):
-        psi = np.polynomial.polynomial.polyval(u, coeffs) * np.exp(-1j * u * c - 0.5 * s2 * u * u)
-        return char_fn(m, u) * psi / (2.0 * np.pi)
-
-    return integrate_real_line(integrand, cfg.oscillatory())
+def _weak_moments(m: ModelSpec, k: KernelSpec, spec: FeatureMapSpec) -> FeatureVector:
+    """w_j for every j in ``spec.orders``, all from one adaptive pass."""
+    route, res = _pairing_pass(m, k, spec, [None], (), "weak moments")
+    return FeatureVector(np.atleast_1d(res.value), np.atleast_1d(res.error_estimate),
+                         (route,) * len(spec.orders))
 
 
 def weak_moment(m: ModelSpec, k: KernelSpec, j: int, spec: FeatureMapSpec | None = None) -> MomentEstimate:
     """Weak moment w_j = E[X^j phi(X)] with an error estimate.
 
-    ``spec.path`` selects the route: 'density' integrates against the
-    model density, 'charfn' uses Parseval with the closed-form window
-    transform, 'auto' prefers the density and falls back to the char-fn
-    route when no density exists.
+    ``spec.path`` selects the route (its orders are ignored): 'density'
+    integrates against the model density, 'charfn' uses Parseval with
+    the closed-form window transform, 'auto' takes the density route
+    when the model has a density and the char-fn route otherwise.  The
+    char-fn route needs a closed-form char fn; other models raise
+    ``Unsupported`` there.
     """
-    if spec is None:
-        spec = FeatureMapSpec(orders=(j,))
-    if j < 0:
-        raise ValueError("moment order must be nonnegative")
-    cfg = spec.quadrature
-
-    if spec.path == "density":
-        return _density_estimate(m, k, j, cfg)
-    if spec.path == "charfn":
-        return _charfn_estimate(m, k, j, cfg)
-    # auto
-    try:
-        return _density_estimate(m, k, j, cfg)
-    except NoDensity:
-        return _charfn_estimate(m, k, j, cfg)
-
-
-def _density_estimate(m, k, j, cfg) -> MomentEstimate:
-    res = _require_converged(_integrate_support(m, _moment_integrand(m, k, j), cfg, _breakpoints(m, k)),
-                             f"weak moment j={j} (density path)")
-    return MomentEstimate(float(np.real(res.value)), float(res.error_estimate), "density")
-
-
-def _charfn_estimate(m, k, j, cfg) -> MomentEstimate:
-    res = _require_converged(_charfn_moment(m, k, j, cfg), f"weak moment j={j} (charfn path)")
-    return MomentEstimate(float(np.real(res.value)), float(res.error_estimate), "charfn")
+    spec = FeatureMapSpec(orders=(j,)) if spec is None else replace(spec, orders=(j,))
+    fv = _weak_moments(m, k, spec)
+    return MomentEstimate(float(fv.values[0]), float(fv.errors[0]), fv.paths[0])
 
 
 def feature_map(fam: ModelFamily, theta, k: KernelSpec, spec: FeatureMapSpec) -> FeatureVector:
@@ -229,17 +190,7 @@ def feature_map(fam: ModelFamily, theta, k: KernelSpec, spec: FeatureMapSpec) ->
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.size != fam.p:
         raise ValueError(f"family {fam.name} expects {fam.p} parameters, got {theta.size}")
-    m = fam.make(theta)
-    values, errors, paths = [], [], []
-    for j in spec.orders:
-        try:
-            est = weak_moment(m, k, j, spec)
-        except (NoDensity, NonConvergence) as exc:
-            raise type(exc)(f"feature map failed at order j={j}: {exc}") from exc
-        values.append(est.value)
-        errors.append(est.error)
-        paths.append(est.path)
-    return FeatureVector(np.array(values), np.array(errors), tuple(paths))
+    return _weak_moments(fam.make(theta), k, spec)
 
 
 # model parameter name -> the score it selects in models._score
@@ -269,34 +220,56 @@ def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_param
     unknown += [name for name in kernel_params if name not in ("s", "c")]
     if unknown:
         raise Unsupported(f"no analytic derivative for parameters {unknown}")
-    if spec.path == "density" or (spec.path == "auto" and support_has_density(m)):
-        route = "density"
-        scores = [_score(m, _SCORE_NAMES[name]) for name in model_params]
-        res = _integrate_support(m, _density_derivatives(m, k, spec.orders, scores, kernel_params),
-                                 spec.quadrature, _breakpoints(m, k))
-    else:
-        route = "charfn"
-        scores = [_charfn_score(m, _SCORE_NAMES[name]) for name in model_params]
-        res = integrate_real_line(_charfn_derivatives(m, k, spec.orders, scores, kernel_params),
-                                  spec.quadrature.oscillatory())
-    _require_converged(res, f"Jacobian of orders {spec.orders} ({route} path)")
+    _, res = _pairing_pass(m, k, spec, model_params, kernel_params, "Jacobian")
     shape = (len(spec.orders), len(model_params) + len(kernel_params))
-    return res.value.reshape(shape), res.error_estimate.reshape(shape)
+    return np.reshape(res.value, shape), np.reshape(res.error_estimate, shape)
 
 
-def _density_derivatives(m, k, orders, scores, kernel_params):
+def _pairing_pass(m, k, spec, model_params, kernel_params, what):
+    """One adaptive pass over the rows of the pairing of ``m`` with ``k``:
+    for each order j in ``spec.orders``, one row per entry of
+    ``model_params`` (None: w_j itself; a name: d/dtheta w_j) and one per
+    entry of ``kernel_params``.  Returns the route and the converged
+    :class:`IntegralResult`."""
+    on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(m))
+    route = "density" if on_density else "charfn"
+    if route == "charfn" and not _closed_form_char_fn(m):
+        raise Unsupported(f"{type(m).__name__} has no closed-form char fn; use the density route")
+    score_of = _score if route == "density" else _charfn_score
+    scores = [None if name is None else score_of(m, _SCORE_NAMES[name]) for name in model_params]
+    build = _density_rows if route == "density" else _charfn_rows
+    rows = build(m, k, spec.orders, scores, kernel_params)
+    # a one-row integrand goes to the engine 1-D: its scalar path costs
+    # less per panel than the (1, n) one
+    f = (lambda x: rows(x)[0]) if len(spec.orders) * (len(scores) + len(kernel_params)) == 1 else rows
+    if route == "density":
+        res = _integrate_support(m, f, spec.quadrature, _breakpoints(m, k))
+    else:
+        res = integrate_real_line(f, spec.quadrature.oscillatory())
+    return route, _require_converged(res, f"{what} of orders {spec.orders} ({route} path)")
+
+
+def _density_rows(m, k, orders, scores, kernel_params):
+    """Density-route integrand: per order j, x^j phi f times each score
+    (None: the value row x^j phi f), then x^j f d/dlambda phi."""
     powers = np.array(orders)[:, None]
 
     def integrand(x):
-        phi, dphi_ds, dphi_dc = kernel_eval(k, x, derivs=True)
+        if kernel_params:
+            phi, dphi_ds, dphi_dc = kernel_eval(k, x, derivs=True)
+        else:
+            phi = kernel_eval(k, x)
         dens = density(m, x)
         base = phi * dens
-        # as in _moment_integrand: x^j only where the damped base is nonzero
+        # multiply x^j only where the damped base is nonzero: at points where
+        # phi * f underflows to 0 the true product is far below double range,
+        # while x^j alone may overflow
         nz = base != 0.0
         xs = x[nz]
-        dphi = {"s": dphi_ds[nz], "c": dphi_dc[nz]}
-        cols = [base[nz] * score(xs) for score in scores]
-        cols += [dphi[name] * dens[nz] for name in kernel_params]
+        cols = [base[nz] if score is None else base[nz] * score(xs) for score in scores]
+        if kernel_params:
+            dphi = {"s": dphi_ds, "c": dphi_dc}
+            cols += [dphi[name][nz] * dens[nz] for name in kernel_params]
         out = np.zeros((powers.size, len(cols), x.size))
         out[:, :, nz] = (xs ** powers)[:, None, :] * np.array(cols)
         return out.reshape(-1, x.size)
@@ -304,15 +277,19 @@ def _density_derivatives(m, k, orders, scores, kernel_params):
     return integrand
 
 
-def _charfn_derivatives(m, k, orders, scores, kernel_params):
+def _charfn_rows(m, k, orders, scores, kernel_params):
+    """Char-fn-route integrand: per order j, Re c Psi_j / 2 pi times each
+    score (None: the value row), then Re c d/dlambda Psi_j / 2 pi."""
     s, c = k.s, k.c
-    coeffs = [_window_transform_coeffs(j, k) for j in range(max(orders) + 3)]
+    # the kernel columns reach Psi_{j+1} (d/dc) and Psi_{j+2} (d/ds)
+    reach = 2 if kernel_params else 0
+    coeffs = {i: _window_transform_coeffs(i, k) for j in orders for i in range(j, j + reach + 1)}
 
     def integrand(u):
         cf = char_fn(m, u)
         window = np.exp(-1j * u * c - 0.5 * s * s * u * u) / (2.0 * np.pi)
-        psi = [np.polynomial.polynomial.polyval(u, p) * window for p in coeffs]
-        dcf = [cf * score(u) for score in scores]
+        psi = {i: np.polynomial.polynomial.polyval(u, p) * window for i, p in coeffs.items()}
+        dcf = [cf if score is None else cf * score(u) for score in scores]
         rows = []
         for j in orders:
             rows += [d * psi[j] for d in dcf]
@@ -365,8 +342,8 @@ def weak_cumulants(m: ModelSpec, k: KernelSpec, J: int, cfg: QuadratureConfig | 
     if not support_has_density(m):
         raise NoDensity("weak cumulants need pointwise f phi (a density-bearing model)")
     spec = FeatureMapSpec(orders=tuple(range(J + 1)), path="density", quadrature=cfg)
-    w = [weak_moment(m, k, r, spec).value for r in range(J + 1)]
-    tilted = np.array(w[1:]) / w[0]
+    w = _weak_moments(m, k, spec).values
+    tilted = w[1:] / w[0]
     return WeakCumulants(moments_to_cumulants(tilted))
 
 
@@ -378,26 +355,12 @@ def influence_value(k: KernelSpec, j: int, x: float, w_j: float) -> float:
 def influence_bound(k: KernelSpec, j: int) -> float:
     """sup_x |x^j phi(x)|, the worst-case contribution of one observation.
 
-    Centred kernels admit the closed form: the maximiser is x = +-s sqrt(j)
-    with value (s sqrt(j))^j e^{-j/2} / sqrt(2 pi s^2) for j >= 1 (for
-    j = 0 the supremum is phi(c)).  Off-centre kernels are handled by a
-    dense grid search with local refinement.
+    Setting d/dx log|x^j phi(x)| = j / x - (x - c) / s^2 to zero gives
+    x^2 - c x - j s^2 = 0; the supremum is the larger of |x^j phi(x)| at
+    its two roots (for j = 0 the roots are c and 0, and the value phi(c)).
     """
     if j < 0:
         raise ValueError("order must be nonnegative")
-    if j == 0:
-        return float(kernel_eval(k, k.c))
-    if k.c == 0.0:
-        r = k.s * np.sqrt(j)
-        return float(r**j * np.exp(-0.5 * j) / (np.sqrt(2.0 * np.pi) * k.s))
-    half_width = abs(k.c) + k.s * (np.sqrt(j) + 12.0)
-    grid = np.linspace(-half_width, half_width, 400001)
-    vals = np.abs(grid**j * kernel_eval(k, grid))
-    best = grid[int(np.argmax(vals))]
-    step = grid[1] - grid[0]
-    for _ in range(3):
-        local = np.linspace(best - step, best + step, 2001)
-        lv = np.abs(local**j * kernel_eval(k, local))
-        best = local[int(np.argmax(lv))]
-        step = local[1] - local[0]
-    return float(np.abs(best**j * kernel_eval(k, best)))
+    half_gap = 0.5 * np.sqrt(k.c * k.c + 4.0 * j * k.s * k.s)
+    roots = 0.5 * k.c + np.array([half_gap, -half_gap])
+    return float(np.max(np.abs(roots**j * kernel_eval(k, roots))))

@@ -254,6 +254,12 @@ def char_fn(m: ModelSpec, u):
     return complex(out) if scalar else out
 
 
+def _closed_form_char_fn(m: ModelSpec) -> bool:
+    """Whether :func:`char_fn` evaluates ``m`` in closed form, without an
+    inner quadrature per point."""
+    return isinstance(m, (Gaussian, Cauchy, SymmetricStable))
+
+
 def classical_moment(m: ModelSpec, n: int) -> float:
     """Classical n-th moment E[X^n]; raises ``Undefined`` when divergent."""
     if n < 0 or int(n) != n:
@@ -335,30 +341,34 @@ def _charfn_score(m: ModelSpec, which: str):
 _OFFSETS = np.array([-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 10.0])
 
 
-def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
-    """Quadrature breakpoints for a pairing of ``m`` with the window
-    ``k``: the model's location +- {0, 1, 3, 6, 10} scales (placed in
-    log x for the half-line models) and the window's centre
-    +- {0, 1, 3, 6, 10} s, so that the first panels see a narrow peak
-    wherever it sits.  The points at 10 scales keep the panels next to
-    the 6-scale ones short enough that their nodes sample the tails."""
+def _model_points(m: ModelSpec) -> np.ndarray:
+    """Quadrature breakpoints at the model's location +- {0, 1, 3, 6, 10}
+    scales (placed in log x for the half-line models), so that the first
+    panels see a narrow peak wherever it sits.  The points at 10 scales
+    keep the panels next to the 6-scale ones short enough that their
+    nodes sample the tails."""
     if isinstance(m, LogNormal):
-        model = np.exp(m.mu + m.sigma * _OFFSETS)
-    elif isinstance(m, StieltjesLogNormal):
-        model = np.exp(_OFFSETS)
-    elif isinstance(m, Cauchy):
-        model = m.mu + _OFFSETS
-    elif isinstance(m, (Gaussian, SymmetricStable)):
-        model = m.mu + m.sigma * _OFFSETS
-    else:
-        raise Unsupported("two-sample container has no scalar breakpoints")
-    return np.concatenate((model, k.c + k.s * _OFFSETS))
+        return np.exp(m.mu + m.sigma * _OFFSETS)
+    if isinstance(m, StieltjesLogNormal):
+        return np.exp(_OFFSETS)
+    if isinstance(m, Cauchy):
+        return m.mu + _OFFSETS
+    if isinstance(m, (Gaussian, SymmetricStable)):
+        return m.mu + m.sigma * _OFFSETS
+    raise Unsupported("two-sample container has no scalar breakpoints")
+
+
+def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
+    """Breakpoints for a pairing of ``m`` with the window ``k``: the
+    model's points and the window's centre +- {0, 1, 3, 6, 10} s."""
+    return np.concatenate((_model_points(m), k.c + k.s * _OFFSETS))
 
 
 def classical_fisher_info(m: ModelSpec, which: str = "location",
                           cfg: QuadratureConfig | None = None) -> float:
     """Classical Fisher information for one parameter, by quadrature of
-    score^2 * density over the model's support."""
+    score^2 * density over the model's support, with breakpoints at the
+    model's location and scale."""
     if not support_has_density(m):
         raise NoDensity(f"{type(m).__name__} has no density to differentiate")
     score = _score(m, which)
@@ -369,10 +379,8 @@ def classical_fisher_info(m: ModelSpec, which: str = "location",
         nz = dens != 0.0
         out[nz] = score(x[nz]) ** 2 * dens[nz]
         return out
-    if support(m) == "half":
-        res = integrate_half_line(f, cfg)
-    else:
-        res = integrate_real_line(f, cfg)
+    integrate = integrate_half_line if support(m) == "half" else integrate_real_line
+    res = integrate(f, cfg, _model_points(m))
     if not res.converged:
         raise NonConvergence(f"Fisher information quadrature did not converge for {m}", res)
     return float(res.value.real if np.iscomplexobj(res.value) else res.value)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +38,6 @@ __all__ = [
     "NonFiniteEvaluation",
     "integrate_real_line",
     "integrate_half_line",
-    "gauss_hermite",
-    "hermite_rule",
 ]
 
 
@@ -65,16 +62,11 @@ class NonConvergence(QuadratureError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the adaptive engine.
-
-    ``node_count`` sizes fixed-node rules (Gauss-Hermite); the adaptive
-    rule always uses the embedded 7/15 pair per panel.
-    """
+    """Tolerances and budgets for the adaptive engine."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    node_count: int = 200
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0):
@@ -83,8 +75,6 @@ class QuadratureConfig:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
 
     def oscillatory(self) -> "QuadratureConfig":
         """Variant with the raised subdivision budget used for oscillatory
@@ -303,38 +293,3 @@ def integrate_half_line(f, cfg: QuadratureConfig | None = None, points=None) -> 
         y = np.log(x[x > 0.0])
         points = y[np.abs(y) < 64.0]
     return integrate_real_line(substituted, cfg, points)
-
-
-@lru_cache(maxsize=64)
-def hermite_rule(n: int):
-    """Nodes and weights of the n-point Gauss-Hermite rule (weight e^{-x^2}).
-
-    Computed by the Golub-Welsch eigenvalue method on the Jacobi matrix;
-    nodes are symmetrised so the rule is exactly even.
-    """
-    if n < 1:
-        raise ValueError("node count must be >= 1")
-    if n == 1:
-        return np.array([0.0]), np.array([np.sqrt(np.pi)])
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    jac = np.diag(off, 1) + np.diag(off, -1)
-    nodes, vecs = np.linalg.eigh(jac)
-    weights = np.sqrt(np.pi) * vecs[0] ** 2
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-def gauss_hermite(f, n: int, center: float = 0.0, scale: float = 1.0) -> float:
-    """Fixed-node rule: sum of ``w_i * f(center + scale * x_i)`` for the
-    degree-n Hermite rule, exact for polynomials of degree <= 2n - 1
-    under the weight e^{-x^2}."""
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    nodes, weights = hermite_rule(n)
-    vals = np.asarray(f(center + scale * nodes))
-    if not np.all(np.isfinite(np.abs(vals))):
-        raise NonFiniteEvaluation("integrand returned a non-finite value at a Hermite node")
-    return float(np.dot(weights, vals))

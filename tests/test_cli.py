@@ -73,7 +73,7 @@ def test_run_json_success(capsys):
 
 
 def test_run_failure_exit_code(capsys):
-    code, out, err = run_cli(capsys, "run", "cauchy-fisher", "--tol", "abs_error=1e-30")
+    code, out, err = run_cli(capsys, "run", "cauchy-fisher", "--tol", "abs_error=0")
     assert code == 1
     assert json.loads(out)["pass"] is False
     assert "abs_error" in err
@@ -184,10 +184,11 @@ def test_output_schema_is_stable_across_runs(capsys):
 
 
 def test_numeric_fields_have_seventeen_significant_digits(capsys):
-    code, out, _ = run_cli(capsys, "run", "cauchy-fisher", "--format", "csv")
+    code, out, _ = run_cli(capsys, "run", "behrens-fisher-w0", "--format", "csv")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
-    info = next(r for r in rows if r["metric"] == "fisher_information")
-    # 0.5 - 1.55e-15 needs 16+ digits to round-trip
-    assert float(info["value"]) != 0.5
-    assert abs(float(info["value"]) - 0.5) < 1e-12
+    spread = next(r for r in rows if r["metric"] == "spread_s1")
+    # the closed-form value 0.2052367647937096825... needs 17 digits to
+    # round-trip; cut to 12 it would read 0.205236764794
+    assert float(spread["value"]) != 0.205236764794
+    assert abs(float(spread["value"]) - 0.205236764794) < 1e-12

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
+import wml.quad
 from wml.features import (
     FeatureMapSpec,
     feature_map,
@@ -24,6 +27,8 @@ from wml.models import (
     density,
     gaussian_family,
     lognormal_family,
+    scale_center_kernel_family,
+    stable_family,
 )
 from wml.quad import QuadratureConfig
 
@@ -135,6 +140,11 @@ def test_path_errors():
     with pytest.raises(Unsupported):
         weak_moment(StieltjesLogNormal(0.5), UNIT_KERNEL, 0,
                     FeatureMapSpec(orders=(0,), path="charfn"))
+    # the log-normal char fn is itself a quadrature per point: refused
+    # before any integration instead of nesting one in the other
+    with pytest.raises(Unsupported):
+        weak_moment(LogNormal(0.0, 1.0), UNIT_KERNEL, 1,
+                    FeatureMapSpec(orders=(1,), path="charfn"))
     # auto falls back to the characteristic-function route
     est = weak_moment(SymmetricStable(1.5, 0, 1), UNIT_KERNEL, 0,
                       FeatureMapSpec(orders=(0,), path="auto"))
@@ -156,6 +166,46 @@ def test_feature_map_single_order_matches_weak_moment():
     fv = feature_map(gaussian_family(), [0.3, 1.2], UNIT_KERNEL, spec)
     est = weak_moment(Gaussian(0.3, 1.2), UNIT_KERNEL, 0, spec)
     assert fv.values[0] == est.value
+
+
+def test_one_adaptive_pass_per_call(monkeypatch):
+    # every order of a feature map, and every moment behind the weak
+    # cumulants, shares one panel tree
+    calls = []
+    adaptive = wml.quad._adaptive
+    monkeypatch.setattr(wml.quad, "_adaptive", lambda *a: calls.append(1) or adaptive(*a))
+    spec = FeatureMapSpec(orders=(0, 1, 2, 3, 4))
+    for fam, theta, path in ((gaussian_family(), [0.3, 1.2], "density"),
+                             (stable_family(1.5), [0.3, 1.2], "charfn")):
+        calls.clear()
+        fv = feature_map(fam, theta, UNIT_KERNEL, spec)
+        assert len(calls) == 1 and fv.paths == (path,) * 5
+    calls.clear()
+    weak_cumulants(Gaussian(0.3, 1.2), UNIT_KERNEL, 4)
+    assert len(calls) == 1
+    calls.clear()
+    weak_moment(Gaussian(0.3, 1.2), UNIT_KERNEL, 3)
+    assert len(calls) == 1
+
+
+_KERNELS = scale_center_kernel_family()
+_GAUSSIANS = gaussian_family()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(mu=st.floats(*_GAUSSIANS.box[0]), sigma=st.floats(*_GAUSSIANS.box[1]),
+       s=st.floats(*_KERNELS.box[0]), c=st.floats(*_KERNELS.box[1]))
+def test_reported_error_bounds_the_gaussian_feature_map(mu, sigma, s, c):
+    # Below abs_tol the tolerance is met from the first panels and the
+    # estimate is not a bound: (mu, sigma, s, c) = (-4.70, 0.113, 0.500,
+    # 9.04) has w_0 ~ 7.6e-157 and a relative error of 1.4e-5 against a
+    # reported 5.7e-6.  So only points with w_0 >= abs_tol are drawn.
+    spec = FeatureMapSpec(orders=(0, 1, 2, 3, 4))
+    truth, scale = gaussian_tilted_moments(mu, sigma, s, c, spec.orders)
+    assume(truth[0] >= spec.quadrature.abs_tol)
+    fv = feature_map(_GAUSSIANS, [mu, sigma], KernelSpec(s, c), spec)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(fv.values - truth) <= fv.errors + 4.0 * eps * scale)
 
 
 def test_feature_map_lognormal_finite_positive():

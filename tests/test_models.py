@@ -205,6 +205,15 @@ def test_fisher_information():
         classical_fisher_info(Cauchy(0), "scale")
 
 
+def test_fisher_information_of_narrow_models_away_from_zero():
+    # Gaussian(2.5, 0.05) falls between the nodes of the first panel: the
+    # quadrature used to return 7.1e-58, reported converged; breakpoints at
+    # the model's location and scale find it
+    assert classical_fisher_info(Gaussian(2.5, 0.05), "location") == pytest.approx(400.0, rel=1e-10)
+    assert classical_fisher_info(Gaussian(-4.0, 0.05), "scale") == pytest.approx(800.0, rel=1e-10)
+    assert classical_fisher_info(LogNormal(3.0, 0.05), "location") == pytest.approx(400.0, rel=1e-10)
+
+
 def test_stable_scale_fisher_information():
     # alpha = 2 is a Gaussian with standard deviation sqrt(2) sigma, so the
     # stable scale carries information 2 / sigma^2; alpha = 1 is a Cauchy
