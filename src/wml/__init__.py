@@ -55,7 +55,6 @@ from .models import (
     OutOfSupport,
     StieltjesLogNormal,
     SymmetricStable,
-    TwoSampleGaussian,
     Undefined,
     Unsupported,
     canonical_family,

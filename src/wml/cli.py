@@ -35,7 +35,6 @@ from .models import (
     NoDensity,
     StieltjesLogNormal,
     SymmetricStable,
-    TwoSampleGaussian,
     Unsupported,
     canonical_family,
     scale_center_kernel_family,
@@ -63,7 +62,6 @@ _MODEL_GRAMMAR = {
     "lognormal": (LogNormal, {"mu": 0.0, "sigma": 1.0}),
     "stieltjes": (StieltjesLogNormal, {"a": 0.0}),
     "stable": (SymmetricStable, {"alpha": 2.0, "mu": 0.0, "sigma": 1.0}),
-    "twosample": (TwoSampleGaussian, {"mu1": 0.0, "mu2": 0.0, "sigma1": 1.0, "sigma2": 1.0}),
 }
 
 
@@ -214,10 +212,7 @@ def _cmd_eval(args) -> int:
     model = parse_model(args.model)
     kernel = parse_kernel(args.kernel)
     spec = FeatureMapSpec(orders=parse_orders(args.orders), path=args.path)
-    try:
-        fam, theta = canonical_family(model)
-    except Unsupported as exc:
-        raise ConfigError(f"--model: {exc}") from exc
+    fam, theta = canonical_family(model)
     if "," in args.kernel:
         kfam = scale_center_kernel_family()
         lam = np.array([kernel.s, kernel.c])
@@ -243,10 +238,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     model = parse_model(args.model)
     spec = FeatureMapSpec(orders=parse_orders(args.orders), path=args.path)
-    try:
-        fam, theta0 = canonical_family(model)
-    except Unsupported as exc:
-        raise ConfigError(f"--model: {exc}") from exc
+    fam, theta0 = canonical_family(model)
 
     s_grid = parse_grid(args.s)
     if args.c is not None:

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMapSpec, weak_cumulants, weak_moment
+from .features import (
+    FeatureMapSpec,
+    feature_map,
+    weak_cumulants,
+    weak_moment,
+    weak_moment_jacobian,
+)
 from .geometry import (
     DimensionMismatch,
     StepUnderflow,
@@ -39,15 +45,17 @@ from .models import (
     Gaussian,
     KernelSpec,
     NoDensity,
-    SymmetricStable,
+    StieltjesLogNormal,
     Undefined,
     Unsupported,
+    _score,
     cauchy_family,
     classical_fisher_info,
     density,
     gaussian_family,
     lognormal_family,
     scale_kernel_family,
+    stable_family,
 )
 from .quad import QuadratureConfig, QuadratureError, integrate_half_line, integrate_real_line
 
@@ -64,6 +72,8 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 _NUMERIC_ERRORS = (QuadratureError, NoDensity, Unsupported, Undefined,
                    StepUnderflow, DimensionMismatch)
+
+_JAC_QUAD = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14, max_subdivisions=4000)
 
 
 class UnknownExperiment(Exception):
@@ -103,19 +113,14 @@ def _result(name, metrics, checks, tolerances, t0, table=()):
     )
 
 
-def _lognorm_power_integrand(n, extra=None):
+def _lognorm_power_integrand(n):
     """x^n * LogNormal(0,1) density as a function of x, evaluated through a
     single exponential of (n - 1) y - y^2 / 2 with y = log x, so that no
-    intermediate power of x can overflow; ``extra`` adds a further factor
-    to the exponent (e.g. the kernel's -e^{2y}/2)."""
+    intermediate power of x can overflow."""
 
     def f(x):
         y = np.log(x)
-        arg = (n - 1.0) * y - 0.5 * y * y
-        if extra is not None:
-            with np.errstate(over="ignore"):
-                arg = arg + extra(y)
-        return np.exp(arg) / _SQRT_2PI
+        return np.exp((n - 1.0) * y - 0.5 * y * y) / _SQRT_2PI
 
     return f
 
@@ -143,18 +148,16 @@ def _stieltjes_cancellation(overrides):
 
 
 def _stieltjes_kernel_break(overrides):
+    """The pairings J_n = int x^n phi_1(x) sin(2 pi log x) dLogNormal(0,1),
+    n = 0..6, are the a-derivatives of the Stieltjes family's weak
+    moments: the a-score times the family's density is
+    sin(2 pi log x) LogNormal(0,1)(x) for every a."""
     t0 = time.perf_counter()
     tol = _tolerances({"max_abs_pairing_min": 1e-6}, overrides)
-    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=8000)
-    rows = []
-    vals = []
-    for n in range(7):
-        power = _lognorm_power_integrand(n, extra=lambda y: -0.5 * np.exp(2.0 * y))
-        res = integrate_half_line(
-            lambda x: np.sin(2.0 * np.pi * np.log(x)) * power(x) / _SQRT_2PI, cfg)
-        v = float(np.real(res.value))
-        vals.append(v)
-        rows.append({"n": n, "pairing": v})
+    spec = FeatureMapSpec(orders=tuple(range(7)), path="density", quadrature=_JAC_QUAD)
+    pairings, _ = weak_moment_jacobian(StieltjesLogNormal(0.0), KernelSpec(1.0), ("a",), (), spec)
+    vals = [float(v) for v in pairings[:, 0]]
+    rows = [{"n": n, "pairing": v} for n, v in enumerate(vals)]
     metrics = {"max_abs_pairing": max(abs(v) for v in vals)}
     checks = {"max_abs_pairing_min": metrics["max_abs_pairing"] > tol["max_abs_pairing_min"]}
     return _result("stieltjes-kernel-break", metrics, checks, tol, t0, rows)
@@ -187,9 +190,6 @@ def _cauchy_fisher(overrides):
     metrics = {"fisher_information": info, "abs_error": abs(info - 0.5)}
     checks = {"abs_error": metrics["abs_error"] < tol["abs_error"]}
     return _result("cauchy-fisher", metrics, checks, tol, t0)
-
-
-_JAC_QUAD = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14, max_subdivisions=4000)
 
 
 def _cauchy_submersion(overrides):
@@ -345,34 +345,32 @@ def _type0_charpath(overrides):
     rows = []
 
     # density-free route for a model with no closed-form density
-    stable15 = SymmetricStable(1.5, 0.0, 1.0)
-    finite = []
-    for j in range(3):
-        spec = FeatureMapSpec(orders=(j,), path="charfn", quadrature=cfg)
-        v = weak_moment(stable15, kernel, j, spec).value
-        finite.append(np.isfinite(v))
-        rows.append({"model": "stable(1.5)", "j": j, "charfn_path": v,
+    spec = FeatureMapSpec(orders=(0, 1, 2), path="charfn", quadrature=cfg)
+    values = feature_map(stable_family(1.5), [0.0, 1.0], kernel, spec).values
+    for j, v in zip(spec.orders, values):
+        rows.append({"model": "stable(1.5)", "j": j, "charfn_path": float(v),
                      "density_path": float("nan"), "rel_err": float("nan")})
 
     # alpha in {1, 2} twins against the closed-form densities
     twins = [
-        ("stable(1)=cauchy", SymmetricStable(1.0, 0.5, 1.0), Cauchy(0.5)),
-        ("stable(2)=gaussian", SymmetricStable(2.0, 0.5, 1.0 / np.sqrt(2.0)), Gaussian(0.5, 1.0)),
+        ("stable(1)=cauchy", stable_family(1.0), [0.5, 1.0], cauchy_family(), [0.5]),
+        ("stable(2)=gaussian", stable_family(2.0), [0.5, 1.0 / np.sqrt(2.0)],
+         gaussian_family(), [0.5, 1.0]),
     ]
+    cspec = FeatureMapSpec(orders=tuple(range(5)), path="charfn", quadrature=cfg)
+    dspec = FeatureMapSpec(orders=tuple(range(5)), path="density", quadrature=cfg)
     errs = []
-    for label, stable, twin in twins:
-        for j in range(5):
-            cspec = FeatureMapSpec(orders=(j,), path="charfn", quadrature=cfg)
-            dspec = FeatureMapSpec(orders=(j,), path="density", quadrature=cfg)
-            via_char = weak_moment(stable, kernel, j, cspec).value
-            via_dens = weak_moment(twin, kernel, j, dspec).value
-            rel = abs(via_char - via_dens) / abs(via_dens)
-            errs.append(rel)
-            rows.append({"model": label, "j": j, "charfn_path": via_char,
-                         "density_path": via_dens, "rel_err": rel})
+    for label, stable, stable_theta, twin, twin_theta in twins:
+        via_char = feature_map(stable, stable_theta, kernel, cspec).values
+        via_dens = feature_map(twin, twin_theta, kernel, dspec).values
+        for j, vc, vd in zip(cspec.orders, via_char, via_dens):
+            rel = abs(vc - vd) / abs(vd)
+            errs.append(float(rel))
+            rows.append({"model": label, "j": j, "charfn_path": float(vc),
+                         "density_path": float(vd), "rel_err": float(rel)})
 
     metrics = {"max_twin_rel_err": max(errs),
-               "stable15_all_finite": 1.0 if all(finite) else 0.0}
+               "stable15_all_finite": 1.0 if np.isfinite(values).all() else 0.0}
     checks = {"max_twin_rel_err": metrics["max_twin_rel_err"] < tol["max_twin_rel_err"],
               "stable15_all_finite": metrics["stable15_all_finite"] == 1.0}
     return _result("type0-charpath", metrics, checks, tol, t0, rows)
@@ -383,13 +381,13 @@ def _sinusoidal_orthogonality(overrides):
     tol = _tolerances({"max_abs_pairing": 1e-10}, overrides)
     mu, sigma = 0.3, 1.2
     model = Gaussian(mu, sigma)
+    scale_score = _score(model, "scale")
     cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
     rows = []
     vals = []
     for c in (0.5, 1.0, 2.0):
         res = integrate_real_line(
-            lambda x, c=c: np.sin(c * (x - mu))
-            * ((x - mu) ** 2 - sigma**2) / sigma**3 * density(model, x), cfg)
+            lambda x, c=c: np.sin(c * (x - mu)) * scale_score(x) * density(model, x), cfg)
         v = abs(float(np.real(res.value)))
         vals.append(v)
         rows.append({"c": c, "abs_pairing": v})

@@ -39,20 +39,14 @@ from .models import (
     _breakpoints,
     _charfn_score,
     _closed_form_char_fn,
+    _integrate_support,
     _score,
     char_fn,
     density,
     kernel_eval,
-    support,
     support_has_density,
 )
-from .quad import (
-    IntegralResult,
-    NonConvergence,
-    QuadratureConfig,
-    integrate_half_line,
-    integrate_real_line,
-)
+from .quad import QuadratureConfig, integrate_real_line
 
 __all__ = [
     "FeatureMapSpec",
@@ -131,18 +125,6 @@ class WeakCumulants:
         object.__setattr__(self, "kappa", k)
 
 
-def _integrate_support(m, f, cfg, points=None) -> IntegralResult:
-    if support(m) == "half":
-        return integrate_half_line(f, cfg, points)
-    return integrate_real_line(f, cfg, points)
-
-
-def _require_converged(res: IntegralResult, what: str) -> IntegralResult:
-    if not res.converged:
-        raise NonConvergence(f"{what}: error {res.error_estimate:.3e} after budget exhausted", res)
-    return res
-
-
 def _window_transform_coeffs(j: int, k: KernelSpec) -> np.ndarray:
     """Ascending coefficients of the polynomial P_j with
 
@@ -165,7 +147,7 @@ def _window_transform_coeffs(j: int, k: KernelSpec) -> np.ndarray:
 
 def _weak_moments(m: ModelSpec, k: KernelSpec, spec: FeatureMapSpec) -> FeatureVector:
     """w_j for every j in ``spec.orders``, all from one adaptive pass."""
-    route, res = _pairing_pass(m, k, spec, [None], (), "weak moments")
+    route, res = _pairing_pass(m, k, spec, [None], ())
     return FeatureVector(np.atleast_1d(res.value), np.atleast_1d(res.error_estimate),
                          (route,) * len(spec.orders))
 
@@ -220,16 +202,16 @@ def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_param
     unknown += [name for name in kernel_params if name not in ("s", "c")]
     if unknown:
         raise Unsupported(f"no analytic derivative for parameters {unknown}")
-    _, res = _pairing_pass(m, k, spec, model_params, kernel_params, "Jacobian")
+    _, res = _pairing_pass(m, k, spec, model_params, kernel_params)
     shape = (len(spec.orders), len(model_params) + len(kernel_params))
     return np.reshape(res.value, shape), np.reshape(res.error_estimate, shape)
 
 
-def _pairing_pass(m, k, spec, model_params, kernel_params, what):
+def _pairing_pass(m, k, spec, model_params, kernel_params):
     """One adaptive pass over the rows of the pairing of ``m`` with ``k``:
     for each order j in ``spec.orders``, one row per entry of
     ``model_params`` (None: w_j itself; a name: d/dtheta w_j) and one per
-    entry of ``kernel_params``.  Returns the route and the converged
+    entry of ``kernel_params``.  Returns the route and the
     :class:`IntegralResult`."""
     on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(m))
     route = "density" if on_density else "charfn"
@@ -243,10 +225,8 @@ def _pairing_pass(m, k, spec, model_params, kernel_params, what):
     # less per panel than the (1, n) one
     f = (lambda x: rows(x)[0]) if len(spec.orders) * (len(scores) + len(kernel_params)) == 1 else rows
     if route == "density":
-        res = _integrate_support(m, f, spec.quadrature, _breakpoints(m, k))
-    else:
-        res = integrate_real_line(f, spec.quadrature.oscillatory())
-    return route, _require_converged(res, f"{what} of orders {spec.orders} ({route} path)")
+        return route, _integrate_support(m, f, spec.quadrature, _breakpoints(m, k))
+    return route, integrate_real_line(f, spec.quadrature.oscillatory())
 
 
 def _density_rows(m, k, orders, scores, kernel_params):
@@ -311,9 +291,7 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float, cfg: QuadratureConfig | 
     if not support_has_density(m):
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
     f = lambda x: np.exp(1j * u * x) * kernel_eval(k, x) * density(m, x)
-    res = _require_converged(_integrate_support(m, f, cfg.oscillatory(), _breakpoints(m, k)),
-                             f"weak char fn at u={u}")
-    return complex(res.value)
+    return complex(_integrate_support(m, f, cfg.oscillatory(), _breakpoints(m, k)).value)
 
 
 def moments_to_cumulants(raw: np.ndarray) -> np.ndarray:

@@ -2,9 +2,8 @@
 
 A model is a small frozen value object describing one member of the
 catalog: Gaussian, Cauchy, log-normal, the Stieltjes perturbation of the
-log-normal, a symmetric stable law (characteristic-function-only for
-alpha outside {1, 2}), and the two-sample Gaussian container used by the
-Behrens-Fisher experiment.  Scalar operations (density, characteristic
+log-normal, and a symmetric stable law (characteristic-function-only for
+alpha outside {1, 2}).  Scalar operations (density, characteristic
 function, classical moments, classical Fisher information) dispatch on
 the variant; models without a usable density raise ``NoDensity`` so
 callers can fall back to the characteristic-function route.
@@ -25,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .quad import NonConvergence, QuadratureConfig, integrate_half_line, integrate_real_line
+from .quad import IntegralResult, QuadratureConfig, integrate_half_line, integrate_real_line
 
 __all__ = [
     "NoDensity",
@@ -37,7 +36,6 @@ __all__ = [
     "LogNormal",
     "StieltjesLogNormal",
     "SymmetricStable",
-    "TwoSampleGaussian",
     "ModelSpec",
     "ModelFamily",
     "KernelSpec",
@@ -134,33 +132,13 @@ class SymmetricStable:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
-@dataclass(frozen=True)
-class TwoSampleGaussian:
-    """Container for the Behrens-Fisher pair; scalar operations live on the
-    two Gaussian components."""
-
-    mu1: float
-    mu2: float
-    sigma1: float
-    sigma2: float
-
-    def __post_init__(self):
-        if not (self.sigma1 > 0.0 and self.sigma2 > 0.0):
-            raise ValueError("both scales must be positive")
-
-    def components(self):
-        return Gaussian(self.mu1, self.sigma1), Gaussian(self.mu2, self.sigma2)
-
-
-ModelSpec = Union[Gaussian, Cauchy, LogNormal, StieltjesLogNormal, SymmetricStable, TwoSampleGaussian]
+ModelSpec = Union[Gaussian, Cauchy, LogNormal, StieltjesLogNormal, SymmetricStable]
 
 
 def support(m: ModelSpec) -> str:
     """'real' or 'half' (the open positive half-line)."""
     if isinstance(m, (LogNormal, StieltjesLogNormal)):
         return "half"
-    if isinstance(m, TwoSampleGaussian):
-        raise Unsupported("two-sample container has no scalar support")
     return "real"
 
 
@@ -198,23 +176,20 @@ def density(m: ModelSpec, x):
             out = _lognorm_pdf(xv, m.mu, m.sigma)
         elif isinstance(m, StieltjesLogNormal):
             out = (1.0 + m.a * np.sin(2.0 * np.pi * np.log(xv))) * _lognorm_pdf(xv, 0.0, 1.0)
-        elif isinstance(m, SymmetricStable):
-            if m.alpha == 1.0:
-                d = xv - m.mu
-                out = m.sigma / (np.pi * (m.sigma * m.sigma + d * d))
-            elif m.alpha == 2.0:
-                out = _gauss_pdf(xv, m.mu, m.sigma * np.sqrt(2.0))
-            else:
-                raise NoDensity(f"symmetric stable with alpha={m.alpha} is characteristic-function-only")
+        elif m.alpha == 1.0:  # SymmetricStable
+            d = xv - m.mu
+            out = m.sigma / (np.pi * (m.sigma * m.sigma + d * d))
+        elif m.alpha == 2.0:
+            out = _gauss_pdf(xv, m.mu, m.sigma * np.sqrt(2.0))
         else:
-            raise NoDensity("two-sample container has no scalar density")
+            raise NoDensity(f"symmetric stable with alpha={m.alpha} is characteristic-function-only")
     return float(out) if scalar else out
 
 
 def support_has_density(m: ModelSpec) -> bool:
     if isinstance(m, SymmetricStable):
         return m.alpha in (1.0, 2.0)
-    return not isinstance(m, TwoSampleGaussian)
+    return True
 
 
 _CHARFN_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=8000)
@@ -240,17 +215,11 @@ def char_fn(m: ModelSpec, u):
         def one(ui):
             if ui == 0.0:
                 return 1.0 + 0.0j
-            res = integrate_half_line(lambda x: np.exp(1j * ui * x) * _lognorm_pdf(x, m.mu, m.sigma),
-                                      _CHARFN_CFG)
-            if not res.converged:
-                raise NonConvergence(f"log-normal char fn at u={ui}: error {res.error_estimate:.3e}"
-                                     " after budget exhausted", res)
-            return res.value
+            return integrate_half_line(lambda x: np.exp(1j * ui * x) * _lognorm_pdf(x, m.mu, m.sigma),
+                                       _CHARFN_CFG).value
         out = np.array([one(ui) for ui in np.atleast_1d(uv)]).reshape(uv.shape)
-    elif isinstance(m, StieltjesLogNormal):
-        raise Unsupported("Stieltjes family: compute pairings via the density path")
     else:
-        raise Unsupported("two-sample container has no scalar characteristic function")
+        raise Unsupported("Stieltjes family: compute pairings via the density path")
     return complex(out) if scalar else out
 
 
@@ -277,13 +246,12 @@ def classical_moment(m: ModelSpec, n: int) -> float:
     if isinstance(m, StieltjesLogNormal):
         # moment-blind: identical to LogNormal(0, 1) for every a
         return float(np.exp(0.5 * n * n))
-    if isinstance(m, SymmetricStable):
-        if m.alpha == 2.0:
-            return _gaussian_moment(n, m.mu, m.sigma * np.sqrt(2.0))
-        if n == 1 and m.alpha > 1.0:
-            return m.mu
-        raise Undefined(f"stable law with alpha={m.alpha} has no finite moment of order {n}")
-    raise Undefined("two-sample container has no scalar moments")
+    # SymmetricStable
+    if m.alpha == 2.0:
+        return _gaussian_moment(n, m.mu, m.sigma * np.sqrt(2.0))
+    if n == 1 and m.alpha > 1.0:
+        return m.mu
+    raise Undefined(f"stable law with alpha={m.alpha} has no finite moment of order {n}")
 
 
 def _gaussian_moment(n, mu, sigma):
@@ -353,15 +321,20 @@ def _model_points(m: ModelSpec) -> np.ndarray:
         return np.exp(_OFFSETS)
     if isinstance(m, Cauchy):
         return m.mu + _OFFSETS
-    if isinstance(m, (Gaussian, SymmetricStable)):
-        return m.mu + m.sigma * _OFFSETS
-    raise Unsupported("two-sample container has no scalar breakpoints")
+    return m.mu + m.sigma * _OFFSETS  # Gaussian, SymmetricStable
 
 
 def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
     """Breakpoints for a pairing of ``m`` with the window ``k``: the
     model's points and the window's centre +- {0, 1, 3, 6, 10} s."""
     return np.concatenate((_model_points(m), k.c + k.s * _OFFSETS))
+
+
+def _integrate_support(m: ModelSpec, f, cfg, points=None) -> IntegralResult:
+    """Integrate ``f`` over the support of ``m``."""
+    if support(m) == "half":
+        return integrate_half_line(f, cfg, points)
+    return integrate_real_line(f, cfg, points)
 
 
 def classical_fisher_info(m: ModelSpec, which: str = "location",
@@ -379,11 +352,7 @@ def classical_fisher_info(m: ModelSpec, which: str = "location",
         nz = dens != 0.0
         out[nz] = score(x[nz]) ** 2 * dens[nz]
         return out
-    integrate = integrate_half_line if support(m) == "half" else integrate_real_line
-    res = integrate(f, cfg, _model_points(m))
-    if not res.converged:
-        raise NonConvergence(f"Fisher information quadrature did not converge for {m}", res)
-    return float(res.value.real if np.iscomplexobj(res.value) else res.value)
+    return float(_integrate_support(m, f, cfg, _model_points(m)).value)
 
 
 @dataclass(frozen=True)
@@ -520,6 +489,4 @@ def canonical_family(m: ModelSpec):
         return lognormal_family(), np.array([m.mu, m.sigma])
     if isinstance(m, StieltjesLogNormal):
         return stieltjes_family(), np.array([m.a])
-    if isinstance(m, SymmetricStable):
-        return stable_family(m.alpha), np.array([m.mu, m.sigma])
-    raise Unsupported("no canonical scalar family for the two-sample container")
+    return stable_family(m.alpha), np.array([m.mu, m.sigma])  # SymmetricStable

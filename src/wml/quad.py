@@ -9,8 +9,9 @@ integrands.  The engine here is deliberately simple and robust:
 * each panel is integrated with the embedded 7-point Gauss / 15-point
   Kronrod pair, whose difference provides the local error estimate;
 * panels are bisected worst-first until the global estimate meets
-  ``max(abs_tol, rel_tol * |value|)`` or the subdivision budget runs out;
-  optional breakpoints seed the first panels.
+  ``max(abs_tol, rel_tol * |value|)``; optional breakpoints seed the
+  first panels.  An integral that runs out of budget first raises
+  ``NonConvergence``, so every returned result has met its target.
 
 An integrand may also return an (m, n) array: m integrals over one
 shared panel tree, each held to its own tolerance.
@@ -50,9 +51,11 @@ class NonFiniteEvaluation(QuadratureError):
 
 
 class NonConvergence(QuadratureError):
-    """The subdivision budget was exhausted before the tolerance was met.
+    """The subdivision budget was exhausted, or a panel too narrow to
+    split missed the target on its own, before the tolerance was met.
 
-    Carries the best available estimate in ``result``.
+    Carries the best available estimate in ``result`` (``converged`` is
+    False there).
     """
 
     def __init__(self, message, result=None):
@@ -85,7 +88,9 @@ class QuadratureConfig:
 @dataclass(frozen=True)
 class IntegralResult:
     """Outcome of one adaptive integration; for an (m, n)-valued
-    integrand ``value`` and ``error_estimate`` have shape (m,)."""
+    integrand ``value`` and ``error_estimate`` have shape (m,).
+    ``converged`` is False only on the result a ``NonConvergence``
+    carries."""
 
     value: complex
     error_estimate: float
@@ -182,6 +187,10 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
     tolerance of component i at the first estimate (for m = 1 the same
     order), and converges when every component meets its own
     ``max(abs_tol, rel_tol * |value_i|)``.
+
+    Raises ``NonConvergence`` when the budget runs out first, or when
+    the panels too narrow to split miss the target on their own; the
+    message names the component furthest from its target.
     """
     panels = [(pa, pb) + _kronrod_panel(f, pa, pb) for pa, pb in zip(edges[:-1], edges[1:])]
     val_sum = sum(p[2] for p in panels)
@@ -206,7 +215,7 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
         if met(err_sum, val_sum):
             return IntegralResult(val_sum, err_sum, evaluations, True)
         if subdivisions >= cfg.max_subdivisions or not heap:
-            return IntegralResult(val_sum, err_sum, evaluations, False)
+            break
 
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
@@ -214,7 +223,7 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
             # panel narrower than one ulp; its error is irreducible
             stuck_err = stuck_err + perr
             if not met(stuck_err, val_sum):
-                return IntegralResult(val_sum, err_sum, evaluations, False)
+                break
             continue
         v1, e1, n1 = _kronrod_panel(f, pa, mid)
         v2, e2, n2 = _kronrod_panel(f, mid, pb)
@@ -225,6 +234,13 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
         heapq.heappush(heap, (-priority(e1), counter, pa, mid, v1, e1))
         heapq.heappush(heap, (-priority(e2), counter + 1, mid, pb, v2, e2))
         counter += 2
+
+    err, target = np.atleast_1d(err_sum), np.atleast_1d(tolerance(val_sum))
+    i = int(np.argmax(err / target))
+    which = f"component {i} " if err.size > 1 else ""
+    raise NonConvergence(f"adaptive quadrature: {which}error {err[i]:.3e} against a target of "
+                         f"{target[i]:.3e} after {evaluations // 15} panels",
+                         IntegralResult(val_sum, err_sum, evaluations, False))
 
 
 def integrate_real_line(f, cfg: QuadratureConfig | None = None, points=None) -> IntegralResult:

@@ -124,6 +124,16 @@ def test_eval_two_sample_is_config_error(capsys):
     assert "model" in err
 
 
+def test_eval_unconverged_quadrature_is_an_error(capsys):
+    # an in-box point whose Jacobian pass misses the default target within
+    # the default subdivision budget
+    code, out, err = run_cli(capsys, "eval", "--model", "gaussian:mu=-1.388,sigma=5.56",
+                             "--kernel", "0.051,-6.754", "--orders", "0,1,2,3,4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("wml: error:")
+
+
 def test_eval_csv_flattening(capsys):
     code, out, _ = run_cli(capsys, "eval", "--model", "cauchy:mu=0",
                            "--kernel", "1", "--orders", "0", "--format", "csv")

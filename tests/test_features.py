@@ -30,7 +30,7 @@ from wml.models import (
     scale_center_kernel_family,
     stable_family,
 )
-from wml.quad import QuadratureConfig
+from wml.quad import NonConvergence, QuadratureConfig
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 UNIT_KERNEL = KernelSpec(1.0, 0.0)
@@ -149,6 +149,14 @@ def test_path_errors():
     est = weak_moment(SymmetricStable(1.5, 0, 1), UNIT_KERNEL, 0,
                       FeatureMapSpec(orders=(0,), path="auto"))
     assert est.path == "charfn" and np.isfinite(est.value)
+
+
+def test_feature_map_reports_an_unmet_budget():
+    # a pass of several rows raises NonConvergence like a one-row pass
+    # (its error array once met a scalar format and raised TypeError)
+    spec = FeatureMapSpec(orders=(0, 1, 2), quadrature=QuadratureConfig(max_subdivisions=1))
+    with pytest.raises(NonConvergence, match="component"):
+        feature_map(gaussian_family(), [0.3, 0.01], UNIT_KERNEL, spec)
 
 
 def test_feature_map_gaussian_orders_01():

@@ -28,7 +28,7 @@ from wml.models import (
     stable_family,
     stieltjes_family,
 )
-from wml.quad import QuadratureConfig
+from wml.quad import NonConvergence, QuadratureConfig
 
 TIGHT = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -158,6 +158,12 @@ def test_jacobian_refuses_what_it_cannot_differentiate():
     with pytest.raises(Unsupported):
         jacobian(log_sigma, scale_kernel_family(), [0.0, 0.1], [1.0],
                  FeatureMapSpec(orders=(0,)))
+
+
+def test_jacobian_reports_an_unmet_budget():
+    spec = FeatureMapSpec(orders=(0, 1, 2), quadrature=QuadratureConfig(max_subdivisions=1))
+    with pytest.raises(NonConvergence, match="component"):
+        jacobian(gaussian_family(), scale_kernel_family(), [0.3, 0.06], [1.0], spec)
 
 
 def test_jacobian_symmetry_zero_mu_derivative():

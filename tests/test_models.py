@@ -12,7 +12,6 @@ from wml.models import (
     OutOfSupport,
     StieltjesLogNormal,
     SymmetricStable,
-    TwoSampleGaussian,
     Undefined,
     Unsupported,
     canonical_family,
@@ -47,8 +46,6 @@ def test_parameter_validation():
         SymmetricStable(2.5)
     with pytest.raises(ValueError):
         KernelSpec(0.0)
-    with pytest.raises(ValueError):
-        TwoSampleGaussian(0, 0, 1, -1)
 
 
 def test_density_values():
@@ -71,8 +68,6 @@ def test_stieltjes_density_form():
 def test_density_errors():
     with pytest.raises(NoDensity):
         density(SymmetricStable(1.5, 0.0, 1.0), 0.0)
-    with pytest.raises(NoDensity):
-        density(TwoSampleGaussian(0, 1, 1, 2), 0.0)
     with pytest.raises(OutOfSupport):
         density(LogNormal(0, 1), -1.0)
     with pytest.raises(OutOfSupport):
@@ -111,11 +106,12 @@ def test_cauchy_char_fn_against_quadrature():
                            weight="cos", wvar=u)
     assert char_fn(Cauchy(0), u).real == pytest.approx(oracle, abs=1e-9)
     assert char_fn(Cauchy(0), u) == pytest.approx(np.exp(-2.0), abs=1e-9)
-    # the in-package adaptive rule resolves the same pairing to ~1e-6
-    from wml.quad import QuadratureConfig
-    res = integrate_real_line(lambda x: np.exp(1j * u * x) * density(Cauchy(0), x),
-                              QuadratureConfig(max_subdivisions=8000))
-    assert res.value.real == pytest.approx(np.exp(-2.0), abs=1e-6)
+    # the in-package adaptive rule misses its default target on the bare
+    # oscillatory tail, but its best estimate resolves the pairing to ~1e-6
+    with pytest.raises(NonConvergence) as failure:
+        integrate_real_line(lambda x: np.exp(1j * u * x) * density(Cauchy(0), x),
+                            QuadratureConfig(max_subdivisions=8000))
+    assert failure.value.result.value.real == pytest.approx(np.exp(-2.0), abs=1e-6)
 
 
 def test_char_fn_at_zero_is_one():
@@ -132,8 +128,6 @@ def test_char_fn_conjugate_symmetry():
 def test_char_fn_unsupported():
     with pytest.raises(Unsupported):
         char_fn(StieltjesLogNormal(0.5), 1.0)
-    with pytest.raises(Unsupported):
-        char_fn(TwoSampleGaussian(0, 1, 1, 2), 1.0)
 
 
 def test_lognormal_char_fn_by_quadrature():
@@ -264,13 +258,3 @@ def test_families():
         KernelFamily("scale", ((0.0, 1.0),))
     fam2, theta = canonical_family(Cauchy(0.25))
     assert fam2.name == "cauchy" and theta[0] == 0.25
-    with pytest.raises(Unsupported):
-        canonical_family(TwoSampleGaussian(0, 0, 1, 1))
-
-
-def test_two_sample_components():
-    pair = TwoSampleGaussian(0.1, 0.9, 1.0, 2.0)
-    g1, g2 = pair.components()
-    assert g1 == Gaussian(0.1, 1.0) and g2 == Gaussian(0.9, 2.0)
-    with pytest.raises(Unsupported):
-        support(pair)

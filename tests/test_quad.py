@@ -6,6 +6,7 @@ from wml.quad import (
     _WG,
     _WGK,
     _XGK,
+    NonConvergence,
     NonFiniteEvaluation,
     QuadratureConfig,
     integrate_half_line,
@@ -77,9 +78,25 @@ def test_stieltjes_order_two_cancellation():
 
 def test_budget_exhaustion_returns_unconverged():
     cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
-    res = integrate_real_line(lambda x: 1.0 / (1.0 + x * x) ** 2, cfg)
+    with pytest.raises(NonConvergence) as failure:
+        integrate_real_line(lambda x: 1.0 / (1.0 + x * x) ** 2, cfg)
+    res = failure.value.result
     assert not res.converged
     assert np.isfinite(res.value)
+
+
+def test_nonconvergence_names_the_component_furthest_from_its_target():
+    # component 0 meets abs_tol on the first panel; component 1 cannot
+    # meet its target in two subdivisions
+    cfg = QuadratureConfig(max_subdivisions=2)
+    f = lambda x: np.array([1e-30 * np.exp(-x * x), 1.0 / (1.0 + x * x) ** 2])
+    with pytest.raises(NonConvergence) as failure:
+        integrate_real_line(f, cfg)
+    res = failure.value.result
+    target = max(cfg.abs_tol, cfg.rel_tol * abs(res.value[1]))
+    assert str(failure.value) == (
+        f"adaptive quadrature: component 1 error {res.error_estimate[1]:.3e} "
+        f"against a target of {target:.3e} after {res.evaluations // 15} panels")
 
 
 def test_non_finite_integrand_raises():
