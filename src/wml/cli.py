@@ -200,10 +200,7 @@ def _cmd_run(args) -> int:
     text = experiment_csv(res) if args.format == "csv" else dumps_json(experiment_doc(res))
     _emit(text, args.out)
     if not res.passed:
-        failing = [k for k, v in res.tolerances.items() if k in res.metrics] or list(res.metrics)
-        sys.stderr.write(f"wml: experiment {res.name} failed"
-                         f" (check metrics: {', '.join(failing)})"
-                         + (f": {res.diagnostic}" if res.diagnostic else "") + "\n")
+        sys.stderr.write(f"wml: experiment {res.name} failed: {res.diagnostic}\n")
         return 1
     return 0
 

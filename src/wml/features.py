@@ -220,10 +220,7 @@ def _pairing_pass(m, k, spec, model_params, kernel_params):
     score_of = _score if route == "density" else _charfn_score
     scores = [None if name is None else score_of(m, _SCORE_NAMES[name]) for name in model_params]
     build = _density_rows if route == "density" else _charfn_rows
-    rows = build(m, k, spec.orders, scores, kernel_params)
-    # a one-row integrand goes to the engine 1-D: its scalar path costs
-    # less per panel than the (1, n) one
-    f = (lambda x: rows(x)[0]) if len(spec.orders) * (len(scores) + len(kernel_params)) == 1 else rows
+    f = build(m, k, spec.orders, scores, kernel_params)
     if route == "density":
         return route, _integrate_support(m, f, spec.quadrature, _breakpoints(m, k))
     return route, integrate_real_line(f, spec.quadrature.oscillatory())

@@ -391,7 +391,6 @@ class ModelFamily:
     name: str
     param_names: tuple
     make: Callable
-    support: str
     box: tuple  # ((lo, hi), ...) per parameter
 
     @property
@@ -444,31 +443,31 @@ class KernelFamily:
 def gaussian_family() -> ModelFamily:
     return ModelFamily("gaussian", ("mu", "sigma"),
                        lambda th: Gaussian(float(th[0]), float(th[1])),
-                       "real", ((-5.0, 5.0), (0.05, 10.0)))
+                       ((-5.0, 5.0), (0.05, 10.0)))
 
 
 def cauchy_family() -> ModelFamily:
     return ModelFamily("cauchy", ("mu",),
                        lambda th: Cauchy(float(np.atleast_1d(th)[0])),
-                       "real", ((-5.0, 5.0),))
+                       ((-5.0, 5.0),))
 
 
 def lognormal_family() -> ModelFamily:
     return ModelFamily("lognormal", ("mu", "sigma"),
                        lambda th: LogNormal(float(th[0]), float(th[1])),
-                       "half", ((-3.0, 3.0), (0.1, 5.0)))
+                       ((-3.0, 3.0), (0.1, 5.0)))
 
 
 def stieltjes_family() -> ModelFamily:
     return ModelFamily("stieltjes", ("a",),
                        lambda th: StieltjesLogNormal(float(np.atleast_1d(th)[0])),
-                       "half", ((-1.0, 1.0),))
+                       ((-1.0, 1.0),))
 
 
 def stable_family(alpha: float) -> ModelFamily:
     return ModelFamily(f"stable(alpha={alpha:g})", ("mu", "sigma"),
                        lambda th, a=alpha: SymmetricStable(a, float(th[0]), float(th[1])),
-                       "real", ((-5.0, 5.0), (0.05, 10.0)))
+                       ((-5.0, 5.0), (0.05, 10.0)))
 
 
 def scale_kernel_family(lo: float = 0.05, hi: float = 1000.0, c: float = 0.0) -> KernelFamily:

@@ -13,8 +13,12 @@ integrands.  The engine here is deliberately simple and robust:
   first panels.  An integral that runs out of budget first raises
   ``NonConvergence``, so every returned result has met its target.
 
-An integrand may also return an (m, n) array: m integrals over one
-shared panel tree, each held to its own tolerance.
+There is one code path.  An integrand returns n values for n nodes, or
+an (m, n) array: m integrals over one shared panel tree, each held to
+its own tolerance; a 1-D integrand is the case m = 1, and its value and
+error come back as scalars.  Panels are evaluated in batches: one
+integrand call covers all initial panels, and one covers both halves
+of each bisection.
 
 The half-line is reduced to the real line by the logarithmic
 substitution ``x = e^y``, so endpoint behaviour at 0 becomes ordinary
@@ -128,28 +132,31 @@ _WG = np.array([
 
 # The pair laid out over one panel's 15 nodes in evaluation order: the
 # seven left nodes, the seven right nodes, the centre.
+_NODES = np.concatenate((-_XGK[:7], _XGK[:7], _XGK[7:]))
 _KRONROD = np.concatenate((_WGK[:7], _WGK[:7], _WGK[7:]))
 _GAUSS = np.zeros(15)
 _GAUSS[1:7:2] = _GAUSS[8:14:2] = _WG[:3]
 _GAUSS[14] = _WG[3]
 
 _EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
+_FLOOR_MIN = np.finfo(float).tiny / (50.0 * _EPS)  # below this the 50 ulp floor would underflow
 
 
-def _kronrod_panel(f, a, b):
-    """Integrate one panel, returning (value, error_estimate, evaluations);
-    value and error are arrays of shape (m,) for an (m, n)-valued
-    integrand.
+def _kronrod_panels(f, edges):
+    """Integrate the P panels between consecutive ``edges`` from one call
+    of ``f`` on all P * 15 nodes.  Returns (values, errors), each of
+    shape (P, m), with m = 1 for a 1-D integrand, and whether ``f`` is
+    1-D.
 
     The error model is QUADPACK's: the raw Gauss/Kronrod difference is
     rescaled by the panel's variation so that smooth panels are not
     flagged as inaccurate, with a floor at 50 ulp of the absolute
     integral.
     """
+    a, b = edges[:-1, None], edges[1:, None]
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    nodes = np.concatenate((centr - hlgth * _XGK[:7], centr + hlgth * _XGK[:7], [centr]))
+    nodes = (centr + hlgth * _NODES).ravel()
     fv = np.asarray(f(nodes))
     if fv.shape[-1:] != nodes.shape or fv.ndim > 2:
         raise ValueError("integrand must return one value, or one column of values, per node")
@@ -158,62 +165,61 @@ def _kronrod_panel(f, a, b):
         bad = nodes[~finite.reshape(-1, nodes.size).all(axis=0)]
         raise NonFiniteEvaluation(f"integrand returned a non-finite value near x={bad[:3]}")
 
-    ah = abs(hlgth)
-    resk = fv @ _KRONROD
-    resg = fv @ _GAUSS
-    resabs = np.abs(fv) @ _KRONROD * ah
-    resasc = np.abs(fv - 0.5 * resk[..., None]) @ _KRONROD * ah
+    # (P, m, 15), contiguous: each panel's sums round as one (m, 15) product
+    # of its own, whatever P is
+    rows = np.ascontiguousarray(fv.reshape(-1, centr.size, 15).transpose(1, 0, 2))
+    ah = np.abs(hlgth)
+    resk = rows @ _KRONROD
+    resg = rows @ _GAUSS
+    resabs = np.abs(rows) @ _KRONROD * ah
+    resasc = np.abs(rows - 0.5 * resk[..., None]) @ _KRONROD * ah
     abserr = np.abs(resk - resg) * ah
-    if fv.ndim == 1:
-        if resasc != 0.0 and abserr != 0.0:
-            abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-        if resabs > _TINY / (50.0 * _EPS):
-            abserr = max(50.0 * _EPS * resabs, abserr)
-    else:
-        varies = (resasc != 0.0) & (abserr != 0.0)
-        abserr[varies] = resasc[varies] * np.minimum(1.0, (200.0 * abserr[varies] / resasc[varies]) ** 1.5)
-        floor = resabs > _TINY / (50.0 * _EPS)
-        abserr[floor] = np.maximum(50.0 * _EPS * resabs[floor], abserr[floor])
-    return resk * hlgth, abserr, 15
+    # where resasc is 0 the rescaled term is 0 and abserr stays as it is
+    flat = resasc == 0.0
+    abserr = resasc * np.minimum(1.0, (200.0 * abserr / (resasc + flat)) ** 1.5) + flat * abserr
+    abserr = np.maximum(abserr, 50.0 * _EPS * resabs * (resabs > _FLOOR_MIN))
+    return resk * hlgth, abserr, fv.ndim == 1
 
 
 def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
     """Worst-panel-first bisection with the embedded pair, starting from
     the panels between consecutive ``edges``.
 
-    A scalar integrand bisects the panel of largest error estimate.  An
-    (m, n)-valued one shares the panels among its m components: it
-    bisects the panel of largest err_i / scale_i, with scale_i the
-    tolerance of component i at the first estimate (for m = 1 the same
-    order), and converges when every component meets its own
-    ``max(abs_tol, rel_tol * |value_i|)``.
+    Every integrand is m rows sharing one panel tree (m = 1 for a 1-D
+    integrand).  One integrand call covers all initial panels, and one
+    covers both halves of each bisection.  The pass bisects the panel
+    of largest err_i / scale_i, with scale_i the tolerance of row i at
+    the first estimate (for m = 1 the order of err itself), and
+    converges when every row meets its own
+    ``max(abs_tol, rel_tol * |value_i|)``.  A 1-D integrand's value and
+    error come back as scalars.
 
     Raises ``NonConvergence`` when the budget runs out first, or when
     the panels too narrow to split miss the target on their own; the
     message names the component furthest from its target.
     """
-    panels = [(pa, pb) + _kronrod_panel(f, pa, pb) for pa, pb in zip(edges[:-1], edges[1:])]
-    val_sum = sum(p[2] for p in panels)
-    err_sum = sum(p[3] for p in panels)
-    evaluations = sum(p[4] for p in panels)
-    if np.ndim(val_sum) == 0:
-        tolerance = lambda v: max(cfg.abs_tol, cfg.rel_tol * abs(v))
-        met = lambda e, v: e <= tolerance(v)
-        priority = float
-    else:
-        tolerance = lambda v: np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(v))
-        met = lambda e, v: bool(np.all(e <= tolerance(v)))
-        scale = tolerance(val_sum)
-        priority = lambda e: float(np.max(e / scale))
-    heap = [(-priority(e), i, pa, pb, v, e) for i, (pa, pb, v, e, _) in enumerate(panels)]
+    edges = np.asarray(edges, dtype=float)
+    vals, errs, scalar = _kronrod_panels(f, edges)
+    val_sum, err_sum = sum(vals), sum(errs)
+    evaluations = 15 * len(vals)
+    tolerance = lambda v: np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(v))
+    met = lambda e, v: bool((e <= tolerance(v)).all())
+    # heap keys -max_i(err_i / scale_i): worst panel first
+    neg_scale = -tolerance(val_sum)
+    keys = lambda e: (e / neg_scale).min(axis=1).tolist()
+    heap = list(zip(keys(errs), range(len(vals)), edges[:-1].tolist(), edges[1:].tolist(),
+                    vals, errs))
     heapq.heapify(heap)
     counter = len(heap)
     subdivisions = 0
     stuck_err = 0.0  # panels too narrow to split further
+    result = lambda converged: IntegralResult(val_sum[0] if scalar else val_sum,
+                                              err_sum[0] if scalar else err_sum,
+                                              evaluations, converged)
 
     while True:
         if met(err_sum, val_sum):
-            return IntegralResult(val_sum, err_sum, evaluations, True)
+            return result(True)
         if subdivisions >= cfg.max_subdivisions or not heap:
             break
 
@@ -225,22 +231,21 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
             if not met(stuck_err, val_sum):
                 break
             continue
-        v1, e1, n1 = _kronrod_panel(f, pa, mid)
-        v2, e2, n2 = _kronrod_panel(f, mid, pb)
-        evaluations += n1 + n2
+        v, e, _ = _kronrod_panels(f, np.array((pa, mid, pb)))
+        evaluations += 30
         subdivisions += 1
-        val_sum = val_sum + ((v1 + v2) - pval)
-        err_sum = err_sum + ((e1 + e2) - perr)
-        heapq.heappush(heap, (-priority(e1), counter, pa, mid, v1, e1))
-        heapq.heappush(heap, (-priority(e2), counter + 1, mid, pb, v2, e2))
+        val_sum = val_sum + ((v[0] + v[1]) - pval)
+        err_sum = err_sum + ((e[0] + e[1]) - perr)
+        k1, k2 = keys(e)
+        heapq.heappush(heap, (k1, counter, pa, mid, v[0], e[0]))
+        heapq.heappush(heap, (k2, counter + 1, mid, pb, v[1], e[1]))
         counter += 2
 
-    err, target = np.atleast_1d(err_sum), np.atleast_1d(tolerance(val_sum))
-    i = int(np.argmax(err / target))
-    which = f"component {i} " if err.size > 1 else ""
-    raise NonConvergence(f"adaptive quadrature: {which}error {err[i]:.3e} against a target of "
-                         f"{target[i]:.3e} after {evaluations // 15} panels",
-                         IntegralResult(val_sum, err_sum, evaluations, False))
+    target = tolerance(val_sum)
+    i = int(np.argmax(err_sum / target))
+    which = f"component {i} " if err_sum.size > 1 else ""
+    raise NonConvergence(f"adaptive quadrature: {which}error {err_sum[i]:.3e} against a target of "
+                         f"{target[i]:.3e} after {evaluations // 15} panels", result(False))
 
 
 def integrate_real_line(f, cfg: QuadratureConfig | None = None, points=None) -> IntegralResult:
@@ -262,13 +267,13 @@ def integrate_real_line(f, cfg: QuadratureConfig | None = None, points=None) -> 
         cfg = QuadratureConfig()
 
     def transformed(t):
-        one = 1.0 - t * t
+        tt = t * t
+        one = 1.0 - tt
         good = one > 1e-150
-        x = t[good] / one[good]
-        jac = (1.0 + t[good] * t[good]) / (one[good] * one[good])
-        fx = np.asarray(f(x))
-        vals = np.zeros(fx.shape[:-1] + t.shape, dtype=np.result_type(fx.dtype, np.float64))
-        vals[..., good] = fx * jac
+        one = one[good]
+        fx = f(t[good] / one) * ((1.0 + tt[good]) / (one * one))
+        vals = np.zeros(fx.shape[:-1] + t.shape, dtype=fx.dtype)
+        vals[..., good] = fx
         return vals
 
     edges = [-1.0, 1.0]
@@ -299,9 +304,9 @@ def integrate_half_line(f, cfg: QuadratureConfig | None = None, points=None) -> 
     def substituted(y):
         good = np.abs(y) < 64.0
         x = np.exp(y[good])
-        fx = np.asarray(f(x))
-        vals = np.zeros(fx.shape[:-1] + y.shape, dtype=np.result_type(fx.dtype, np.float64))
-        vals[..., good] = fx * x
+        fx = f(x) * x
+        vals = np.zeros(fx.shape[:-1] + y.shape, dtype=fx.dtype)
+        vals[..., good] = fx
         return vals
 
     if points is not None:

@@ -79,6 +79,14 @@ def test_run_failure_exit_code(capsys):
     assert "abs_error" in err
 
 
+def test_run_failure_names_only_the_failing_checks(capsys):
+    code, out, err = run_cli(capsys, "run", "gaussian-tilted-cumulants", "--tol", "abs_kappa3=0")
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+    assert "abs_kappa3" in err
+    assert "kappa1_rel_err" not in err
+
+
 def test_run_unknown_experiment(capsys):
     code, _, err = run_cli(capsys, "run", "no-such-name")
     assert code == 2

@@ -100,6 +100,19 @@ def test_sweep_empty_grid():
         sweep_kernel(cauchy_family(), scale_kernel_family(), spec, [(1.0,)], [])
 
 
+@pytest.mark.parametrize("name, rows", (("stieltjes-cancellation", 11),
+                                        ("lognormal-classical-moments", 7),
+                                        ("sinusoidal-orthogonality", 3)))
+def test_one_adaptive_pass_per_experiment(monkeypatch, name, rows):
+    # every order (or frequency) of these experiments shares one panel tree
+    calls = []
+    adaptive = wml.quad._adaptive
+    monkeypatch.setattr(wml.quad, "_adaptive", lambda *a: calls.append(1) or adaptive(*a))
+    res = run_experiment(name)
+    assert res.passed, res.metrics
+    assert len(calls) == 1 and len(res.table) == rows
+
+
 def test_numeric_failure_is_reported_not_raised(monkeypatch):
     # an unreachable quadrature budget raises NonConvergence inside the
     # experiment; the result carries the diagnostic instead

@@ -154,7 +154,7 @@ def test_jacobian_refuses_what_it_cannot_differentiate():
     fam = gaussian_family()
     log_sigma = type(fam)("gaussian-log-sigma", fam.param_names,
                           lambda th: Gaussian(float(th[0]), float(np.exp(th[1]))),
-                          fam.support, ((-5.0, 5.0), (-3.0, 2.0)))
+                          ((-5.0, 5.0), (-3.0, 2.0)))
     with pytest.raises(Unsupported):
         jacobian(log_sigma, scale_kernel_family(), [0.0, 0.1], [1.0],
                  FeatureMapSpec(orders=(0,)))
@@ -421,7 +421,6 @@ def test_probe_finds_no_collision_at_unit_scale():
 
 def test_probe_collapsed_box_returns_empty():
     fam = stieltjes_family()
-    collapsed = type(fam)(fam.name, fam.param_names, fam.make, fam.support,
-                          ((0.3, 0.3),))
+    collapsed = type(fam)(fam.name, fam.param_names, fam.make, ((0.3, 0.3),))
     assert injectivity_probe(collapsed, KernelSpec(1.0, 0.0), PROBE_SPEC,
                              n_starts=4, separation=0.5, tol=1e-4, seed=0) == []

@@ -248,7 +248,7 @@ def test_families():
     fam = gaussian_family()
     assert fam.p == 2 and fam.make([0.3, 1.1]) == Gaussian(0.3, 1.1)
     assert cauchy_family().make([0.5]) == Cauchy(0.5)
-    assert lognormal_family().support == "half"
+    assert lognormal_family().make([0.1, 0.9]) == LogNormal(0.1, 0.9)
     assert stieltjes_family().make([0.7]) == StieltjesLogNormal(0.7)
     kfam = scale_kernel_family()
     assert kfam.q == 1 and kfam.make([2.0]) == KernelSpec(2.0, 0.0)

@@ -83,6 +83,7 @@ def test_budget_exhaustion_returns_unconverged():
     res = failure.value.result
     assert not res.converged
     assert np.isfinite(res.value)
+    assert np.ndim(res.value) == np.ndim(res.error_estimate) == 0
 
 
 def test_nonconvergence_names_the_component_furthest_from_its_target():
@@ -97,6 +98,21 @@ def test_nonconvergence_names_the_component_furthest_from_its_target():
     assert str(failure.value) == (
         f"adaptive quadrature: component 1 error {res.error_estimate[1]:.3e} "
         f"against a target of {target:.3e} after {res.evaluations // 15} panels")
+
+
+def test_one_integrand_call_for_the_initial_panels_and_one_per_bisection():
+    # the four panels between the breakpoints share one call; both halves
+    # of each bisection share another
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return 1.0 / (1.0 + x * x) ** 2
+
+    res = integrate_real_line(f, points=[-1.0, 0.0, 2.0])
+    bisections = (res.evaluations // 15 - 4) // 2
+    assert bisections > 0
+    assert sizes == [60] + [30] * bisections
 
 
 def test_non_finite_integrand_raises():
@@ -183,7 +199,8 @@ def test_gauss_kronrod_constants_exact_to_full_degree():
 
 def test_vector_integrand_shares_one_panel_tree():
     # rows with their own scales converge together, each to its own
-    # tolerance; a one-row integrand keeps the scalar panel tree
+    # tolerance; a 1-D integrand and its one-row form share one path (the
+    # same panels and numbers) and differ only in the shapes returned
     cfg = QuadratureConfig()
     rows = lambda x: np.array([np.exp(-x * x), 1e-6 * x * x * np.exp(-x * x), np.exp(-(x - 3.0) ** 2)])
     res = integrate_real_line(rows, cfg)
@@ -197,8 +214,11 @@ def test_vector_integrand_shares_one_panel_tree():
     f = lambda x: 1.0 / (1.0 + x * x) ** 2
     scalar = integrate_real_line(f)
     single = integrate_real_line(lambda x: f(x)[None, :])
+    assert np.ndim(scalar.value) == np.ndim(scalar.error_estimate) == 0
+    assert single.value.shape == single.error_estimate.shape == (1,)
     assert single.evaluations == scalar.evaluations
-    assert single.value[0] == pytest.approx(scalar.value, rel=1e-15)
+    assert single.value[0] == scalar.value
+    assert single.error_estimate[0] == scalar.error_estimate
 
     half = integrate_half_line(lambda x: np.array([np.exp(-x), x * np.exp(-x)]))
     assert half.value == pytest.approx([1.0, 1.0], rel=1e-10)
