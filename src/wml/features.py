@@ -38,7 +38,6 @@ from .models import (
     Unsupported,
     _breakpoints,
     _charfn_score,
-    _closed_form_char_fn,
     _integrate_support,
     _score,
     char_fn,
@@ -215,8 +214,6 @@ def _pairing_pass(m, k, spec, model_params, kernel_params):
     :class:`IntegralResult`."""
     on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(m))
     route = "density" if on_density else "charfn"
-    if route == "charfn" and not _closed_form_char_fn(m):
-        raise Unsupported(f"{type(m).__name__} has no closed-form char fn; use the density route")
     score_of = _score if route == "density" else _charfn_score
     scores = [None if name is None else score_of(m, _SCORE_NAMES[name]) for name in model_params]
     build = _density_rows if route == "density" else _charfn_rows

@@ -192,15 +192,12 @@ def support_has_density(m: ModelSpec) -> bool:
     return True
 
 
-_CHARFN_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=8000)
-
-
 def char_fn(m: ModelSpec, u):
     """Characteristic function E[e^{iuX}] at ``u`` (scalar or ndarray).
 
-    Closed forms for Gaussian, Cauchy and symmetric stable; the
-    log-normal falls back to quadrature of its density.  Raises
-    ``Unsupported`` for the Stieltjes family (use the density route).
+    Closed forms for Gaussian, Cauchy and symmetric stable.  Raises
+    ``Unsupported`` for the log-normal and the Stieltjes family, which
+    have none (use the density route).
     """
     scalar = np.isscalar(u)
     uv = np.asarray(u, dtype=float)
@@ -211,22 +208,9 @@ def char_fn(m: ModelSpec, u):
         out = np.exp(1j * uv * m.mu - np.abs(uv))
     elif isinstance(m, SymmetricStable):
         out = np.exp(1j * uv * m.mu - np.abs(m.sigma * uv) ** m.alpha)
-    elif isinstance(m, LogNormal):
-        def one(ui):
-            if ui == 0.0:
-                return 1.0 + 0.0j
-            return integrate_half_line(lambda x: np.exp(1j * ui * x) * _lognorm_pdf(x, m.mu, m.sigma),
-                                       _CHARFN_CFG).value
-        out = np.array([one(ui) for ui in np.atleast_1d(uv)]).reshape(uv.shape)
     else:
-        raise Unsupported("Stieltjes family: compute pairings via the density path")
+        raise Unsupported(f"{type(m).__name__} has no closed-form char fn; use the density route")
     return complex(out) if scalar else out
-
-
-def _closed_form_char_fn(m: ModelSpec) -> bool:
-    """Whether :func:`char_fn` evaluates ``m`` in closed form, without an
-    inner quadrature per point."""
-    return isinstance(m, (Gaussian, Cauchy, SymmetricStable))
 
 
 def classical_moment(m: ModelSpec, n: int) -> float:

@@ -8,14 +8,24 @@ integrands.  The engine here is deliberately simple and robust:
   smooth, monotone, and preserves exponential decay of the integrand;
 * each panel is integrated with the embedded 7-point Gauss / 15-point
   Kronrod pair, whose difference provides the local error estimate;
-* panels are bisected worst-first until the global estimate meets
-  ``max(abs_tol, rel_tol * |value|)``; optional breakpoints seed the
-  first panels.  An integral that runs out of budget first raises
+* panels are bisected worst-first until each integral's error estimate
+  is at most ``rel_tol`` times its own L1 mass int |f|, summed from the
+  panels' QUADPACK ``resabs``; optional breakpoints seed the first
+  panels.  An integral that runs out of budget first raises
   ``NonConvergence``, so every returned result has met its target.
+
+The target scales with the integrand and needs no absolute tolerance:
+for a one-signed integrand it is ``rel_tol * |value|``, and it sits at
+least 2x above the engine's own 50 ulp error floor when
+``rel_tol >= 100 eps``.  It stops only at the smallest normal float,
+below which an integrand's values are subnormal and carry no relative
+precision.  The price falls on
+integrands that cancel: their reported error is ``rel_tol`` of
+int |f|, not of the (smaller) value.
 
 There is one code path.  An integrand returns n values for n nodes, or
 an (m, n) array: m integrals over one shared panel tree, each held to
-its own tolerance; a 1-D integrand is the case m = 1, and its value and
+its own target; a 1-D integrand is the case m = 1, and its value and
 error come back as scalars.  Panels are evaluated in batches: one
 integrand call covers all initial panels, and one covers both halves
 of each bisection.
@@ -69,17 +79,14 @@ class NonConvergence(QuadratureError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the adaptive engine."""
+    """Relative tolerance and subdivision budget for the adaptive engine."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not (self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -139,14 +146,15 @@ _GAUSS[1:7:2] = _GAUSS[8:14:2] = _WG[:3]
 _GAUSS[14] = _WG[3]
 
 _EPS = np.finfo(float).eps
-_FLOOR_MIN = np.finfo(float).tiny / (50.0 * _EPS)  # below this the 50 ulp floor would underflow
+_TINY = np.finfo(float).tiny
+_FLOOR_MIN = _TINY / (50.0 * _EPS)  # below this the 50 ulp floor would underflow
 
 
 def _kronrod_panels(f, edges):
     """Integrate the P panels between consecutive ``edges`` from one call
-    of ``f`` on all P * 15 nodes.  Returns (values, errors), each of
-    shape (P, m), with m = 1 for a 1-D integrand, and whether ``f`` is
-    1-D.
+    of ``f`` on all P * 15 nodes.  Returns (values, errors, l1), each of
+    shape (P, m), with m = 1 for a 1-D integrand and l1 the panel's
+    int |f|, and whether ``f`` is 1-D.
 
     The error model is QUADPACK's: the raw Gauss/Kronrod difference is
     rescaled by the panel's variation so that smooth panels are not
@@ -178,7 +186,7 @@ def _kronrod_panels(f, edges):
     flat = resasc == 0.0
     abserr = resasc * np.minimum(1.0, (200.0 * abserr / (resasc + flat)) ** 1.5) + flat * abserr
     abserr = np.maximum(abserr, 50.0 * _EPS * resabs * (resabs > _FLOOR_MIN))
-    return resk * hlgth, abserr, fv.ndim == 1
+    return resk * hlgth, abserr, resabs, fv.ndim == 1
 
 
 def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
@@ -187,28 +195,32 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
 
     Every integrand is m rows sharing one panel tree (m = 1 for a 1-D
     integrand).  One integrand call covers all initial panels, and one
-    covers both halves of each bisection.  The pass bisects the panel
-    of largest err_i / scale_i, with scale_i the tolerance of row i at
-    the first estimate (for m = 1 the order of err itself), and
-    converges when every row meets its own
-    ``max(abs_tol, rel_tol * |value_i|)``.  A 1-D integrand's value and
-    error come back as scalars.
+    covers both halves of each bisection.  Each panel carries its value,
+    error and int |f| per row, and the pass keeps their running sums.
+    Row i has met its target when ``err_i <= rel_tol * int |f_i|``, a
+    target never set below the smallest normal float: a row that small
+    is built from subnormal values, which carry no relative precision
+    (a row whose int |f| is 0 has error 0 and is met at once).  The
+    pass returns when every row has met its target.  It bisects the
+    panel of largest err_i / scale_i, with scale_i the target of row i
+    at the first estimate (for m = 1 the order of err itself).  A 1-D
+    integrand's value and error come back as scalars.
 
     Raises ``NonConvergence`` when the budget runs out first, or when
     the panels too narrow to split miss the target on their own; the
     message names the component furthest from its target.
     """
     edges = np.asarray(edges, dtype=float)
-    vals, errs, scalar = _kronrod_panels(f, edges)
-    val_sum, err_sum = sum(vals), sum(errs)
+    vals, errs, l1s, scalar = _kronrod_panels(f, edges)
+    val_sum, err_sum, l1_sum = sum(vals), sum(errs), sum(l1s)
     evaluations = 15 * len(vals)
-    tolerance = lambda v: np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(v))
-    met = lambda e, v: bool((e <= tolerance(v)).all())
+    target = lambda: np.maximum(cfg.rel_tol * l1_sum, _TINY)
+    met = lambda e: bool((e <= target()).all())
     # heap keys -max_i(err_i / scale_i): worst panel first
-    neg_scale = -tolerance(val_sum)
+    neg_scale = -target()
     keys = lambda e: (e / neg_scale).min(axis=1).tolist()
     heap = list(zip(keys(errs), range(len(vals)), edges[:-1].tolist(), edges[1:].tolist(),
-                    vals, errs))
+                    vals, errs, l1s))
     heapq.heapify(heap)
     counter = len(heap)
     subdivisions = 0
@@ -218,34 +230,35 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
                                               evaluations, converged)
 
     while True:
-        if met(err_sum, val_sum):
+        if met(err_sum):
             return result(True)
         if subdivisions >= cfg.max_subdivisions or not heap:
             break
 
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
+        _, _, pa, pb, pval, perr, pl1 = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if mid <= pa or mid >= pb:
             # panel narrower than one ulp; its error is irreducible
             stuck_err = stuck_err + perr
-            if not met(stuck_err, val_sum):
+            if not met(stuck_err):
                 break
             continue
-        v, e, _ = _kronrod_panels(f, np.array((pa, mid, pb)))
+        v, e, l1, _ = _kronrod_panels(f, np.array((pa, mid, pb)))
         evaluations += 30
         subdivisions += 1
         val_sum = val_sum + ((v[0] + v[1]) - pval)
         err_sum = err_sum + ((e[0] + e[1]) - perr)
+        l1_sum = l1_sum + ((l1[0] + l1[1]) - pl1)
         k1, k2 = keys(e)
-        heapq.heappush(heap, (k1, counter, pa, mid, v[0], e[0]))
-        heapq.heappush(heap, (k2, counter + 1, mid, pb, v[1], e[1]))
+        heapq.heappush(heap, (k1, counter, pa, mid, v[0], e[0], l1[0]))
+        heapq.heappush(heap, (k2, counter + 1, mid, pb, v[1], e[1], l1[1]))
         counter += 2
 
-    target = tolerance(val_sum)
-    i = int(np.argmax(err_sum / target))
+    goal = target()
+    i = int(np.argmax(err_sum / goal))
     which = f"component {i} " if err_sum.size > 1 else ""
     raise NonConvergence(f"adaptive quadrature: {which}error {err_sum[i]:.3e} against a target of "
-                         f"{target[i]:.3e} after {evaluations // 15} panels", result(False))
+                         f"{goal[i]:.3e} after {evaluations // 15} panels", result(False))
 
 
 def integrate_real_line(f, cfg: QuadratureConfig | None = None, points=None) -> IntegralResult:

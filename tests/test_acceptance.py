@@ -183,7 +183,7 @@ def test_c12_derivative_correctness_and_psd_metric():
     fam = gaussian_family()
     kfam = scale_center_kernel_family()
     spec = FeatureMapSpec(orders=(0,), path="density",
-                          quadrature=QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14))
+                          quadrature=QuadratureConfig(rel_tol=1e-11))
     rng = np.random.default_rng(123)
     worst = 0.0
     psd_ok = True

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+import wml.quad
 from wml.cli import main, parse_grid, parse_kernel, parse_model, parse_orders, render_model
 from wml.models import Cauchy, Gaussian, KernelSpec, StieltjesLogNormal, SymmetricStable
 
@@ -132,14 +134,35 @@ def test_eval_two_sample_is_config_error(capsys):
     assert "model" in err
 
 
-def test_eval_unconverged_quadrature_is_an_error(capsys):
-    # an in-box point whose Jacobian pass misses the default target within
-    # the default subdivision budget
+def test_eval_unconverged_quadrature_is_an_error(capsys, monkeypatch):
+    # every pass gets a budget of one bisection, too few for its target
+    adaptive = wml.quad._adaptive
+    monkeypatch.setattr(wml.quad, "_adaptive", lambda f, edges, cfg: adaptive(
+        f, edges, dataclasses.replace(cfg, max_subdivisions=1)))
     code, out, err = run_cli(capsys, "eval", "--model", "gaussian:mu=-1.388,sigma=5.56",
                              "--kernel", "0.051,-6.754", "--orders", "0,1,2,3,4")
     assert code == 2
     assert out == ""
     assert err.startswith("wml: error:")
+
+
+def test_eval_narrow_window_far_from_a_wide_model_converges(capsys):
+    # a window 100x narrower than the model, one model sigma from its
+    # centre: the Jacobian pass once exhausted its budget here
+    code, out, _ = run_cli(capsys, "eval", "--model", "gaussian:mu=-1.388,sigma=5.56",
+                           "--kernel", "0.051,-6.754", "--orders", "0,1,2,3,4")
+    assert code == 0
+    assert json.loads(out)
+
+
+def test_eval_jacobian_row_that_vanishes_by_symmetry_converges(capsys):
+    # d/dmu w_12 of Cauchy(0) under a centred window is 0 (an odd score
+    # times an even integrand): its target is rel_tol of its int |f|, so
+    # rounding cannot keep it from converging
+    code, out, _ = run_cli(capsys, "eval", "--model", "cauchy", "--kernel", "1",
+                           "--orders", "0,12")
+    assert code == 0
+    assert json.loads(out)
 
 
 def test_eval_csv_flattening(capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
@@ -14,6 +14,7 @@ from wml.features import (
     weak_char_fn,
     weak_cumulants,
     weak_moment,
+    weak_moment_jacobian,
 )
 from wml.models import (
     Cauchy,
@@ -34,7 +35,7 @@ from wml.quad import NonConvergence, QuadratureConfig
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 UNIT_KERNEL = KernelSpec(1.0, 0.0)
-TIGHT = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
+TIGHT = QuadratureConfig(rel_tol=1e-11)
 
 
 def gaussian_w0(mu, sigma, s, c=0.0):
@@ -140,8 +141,8 @@ def test_path_errors():
     with pytest.raises(Unsupported):
         weak_moment(StieltjesLogNormal(0.5), UNIT_KERNEL, 0,
                     FeatureMapSpec(orders=(0,), path="charfn"))
-    # the log-normal char fn is itself a quadrature per point: refused
-    # before any integration instead of nesting one in the other
+    # the log-normal has no closed-form char fn: refused on the first
+    # integrand call, before any panel completes
     with pytest.raises(Unsupported):
         weak_moment(LogNormal(0.0, 1.0), UNIT_KERNEL, 1,
                     FeatureMapSpec(orders=(1,), path="charfn"))
@@ -204,16 +205,21 @@ _GAUSSIANS = gaussian_family()
 @given(mu=st.floats(*_GAUSSIANS.box[0]), sigma=st.floats(*_GAUSSIANS.box[1]),
        s=st.floats(*_KERNELS.box[0]), c=st.floats(*_KERNELS.box[1]))
 def test_reported_error_bounds_the_gaussian_feature_map(mu, sigma, s, c):
-    # Below abs_tol the tolerance is met from the first panels and the
-    # estimate is not a bound: (mu, sigma, s, c) = (-4.70, 0.113, 0.500,
-    # 9.04) has w_0 ~ 7.6e-157 and a relative error of 1.4e-5 against a
-    # reported 5.7e-6.  So only points with w_0 >= abs_tol are drawn.
     spec = FeatureMapSpec(orders=(0, 1, 2, 3, 4))
     truth, scale = gaussian_tilted_moments(mu, sigma, s, c, spec.orders)
-    assume(truth[0] >= spec.quadrature.abs_tol)
     fv = feature_map(_GAUSSIANS, [mu, sigma], KernelSpec(s, c), spec)
     eps = np.finfo(float).eps
     assert np.all(np.abs(fv.values - truth) <= fv.errors + 4.0 * eps * scale)
+
+
+def test_tiny_feature_map_is_refined_to_a_bound():
+    # w_0 ~ 7.6e-157: its pass once met an absolute target on the first
+    # panels and reported an error 2.4x smaller than the true one
+    mu, sigma, s, c = -4.70, 0.113, 0.5, 9.04
+    spec = FeatureMapSpec(orders=(0, 1, 2, 3, 4))
+    truth, _ = gaussian_tilted_moments(mu, sigma, s, c, spec.orders)
+    fv = feature_map(_GAUSSIANS, [mu, sigma], KernelSpec(s, c), spec)
+    assert np.all(np.abs(fv.values - truth) <= fv.errors)
 
 
 def test_feature_map_lognormal_finite_positive():
@@ -296,13 +302,31 @@ def test_moments_to_cumulants_explicit_formulas():
 def test_weak_cumulants_gaussian_product():
     mu, sigma = 0.7, 1.3
     k = KernelSpec(0.9, -0.4)
-    wc = weak_cumulants(Gaussian(mu, sigma), k, 4, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15))
+    wc = weak_cumulants(Gaussian(mu, sigma), k, 4, QuadratureConfig(rel_tol=1e-12))
     var_tilt = 1.0 / (1.0 / sigma**2 + 1.0 / k.s**2)
     mean_tilt = var_tilt * (mu / sigma**2 + k.c / k.s**2)
     assert wc.kappa[0] == pytest.approx(mean_tilt, rel=1e-9)
     assert wc.kappa[1] == pytest.approx(var_tilt, rel=1e-9)
     assert abs(wc.kappa[2]) < 1e-6
     assert abs(wc.kappa[3]) < 1e-6
+
+
+def test_weak_cumulants_of_a_tiny_w0():
+    # w_0 ~ 9.4e-280 once met an absolute target on the first panels and
+    # gave kappa = (32.94, 0.0057); the tilted law is N(32, 0.2)
+    wc = weak_cumulants(Gaussian(0.0, 1.0), KernelSpec(0.5, 40.0), 2)
+    assert wc.kappa == pytest.approx([32.0, 0.2], rel=1e-8)
+
+
+def test_subnormal_pairings_meet_a_target_floored_at_the_smallest_normal():
+    # a narrow model 38 widths from a narrow window: every entry is
+    # subnormal, without relative precision, and once exhausted the
+    # budget against a relative target that had underflowed to 0
+    spec = FeatureMapSpec(orders=(0, 1, 2, 3, 4))
+    vals, errs = weak_moment_jacobian(Gaussian(-5.0, 0.25), KernelSpec(0.2, 7.275),
+                                      ("mu", "sigma"), ("s", "c"), spec)
+    tiny = np.finfo(float).tiny
+    assert np.all(np.abs(vals) < tiny) and np.all(errs < tiny)
 
 
 def test_weak_cumulants_order_one_is_tilted_mean():

@@ -30,7 +30,7 @@ from wml.models import (
 )
 from wml.quad import NonConvergence, QuadratureConfig
 
-TIGHT = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
+TIGHT = QuadratureConfig(rel_tol=1e-11)
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
@@ -389,7 +389,7 @@ def test_threshold_flags_recomputable():
             assert r.sigma1_codim == K + 1 - p + 1
 
 
-PROBE_QUAD = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=8000)
+PROBE_QUAD = QuadratureConfig(rel_tol=1e-9, max_subdivisions=8000)
 PROBE_SPEC = FeatureMapSpec(orders=(0, 1, 2, 3, 4), quadrature=PROBE_QUAD)
 
 
