@@ -89,15 +89,6 @@ def parse_model(text: str):
         raise ConfigError(f"--model: {exc}") from exc
 
 
-def render_model(model) -> str:
-    """Inverse of :func:`parse_model`: the canonical textual form."""
-    for name, (ctor, defaults) in _MODEL_GRAMMAR.items():
-        if type(model) is ctor:
-            params = ",".join(f"{key}={getattr(model, key):g}" for key in defaults)
-            return f"{name}:{params}"
-    raise ConfigError(f"no textual form for {type(model).__name__}")
-
-
 def parse_grid(text: str) -> np.ndarray:
     spec = text.strip()
     geometric = spec.startswith("log")

@@ -7,7 +7,8 @@ Gaussian zeroth weak moment and its nuisance flattening, the
 large-kernel-scale degradation of the metric tensor, the density-free
 characteristic-function route, sinusoidal orthogonality, tilted
 cumulants, and the moment-count thresholds.  Every experiment is
-deterministic: fixed grids, fixed quadrature budgets, no sampling.
+deterministic: fixed grids, no sampling, and no quadrature setting of
+their own.
 
 A note on the cancellation residuals: the integrals
 int x^n sin(2 pi log x) dLogNormal vanish exactly, but their integrands
@@ -60,7 +61,7 @@ from .models import (
     scale_kernel_family,
     stable_family,
 )
-from .quad import QuadratureConfig, QuadratureError, integrate_half_line, integrate_real_line
+from .quad import QuadratureError, integrate_half_line, integrate_real_line
 
 __all__ = [
     "UnknownExperiment",
@@ -75,9 +76,6 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 _NUMERIC_ERRORS = (QuadratureError, NoDensity, Unsupported, Undefined,
                    StepUnderflow, DimensionMismatch)
-
-_JAC_QUAD = QuadratureConfig(rel_tol=1e-11, max_subdivisions=4000)
-
 
 class UnknownExperiment(Exception):
     """The requested name is not in the catalog."""
@@ -138,8 +136,7 @@ def _stieltjes_cancellation(overrides):
     tol = _tolerances({"max_scaled_residual": 1e-8}, overrides)
     orders = range(11)
     power = _lognorm_power_integrand(orders)
-    cfg = QuadratureConfig(rel_tol=1e-11, max_subdivisions=8000)
-    res = integrate_half_line(lambda x: np.sin(2.0 * np.pi * np.log(x)) * power(x), cfg)
+    res = integrate_half_line(lambda x: np.sin(2.0 * np.pi * np.log(x)) * power(x))
     rows = []
     for n, value in zip(orders, res.value.tolist()):
         moment_scale = float(np.exp(0.5 * n * n))
@@ -157,7 +154,7 @@ def _stieltjes_kernel_break(overrides):
     sin(2 pi log x) LogNormal(0,1)(x) for every a."""
     t0 = time.perf_counter()
     tol = _tolerances({"max_abs_pairing_min": 1e-6}, overrides)
-    spec = FeatureMapSpec(orders=tuple(range(7)), path="density", quadrature=_JAC_QUAD)
+    spec = FeatureMapSpec(orders=tuple(range(7)), path="density")
     pairings, _ = weak_moment_jacobian(StieltjesLogNormal(0.0), KernelSpec(1.0), ("a",), (), spec)
     vals = [float(v) for v in pairings[:, 0]]
     rows = [{"n": n, "pairing": v} for n, v in enumerate(vals)]
@@ -170,8 +167,7 @@ def _lognormal_classical_moments(overrides):
     t0 = time.perf_counter()
     tol = _tolerances({"max_rel_err": 1e-6}, overrides)
     orders = range(7)
-    cfg = QuadratureConfig(rel_tol=1e-10, max_subdivisions=4000)
-    res = integrate_half_line(_lognorm_power_integrand(orders), cfg)
+    res = integrate_half_line(_lognorm_power_integrand(orders))
     rows = []
     for n, value in zip(orders, res.value.tolist()):
         expected = float(np.exp(0.5 * n * n))
@@ -186,8 +182,7 @@ def _lognormal_classical_moments(overrides):
 def _cauchy_fisher(overrides):
     t0 = time.perf_counter()
     tol = _tolerances({"abs_error": 1e-6}, overrides)
-    info = classical_fisher_info(Cauchy(0.0), "location",
-                                 QuadratureConfig(rel_tol=1e-12))
+    info = classical_fisher_info(Cauchy(0.0), "location")
     metrics = {"fisher_information": info, "abs_error": abs(info - 0.5)}
     checks = {"abs_error": metrics["abs_error"] < tol["abs_error"]}
     return _result("cauchy-fisher", metrics, checks, tol, t0)
@@ -207,8 +202,8 @@ def _cauchy_submersion(overrides):
     tol = _tolerances({"joint_rank": 1.0, "min_scale_sensitivity_min": 0.0}, overrides)
     fam = cauchy_family()
     kfam = scale_kernel_family()
-    spec = FeatureMapSpec(orders=(0,), path="density", quadrature=_JAC_QUAD)
-    mspec = FeatureMapSpec(orders=(2,), path="density", quadrature=_JAC_QUAD)
+    spec = FeatureMapSpec(orders=(0,), path="density")
+    mspec = FeatureMapSpec(orders=(2,), path="density")
     rows = []
     ranks = []
     sens = []
@@ -238,7 +233,7 @@ def _lognormal_immersion(overrides):
     tol = _tolerances({"model_rank": 2.0, "joint_rank": 2.0, "min_det_g_min": 0.0}, overrides)
     fam = lognormal_family()
     kfam = scale_kernel_family()
-    spec = FeatureMapSpec(orders=(0, 1), path="density", quadrature=_JAC_QUAD)
+    spec = FeatureMapSpec(orders=(0, 1), path="density")
     rows = []
     model_ranks, joint_ranks, dets = [], [], []
     for mu in (-1.0, 0.0, 1.0):
@@ -266,8 +261,7 @@ def _lognormal_immersion(overrides):
 def _behrens_fisher_w0(overrides):
     t0 = time.perf_counter()
     tol = _tolerances({"max_w0_rel_err": 1e-8, "nuisance_spread_decreasing": 1.0}, overrides)
-    spec = FeatureMapSpec(orders=(0,), path="density",
-                          quadrature=QuadratureConfig(rel_tol=1e-12))
+    spec = FeatureMapSpec(orders=(0,), path="density")
     rows = []
     errs = []
     for mu in (0.0, 1.0, 2.0):
@@ -313,7 +307,7 @@ def _singular_limit(overrides):
     tol = _tolerances({"det_strictly_decreasing": 1.0, "cond_nondecreasing": 1.0}, overrides)
     fam = gaussian_family()
     kfam = scale_kernel_family()
-    spec = FeatureMapSpec(orders=(0, 1, 2), path="density", quadrature=_JAC_QUAD)
+    spec = FeatureMapSpec(orders=(0, 1, 2), path="density")
     theta = (0.0, 1.0)
     rows = []
     metrics = {}
@@ -342,11 +336,10 @@ def _type0_charpath(overrides):
     t0 = time.perf_counter()
     tol = _tolerances({"max_twin_rel_err": 1e-6}, overrides)
     kernel = KernelSpec(s=1.0, c=0.0)
-    cfg = QuadratureConfig(rel_tol=1e-11)
     rows = []
 
     # density-free route for a model with no closed-form density
-    spec = FeatureMapSpec(orders=(0, 1, 2), path="charfn", quadrature=cfg)
+    spec = FeatureMapSpec(orders=(0, 1, 2), path="charfn")
     values = feature_map(stable_family(1.5), [0.0, 1.0], kernel, spec).values
     for j, v in zip(spec.orders, values):
         rows.append({"model": "stable(1.5)", "j": j, "charfn_path": float(v),
@@ -358,8 +351,8 @@ def _type0_charpath(overrides):
         ("stable(2)=gaussian", stable_family(2.0), [0.5, 1.0 / np.sqrt(2.0)],
          gaussian_family(), [0.5, 1.0]),
     ]
-    cspec = FeatureMapSpec(orders=tuple(range(5)), path="charfn", quadrature=cfg)
-    dspec = FeatureMapSpec(orders=tuple(range(5)), path="density", quadrature=cfg)
+    cspec = FeatureMapSpec(orders=tuple(range(5)), path="charfn")
+    dspec = FeatureMapSpec(orders=tuple(range(5)), path="density")
     errs = []
     for label, stable, stable_theta, twin, twin_theta in twins:
         via_char = feature_map(stable, stable_theta, kernel, cspec).values
@@ -383,11 +376,10 @@ def _sinusoidal_orthogonality(overrides):
     mu, sigma = 0.3, 1.2
     model = Gaussian(mu, sigma)
     scale_score = _score(model, "scale")
-    cfg = QuadratureConfig(rel_tol=1e-12)
     cs = (0.5, 1.0, 2.0)
     freqs = np.array(cs)[:, None]
     res = integrate_real_line(
-        lambda x: np.sin(freqs * (x - mu)) * (scale_score(x) * density(model, x)), cfg)
+        lambda x: np.sin(freqs * (x - mu)) * (scale_score(x) * density(model, x)))
     rows = [{"c": c, "abs_pairing": abs(v)} for c, v in zip(cs, res.value.tolist())]
     metrics = {"max_abs_pairing": max(row["abs_pairing"] for row in rows)}
     checks = {"max_abs_pairing": metrics["max_abs_pairing"] < tol["max_abs_pairing"]}
@@ -400,8 +392,7 @@ def _gaussian_tilted_cumulants(overrides):
                        "abs_kappa3": 1e-6, "abs_kappa4": 1e-6}, overrides)
     mu, sigma = 0.7, 1.3
     kernel = KernelSpec(s=0.9, c=-0.4)
-    cfg = QuadratureConfig(rel_tol=1e-12)
-    kappa = weak_cumulants(Gaussian(mu, sigma), kernel, 4, cfg).kappa
+    kappa = weak_cumulants(Gaussian(mu, sigma), kernel, 4).kappa
 
     # the tilted law of a Gaussian under a Gaussian window is Gaussian
     var_tilt = 1.0 / (1.0 / sigma**2 + 1.0 / kernel.s**2)

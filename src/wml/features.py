@@ -71,7 +71,6 @@ class FeatureMapSpec:
 
     orders: tuple
     path: str = "auto"
-    quadrature: QuadratureConfig = QuadratureConfig()
 
     def __post_init__(self):
         orders = tuple(int(j) for j in self.orders)
@@ -219,8 +218,8 @@ def _pairing_pass(m, k, spec, model_params, kernel_params):
     build = _density_rows if route == "density" else _charfn_rows
     f = build(m, k, spec.orders, scores, kernel_params)
     if route == "density":
-        return route, _integrate_support(m, f, spec.quadrature, _breakpoints(m, k))
-    return route, integrate_real_line(f, spec.quadrature.oscillatory())
+        return route, _integrate_support(m, f, _breakpoints(m, k))
+    return route, integrate_real_line(f, QuadratureConfig().oscillatory())
 
 
 def _density_rows(m, k, orders, scores, kernel_params):
@@ -277,15 +276,13 @@ def _charfn_rows(m, k, orders, scores, kernel_params):
     return integrand
 
 
-def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float, cfg: QuadratureConfig | None = None) -> complex:
+def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
     """Weak characteristic function E[e^{iuX} phi(X)] by complex quadrature
     of the density pairing (entire in u)."""
-    if cfg is None:
-        cfg = QuadratureConfig()
     if not support_has_density(m):
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
     f = lambda x: np.exp(1j * u * x) * kernel_eval(k, x) * density(m, x)
-    return complex(_integrate_support(m, f, cfg.oscillatory(), _breakpoints(m, k)).value)
+    return complex(_integrate_support(m, f, _breakpoints(m, k), QuadratureConfig().oscillatory()).value)
 
 
 def moments_to_cumulants(raw: np.ndarray) -> np.ndarray:
@@ -305,15 +302,13 @@ def moments_to_cumulants(raw: np.ndarray) -> np.ndarray:
     return kappa
 
 
-def weak_cumulants(m: ModelSpec, k: KernelSpec, J: int, cfg: QuadratureConfig | None = None) -> WeakCumulants:
+def weak_cumulants(m: ModelSpec, k: KernelSpec, J: int) -> WeakCumulants:
     """Cumulants of the tilted probability f phi / w_0 up to order J <= 6."""
     if not (1 <= J <= 6):
         raise ValueError("cumulant order must lie in [1, 6]")
-    if cfg is None:
-        cfg = QuadratureConfig()
     if not support_has_density(m):
         raise NoDensity("weak cumulants need pointwise f phi (a density-bearing model)")
-    spec = FeatureMapSpec(orders=tuple(range(J + 1)), path="density", quadrature=cfg)
+    spec = FeatureMapSpec(orders=tuple(range(J + 1)), path="density")
     w = _weak_moments(m, k, spec).values
     tilted = w[1:] / w[0]
     return WeakCumulants(moments_to_cumulants(tilted))

@@ -229,9 +229,12 @@ def jacobian(fam: ModelFamily, kfam: KernelFamily, theta, lam,
 def metric_tensor(report: JacobianReport) -> MetricTensor:
     """Gram matrix of the model block, with determinant, condition number
     (computed from the singular values of D_theta F) and the determinant
-    of the correlation-normalised tensor."""
+    of the correlation-normalised tensor; ``ValueError`` if G overflows."""
     d = report.d_theta
-    g = d.T @ d
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = d.T @ d
+    if not np.all(np.isfinite(g)):
+        raise ValueError("metric tensor G = D^T D is not finite")
     g = 0.5 * (g + g.T)
     sv = np.linalg.svd(d, compute_uv=False)
     smin = sv[min(d.shape) - 1] if min(d.shape) > 0 else 0.0

@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .quad import IntegralResult, QuadratureConfig, integrate_half_line, integrate_real_line
+from .quad import IntegralResult, integrate_half_line, integrate_real_line
 
 __all__ = [
     "NoDensity",
@@ -314,15 +314,14 @@ def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
     return np.concatenate((_model_points(m), k.c + k.s * _OFFSETS))
 
 
-def _integrate_support(m: ModelSpec, f, cfg, points=None) -> IntegralResult:
-    """Integrate ``f`` over the support of ``m``."""
+def _integrate_support(m: ModelSpec, f, points, cfg=None) -> IntegralResult:
+    """Integrate ``f`` over the support of ``m`` from breakpoints ``points``."""
     if support(m) == "half":
         return integrate_half_line(f, cfg, points)
     return integrate_real_line(f, cfg, points)
 
 
-def classical_fisher_info(m: ModelSpec, which: str = "location",
-                          cfg: QuadratureConfig | None = None) -> float:
+def classical_fisher_info(m: ModelSpec, which: str = "location") -> float:
     """Classical Fisher information for one parameter, by quadrature of
     score^2 * density over the model's support, with breakpoints at the
     model's location and scale."""
@@ -336,7 +335,7 @@ def classical_fisher_info(m: ModelSpec, which: str = "location",
         nz = dens != 0.0
         out[nz] = score(x[nz]) ** 2 * dens[nz]
         return out
-    return float(_integrate_support(m, f, cfg, _model_points(m)).value)
+    return float(_integrate_support(m, f, _model_points(m)).value)
 
 
 @dataclass(frozen=True)

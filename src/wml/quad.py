@@ -61,7 +61,12 @@ class QuadratureError(Exception):
 
 
 class NonFiniteEvaluation(QuadratureError):
-    """The integrand produced NaN or infinity at a quadrature node."""
+    """The integrand produced NaN or infinity at the nodes ``points``,
+    given as the caller's integrand received them."""
+
+    def __init__(self, points):
+        super().__init__(f"integrand returned a non-finite value near x={points[:3]}")
+        self.points = points
 
 
 class NonConvergence(QuadratureError):
@@ -147,6 +152,7 @@ _GAUSS[14] = _WG[3]
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
 _FLOOR_MIN = _TINY / (50.0 * _EPS)  # below this the 50 ulp floor would underflow
 
 
@@ -170,8 +176,7 @@ def _kronrod_panels(f, edges):
         raise ValueError("integrand must return one value, or one column of values, per node")
     finite = np.isfinite(fv)
     if not finite.all():
-        bad = nodes[~finite.reshape(-1, nodes.size).all(axis=0)]
-        raise NonFiniteEvaluation(f"integrand returned a non-finite value near x={bad[:3]}")
+        raise NonFiniteEvaluation(nodes[~finite.reshape(-1, nodes.size).all(axis=0)])
 
     # (P, m, 15), contiguous: each panel's sums round as one (m, 15) product
     # of its own, whatever P is
@@ -203,8 +208,9 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
     (a row whose int |f| is 0 has error 0 and is met at once).  The
     pass returns when every row has met its target.  It bisects the
     panel of largest err_i / scale_i, with scale_i the target of row i
-    at the first estimate (for m = 1 the order of err itself).  A 1-D
-    integrand's value and error come back as scalars.
+    at the first estimate (for m = 1 the order of err itself); ratios
+    that overflow rank first, by log2.  A 1-D integrand's value and
+    error come back as scalars.
 
     Raises ``NonConvergence`` when the budget runs out first, or when
     the panels too narrow to split miss the target on their own; the
@@ -216,9 +222,17 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
     evaluations = 15 * len(vals)
     target = lambda: np.maximum(cfg.rel_tol * l1_sum, _TINY)
     met = lambda e: bool((e <= target()).all())
-    # heap keys -max_i(err_i / scale_i): worst panel first
-    neg_scale = -target()
-    keys = lambda e: (e / neg_scale).min(axis=1).tolist()
+    # heap keys (-max_i(err_i / scale_i), tie): worst panel first
+    scale = target()
+
+    def keys(e):
+        with np.errstate(over="ignore", divide="ignore"):
+            ratios = (e / scale).max(axis=1).tolist()
+            if np.inf not in ratios:
+                return [(-r, 0.0) for r in ratios]
+            logs = (np.log2(e) - np.log2(scale)).max(axis=1).tolist()
+        return [(-min(r, _HUGE), -g if r == np.inf else 0.0) for r, g in zip(ratios, logs)]
+
     heap = list(zip(keys(errs), range(len(vals)), edges[:-1].tolist(), edges[1:].tolist(),
                     vals, errs, l1s))
     heapq.heapify(heap)
@@ -276,9 +290,6 @@ def integrate_real_line(f, cfg: QuadratureConfig | None = None, points=None) -> 
     feature narrower than one panel of the transformed line (a peak far
     from 0) is seen from the start.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-
     def transformed(t):
         tt = t * t
         one = 1.0 - tt
@@ -296,7 +307,10 @@ def integrate_real_line(f, cfg: QuadratureConfig | None = None, points=None) -> 
         # inverse of x = t / (1 - t^2), written to avoid cancellation
         t = 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * x * x))
         edges = sorted({*edges, *t[np.abs(t) < 1.0].tolist()})
-    return _adaptive(transformed, edges, cfg)
+    try:
+        return _adaptive(transformed, edges, cfg or QuadratureConfig())
+    except NonFiniteEvaluation as exc:  # name the nodes in x, as f received them
+        raise NonFiniteEvaluation(exc.points / (1.0 - exc.points * exc.points)) from None
 
 
 def integrate_half_line(f, cfg: QuadratureConfig | None = None, points=None) -> IntegralResult:
@@ -326,4 +340,7 @@ def integrate_half_line(f, cfg: QuadratureConfig | None = None, points=None) -> 
         x = np.asarray(points, dtype=float)
         y = np.log(x[x > 0.0])
         points = y[np.abs(y) < 64.0]
-    return integrate_real_line(substituted, cfg, points)
+    try:
+        return integrate_real_line(substituted, cfg, points)
+    except NonFiniteEvaluation as exc:
+        raise NonFiniteEvaluation(np.exp(exc.points)) from None

@@ -30,7 +30,6 @@ from wml.models import (
     gaussian_family,
     scale_center_kernel_family,
 )
-from wml.quad import QuadratureConfig
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 _CACHE = {}
@@ -182,8 +181,7 @@ def _w0_gradient(mu, sigma, s, c):
 def test_c12_derivative_correctness_and_psd_metric():
     fam = gaussian_family()
     kfam = scale_center_kernel_family()
-    spec = FeatureMapSpec(orders=(0,), path="density",
-                          quadrature=QuadratureConfig(rel_tol=1e-11))
+    spec = FeatureMapSpec(orders=(0,), path="density")
     rng = np.random.default_rng(123)
     worst = 0.0
     psd_ok = True

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import wml.experiments
+import wml.quad
 from wml.experiments import (
     EmptyGrid,
     UnknownExperiment,
@@ -11,7 +11,6 @@ from wml.experiments import (
 )
 from wml.features import FeatureMapSpec
 from wml.models import cauchy_family, gaussian_family, scale_kernel_family
-from wml.quad import QuadratureConfig
 
 ALL_NAMES = (
     "stieltjes-cancellation",
@@ -71,8 +70,7 @@ def test_tolerance_overrides_can_fail_an_experiment():
 
 def test_sweep_cauchy_rank_constant_one():
     rows = sweep_kernel(cauchy_family(), scale_kernel_family(),
-                        FeatureMapSpec(orders=(0,),
-                                       quadrature=QuadratureConfig(rel_tol=1e-11)),
+                        FeatureMapSpec(orders=(0,)),
                         [(s,) for s in (0.5, 1.0, 2.0, 5.0)],
                         [(mu,) for mu in (-1.0, 0.0, 1.0)])
     assert len(rows) == 12
@@ -84,8 +82,7 @@ def test_sweep_cauchy_rank_constant_one():
 
 def test_sweep_gaussian_det_decreasing_in_scale():
     rows = sweep_kernel(gaussian_family(), scale_kernel_family(),
-                        FeatureMapSpec(orders=(0, 1, 2),
-                                       quadrature=QuadratureConfig(rel_tol=1e-11)),
+                        FeatureMapSpec(orders=(0, 1, 2)),
                         [(s,) for s in (2.0, 5.0, 10.0, 30.0)],
                         [(0.0, 1.0)])
     dets = [row["det_g"] for row in rows]
@@ -113,10 +110,9 @@ def test_one_adaptive_pass_per_experiment(monkeypatch, name, rows):
     assert len(calls) == 1 and len(res.table) == rows
 
 
-def test_numeric_failure_is_reported_not_raised(monkeypatch):
+def test_numeric_failure_is_reported_not_raised(one_bisection):
     # an unreachable quadrature budget raises NonConvergence inside the
     # experiment; the result carries the diagnostic instead
-    monkeypatch.setattr(wml.experiments, "_JAC_QUAD", QuadratureConfig(max_subdivisions=1))
     res = run_experiment("stieltjes-kernel-break")
     assert res.passed is False
     assert res.metrics == {"numeric_failure": 1.0}

@@ -28,9 +28,8 @@ from wml.models import (
     stable_family,
     stieltjes_family,
 )
-from wml.quad import NonConvergence, QuadratureConfig
+from wml.quad import NonConvergence
 
-TIGHT = QuadratureConfig(rel_tol=1e-11)
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
@@ -65,7 +64,7 @@ def make_report(d_theta, d_lambda):
 def test_jacobian_matches_analytic_gaussian_w0():
     fam = gaussian_family()
     kfam = scale_center_kernel_family()
-    spec = FeatureMapSpec(orders=(0,), path="density", quadrature=TIGHT)
+    spec = FeatureMapSpec(orders=(0,), path="density")
     rng = np.random.default_rng(42)
     for _ in range(8):
         mu = rng.uniform(-2.0, 2.0)
@@ -115,7 +114,7 @@ JACOBIAN_CASES = [
 @pytest.mark.parametrize("fam,theta,path", JACOBIAN_CASES,
                          ids=[f"{f.name}-{p}" for f, _, p in JACOBIAN_CASES])
 def test_analytic_jacobian_matches_finite_differences(fam, theta, path):
-    spec = FeatureMapSpec(orders=(0, 1, 2), path=path, quadrature=TIGHT)
+    spec = FeatureMapSpec(orders=(0, 1, 2), path=path)
     for kfam, lam in ((scale_kernel_family(), [1.3]),
                       (scale_center_kernel_family(), [0.9, 0.4])):
         rep = jacobian(fam, kfam, theta, lam, spec)
@@ -135,9 +134,8 @@ def test_kernel_block_obeys_moment_identities(fam, theta):
     # turn the kernel block into combinations of higher weak moments
     s, c = 0.9, 0.4
     rep = jacobian(fam, scale_center_kernel_family(), theta, [s, c],
-                   FeatureMapSpec(orders=(0, 1, 2), quadrature=TIGHT))
-    w = feature_map(fam, theta, KernelSpec(s, c), FeatureMapSpec(orders=tuple(range(5)),
-                                                                  quadrature=TIGHT)).values
+                   FeatureMapSpec(orders=(0, 1, 2)))
+    w = feature_map(fam, theta, KernelSpec(s, c), FeatureMapSpec(orders=tuple(range(5)))).values
     for j in range(3):
         d_s = (w[j + 2] - 2.0 * c * w[j + 1] + (c * c - s * s) * w[j]) / s**3
         d_c = (w[j + 1] - c * w[j]) / s**2
@@ -160,8 +158,8 @@ def test_jacobian_refuses_what_it_cannot_differentiate():
                  FeatureMapSpec(orders=(0,)))
 
 
-def test_jacobian_reports_an_unmet_budget():
-    spec = FeatureMapSpec(orders=(0, 1, 2), quadrature=QuadratureConfig(max_subdivisions=1))
+def test_jacobian_reports_an_unmet_budget(one_bisection):
+    spec = FeatureMapSpec(orders=(0, 1, 2))
     with pytest.raises(NonConvergence, match="component"):
         jacobian(gaussian_family(), scale_kernel_family(), [0.3, 0.06], [1.0], spec)
 
@@ -169,7 +167,7 @@ def test_jacobian_reports_an_unmet_budget():
 def test_jacobian_symmetry_zero_mu_derivative():
     # w_0 is even in mu about the kernel centre
     rep = jacobian(gaussian_family(), scale_kernel_family(), [0.0, 1.0], [1.0],
-                   FeatureMapSpec(orders=(0,), quadrature=TIGHT))
+                   FeatureMapSpec(orders=(0,)))
     assert abs(rep.d_theta[0, 0]) < 1e-8
 
 
@@ -207,7 +205,7 @@ def test_metric_tensor_equals_explicit_sum():
 
 def test_metric_tensor_lognormal_det_positive():
     rep = jacobian(lognormal_family(), scale_kernel_family(), [0.0, 1.0], [1.0],
-                   FeatureMapSpec(orders=(0, 1, 2), quadrature=TIGHT))
+                   FeatureMapSpec(orders=(0, 1, 2)))
     g = metric_tensor(rep)
     assert g.det > 0.0
     assert np.allclose(g.matrix, g.matrix.T, atol=1e-12)
@@ -244,7 +242,7 @@ def test_numerical_rank_invariances():
 def test_cauchy_joint_jacobian_is_submersive():
     fam = cauchy_family()
     kfam = scale_kernel_family()
-    spec = FeatureMapSpec(orders=(0,), quadrature=TIGHT)
+    spec = FeatureMapSpec(orders=(0,))
     rep = jacobian(fam, kfam, [0.5], [1.0], spec)
     y = feature_map(fam, [0.5], kfam.make([1.0]), spec)
     strata = (
@@ -263,7 +261,7 @@ def test_lognormal_joint_rank_three_with_centre_direction():
     # 3x3 joint block; oracle below recomputes the Jacobian independently
     fam = lognormal_family()
     kfam = scale_kernel_family()
-    spec = FeatureMapSpec(orders=(0, 1, 2), quadrature=TIGHT)
+    spec = FeatureMapSpec(orders=(0, 1, 2))
     theta, lam = [0.2, 1.0], [1.0]
     rep = jacobian(fam, kfam, theta, lam, spec)
     assert numerical_rank(rep.joint).rank == 3
@@ -389,8 +387,7 @@ def test_threshold_flags_recomputable():
             assert r.sigma1_codim == K + 1 - p + 1
 
 
-PROBE_QUAD = QuadratureConfig(rel_tol=1e-9, max_subdivisions=8000)
-PROBE_SPEC = FeatureMapSpec(orders=(0, 1, 2, 3, 4), quadrature=PROBE_QUAD)
+PROBE_SPEC = FeatureMapSpec(orders=(0, 1, 2, 3, 4))
 
 
 def test_probe_finds_classical_blindness_at_huge_scale():

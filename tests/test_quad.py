@@ -125,6 +125,19 @@ def test_non_finite_integrand_raises():
         integrate_real_line(lambda x: np.where(np.abs(x) < 0.5, np.nan, 0.0))
 
 
+@pytest.mark.parametrize("integrate, f", (
+    (integrate_real_line, lambda x: np.where(np.abs(x) > 3.0, np.inf, np.exp(-x * x))),
+    (integrate_half_line, lambda x: np.where(x > 3.0, np.inf, np.exp(-x))),
+), ids=["real-line", "half-line"])
+def test_non_finite_evaluation_names_the_points_f_received(integrate, f):
+    # the nodes are reported in x, not in the engine's mapped coordinate
+    with pytest.raises(NonFiniteEvaluation) as info:
+        integrate(f)
+    points = info.value.points
+    assert points.size > 0 and not np.isfinite(f(points)).any()
+    assert f"x={points[:3]}" in str(info.value)
+
+
 def test_complex_integrand():
     # int e^{iux} N(0,1)(x) dx = e^{-u^2/2}
     u = 1.3
