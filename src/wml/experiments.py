@@ -38,6 +38,7 @@ from .features import (
 )
 from .geometry import (
     DimensionMismatch,
+    MetricOverflow,
     StepUnderflow,
     codimension_thresholds,
     jacobian,
@@ -75,7 +76,8 @@ __all__ = [
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 _NUMERIC_ERRORS = (QuadratureError, NoDensity, Unsupported, Undefined,
-                   StepUnderflow, DimensionMismatch)
+                   StepUnderflow, DimensionMismatch, MetricOverflow)
+
 
 class UnknownExperiment(Exception):
     """The requested name is not in the catalog."""

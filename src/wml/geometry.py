@@ -32,6 +32,7 @@ from .models import KernelFamily, ModelFamily, Unsupported
 __all__ = [
     "StepUnderflow",
     "DimensionMismatch",
+    "MetricOverflow",
     "JacobianReport",
     "MetricTensor",
     "RankReport",
@@ -57,6 +58,10 @@ class StepUnderflow(Exception):
 
 class DimensionMismatch(Exception):
     """Inconsistent shapes between Jacobian, strata and feature vector."""
+
+
+class MetricOverflow(ValueError):
+    """The metric tensor G = D^T D is not finite."""
 
 
 @dataclass(frozen=True)
@@ -229,12 +234,12 @@ def jacobian(fam: ModelFamily, kfam: KernelFamily, theta, lam,
 def metric_tensor(report: JacobianReport) -> MetricTensor:
     """Gram matrix of the model block, with determinant, condition number
     (computed from the singular values of D_theta F) and the determinant
-    of the correlation-normalised tensor; ``ValueError`` if G overflows."""
+    of the correlation-normalised tensor; ``MetricOverflow`` if G overflows."""
     d = report.d_theta
     with np.errstate(over="ignore", invalid="ignore"):
         g = d.T @ d
     if not np.all(np.isfinite(g)):
-        raise ValueError("metric tensor G = D^T D is not finite")
+        raise MetricOverflow("metric tensor G = D^T D is not finite")
     g = 0.5 * (g + g.T)
     sv = np.linalg.svd(d, compute_uv=False)
     smin = sv[min(d.shape) - 1] if min(d.shape) > 0 else 0.0

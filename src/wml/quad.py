@@ -227,11 +227,8 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
 
     def keys(e):
         with np.errstate(over="ignore", divide="ignore"):
-            ratios = (e / scale).max(axis=1).tolist()
-            if np.inf not in ratios:
-                return [(-r, 0.0) for r in ratios]
-            logs = (np.log2(e) - np.log2(scale)).max(axis=1).tolist()
-        return [(-min(r, _HUGE), -g if r == np.inf else 0.0) for r, g in zip(ratios, logs)]
+            return [(-r, 0.0) if r < np.inf else (-_HUGE, -float(np.max(np.log2(p) - np.log2(scale))))
+                    for r, p in zip((e / scale).max(axis=1).tolist(), e)]
 
     heap = list(zip(keys(errs), range(len(vals)), edges[:-1].tolist(), edges[1:].tolist(),
                     vals, errs, l1s))

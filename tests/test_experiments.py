@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import wml.experiments
 import wml.quad
 from wml.experiments import (
     EmptyGrid,
@@ -10,6 +11,7 @@ from wml.experiments import (
     sweep_kernel,
 )
 from wml.features import FeatureMapSpec
+from wml.geometry import JacobianReport
 from wml.models import cauchy_family, gaussian_family, scale_kernel_family
 
 ALL_NAMES = (
@@ -117,3 +119,15 @@ def test_numeric_failure_is_reported_not_raised(one_bisection):
     assert res.passed is False
     assert res.metrics == {"numeric_failure": 1.0}
     assert res.diagnostic.startswith("NonConvergence")
+
+
+def test_metric_overflow_is_reported_not_raised(monkeypatch):
+    # a Jacobian whose Gram matrix overflows makes metric_tensor raise;
+    # the result carries the diagnostic instead
+    huge = JacobianReport(d_theta=np.full((3, 2), 1e200), d_lambda=np.zeros((3, 1)),
+                          error_estimates=np.zeros((3, 3)))
+    monkeypatch.setattr(wml.experiments, "jacobian", lambda *a: huge)
+    res = run_experiment("singular-limit")
+    assert res.passed is False
+    assert res.metrics == {"numeric_failure": 1.0}
+    assert res.diagnostic.startswith("MetricOverflow")
