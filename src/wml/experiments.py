@@ -10,6 +10,13 @@ cumulants, and the moment-count thresholds.  Every experiment is
 deterministic: fixed grids, no sampling, and no quadrature setting of
 their own.
 
+An experiment maps its tolerances to (metrics, checks, rows), and
+``_CATALOG`` pairs it with its default tolerances.  Only
+:func:`run_experiment` times a run, merges tolerance overrides and
+builds the :class:`ExperimentResult`.  The two grid experiments
+(log-normal immersion, singular limit) are :func:`sweep_kernel` calls,
+so their table rows are sweep rows.
+
 A note on the cancellation residuals: the integrals
 int x^n sin(2 pi log x) dLogNormal vanish exactly, but their integrands
 reach magnitude exp(n^2/2) (5e21 at n = 10), so 64-bit arithmetic can
@@ -98,26 +105,6 @@ class ExperimentResult:
     diagnostic: str = ""
 
 
-def _tolerances(defaults: dict, overrides) -> dict:
-    tol = dict(defaults)
-    if overrides:
-        tol.update(overrides.get("tolerances", {}))
-    return tol
-
-
-def _result(name, metrics, checks, tolerances, t0, table=()):
-    failed = [key for key, ok in checks.items() if not ok]
-    return ExperimentResult(
-        name=name,
-        metrics=metrics,
-        passed=not failed,
-        tolerances=tolerances,
-        runtime_seconds=time.perf_counter() - t0,
-        table=tuple(table),
-        diagnostic=f"failed checks: {', '.join(failed)}" if failed else "",
-    )
-
-
 def _lognorm_power_integrand(orders):
     """Rows x^n * LogNormal(0,1) density / e^{n^2/2}, one per order n, as
     a function of x.  Each row integrates to 1 (e^{n^2/2} is the n-th
@@ -133,9 +120,7 @@ def _lognorm_power_integrand(orders):
     return f
 
 
-def _stieltjes_cancellation(overrides):
-    t0 = time.perf_counter()
-    tol = _tolerances({"max_scaled_residual": 1e-8}, overrides)
+def _stieltjes_cancellation(tol):
     orders = range(11)
     power = _lognorm_power_integrand(orders)
     res = integrate_half_line(lambda x: np.sin(2.0 * np.pi * np.log(x)) * power(x))
@@ -146,28 +131,24 @@ def _stieltjes_cancellation(overrides):
                      "scaled_residual": abs(value)})
     metrics = {"max_scaled_residual": max(row["scaled_residual"] for row in rows)}
     checks = {"max_scaled_residual": metrics["max_scaled_residual"] < tol["max_scaled_residual"]}
-    return _result("stieltjes-cancellation", metrics, checks, tol, t0, rows)
+    return metrics, checks, rows
 
 
-def _stieltjes_kernel_break(overrides):
+def _stieltjes_kernel_break(tol):
     """The pairings J_n = int x^n phi_1(x) sin(2 pi log x) dLogNormal(0,1),
     n = 0..6, are the a-derivatives of the Stieltjes family's weak
     moments: the a-score times the family's density is
     sin(2 pi log x) LogNormal(0,1)(x) for every a."""
-    t0 = time.perf_counter()
-    tol = _tolerances({"max_abs_pairing_min": 1e-6}, overrides)
     spec = FeatureMapSpec(orders=tuple(range(7)), path="density")
     pairings, _ = weak_moment_jacobian(StieltjesLogNormal(0.0), KernelSpec(1.0), ("a",), (), spec)
     vals = [float(v) for v in pairings[:, 0]]
     rows = [{"n": n, "pairing": v} for n, v in enumerate(vals)]
     metrics = {"max_abs_pairing": max(abs(v) for v in vals)}
     checks = {"max_abs_pairing_min": metrics["max_abs_pairing"] > tol["max_abs_pairing_min"]}
-    return _result("stieltjes-kernel-break", metrics, checks, tol, t0, rows)
+    return metrics, checks, rows
 
 
-def _lognormal_classical_moments(overrides):
-    t0 = time.perf_counter()
-    tol = _tolerances({"max_rel_err": 1e-6}, overrides)
+def _lognormal_classical_moments(tol):
     orders = range(7)
     res = integrate_half_line(_lognorm_power_integrand(orders))
     rows = []
@@ -178,19 +159,17 @@ def _lognormal_classical_moments(overrides):
                      "rel_err": abs(got - expected) / expected})
     metrics = {"max_rel_err": max(row["rel_err"] for row in rows)}
     checks = {"max_rel_err": metrics["max_rel_err"] < tol["max_rel_err"]}
-    return _result("lognormal-classical-moments", metrics, checks, tol, t0, rows)
+    return metrics, checks, rows
 
 
-def _cauchy_fisher(overrides):
-    t0 = time.perf_counter()
-    tol = _tolerances({"abs_error": 1e-6}, overrides)
+def _cauchy_fisher(tol):
     info = classical_fisher_info(Cauchy(0.0), "location")
     metrics = {"fisher_information": info, "abs_error": abs(info - 0.5)}
     checks = {"abs_error": metrics["abs_error"] < tol["abs_error"]}
-    return _result("cauchy-fisher", metrics, checks, tol, t0)
+    return metrics, checks, ()
 
 
-def _cauchy_submersion(overrides):
+def _cauchy_submersion(tol):
     """Joint 1x2 Jacobian of the Cauchy zeroth weak moment on a (mu, s) grid.
 
     The rank check uses the analytic Jacobian of the normalised-kernel
@@ -200,72 +179,49 @@ def _cauchy_submersion(overrides):
     with s; that is the quantity whose strict positivity underwrites the
     rank-1 claim for a location family.
     """
-    t0 = time.perf_counter()
-    tol = _tolerances({"joint_rank": 1.0, "min_scale_sensitivity_min": 0.0}, overrides)
     fam = cauchy_family()
     kfam = scale_kernel_family()
     spec = FeatureMapSpec(orders=(0,), path="density")
     mspec = FeatureMapSpec(orders=(2,), path="density")
     rows = []
-    ranks = []
-    sens = []
     for mu in np.linspace(-2.0, 2.0, 5):
         for s in np.linspace(0.5, 4.0, 5):
             rep = jacobian(fam, kfam, [mu], [s], spec)
             rank = numerical_rank(rep.joint).rank
             w2 = weak_moment(Cauchy(mu), KernelSpec(s), 2, mspec).value
             sensitivity = w2 / s**3
-            ranks.append(rank)
-            sens.append(sensitivity)
             rows.append({"mu": float(mu), "s": float(s), "joint_rank": rank,
                          "d_mu": float(rep.d_theta[0, 0]),
                          "d_s": float(rep.d_lambda[0, 0]),
                          "scale_sensitivity": sensitivity})
+    ranks = [row["joint_rank"] for row in rows]
     metrics = {"min_joint_rank": float(min(ranks)), "max_joint_rank": float(max(ranks)),
-               "min_scale_sensitivity": min(sens)}
+               "min_scale_sensitivity": min(row["scale_sensitivity"] for row in rows)}
     checks = {
         "joint_rank": metrics["min_joint_rank"] == tol["joint_rank"] == metrics["max_joint_rank"],
         "min_scale_sensitivity_min": metrics["min_scale_sensitivity"] > tol["min_scale_sensitivity_min"],
     }
-    return _result("cauchy-submersion", metrics, checks, tol, t0, rows)
+    return metrics, checks, rows
 
 
-def _lognormal_immersion(overrides):
-    t0 = time.perf_counter()
-    tol = _tolerances({"model_rank": 2.0, "joint_rank": 2.0, "min_det_g_min": 0.0}, overrides)
-    fam = lognormal_family()
-    kfam = scale_kernel_family()
-    spec = FeatureMapSpec(orders=(0, 1), path="density")
-    rows = []
-    model_ranks, joint_ranks, dets = [], [], []
-    for mu in (-1.0, 0.0, 1.0):
-        for sigma in (0.7, 1.0, 1.5):
-            rep = jacobian(fam, kfam, [mu, sigma], [1.0], spec)
-            mrank = numerical_rank(rep.d_theta).rank
-            jrank = numerical_rank(rep.joint).rank
-            det_g = metric_tensor(rep).det
-            model_ranks.append(mrank)
-            joint_ranks.append(jrank)
-            dets.append(det_g)
-            rows.append({"mu": mu, "sigma": sigma, "model_rank": mrank,
-                         "joint_rank": jrank, "det_g": det_g})
-    metrics = {"min_model_rank": float(min(model_ranks)),
-               "min_joint_rank": float(min(joint_ranks)),
-               "min_det_g": min(dets)}
+def _lognormal_immersion(tol):
+    thetas = [(mu, sigma) for mu in (-1.0, 0.0, 1.0) for sigma in (0.7, 1.0, 1.5)]
+    rows = sweep_kernel(lognormal_family(), scale_kernel_family(),
+                        FeatureMapSpec(orders=(0, 1), path="density"), [1.0], thetas)
+    metrics = {"min_model_rank": float(min(row["model_rank"] for row in rows)),
+               "min_joint_rank": float(min(row["joint_rank"] for row in rows)),
+               "min_det_g": min(row["det_g"] for row in rows)}
     checks = {
         "model_rank": metrics["min_model_rank"] == tol["model_rank"],
         "joint_rank": metrics["min_joint_rank"] == tol["joint_rank"],
         "min_det_g_min": metrics["min_det_g"] > tol["min_det_g_min"],
     }
-    return _result("lognormal-immersion", metrics, checks, tol, t0, rows)
+    return metrics, checks, rows
 
 
-def _behrens_fisher_w0(overrides):
-    t0 = time.perf_counter()
-    tol = _tolerances({"max_w0_rel_err": 1e-8, "nuisance_spread_decreasing": 1.0}, overrides)
+def _behrens_fisher_w0(tol):
     spec = FeatureMapSpec(orders=(0,), path="density")
     rows = []
-    errs = []
     for mu in (0.0, 1.0, 2.0):
         for sigma in (0.5, 1.0, 2.0):
             for s in (1.0, 3.0, 10.0):
@@ -273,7 +229,6 @@ def _behrens_fisher_w0(overrides):
                 v = sigma * sigma + s * s
                 closed = np.exp(-0.5 * mu * mu / v) / np.sqrt(2.0 * np.pi * v)
                 rel = abs(got - closed) / closed
-                errs.append(rel)
                 rows.append({"mu": mu, "sigma": sigma, "s": s, "w0": got,
                              "closed_form": float(closed), "rel_err": rel})
 
@@ -288,42 +243,29 @@ def _behrens_fisher_w0(overrides):
     spread_vals = [spreads[s] for s in (1.0, 3.0, 10.0, 30.0)]
     decreasing = all(a > b for a, b in zip(spread_vals, spread_vals[1:]))
 
-    metrics = {"max_w0_rel_err": max(errs),
+    metrics = {"max_w0_rel_err": max(row["rel_err"] for row in rows),
                "spread_s1": spreads[1.0], "spread_s3": spreads[3.0],
                "spread_s10": spreads[10.0], "spread_s30": spreads[30.0],
                "nuisance_spread_decreasing": 1.0 if decreasing else 0.0}
     checks = {"max_w0_rel_err": metrics["max_w0_rel_err"] < tol["max_w0_rel_err"],
               "nuisance_spread_decreasing":
                   metrics["nuisance_spread_decreasing"] == tol["nuisance_spread_decreasing"]}
-    return _result("behrens-fisher-w0", metrics, checks, tol, t0, rows)
+    return metrics, checks, rows
 
 
-_SINGULAR_SCALES = (1.0, 2.0, 5.0, 10.0, 30.0, 100.0)
-
-
-def _singular_limit(overrides):
+def _singular_limit(tol):
     """Metric degradation as the kernel scale grows toward the classical
     (constant-kernel) limit: det G decays to zero beyond s = 2 while the
     condition number climbs."""
-    t0 = time.perf_counter()
-    tol = _tolerances({"det_strictly_decreasing": 1.0, "cond_nondecreasing": 1.0}, overrides)
-    fam = gaussian_family()
-    kfam = scale_kernel_family()
-    spec = FeatureMapSpec(orders=(0, 1, 2), path="density")
-    theta = (0.0, 1.0)
-    rows = []
+    rows = sweep_kernel(gaussian_family(), scale_kernel_family(),
+                        FeatureMapSpec(orders=(0, 1, 2), path="density"),
+                        [1.0, 2.0, 5.0, 10.0, 30.0, 100.0], [(0.0, 1.0)])
     metrics = {}
-    dets, conds = [], []
-    for s in _SINGULAR_SCALES:
-        g = metric_tensor(jacobian(fam, kfam, theta, [s], spec))
-        dets.append(g.det)
-        conds.append(g.condition_number)
-        rows.append({"s": s, "det_g": g.det, "condition_number": g.condition_number,
-                     "correlation_det": g.correlation_det})
-        metrics[f"det_g_s{s:g}"] = g.det
-        metrics[f"cond_s{s:g}"] = g.condition_number
-    tail_dets = dets[1:]   # s >= 2
-    tail_conds = conds[1:]
+    for row in rows:
+        metrics[f"det_g_s{row['s']:g}"] = row["det_g"]
+        metrics[f"cond_s{row['s']:g}"] = row["condition_number"]
+    tail_dets = [row["det_g"] for row in rows[1:]]   # s >= 2
+    tail_conds = [row["condition_number"] for row in rows[1:]]
     metrics["det_strictly_decreasing"] = 1.0 if all(
         a > b for a, b in zip(tail_dets, tail_dets[1:])) else 0.0
     metrics["cond_nondecreasing"] = 1.0 if all(
@@ -331,12 +273,10 @@ def _singular_limit(overrides):
     checks = {"det_strictly_decreasing":
                   metrics["det_strictly_decreasing"] == tol["det_strictly_decreasing"],
               "cond_nondecreasing": metrics["cond_nondecreasing"] == tol["cond_nondecreasing"]}
-    return _result("singular-limit", metrics, checks, tol, t0, rows)
+    return metrics, checks, rows
 
 
-def _type0_charpath(overrides):
-    t0 = time.perf_counter()
-    tol = _tolerances({"max_twin_rel_err": 1e-6}, overrides)
+def _type0_charpath(tol):
     kernel = KernelSpec(s=1.0, c=0.0)
     rows = []
 
@@ -369,12 +309,10 @@ def _type0_charpath(overrides):
                "stable15_all_finite": 1.0 if np.isfinite(values).all() else 0.0}
     checks = {"max_twin_rel_err": metrics["max_twin_rel_err"] < tol["max_twin_rel_err"],
               "stable15_all_finite": metrics["stable15_all_finite"] == 1.0}
-    return _result("type0-charpath", metrics, checks, tol, t0, rows)
+    return metrics, checks, rows
 
 
-def _sinusoidal_orthogonality(overrides):
-    t0 = time.perf_counter()
-    tol = _tolerances({"max_abs_pairing": 1e-10}, overrides)
+def _sinusoidal_orthogonality(tol):
     mu, sigma = 0.3, 1.2
     model = Gaussian(mu, sigma)
     scale_score = _score(model, "scale")
@@ -385,13 +323,10 @@ def _sinusoidal_orthogonality(overrides):
     rows = [{"c": c, "abs_pairing": abs(v)} for c, v in zip(cs, res.value.tolist())]
     metrics = {"max_abs_pairing": max(row["abs_pairing"] for row in rows)}
     checks = {"max_abs_pairing": metrics["max_abs_pairing"] < tol["max_abs_pairing"]}
-    return _result("sinusoidal-orthogonality", metrics, checks, tol, t0, rows)
+    return metrics, checks, rows
 
 
-def _gaussian_tilted_cumulants(overrides):
-    t0 = time.perf_counter()
-    tol = _tolerances({"kappa1_rel_err": 1e-8, "kappa2_rel_err": 1e-8,
-                       "abs_kappa3": 1e-6, "abs_kappa4": 1e-6}, overrides)
+def _gaussian_tilted_cumulants(tol):
     mu, sigma = 0.7, 1.3
     kernel = KernelSpec(s=0.9, c=-0.4)
     kappa = weak_cumulants(Gaussian(mu, sigma), kernel, 4).kappa
@@ -408,12 +343,10 @@ def _gaussian_tilted_cumulants(overrides):
     }
     checks = {key: metrics[key] < tol[key] for key in
               ("kappa1_rel_err", "kappa2_rel_err", "abs_kappa3", "abs_kappa4")}
-    return _result("gaussian-tilted-cumulants", metrics, checks, tol, t0)
+    return metrics, checks, ()
 
 
-def _thresholds(overrides):
-    t0 = time.perf_counter()
-    tol = _tolerances({"self_intersection_codim": 8.0, "sigma1_codim": 6.0}, overrides)
+def _thresholds(tol):
     rep = codimension_thresholds(3, 7)
     metrics = {
         "identifiability_generic": 1.0 if rep.identifiability_generic else 0.0,
@@ -428,22 +361,29 @@ def _thresholds(overrides):
             metrics["self_intersection_codim"] == tol["self_intersection_codim"],
         "sigma1_codim": metrics["sigma1_codim"] == tol["sigma1_codim"],
     }
-    return _result("thresholds", metrics, checks, tol, t0)
+    return metrics, checks, ()
 
 
+# name -> (experiment, its default tolerances)
 _CATALOG = {
-    "stieltjes-cancellation": _stieltjes_cancellation,
-    "stieltjes-kernel-break": _stieltjes_kernel_break,
-    "lognormal-classical-moments": _lognormal_classical_moments,
-    "cauchy-fisher": _cauchy_fisher,
-    "cauchy-submersion": _cauchy_submersion,
-    "lognormal-immersion": _lognormal_immersion,
-    "behrens-fisher-w0": _behrens_fisher_w0,
-    "singular-limit": _singular_limit,
-    "type0-charpath": _type0_charpath,
-    "sinusoidal-orthogonality": _sinusoidal_orthogonality,
-    "gaussian-tilted-cumulants": _gaussian_tilted_cumulants,
-    "thresholds": _thresholds,
+    "stieltjes-cancellation": (_stieltjes_cancellation, {"max_scaled_residual": 1e-8}),
+    "stieltjes-kernel-break": (_stieltjes_kernel_break, {"max_abs_pairing_min": 1e-6}),
+    "lognormal-classical-moments": (_lognormal_classical_moments, {"max_rel_err": 1e-6}),
+    "cauchy-fisher": (_cauchy_fisher, {"abs_error": 1e-6}),
+    "cauchy-submersion": (_cauchy_submersion,
+                          {"joint_rank": 1.0, "min_scale_sensitivity_min": 0.0}),
+    "lognormal-immersion": (_lognormal_immersion,
+                            {"model_rank": 2.0, "joint_rank": 2.0, "min_det_g_min": 0.0}),
+    "behrens-fisher-w0": (_behrens_fisher_w0,
+                          {"max_w0_rel_err": 1e-8, "nuisance_spread_decreasing": 1.0}),
+    "singular-limit": (_singular_limit,
+                       {"det_strictly_decreasing": 1.0, "cond_nondecreasing": 1.0}),
+    "type0-charpath": (_type0_charpath, {"max_twin_rel_err": 1e-6}),
+    "sinusoidal-orthogonality": (_sinusoidal_orthogonality, {"max_abs_pairing": 1e-10}),
+    "gaussian-tilted-cumulants": (_gaussian_tilted_cumulants,
+                                  {"kappa1_rel_err": 1e-8, "kappa2_rel_err": 1e-8,
+                                   "abs_kappa3": 1e-6, "abs_kappa4": 1e-6}),
+    "thresholds": (_thresholds, {"self_intersection_codim": 8.0, "sigma1_codim": 6.0}),
 }
 
 
@@ -452,22 +392,30 @@ def list_experiments() -> tuple:
 
 
 def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult:
-    """Run one catalog experiment; numeric failures are reported in the
+    """Run one catalog experiment with its default tolerances, updated
+    from ``overrides["tolerances"]``; a tolerance the experiment does not
+    have raises ``ValueError``.  Numeric failures are reported in the
     result (pass = false with a diagnostic) rather than raised."""
     if name not in _CATALOG:
         raise UnknownExperiment(f"unknown experiment {name!r}; have {', '.join(_CATALOG)}")
+    experiment, defaults = _CATALOG[name]
+    given = (overrides or {}).get("tolerances", {})
+    unknown = [key for key in given if key not in defaults]
+    if unknown:
+        raise ValueError(f"experiment {name} has no tolerance {', '.join(unknown)}; "
+                         f"its tolerances are {', '.join(defaults)}")
+    tol = {**defaults, **given}
     t0 = time.perf_counter()
     try:
-        return _CATALOG[name](overrides)
+        metrics, checks, rows = experiment(tol)
+        failed = [key for key, ok in checks.items() if not ok]
+        diagnostic = f"failed checks: {', '.join(failed)}" if failed else ""
     except _NUMERIC_ERRORS as exc:
-        return ExperimentResult(
-            name=name,
-            metrics={"numeric_failure": 1.0},
-            passed=False,
-            tolerances={},
-            runtime_seconds=time.perf_counter() - t0,
-            diagnostic=f"{type(exc).__name__}: {exc}",
-        )
+        metrics, rows, tol = {"numeric_failure": 1.0}, (), {}
+        diagnostic = f"{type(exc).__name__}: {exc}"
+    return ExperimentResult(name=name, metrics=metrics, passed=not diagnostic, tolerances=tol,
+                            runtime_seconds=time.perf_counter() - t0, table=tuple(rows),
+                            diagnostic=diagnostic)
 
 
 def sweep_kernel(fam, kfam, spec: FeatureMapSpec, lambda_grid, theta_grid):

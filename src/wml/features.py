@@ -216,10 +216,13 @@ def _pairing_pass(m, k, spec, model_params, kernel_params):
     score_of = _score if route == "density" else _charfn_score
     scores = [None if name is None else score_of(m, _SCORE_NAMES[name]) for name in model_params]
     build = _density_rows if route == "density" else _charfn_rows
-    f = build(m, k, spec.orders, scores, kernel_params)
-    if route == "density":
-        return route, _integrate_support(m, f, _breakpoints(m, k))
-    return route, integrate_real_line(f, QuadratureConfig().oscillatory())
+    # at extreme orders x^j, P_j or its coefficients overflow; the inf or
+    # nan reaches the engine, which raises it as NonFiniteEvaluation
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = build(m, k, spec.orders, scores, kernel_params)
+        if route == "density":
+            return route, _integrate_support(m, f, _breakpoints(m, k))
+        return route, integrate_real_line(f, QuadratureConfig().oscillatory())
 
 
 def _density_rows(m, k, orders, scores, kernel_params):

@@ -234,24 +234,22 @@ def jacobian(fam: ModelFamily, kfam: KernelFamily, theta, lam,
 def metric_tensor(report: JacobianReport) -> MetricTensor:
     """Gram matrix of the model block, with determinant, condition number
     (computed from the singular values of D_theta F) and the determinant
-    of the correlation-normalised tensor; ``MetricOverflow`` if G overflows."""
+    of the correlation-normalised tensor; ``MetricOverflow`` if G or its
+    determinant overflows."""
     d = report.d_theta
     with np.errstate(over="ignore", invalid="ignore"):
         g = d.T @ d
-    if not np.all(np.isfinite(g)):
-        raise MetricOverflow("metric tensor G = D^T D is not finite")
-    g = 0.5 * (g + g.T)
-    sv = np.linalg.svd(d, compute_uv=False)
-    smin = sv[min(d.shape) - 1] if min(d.shape) > 0 else 0.0
-    cond = float("inf") if smin == 0.0 else float((sv[0] / smin) ** 2)
-    diag = np.diag(g)
-    if np.all(diag > 0.0):
-        corr = g / np.sqrt(np.outer(diag, diag))
-        corr_det = float(np.linalg.det(corr))
-    else:
-        corr_det = 0.0
-    return MetricTensor(matrix=g, det=float(np.linalg.det(g)),
-                        condition_number=cond, correlation_det=corr_det)
+        g = 0.5 * (g + g.T)
+        det = float(np.linalg.det(g))
+        if not (np.all(np.isfinite(g)) and np.isfinite(det)):
+            raise MetricOverflow("metric tensor G = D^T D or its determinant is not finite")
+        sv = np.linalg.svd(d, compute_uv=False)
+        smin = sv[min(d.shape) - 1] if min(d.shape) > 0 else 0.0
+        cond = float("inf") if smin == 0.0 else float((sv[0] / smin) ** 2)
+    # normalise by sqrt(diag) on each side: diag_i * diag_j may overflow
+    root = np.sqrt(np.diag(g))
+    corr_det = float(np.linalg.det(g / np.outer(root, root))) if np.all(root > 0.0) else 0.0
+    return MetricTensor(matrix=g, det=det, condition_number=cond, correlation_det=corr_det)
 
 
 def numerical_rank(matrix, rel_tol: float = 1e-10) -> RankReport:

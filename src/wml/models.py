@@ -19,7 +19,8 @@ every j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -75,12 +76,22 @@ class Undefined(Exception):
     """The classical moment diverges or does not exist."""
 
 
+def _require_finite(spec):
+    """ValueError naming the first field of the dataclass ``spec`` that is
+    infinite or NaN."""
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     mu: float
     sigma: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.sigma > 0.0):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
@@ -89,6 +100,9 @@ class Gaussian:
 class Cauchy:
     mu: float = 0.0
 
+    def __post_init__(self):
+        _require_finite(self)
+
 
 @dataclass(frozen=True)
 class LogNormal:
@@ -96,6 +110,7 @@ class LogNormal:
     sigma: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.sigma > 0.0):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
@@ -126,6 +141,7 @@ class SymmetricStable:
     sigma: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not (0.0 < self.alpha <= 2.0):
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if not (self.sigma > 0.0):
@@ -346,6 +362,7 @@ class KernelSpec:
     c: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.s > 0.0):
             raise ValueError(f"kernel scale must be positive, got {self.s}")
 

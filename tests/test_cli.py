@@ -78,6 +78,14 @@ def test_run_failure_names_only_the_failing_checks(capsys):
     assert "kappa1_rel_err" not in err
 
 
+def test_run_unknown_tolerance_is_config_error(capsys):
+    # a misspelt key used to be recorded and ignored, so the default held
+    code, out, err = run_cli(capsys, "run", "cauchy-fisher", "--tol", "abs_eror=0")
+    assert code == 2
+    assert out == ""
+    assert "abs_eror" in err and "abs_error" in err
+
+
 def test_run_unknown_experiment(capsys):
     code, _, err = run_cli(capsys, "run", "no-such-name")
     assert code == 2
@@ -138,6 +146,20 @@ def test_eval_metric_tensor_overflow_is_an_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("wml: error:")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model, order", (
+    ("gaussian", 150),                  # diag(G)^2 and det G overflow
+    ("cauchy", 250),                    # x^j overflows in the density rows
+    ("gaussian:mu=3,sigma=0.2", 400),
+    ("stable:alpha=1.5", 150),          # P_j(u) overflows in the char-fn rows
+    ("stable:alpha=1.5", 400),          # so do the coefficients of P_j
+))
+def test_eval_extreme_order_ends_without_a_warning(capsys, model, order):
+    code, out, err = run_cli(capsys, "eval", "--model", model, "--orders", f"0,{order}")
+    assert code in (0, 2)
+    assert code == 0 or (out == "" and err.startswith("wml: error:"))
 
 
 def test_eval_narrow_window_far_from_a_wide_model_converges(capsys):

@@ -7,6 +7,7 @@ from wml.geometry import (
     CollisionCandidate,
     DimensionMismatch,
     JacobianReport,
+    MetricOverflow,
     StepUnderflow,
     StratumSpec,
     codimension_thresholds,
@@ -201,6 +202,18 @@ def test_metric_tensor_equals_explicit_sum():
         for b in range(3):
             explicit[a, b] = np.sum(d[:, a] * d[:, b])
     assert np.max(np.abs(g - explicit)) < 1e-12
+
+
+def test_correlation_det_of_a_huge_diagonal_is_one():
+    # diag(G)^2 = 3.3e439 overflows; normalising by sqrt(diag) does not
+    g = metric_tensor(make_report(np.array([[1e-3], [7.6e109]]), np.zeros((2, 0))))
+    assert g.correlation_det == 1.0
+
+
+def test_metric_tensor_determinant_overflow_is_an_error():
+    # G = diag(1e220, 1e220) is finite; its determinant 1e440 is not
+    with pytest.raises(MetricOverflow):
+        metric_tensor(make_report(np.diag([1e110, 1e110]), np.zeros((2, 0))))
 
 
 def test_metric_tensor_lognormal_det_positive():

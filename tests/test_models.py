@@ -48,6 +48,21 @@ def test_parameter_validation():
         KernelSpec(0.0)
 
 
+@pytest.mark.parametrize("ctor, args, field", (
+    (Cauchy, (np.inf,), "mu"),
+    (LogNormal, (0.0, np.inf), "sigma"),
+    (KernelSpec, (np.inf,), "s"),
+    (Gaussian, (np.nan, 1.0), "mu"),
+    (KernelSpec, (1.0, np.nan), "c"),
+    (SymmetricStable, (1.5, np.nan, 1.0), "mu"),
+))
+def test_non_finite_parameters_are_rejected_by_name(ctor, args, field):
+    # an inf or nan used to pass construction and surface later as a
+    # silent 0, a numpy warning, or a NonFiniteEvaluation naming x-nodes
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ctor(*args)
+
+
 def test_density_values():
     assert density(Gaussian(0, 1), 0.0) == pytest.approx(1.0 / SQRT_2PI, abs=1e-12)
     assert density(Cauchy(0), 0.0) == pytest.approx(1.0 / np.pi, abs=1e-12)
