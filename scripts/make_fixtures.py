@@ -22,8 +22,8 @@ from scipy.integrate import quad
 SQ2PI = np.sqrt(2.0 * np.pi)
 OUT_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
-# package tolerances are rel 1e-12 (kernel break) and rel 1e-11 (jacobian
-# quadratures); the oracle runs 4x tighter
+# the package holds every integral to rel 1e-10; the oracle runs 400x
+# (kernel break) and 40x (jacobian quadratures) tighter
 EPSREL_BREAK = 2.5e-13
 EPSREL_W = 2.5e-12
 

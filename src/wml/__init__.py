@@ -76,7 +76,6 @@ from .quad import (
     IntegralResult,
     NonConvergence,
     NonFiniteEvaluation,
-    QuadratureConfig,
     QuadratureError,
     integrate_half_line,
     integrate_real_line,

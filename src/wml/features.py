@@ -45,7 +45,7 @@ from .models import (
     kernel_eval,
     support_has_density,
 )
-from .quad import QuadratureConfig, integrate_real_line
+from .quad import NonFiniteEvaluation, integrate_real_line
 
 __all__ = [
     "FeatureMapSpec",
@@ -129,11 +129,12 @@ def _window_transform_coeffs(j: int, k: KernelSpec) -> np.ndarray:
         Psi_j(u) = int x^j phi(x) e^{-iux} dx = P_j(u) exp(-iuc - s^2 u^2 / 2).
 
     Differentiating Psi_0 once per order gives the recursion
-    P_{j+1} = (c - i s^2 u) P_j + i P_j'.
+    P_{j+1} = (c - i s^2 u) P_j + i P_j'.  It stops at the first
+    non-finite coefficient (j ~ 300 at s = 1), as every later P_j has one.
     """
     s2 = k.s * k.s
     p = np.array([1.0 + 0.0j])
-    for _ in range(j):
+    while p.size <= j and np.isfinite(p).all():
         nxt = np.zeros(p.size + 1, dtype=complex)
         nxt[: p.size] += k.c * p
         nxt[1:] += -1j * s2 * p
@@ -222,7 +223,10 @@ def _pairing_pass(m, k, spec, model_params, kernel_params):
         f = build(m, k, spec.orders, scores, kernel_params)
         if route == "density":
             return route, _integrate_support(m, f, _breakpoints(m, k))
-        return route, integrate_real_line(f, QuadratureConfig().oscillatory())
+        try:
+            return route, integrate_real_line(f)
+        except NonFiniteEvaluation as exc:  # the char-fn rows are functions of u
+            raise NonFiniteEvaluation(exc.points, "u") from None
 
 
 def _density_rows(m, k, orders, scores, kernel_params):
@@ -285,7 +289,7 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
     if not support_has_density(m):
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
     f = lambda x: np.exp(1j * u * x) * kernel_eval(k, x) * density(m, x)
-    return complex(_integrate_support(m, f, _breakpoints(m, k), QuadratureConfig().oscillatory()).value)
+    return complex(_integrate_support(m, f, _breakpoints(m, k)).value)
 
 
 def moments_to_cumulants(raw: np.ndarray) -> np.ndarray:

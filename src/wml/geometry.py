@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_RANK_TOL = 1e-10
+_INTERSECTION_TOL = 1e-8  # a point this close to a stratum lies on it
 
 
 class StepUnderflow(Exception):
@@ -252,8 +254,8 @@ def metric_tensor(report: JacobianReport) -> MetricTensor:
     return MetricTensor(matrix=g, det=det, condition_number=cond, correlation_det=corr_det)
 
 
-def numerical_rank(matrix, rel_tol: float = 1e-10) -> RankReport:
-    """Rank by singular-value thresholding at rel_tol * sigma_max * max(m, n)."""
+def numerical_rank(matrix) -> RankReport:
+    """Rank by singular-value thresholding at _RANK_TOL * sigma_max * max(m, n)."""
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite")
@@ -261,17 +263,15 @@ def numerical_rank(matrix, rel_tol: float = 1e-10) -> RankReport:
     smax = sv[0] if sv.size else 0.0
     if smax == 0.0:
         return RankReport(sv, 0, 0.0)
-    tol = rel_tol * smax * max(a.shape)
+    tol = _RANK_TOL * smax * max(a.shape)
     return RankReport(sv, int(np.sum(sv > tol)), float(tol))
 
 
-def transversality_check(report: JacobianReport, strata, y,
-                         rank_tol: float = 1e-10,
-                         intersection_tol: float = 1e-8) -> TransversalityReport:
+def transversality_check(report: JacobianReport, strata, y) -> TransversalityReport:
     """Transversality verdicts for the joint map at one evaluation point.
 
     If the joint Jacobian is surjective (rank K+1) every stratum verdict
-    is 'transversal'.  Otherwise each stratum within ``intersection_tol``
+    is 'transversal'.  Otherwise each stratum within ``_INTERSECTION_TOL``
     of the point is tested by the component-wise criterion: stack the
     projections of the model and kernel blocks onto the stratum's normal
     space and require rank equal to the codimension.  Strata the point
@@ -283,8 +283,8 @@ def transversality_check(report: JacobianReport, strata, y,
         raise DimensionMismatch(f"feature point has size {yv.size}, Jacobian has {n_feat} rows")
 
     joint = report.joint
-    model_rank = numerical_rank(report.d_theta, rank_tol).rank
-    joint_rank = numerical_rank(joint, rank_tol).rank
+    model_rank = numerical_rank(report.d_theta).rank
+    joint_rank = numerical_rank(joint).rank
     submersive = joint_rank == n_feat
 
     verdicts = []
@@ -293,14 +293,14 @@ def transversality_check(report: JacobianReport, strata, y,
         if g.size != stratum.codim:
             raise DimensionMismatch(f"stratum {stratum.name}: constraint size != codim")
         dist = float(np.linalg.norm(g))
-        if dist > intersection_tol:
+        if dist > _INTERSECTION_TOL:
             verdicts.append(StratumVerdict(stratum.name, "no-intersection", dist, 0))
             continue
         normal = stratum.normal_basis(yv)
         if normal.shape[1] != n_feat:
             raise DimensionMismatch(f"stratum {stratum.name}: normal basis has wrong width")
         projected = normal @ joint
-        nrank = numerical_rank(projected, rank_tol).rank
+        nrank = numerical_rank(projected).rank
         status = "transversal" if (submersive or nrank == stratum.codim) else "non-transversal"
         verdicts.append(StratumVerdict(stratum.name, status, dist, nrank))
 

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SCALE_BOX, _CENTRE_BOX = (0.05, 1000.0), (-10.0, 10.0)  # the kernel families' boxes
 
 
 class NoDensity(Exception):
@@ -330,11 +331,11 @@ def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
     return np.concatenate((_model_points(m), k.c + k.s * _OFFSETS))
 
 
-def _integrate_support(m: ModelSpec, f, points, cfg=None) -> IntegralResult:
+def _integrate_support(m: ModelSpec, f, points) -> IntegralResult:
     """Integrate ``f`` over the support of ``m`` from breakpoints ``points``."""
     if support(m) == "half":
-        return integrate_half_line(f, cfg, points)
-    return integrate_real_line(f, cfg, points)
+        return integrate_half_line(f, points)
+    return integrate_real_line(f, points)
 
 
 def classical_fisher_info(m: ModelSpec, which: str = "location") -> float:
@@ -470,12 +471,12 @@ def stable_family(alpha: float) -> ModelFamily:
                        ((-5.0, 5.0), (0.05, 10.0)))
 
 
-def scale_kernel_family(lo: float = 0.05, hi: float = 1000.0, c: float = 0.0) -> KernelFamily:
-    return KernelFamily("scale", ((lo, hi),), fixed_c=c)
+def scale_kernel_family(c: float = 0.0) -> KernelFamily:
+    return KernelFamily("scale", (_SCALE_BOX,), fixed_c=c)
 
 
-def scale_center_kernel_family(s_box=(0.05, 1000.0), c_box=(-10.0, 10.0)) -> KernelFamily:
-    return KernelFamily("scale-center", (tuple(s_box), tuple(c_box)))
+def scale_center_kernel_family() -> KernelFamily:
+    return KernelFamily("scale-center", (_SCALE_BOX, _CENTRE_BOX))
 
 
 def canonical_family(m: ModelSpec):

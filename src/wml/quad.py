@@ -11,8 +11,10 @@ integrands.  The engine here is deliberately simple and robust:
 * panels are bisected worst-first until each integral's error estimate
   is at most ``rel_tol`` times its own L1 mass int |f|, summed from the
   panels' QUADPACK ``resabs``; optional breakpoints seed the first
-  panels.  An integral that runs out of budget first raises
-  ``NonConvergence``, so every returned result has met its target.
+  panels.  Every integral has the same setting, ``rel_tol`` = 1e-10 and
+  a budget of 2000 bisections (``_REL_TOL``, ``_MAX_SUBDIVISIONS``); one
+  that runs out of budget first raises ``NonConvergence``, so every
+  returned result has met its target.
 
 The target scales with the integrand and needs no absolute tolerance:
 for a one-signed integrand it is ``rel_tol * |value|``, and it sits at
@@ -41,12 +43,11 @@ with a numpy array of nodes and must return an array of values.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuadratureConfig",
     "IntegralResult",
     "QuadratureError",
     "NonConvergence",
@@ -62,10 +63,10 @@ class QuadratureError(Exception):
 
 class NonFiniteEvaluation(QuadratureError):
     """The integrand produced NaN or infinity at the nodes ``points``,
-    given as the caller's integrand received them."""
+    given as the caller's integrand received them; ``var`` names them."""
 
-    def __init__(self, points):
-        super().__init__(f"integrand returned a non-finite value near x={points[:3]}")
+    def __init__(self, points, var="x"):
+        super().__init__(f"integrand returned a non-finite value near {var}={points[:3]}")
         self.points = points
 
 
@@ -80,25 +81,6 @@ class NonConvergence(QuadratureError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Relative tolerance and subdivision budget for the adaptive engine."""
-
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-    def oscillatory(self) -> "QuadratureConfig":
-        """Variant with the raised subdivision budget used for oscillatory
-        integrands (sin(2*pi*log x) factors, e^{iux} pairings)."""
-        return replace(self, max_subdivisions=max(self.max_subdivisions, 8000))
 
 
 @dataclass(frozen=True)
@@ -154,6 +136,8 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
 _FLOOR_MIN = _TINY / (50.0 * _EPS)  # below this the 50 ulp floor would underflow
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 2000
 
 
 def _kronrod_panels(f, edges):
@@ -194,7 +178,7 @@ def _kronrod_panels(f, edges):
     return resk * hlgth, abserr, resabs, fv.ndim == 1
 
 
-def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
+def _adaptive(f, edges) -> IntegralResult:
     """Worst-panel-first bisection with the embedded pair, starting from
     the panels between consecutive ``edges``.
 
@@ -202,7 +186,7 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
     integrand).  One integrand call covers all initial panels, and one
     covers both halves of each bisection.  Each panel carries its value,
     error and int |f| per row, and the pass keeps their running sums.
-    Row i has met its target when ``err_i <= rel_tol * int |f_i|``, a
+    Row i has met its target when ``err_i <= _REL_TOL * int |f_i|``, a
     target never set below the smallest normal float: a row that small
     is built from subnormal values, which carry no relative precision
     (a row whose int |f| is 0 has error 0 and is met at once).  The
@@ -212,15 +196,16 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
     that overflow rank first, by log2.  A 1-D integrand's value and
     error come back as scalars.
 
-    Raises ``NonConvergence`` when the budget runs out first, or when
-    the panels too narrow to split miss the target on their own; the
-    message names the component furthest from its target.
+    Raises ``NonConvergence`` when the ``_MAX_SUBDIVISIONS`` bisections
+    run out first, or when the panels too narrow to split miss the
+    target on their own; the message names the component furthest from
+    its target.  Both settings are read at call time.
     """
     edges = np.asarray(edges, dtype=float)
     vals, errs, l1s, scalar = _kronrod_panels(f, edges)
     val_sum, err_sum, l1_sum = sum(vals), sum(errs), sum(l1s)
     evaluations = 15 * len(vals)
-    target = lambda: np.maximum(cfg.rel_tol * l1_sum, _TINY)
+    target = lambda: np.maximum(_REL_TOL * l1_sum, _TINY)
     met = lambda e: bool((e <= target()).all())
     # heap keys (-max_i(err_i / scale_i), tie): worst panel first
     scale = target()
@@ -243,7 +228,7 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
     while True:
         if met(err_sum):
             return result(True)
-        if subdivisions >= cfg.max_subdivisions or not heap:
+        if subdivisions >= _MAX_SUBDIVISIONS or not heap:
             break
 
         _, _, pa, pb, pval, perr, pl1 = heapq.heappop(heap)
@@ -272,7 +257,7 @@ def _adaptive(f, edges, cfg: QuadratureConfig) -> IntegralResult:
                          f"{goal[i]:.3e} after {evaluations // 15} panels", result(False))
 
 
-def integrate_real_line(f, cfg: QuadratureConfig | None = None, points=None) -> IntegralResult:
+def integrate_real_line(f, points=None) -> IntegralResult:
     """Approximate the integral of ``f`` over the whole real line.
 
     ``f`` must accept an ndarray of n points and return n finite values,
@@ -305,12 +290,12 @@ def integrate_real_line(f, cfg: QuadratureConfig | None = None, points=None) -> 
         t = 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * x * x))
         edges = sorted({*edges, *t[np.abs(t) < 1.0].tolist()})
     try:
-        return _adaptive(transformed, edges, cfg or QuadratureConfig())
+        return _adaptive(transformed, edges)
     except NonFiniteEvaluation as exc:  # name the nodes in x, as f received them
         raise NonFiniteEvaluation(exc.points / (1.0 - exc.points * exc.points)) from None
 
 
-def integrate_half_line(f, cfg: QuadratureConfig | None = None, points=None) -> IntegralResult:
+def integrate_half_line(f, points=None) -> IntegralResult:
     """Approximate the integral of ``f`` over (0, inf).
 
     Applies the logarithmic substitution ``x = e^y`` and reuses
@@ -338,6 +323,6 @@ def integrate_half_line(f, cfg: QuadratureConfig | None = None, points=None) -> 
         y = np.log(x[x > 0.0])
         points = y[np.abs(y) < 64.0]
     try:
-        return integrate_real_line(substituted, cfg, points)
+        return integrate_real_line(substituted, points)
     except NonFiniteEvaluation as exc:
         raise NonFiniteEvaluation(np.exp(exc.points)) from None

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 import wml.quad
@@ -9,6 +7,4 @@ import wml.quad
 def one_bisection(monkeypatch):
     """Give every adaptive pass a budget of one bisection, too few for
     its target, so that it raises NonConvergence."""
-    adaptive = wml.quad._adaptive
-    monkeypatch.setattr(wml.quad, "_adaptive", lambda f, edges, cfg: adaptive(
-        f, edges, dataclasses.replace(cfg, max_subdivisions=1)))
+    monkeypatch.setattr(wml.quad, "_MAX_SUBDIVISIONS", 1)

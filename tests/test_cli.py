@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wml
 from wml.cli import main, parse_grid, parse_kernel, parse_model, parse_orders
 from wml.models import Cauchy, Gaussian, KernelSpec, SymmetricStable
 
@@ -160,6 +166,34 @@ def test_eval_extreme_order_ends_without_a_warning(capsys, model, order):
     code, out, err = run_cli(capsys, "eval", "--model", model, "--orders", f"0,{order}")
     assert code in (0, 2)
     assert code == 0 or (out == "" and err.startswith("wml: error:"))
+
+
+def test_eval_char_fn_order_beyond_overflow_fails_at_once():
+    # from about order 300 every coefficient of P_j is inf or nan; the
+    # O(j^2) recursion up to j = 100000 would take minutes
+    env = dict(os.environ, PYTHONPATH=str(Path(wml.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wml.cli", "eval", "--model", "stable:alpha=1.5",
+                           "--orders", "0,100000"], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("wml: error: integrand returned a non-finite value")
+
+
+def test_eval_char_fn_non_finite_value_names_the_frequency(capsys):
+    # P_100(u) overflows at a frequency u of the Parseval integral, not at a point x
+    code, _, err = run_cli(capsys, "eval", "--model", "stable:alpha=1.5", "--orders", "0,100")
+    assert code == 2
+    assert "u=[" in err
+    assert "x=[" not in err
+
+
+def test_eval_hostile_char_fn_point_fails_within_one_budget(capsys):
+    # a window 25x narrower than the stable model, 4 model scales from its
+    # centre, on the char-fn route: a failed pass stops after its 2000
+    # bisections, at 1 + 2 * 2000 panels
+    code, _, err = run_cli(capsys, "eval", "--model", "stable:alpha=1.5,mu=-0.476,sigma=1.812",
+                           "--kernel", "0.0709,7.028")
+    panels = [int(n) for n in re.findall(r"after (\d+) panels", err)]
+    assert code == 0 or (code == 2 and panels and max(panels) <= 4001)
 
 
 def test_eval_narrow_window_far_from_a_wide_model_converges(capsys):

@@ -2,33 +2,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+import wml.quad
 from wml.quad import (
+    _REL_TOL,
     _WG,
     _WGK,
     _XGK,
     NonConvergence,
     NonFiniteEvaluation,
-    QuadratureConfig,
     integrate_half_line,
     integrate_real_line,
 )
 
 SQRT_PI = np.sqrt(np.pi)
-
-
-def test_config_defaults_and_validation():
-    cfg = QuadratureConfig()
-    assert cfg.rel_tol == 1e-10
-    assert cfg.max_subdivisions == 2000
-    for bad in (dict(rel_tol=0.0), dict(max_subdivisions=0)):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**bad)
-
-
-def test_oscillatory_raises_budget_only():
-    cfg = QuadratureConfig().oscillatory()
-    assert cfg.max_subdivisions == 8000
-    assert cfg.rel_tol == 1e-10
 
 
 def test_gaussian_integral():
@@ -48,11 +34,10 @@ def test_odd_integrand_vanishes():
 
 
 def test_converged_result_meets_tolerance():
-    cfg = QuadratureConfig()
-    res = integrate_real_line(lambda x: np.exp(-x * x), cfg)
+    res = integrate_real_line(lambda x: np.exp(-x * x))
     assert res.converged
     # the target is rel_tol * int |f|, which is |value| for a one-signed integrand
-    assert res.error_estimate <= cfg.rel_tol * abs(res.value)
+    assert res.error_estimate <= _REL_TOL * abs(res.value)
     assert res.evaluations > 0
 
 
@@ -70,36 +55,35 @@ def test_lognormal_density_normalisation():
 def test_stieltjes_order_two_cancellation():
     # int x^2 sin(2 pi log x) dLogNormal = 0; the integrand cancels, so
     # its target is rel_tol of its own int |f|, not of the value
-    cfg = QuadratureConfig(max_subdivisions=8000)
     f = lambda x: x**2 * np.sin(2 * np.pi * np.log(x)) \
         * np.exp(-0.5 * np.log(x) ** 2) / (x * np.sqrt(2 * np.pi))
-    res = integrate_half_line(f, cfg)
-    l1 = integrate_half_line(lambda x: np.abs(f(x)), cfg).value
-    assert abs(res.value) < cfg.rel_tol * l1
+    res = integrate_half_line(f)
+    l1 = integrate_half_line(lambda x: np.abs(f(x))).value
+    assert abs(res.value) < _REL_TOL * l1
 
 
-def test_budget_exhaustion_returns_unconverged():
-    cfg = QuadratureConfig(rel_tol=1e-14, max_subdivisions=3)
+def test_budget_exhaustion_returns_unconverged(monkeypatch):
+    monkeypatch.setattr(wml.quad, "_MAX_SUBDIVISIONS", 3)
     with pytest.raises(NonConvergence) as failure:
-        integrate_real_line(lambda x: 1.0 / (1.0 + x * x) ** 2, cfg)
+        integrate_real_line(lambda x: 1.0 / (1.0 + x * x) ** 2)
     res = failure.value.result
     assert not res.converged
     assert np.isfinite(res.value)
     assert np.ndim(res.value) == np.ndim(res.error_estimate) == 0
 
 
-def test_nonconvergence_names_the_component_furthest_from_its_target():
+def test_nonconvergence_names_the_component_furthest_from_its_target(monkeypatch):
     # component 0 is (1 - t^2)^2 on the mapped line x = t / (1 - t^2), a
     # polynomial both rules integrate exactly: it meets its target on the
     # first panel and on every half.  Component 1 cannot meet its target,
     # rel_tol * int |f| = rel_tol * value, in two subdivisions
-    cfg = QuadratureConfig(max_subdivisions=2)
+    monkeypatch.setattr(wml.quad, "_MAX_SUBDIVISIONS", 2)
     r = lambda x: np.sqrt(1.0 + 4.0 * x * x)
     f = lambda x: np.array([8.0 / ((1.0 + r(x)) ** 3 * r(x)), 1.0 / (1.0 + x * x) ** 2])
     with pytest.raises(NonConvergence) as failure:
-        integrate_real_line(f, cfg)
+        integrate_real_line(f)
     res = failure.value.result
-    target = cfg.rel_tol * abs(res.value[1])
+    target = _REL_TOL * abs(res.value[1])
     assert str(failure.value) == (
         f"adaptive quadrature: component 1 error {res.error_estimate[1]:.3e} "
         f"against a target of {target:.3e} after {res.evaluations // 15} panels")
@@ -219,16 +203,15 @@ def test_vector_integrand_shares_one_panel_tree():
     # rows with their own scales converge together, each to its own
     # tolerance; a 1-D integrand and its one-row form share one path (the
     # same panels and numbers) and differ only in the shapes returned
-    cfg = QuadratureConfig()
     rows = lambda x: np.array([np.exp(-x * x), 1e-6 * x * x * np.exp(-x * x), np.exp(-(x - 3.0) ** 2)])
-    res = integrate_real_line(rows, cfg)
+    res = integrate_real_line(rows)
     assert res.converged is True
     assert res.evaluations % 15 == 0
     assert res.value.shape == res.error_estimate.shape == (3,)
     truth = np.array([SQRT_PI, 1e-6 * SQRT_PI / 2, SQRT_PI])
     # each row is one-signed, so its target rel_tol * int |f| is rel_tol * |value|
-    assert np.all(np.abs(res.value - truth) <= cfg.rel_tol * truth)
-    assert np.all(res.error_estimate <= cfg.rel_tol * np.abs(res.value))
+    assert np.all(np.abs(res.value - truth) <= _REL_TOL * truth)
+    assert np.all(res.error_estimate <= _REL_TOL * np.abs(res.value))
 
     f = lambda x: 1.0 / (1.0 + x * x) ** 2
     scalar = integrate_real_line(f)
