@@ -240,18 +240,20 @@ def _density_rows(m, k, orders, scores, kernel_params):
         else:
             phi = kernel_eval(k, x)
         dens = density(m, x)
-        base = phi * dens
-        # multiply x^j only where the damped base is nonzero: at points where
-        # phi * f underflows to 0 the true product is far below double range,
-        # while x^j alone may overflow
-        nz = base != 0.0
-        xs = x[nz]
-        cols = [base[nz] if score is None else base[nz] * score(xs) for score in scores]
+        # x^j goes into phi before f: far out phi * f alone is subnormal, and
+        # x^j and the score would magnify its rounding.  Where phi or f is
+        # 0 the product is far below double range, while x^j alone may
+        # overflow, so x^j is formed only where both are nonzero
+        nz = (phi != 0.0) & (dens != 0.0)
+        xs, fs = x[nz], dens[nz]
+        xj = xs ** powers
+        base = xj * phi[nz] * fs
+        cols = [base if score is None else base * score(xs) for score in scores]
         if kernel_params:
             dphi = {"s": dphi_ds, "c": dphi_dc}
-            cols += [dphi[name][nz] * dens[nz] for name in kernel_params]
+            cols += [xj * dphi[name][nz] * fs for name in kernel_params]
         out = np.zeros((powers.size, len(cols), x.size))
-        out[:, :, nz] = (xs ** powers)[:, None, :] * np.array(cols)
+        out[:, :, nz] = np.stack(cols, axis=1)
         return out.reshape(-1, x.size)
 
     return integrand

@@ -29,8 +29,9 @@ There is one code path.  An integrand returns n values for n nodes, or
 an (m, n) array: m integrals over one shared panel tree, each held to
 its own target; a 1-D integrand is the case m = 1, and its value and
 error come back as scalars.  Panels are evaluated in batches: one
-integrand call covers all initial panels, and one covers both halves
-of each bisection.
+integrand call covers all initial panels, and each later round pops
+the worst panels until the error left would meet every target, then
+bisects them all from one call.
 
 The half-line is reduced to the real line by the logarithmic
 substitution ``x = e^y``, so endpoint behaviour at 0 becomes ordinary
@@ -140,18 +141,18 @@ _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 2000
 
 
-def _kronrod_panels(f, edges):
-    """Integrate the P panels between consecutive ``edges`` from one call
-    of ``f`` on all P * 15 nodes.  Returns (values, errors, l1), each of
-    shape (P, m), with m = 1 for a 1-D integrand and l1 the panel's
-    int |f|, and whether ``f`` is 1-D.
+def _kronrod_panels(f, a, b):
+    """Integrate the P panels [a_k, b_k] from one call of ``f`` on all
+    P * 15 nodes.  Returns (values, errors, l1), each of shape (P, m),
+    with m = 1 for a 1-D integrand and l1 the panel's int |f|, and
+    whether ``f`` is 1-D.
 
     The error model is QUADPACK's: the raw Gauss/Kronrod difference is
     rescaled by the panel's variation so that smooth panels are not
     flagged as inaccurate, with a floor at 50 ulp of the absolute
     integral.
     """
-    a, b = edges[:-1, None], edges[1:, None]
+    a, b = a[:, None], b[:, None]
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     nodes = (centr + hlgth * _NODES).ravel()
@@ -179,30 +180,35 @@ def _kronrod_panels(f, edges):
 
 
 def _adaptive(f, edges) -> IntegralResult:
-    """Worst-panel-first bisection with the embedded pair, starting from
-    the panels between consecutive ``edges``.
+    """Worst-panel-first bisection with the embedded pair, in rounds,
+    starting from the panels between consecutive ``edges``.
 
     Every integrand is m rows sharing one panel tree (m = 1 for a 1-D
-    integrand).  One integrand call covers all initial panels, and one
-    covers both halves of each bisection.  Each panel carries its value,
-    error and int |f| per row, and the pass keeps their running sums.
-    Row i has met its target when ``err_i <= _REL_TOL * int |f_i|``, a
-    target never set below the smallest normal float: a row that small
-    is built from subnormal values, which carry no relative precision
-    (a row whose int |f| is 0 has error 0 and is met at once).  The
-    pass returns when every row has met its target.  It bisects the
-    panel of largest err_i / scale_i, with scale_i the target of row i
-    at the first estimate (for m = 1 the order of err itself); ratios
-    that overflow rank first, by log2.  A 1-D integrand's value and
-    error come back as scalars.
+    integrand).  Each panel carries its value, error and int |f| per
+    row, and the pass keeps their running sums.  Row i has met its
+    target when ``err_i <= _REL_TOL * int |f_i|``, a target never set
+    below the smallest normal float: a row that small is built from
+    subnormal values, which carry no relative precision (a row whose
+    int |f| is 0 has error 0 and is met at once).  The pass returns when
+    every row has met its target.
+
+    One integrand call covers all initial panels.  Each later round pops
+    panels worst-first, by the largest err_i / scale_i, with scale_i the
+    target of row i at the first estimate (for m = 1 the order of err
+    itself; ratios that overflow rank first, by log2), until the error
+    left in every row would meet its target; one integrand call then
+    covers both halves of every popped panel, and the sums are updated
+    panel by panel in pop order.  A 1-D integrand's value and error come
+    back as scalars.
 
     Raises ``NonConvergence`` when the ``_MAX_SUBDIVISIONS`` bisections
-    run out first, or when the panels too narrow to split miss the
-    target on their own; the message names the component furthest from
-    its target.  Both settings are read at call time.
+    run out first (a round never pops past them), or when the panels too
+    narrow to split miss the target on their own; the message names the
+    component furthest from its target.  Both settings are read at call
+    time.
     """
     edges = np.asarray(edges, dtype=float)
-    vals, errs, l1s, scalar = _kronrod_panels(f, edges)
+    vals, errs, l1s, scalar = _kronrod_panels(f, edges[:-1], edges[1:])
     val_sum, err_sum, l1_sum = sum(vals), sum(errs), sum(l1s)
     evaluations = 15 * len(vals)
     target = lambda: np.maximum(_REL_TOL * l1_sum, _TINY)
@@ -225,36 +231,50 @@ def _adaptive(f, edges) -> IntegralResult:
                                               err_sum[0] if scalar else err_sum,
                                               evaluations, converged)
 
-    while True:
-        if met(err_sum):
-            return result(True)
+    def failure():
+        goal = target()
+        i = int(np.argmax(err_sum / goal))
+        which = f"component {i} " if err_sum.size > 1 else ""
+        return NonConvergence(f"adaptive quadrature: {which}error {err_sum[i]:.3e} against a target of "
+                              f"{goal[i]:.3e} after {evaluations // 15} panels", result(False))
+
+    while not met(err_sum):
         if subdivisions >= _MAX_SUBDIVISIONS or not heap:
-            break
-
-        _, _, pa, pb, pval, perr, pl1 = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
-            # panel narrower than one ulp; its error is irreducible
-            stuck_err = stuck_err + perr
-            if not met(stuck_err):
-                break
+            raise failure()
+        popped, popped_err = [], 0.0
+        while heap and subdivisions + len(popped) < _MAX_SUBDIVISIONS and not met(err_sum - popped_err):
+            panel = heapq.heappop(heap)
+            pa, pb, perr = panel[2], panel[3], panel[5]
+            mid = 0.5 * (pa + pb)
+            if mid <= pa or mid >= pb:
+                # panel narrower than one ulp; its error is irreducible
+                stuck_err = stuck_err + perr
+                if not met(stuck_err):
+                    raise failure()
+                continue
+            popped.append(panel)
+            popped_err = popped_err + perr
+        if not popped:
             continue
-        v, e, l1, _ = _kronrod_panels(f, np.array((pa, mid, pb)))
-        evaluations += 30
-        subdivisions += 1
-        val_sum = val_sum + ((v[0] + v[1]) - pval)
-        err_sum = err_sum + ((e[0] + e[1]) - perr)
-        l1_sum = l1_sum + ((l1[0] + l1[1]) - pl1)
-        k1, k2 = keys(e)
-        heapq.heappush(heap, (k1, counter, pa, mid, v[0], e[0], l1[0]))
-        heapq.heappush(heap, (k2, counter + 1, mid, pb, v[1], e[1], l1[1]))
-        counter += 2
-
-    goal = target()
-    i = int(np.argmax(err_sum / goal))
-    which = f"component {i} " if err_sum.size > 1 else ""
-    raise NonConvergence(f"adaptive quadrature: {which}error {err_sum[i]:.3e} against a target of "
-                         f"{goal[i]:.3e} after {evaluations // 15} panels", result(False))
+        n = len(popped)
+        pa = np.array([p[2] for p in popped])
+        pb = np.array([p[3] for p in popped])
+        mid = 0.5 * (pa + pb)
+        v, e, l1, _ = _kronrod_panels(f, np.concatenate((pa, mid)), np.concatenate((mid, pb)))
+        evaluations += 30 * n
+        subdivisions += n
+        k = keys(e)
+        # panel by panel in pop order: a vectorised sum rounds complex and
+        # real rows in different orders
+        for i, ((_, _, a, b, pval, perr, pl1), m) in enumerate(zip(popped, mid.tolist())):
+            j = n + i
+            val_sum = val_sum + ((v[i] + v[j]) - pval)
+            err_sum = err_sum + ((e[i] + e[j]) - perr)
+            l1_sum = l1_sum + ((l1[i] + l1[j]) - pl1)
+            heapq.heappush(heap, (k[i], counter, a, m, v[i], e[i], l1[i]))
+            heapq.heappush(heap, (k[j], counter + 1, m, b, v[j], e[j], l1[j]))
+            counter += 2
+    return result(True)
 
 
 def integrate_real_line(f, points=None) -> IntegralResult:

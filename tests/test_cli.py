@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import wml
+import wml.quad
 from wml.cli import main, parse_grid, parse_kernel, parse_model, parse_orders
 from wml.models import Cauchy, Gaussian, KernelSpec, SymmetricStable
 
@@ -194,6 +195,24 @@ def test_eval_hostile_char_fn_point_fails_within_one_budget(capsys):
                            "--kernel", "0.0709,7.028")
     panels = [int(n) for n in re.findall(r"after (\d+) panels", err)]
     assert code == 0 or (code == 2 and panels and max(panels) <= 4001)
+
+
+def test_eval_hostile_char_fn_point_fails_in_few_integrand_calls(capsys, monkeypatch):
+    # the same point: each round of the failing pass bisects a batch of
+    # panels from one integrand call, so the budget runs out in a few
+    # dozen calls, not one call per bisection
+    calls = []
+    kronrod = wml.quad._kronrod_panels
+
+    def panels(f, *ends):
+        calls.append(1)
+        return kronrod(f, *ends)
+
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", panels)
+    code, _, _ = run_cli(capsys, "eval", "--model", "stable:alpha=1.5,mu=-0.476,sigma=1.812",
+                         "--kernel", "0.0709,7.028", "--orders", "0,1,2,3,4")
+    assert code == 2
+    assert len(calls) <= 100
 
 
 def test_eval_narrow_window_far_from_a_wide_model_converges(capsys):

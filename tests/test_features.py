@@ -328,6 +328,39 @@ def test_subnormal_pairings_meet_a_target_floored_at_the_smallest_normal():
     assert np.all(np.abs(vals) < tiny) and np.all(errs < tiny)
 
 
+def test_near_underflow_jacobian_entries_are_bounded_by_their_errors():
+    # a unit window 54 model widths out: phi * f alone is subnormal near
+    # the pairing's peak, and x^12 times the score once magnified its
+    # rounding until the pass exhausted its budget; x^j now goes into
+    # phi first.  Truth: mpmath derivatives of the tilted-Gaussian form
+    import mpmath
+
+    def w(j, mu, sigma, s, c):
+        v = 1 / (1 / sigma**2 + 1 / s**2)
+        m = v * (mu / sigma**2 + c / s**2)
+        raw = [mpmath.mpf(1), m]
+        for i in range(2, j + 1):
+            raw.append(m * raw[-1] + (i - 1) * v * raw[-2])
+        t = sigma**2 + s**2
+        return mpmath.exp(-(mu - c) ** 2 / (2 * t)) / mpmath.sqrt(2 * mpmath.pi * t) * raw[j]
+
+    point = (0.0, 1.0, 1.0, 54.0)
+    spec = FeatureMapSpec(orders=tuple(range(13)))
+    vals, errs = weak_moment_jacobian(Gaussian(*point[:2]), KernelSpec(*point[2:]),
+                                      ("mu", "sigma"), ("s", "c"), spec)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    checked = 0
+    with mpmath.workdps(40):
+        for j in spec.orders:
+            for col in range(4):
+                grad = [1 if i == col else 0 for i in range(4)]
+                truth = float(mpmath.diff(lambda *p: w(j, *p), point, grad))
+                if abs(truth) >= tiny:
+                    checked += 1
+                    assert abs(vals[j, col] - truth) <= errs[j, col] + 4 * eps * abs(truth), (j, col)
+    assert checked > 0
+
+
 def test_rows_whose_first_estimate_is_zero_rank_their_panels_without_overflow():
     # a window 520 wide: on the char-fn route its transform misses every
     # first node, so five rows start with int |f| = 0 and a target at the

@@ -89,9 +89,17 @@ def test_nonconvergence_names_the_component_furthest_from_its_target(monkeypatch
         f"against a target of {target:.3e} after {res.evaluations // 15} panels")
 
 
-def test_one_integrand_call_for_the_initial_panels_and_one_per_bisection():
-    # the four panels between the breakpoints share one call; both halves
-    # of each bisection share another
+def test_one_integrand_call_for_the_initial_panels_and_one_per_round(monkeypatch):
+    # the four panels between the breakpoints share one call; each later
+    # call covers both halves of every panel bisected in its round
+    rounds = []
+    kronrod = wml.quad._kronrod_panels
+
+    def panels(f, a, b):
+        rounds.append((a, b))
+        return kronrod(f, a, b)
+
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", panels)
     sizes = []
 
     def f(x):
@@ -100,8 +108,25 @@ def test_one_integrand_call_for_the_initial_panels_and_one_per_bisection():
 
     res = integrate_real_line(f, points=[-1.0, 0.0, 2.0])
     bisections = (res.evaluations // 15 - 4) // 2
-    assert bisections > 0
-    assert sizes == [60] + [30] * bisections
+    assert sizes[0] == 60 and sum(sizes) == res.evaluations
+    for (a, b), size in zip(rounds[1:], sizes[1:]):
+        # the left halves of n panels, then their right halves
+        n = a.size // 2
+        assert size == 30 * n and np.array_equal(b[:n], a[n:])
+    assert sum(a.size // 2 for a, _ in rounds[1:]) == bisections
+    assert 0 < len(sizes) - 1 < bisections
+
+
+def test_a_round_never_pops_past_the_budget(monkeypatch):
+    # eight seeded panels, each far above the whole integral's target: a
+    # round would pop them all, but stops at the three bisections left
+    monkeypatch.setattr(wml.quad, "_MAX_SUBDIVISIONS", 3)
+    points = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+    panels = len(points) + 1
+    with pytest.raises(NonConvergence) as failure:
+        integrate_real_line(lambda x: np.cos(40.0 * x) ** 2 * np.exp(-x * x / 16.0), points)
+    assert failure.value.result.evaluations == 15 * (panels + 6)
+    assert str(failure.value).endswith(f"after {panels + 6} panels")
 
 
 def test_non_finite_integrand_raises():
