@@ -15,9 +15,11 @@ evaluation routes are provided:
 
       int f(x) psi(x) dx = (1 / 2 pi) int c(u) Psi(u) du,
 
-  and for psi(x) = x^j phi(x) with a Gaussian window the transform
-  Psi_j is available in closed form as a complex polynomial times the
-  transform of the window itself (a Hermite-derivative identity).
+  and for psi(x) = x^j phi(x) with a Gaussian window the identity
+  x phi = c phi - s^2 phi' gives the transforms Psi_j by a three-term
+  recurrence: with a = c - i s^2 u,
+
+      Psi_0 = exp(-iuc - s^2 u^2 / 2),  Psi_{j+1} = a Psi_j + j s^2 Psi_{j-1}.
 
 The tilted law f phi / w_0 supplies weak cumulants; the boundedness of
 x^j phi(x) supplies the influence bound.
@@ -123,27 +125,6 @@ class WeakCumulants:
         object.__setattr__(self, "kappa", k)
 
 
-def _window_transform_coeffs(j: int, k: KernelSpec) -> np.ndarray:
-    """Ascending coefficients of the polynomial P_j with
-
-        Psi_j(u) = int x^j phi(x) e^{-iux} dx = P_j(u) exp(-iuc - s^2 u^2 / 2).
-
-    Differentiating Psi_0 once per order gives the recursion
-    P_{j+1} = (c - i s^2 u) P_j + i P_j'.  It stops at the first
-    non-finite coefficient (j ~ 300 at s = 1), as every later P_j has one.
-    """
-    s2 = k.s * k.s
-    p = np.array([1.0 + 0.0j])
-    while p.size <= j and np.isfinite(p).all():
-        nxt = np.zeros(p.size + 1, dtype=complex)
-        nxt[: p.size] += k.c * p
-        nxt[1:] += -1j * s2 * p
-        if p.size > 1:
-            nxt[: p.size - 1] += 1j * p[1:] * np.arange(1, p.size)
-        p = nxt
-    return p
-
-
 def _weak_moments(m: ModelSpec, k: KernelSpec, spec: FeatureMapSpec) -> FeatureVector:
     """w_j for every j in ``spec.orders``, all from one adaptive pass."""
     route, res = _pairing_pass(m, k, spec, [None], ())
@@ -156,7 +137,7 @@ def weak_moment(m: ModelSpec, k: KernelSpec, j: int, spec: FeatureMapSpec | None
 
     ``spec.path`` selects the route (its orders are ignored): 'density'
     integrates against the model density, 'charfn' uses Parseval with
-    the closed-form window transform, 'auto' takes the density route
+    the window transform Psi_j, 'auto' takes the density route
     when the model has a density and the char-fn route otherwise.  The
     char-fn route needs a closed-form char fn; other models raise
     ``Unsupported`` there.
@@ -192,9 +173,13 @@ def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_param
         d/dlambda w_j = E[X^j d/dlambda phi(X)];
 
     on the char-fn route the Parseval pairing differentiates c(u) in
-    closed form (d/dtheta c = c d/dtheta log c) and the window transform
-    through d/dc Psi_j = (Psi_{j+1} - c Psi_j) / s^2 and
-    d/ds Psi_j = (Psi_{j+2} - 2c Psi_{j+1} + (c^2 - s^2) Psi_j) / s^3.
+    closed form (d/dtheta c = c d/dtheta log c), and the window transform
+    by Leibniz's rule on Psi_j = (i d/du)^j Psi_0, which reaches back to
+    lower orders only:
+
+        d/dc Psi_j = j Psi_{j-1} - iu Psi_j,
+        d/ds Psi_j = s (j (j-1) Psi_{j-2} - 2iju Psi_{j-1} - u^2 Psi_j).
+
     The route follows ``spec.path`` as in :func:`weak_moment`.
     """
     unknown = [name for name in model_params if name not in _SCORE_NAMES]
@@ -217,8 +202,8 @@ def _pairing_pass(m, k, spec, model_params, kernel_params):
     score_of = _score if route == "density" else _charfn_score
     scores = [None if name is None else score_of(m, _SCORE_NAMES[name]) for name in model_params]
     build = _density_rows if route == "density" else _charfn_rows
-    # at extreme orders x^j, P_j or its coefficients overflow; the inf or
-    # nan reaches the engine, which raises it as NonFiniteEvaluation
+    # at extreme orders x^j or Psi_j overflows; the inf or nan reaches the
+    # engine, which raises it as NonFiniteEvaluation
     with np.errstate(over="ignore", invalid="ignore"):
         f = build(m, k, spec.orders, scores, kernel_params)
         if route == "density":
@@ -261,25 +246,33 @@ def _density_rows(m, k, orders, scores, kernel_params):
 
 def _charfn_rows(m, k, orders, scores, kernel_params):
     """Char-fn-route integrand: per order j, Re c Psi_j / 2 pi times each
-    score (None: the value row), then Re c d/dlambda Psi_j / 2 pi."""
-    s, c = k.s, k.c
-    # the kernel columns reach Psi_{j+1} (d/dc) and Psi_{j+2} (d/ds)
-    reach = 2 if kernel_params else 0
-    coeffs = {i: _window_transform_coeffs(i, k) for j in orders for i in range(j, j + reach + 1)}
+    score (None: the value row), then Re c d/dlambda Psi_j / 2 pi.
+
+    Psi_j comes from the window-transform recurrence, rolled up to the
+    highest order with only the last three terms kept.  It stops at the
+    first non-finite Psi_j, and every higher order gets that Psi_j's rows,
+    so the engine raises at once rather than rolling on through inf/nan.
+    """
+    s2 = k.s * k.s
 
     def integrand(u):
         cf = char_fn(m, u)
-        window = np.exp(-1j * u * c - 0.5 * s * s * u * u) / (2.0 * np.pi)
-        psi = {i: np.polynomial.polynomial.polyval(u, p) * window for i, p in coeffs.items()}
         dcf = [cf if score is None else cf * score(u) for score in scores]
-        rows = []
-        for j in orders:
-            rows += [d * psi[j] for d in dcf]
+        iu = 1j * u
+        a = k.c - s2 * iu
+        psi = np.exp(-iu * k.c - 0.5 * s2 * u * u) / (2.0 * np.pi)
+        older = old = np.zeros_like(psi)
+        j, rows = 0, []
+        for order in orders:
+            while j < order and np.isfinite(psi).all():
+                older, old, psi = old, psi, a * psi + j * s2 * old
+                j += 1
+            rows += [d * psi for d in dcf]
             for name in kernel_params:
                 if name == "s":
-                    rows.append(cf * (psi[j + 2] - 2.0 * c * psi[j + 1] + (c * c - s * s) * psi[j]) / s**3)
+                    rows.append(cf * k.s * (j * (j - 1) * older - 2 * j * iu * old + iu * iu * psi))
                 else:
-                    rows.append(cf * (psi[j + 1] - c * psi[j]) / (s * s))
+                    rows.append(cf * (j * old - iu * psi))
         return np.real(rows)
 
     return integrand

@@ -212,9 +212,11 @@ def _adaptive(f, edges) -> IntegralResult:
     val_sum, err_sum, l1_sum = sum(vals), sum(errs), sum(l1s)
     evaluations = 15 * len(vals)
     target = lambda: np.maximum(_REL_TOL * l1_sum, _TINY)
-    met = lambda e: bool((e <= target()).all())
+    # l1_sum changes only between rounds, so each round's target is read once
+    goal = target()
+    met = lambda e: bool((e <= goal).all())
     # heap keys (-max_i(err_i / scale_i), tie): worst panel first
-    scale = target()
+    scale = goal
 
     def keys(e):
         with np.errstate(over="ignore", divide="ignore"):
@@ -232,7 +234,6 @@ def _adaptive(f, edges) -> IntegralResult:
                                               evaluations, converged)
 
     def failure():
-        goal = target()
         i = int(np.argmax(err_sum / goal))
         which = f"component {i} " if err_sum.size > 1 else ""
         return NonConvergence(f"adaptive quadrature: {which}error {err_sum[i]:.3e} against a target of "
@@ -274,6 +275,7 @@ def _adaptive(f, edges) -> IntegralResult:
             heapq.heappush(heap, (k[i], counter, a, m, v[i], e[i], l1[i]))
             heapq.heappush(heap, (k[j], counter + 1, m, b, v[j], e[j], l1[j]))
             counter += 2
+        goal = target()
     return result(True)
 
 

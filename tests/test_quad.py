@@ -129,6 +129,22 @@ def test_a_round_never_pops_past_the_budget(monkeypatch):
     assert str(failure.value).endswith(f"after {panels + 6} panels")
 
 
+def test_a_failing_pass_spends_its_budget_in_few_integrand_calls():
+    # about ten thousand oscillations cannot converge in 2000 bisections; each
+    # round bisects a batch of panels from one integrand call, so the
+    # budget runs out in a few dozen calls, not one call per bisection
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.cos(1e4 * x) * np.exp(-x * x)
+
+    with pytest.raises(NonConvergence) as failure:
+        integrate_real_line(f)
+    assert failure.value.result.evaluations == 15 * (1 + 2 * wml.quad._MAX_SUBDIVISIONS)
+    assert len(calls) <= 100
+
+
 def test_non_finite_integrand_raises():
     with pytest.raises(NonFiniteEvaluation):
         integrate_real_line(lambda x: np.where(np.abs(x) < 0.5, np.nan, 0.0))
