@@ -24,7 +24,7 @@ from .experiments import (
     run_experiment,
     sweep_kernel,
 )
-from .features import FeatureMapSpec, feature_map
+from .features import FeatureMapSpec
 from .geometry import DimensionMismatch, StepUnderflow, jacobian, metric_tensor, \
     numerical_rank, transversality_check
 from .models import (
@@ -208,12 +208,11 @@ def _cmd_eval(args) -> int:
         kfam = scale_kernel_family(c=kernel.c)
         lam = np.array([kernel.s])
 
-    feats = feature_map(fam, theta, kernel, spec)
     rep = jacobian(fam, kfam, theta, lam, spec)
     tensor = metric_tensor(rep)
-    rank = numerical_rank(rep.joint)
-    trans = transversality_check(rep, (), feats)
-    doc = eval_doc(args.model, kernel, spec, feats, tensor, rank, trans)
+    rank = numerical_rank(rep.joint, rep.error_estimates)
+    trans = transversality_check(rep, (), rep.features)
+    doc = eval_doc(args.model, kernel, spec, rep.features, tensor, rank, trans)
     if args.format == "csv":
         rows = [{"key": key, "value": val} for key, val in flatten_doc(doc)]
         text = dumps_csv(rows, ["key", "value"])

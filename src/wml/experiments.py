@@ -38,19 +38,20 @@ import numpy as np
 
 from .features import (
     FeatureMapSpec,
+    _feature_maps,
     feature_map,
     weak_cumulants,
-    weak_moment,
     weak_moment_jacobian,
 )
 from .geometry import (
     DimensionMismatch,
     MetricOverflow,
     StepUnderflow,
+    _jacobians,
     codimension_thresholds,
-    jacobian,
     metric_tensor,
     numerical_rank,
+    transversality_check,
 )
 from .models import (
     Cauchy,
@@ -58,6 +59,7 @@ from .models import (
     KernelSpec,
     NoDensity,
     StieltjesLogNormal,
+    SymmetricStable,
     Undefined,
     Unsupported,
     _score,
@@ -179,21 +181,18 @@ def _cauchy_submersion(tol):
     with s; that is the quantity whose strict positivity underwrites the
     rank-1 claim for a location family.
     """
-    fam = cauchy_family()
-    kfam = scale_kernel_family()
-    spec = FeatureMapSpec(orders=(0,), path="density")
-    mspec = FeatureMapSpec(orders=(2,), path="density")
+    grid = [(mu, s) for mu in np.linspace(-2.0, 2.0, 5) for s in np.linspace(0.5, 4.0, 5)]
+    reps = _jacobians(cauchy_family(), scale_kernel_family(), [([mu], [s]) for mu, s in grid],
+                      FeatureMapSpec(orders=(0,), path="density"))
+    w2s = _feature_maps([(Cauchy(mu), KernelSpec(s)) for mu, s in grid],
+                        FeatureMapSpec(orders=(2,), path="density"))
     rows = []
-    for mu in np.linspace(-2.0, 2.0, 5):
-        for s in np.linspace(0.5, 4.0, 5):
-            rep = jacobian(fam, kfam, [mu], [s], spec)
-            rank = numerical_rank(rep.joint).rank
-            w2 = weak_moment(Cauchy(mu), KernelSpec(s), 2, mspec).value
-            sensitivity = w2 / s**3
-            rows.append({"mu": float(mu), "s": float(s), "joint_rank": rank,
-                         "d_mu": float(rep.d_theta[0, 0]),
-                         "d_s": float(rep.d_lambda[0, 0]),
-                         "scale_sensitivity": sensitivity})
+    for (mu, s), rep, w2 in zip(grid, reps, w2s):
+        rank = numerical_rank(rep.joint, rep.error_estimates).rank
+        rows.append({"mu": float(mu), "s": float(s), "joint_rank": rank,
+                     "d_mu": float(rep.d_theta[0, 0]),
+                     "d_s": float(rep.d_lambda[0, 0]),
+                     "scale_sensitivity": float(w2.values[0]) / s**3})
     ranks = [row["joint_rank"] for row in rows]
     metrics = {"min_joint_rank": float(min(ranks)), "max_joint_rank": float(max(ranks)),
                "min_scale_sensitivity": min(row["scale_sensitivity"] for row in rows)}
@@ -221,26 +220,26 @@ def _lognormal_immersion(tol):
 
 def _behrens_fisher_w0(tol):
     spec = FeatureMapSpec(orders=(0,), path="density")
-    rows = []
-    for mu in (0.0, 1.0, 2.0):
-        for sigma in (0.5, 1.0, 2.0):
-            for s in (1.0, 3.0, 10.0):
-                got = weak_moment(Gaussian(mu, sigma), KernelSpec(s), 0, spec).value
-                v = sigma * sigma + s * s
-                closed = np.exp(-0.5 * mu * mu / v) / np.sqrt(2.0 * np.pi * v)
-                rel = abs(got - closed) / closed
-                rows.append({"mu": mu, "sigma": sigma, "s": s, "w0": got,
-                             "closed_form": float(closed), "rel_err": rel})
-
+    closed_grid = [(mu, sigma, s) for mu in (0.0, 1.0, 2.0) for sigma in (0.5, 1.0, 2.0)
+                   for s in (1.0, 3.0, 10.0)]
     # nuisance flattening at fixed mu: the sigma-spread of w0 shrinks with s
-    mu = 1.0
+    mu, scales, sigmas = 1.0, (1.0, 3.0, 10.0, 30.0), np.linspace(0.5, 2.0, 7)
+    spread_grid = [(mu, sg, s) for s in scales for sg in sigmas]
+    w0 = np.array([fv.values[0] for fv in _feature_maps(
+        [(Gaussian(m, sg), KernelSpec(s)) for m, sg, s in closed_grid + spread_grid], spec)])
+    rows = []
+    for (m, sigma, s), got in zip(closed_grid, w0):
+        v = sigma * sigma + s * s
+        closed = np.exp(-0.5 * m * m / v) / np.sqrt(2.0 * np.pi * v)
+        rel = abs(got - closed) / closed
+        rows.append({"mu": m, "sigma": sigma, "s": s, "w0": float(got),
+                     "closed_form": float(closed), "rel_err": float(rel)})
+
     spreads = {}
-    for s in (1.0, 3.0, 10.0, 30.0):
-        w0s = np.array([weak_moment(Gaussian(mu, sg), KernelSpec(s), 0, spec).value
-                        for sg in np.linspace(0.5, 2.0, 7)])
+    for s, w0s in zip(scales, w0[len(closed_grid):].reshape(len(scales), -1)):
         wbar = float(np.mean(w0s))
         spreads[s] = float(np.max(np.abs(w0s - wbar)) / wbar)
-    spread_vals = [spreads[s] for s in (1.0, 3.0, 10.0, 30.0)]
+    spread_vals = [spreads[s] for s in scales]
     decreasing = all(a > b for a, b in zip(spread_vals, spread_vals[1:]))
 
     metrics = {"max_w0_rel_err": max(row["rel_err"] for row in rows),
@@ -288,18 +287,16 @@ def _type0_charpath(tol):
                      "density_path": float("nan"), "rel_err": float("nan")})
 
     # alpha in {1, 2} twins against the closed-form densities
-    twins = [
-        ("stable(1)=cauchy", stable_family(1.0), [0.5, 1.0], cauchy_family(), [0.5]),
-        ("stable(2)=gaussian", stable_family(2.0), [0.5, 1.0 / np.sqrt(2.0)],
-         gaussian_family(), [0.5, 1.0]),
-    ]
+    labels = ("stable(1)=cauchy", "stable(2)=gaussian")
+    stables = (SymmetricStable(1.0, 0.5, 1.0), SymmetricStable(2.0, 0.5, 1.0 / np.sqrt(2.0)))
+    twins = (Cauchy(0.5), Gaussian(0.5, 1.0))
     cspec = FeatureMapSpec(orders=tuple(range(5)), path="charfn")
     dspec = FeatureMapSpec(orders=tuple(range(5)), path="density")
+    via_char = _feature_maps([(m, kernel) for m in stables], cspec)
+    via_dens = _feature_maps([(m, kernel) for m in twins], dspec)
     errs = []
-    for label, stable, stable_theta, twin, twin_theta in twins:
-        via_char = feature_map(stable, stable_theta, kernel, cspec).values
-        via_dens = feature_map(twin, twin_theta, kernel, dspec).values
-        for j, vc, vd in zip(cspec.orders, via_char, via_dens):
+    for label, fc, fd in zip(labels, via_char, via_dens):
+        for j, vc, vd in zip(cspec.orders, fc.values, fd.values):
             rel = abs(vc - vd) / abs(vd)
             errs.append(float(rel))
             rows.append({"model": label, "j": j, "charfn_path": float(vc),
@@ -420,31 +417,27 @@ def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult
 
 def sweep_kernel(fam, kfam, spec: FeatureMapSpec, lambda_grid, theta_grid):
     """Diagnostics on a (lambda, theta) grid: one row per pair, in grid
-    order, each with the metric-tensor and rank summaries."""
+    order, each with the metric-tensor and rank summaries.  The Jacobians
+    of all pairs come from stacked passes; the ranks count only singular
+    values above the entries' error estimates."""
     lambdas = [np.atleast_1d(np.asarray(l, dtype=float)) for l in lambda_grid]
     thetas = [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_grid]
     if not lambdas or not thetas:
         raise EmptyGrid("sweep grids must be non-empty")
-
-    def row(lam, th):
-        rep = jacobian(fam, kfam, th, lam, spec)
+    grid = [(th, lam) for lam in lambdas for th in thetas]
+    rows = []
+    for (th, lam), rep in zip(grid, _jacobians(fam, kfam, grid, spec)):
         g = metric_tensor(rep)
-        model_rank = numerical_rank(rep.d_theta).rank
-        joint_rank = numerical_rank(rep.joint).rank
-        out = {}
-        for name, value in zip(kfam.param_names, lam):
-            out[name] = float(value)
-        for name, value in zip(fam.param_names, th):
-            out[name] = float(value)
+        trans = transversality_check(rep, (), rep.features)
+        out = {name: float(v) for name, v in zip(kfam.param_names + fam.param_names, (*lam, *th))}
         out.update({
             "det_g": g.det,
             "condition_number": g.condition_number,
             "correlation_det": g.correlation_det,
-            "model_rank": model_rank,
-            "joint_rank": joint_rank,
-            "enrichment": joint_rank - model_rank,
-            "submersive": joint_rank == len(spec.orders),
+            "model_rank": trans.model_rank,
+            "joint_rank": trans.joint_rank,
+            "enrichment": trans.enrichment,
+            "submersive": trans.submersive,
         })
-        return out
-
-    return tuple(row(lam, th) for lam in lambdas for th in thetas)
+        rows.append(out)
+    return tuple(rows)

@@ -45,9 +45,10 @@ from .models import (
     char_fn,
     density,
     kernel_eval,
+    support,
     support_has_density,
 )
-from .quad import NonFiniteEvaluation, integrate_real_line
+from .quad import NonConvergence, NonFiniteEvaluation, QuadratureError, integrate_real_line
 
 __all__ = [
     "FeatureMapSpec",
@@ -125,11 +126,11 @@ class WeakCumulants:
         object.__setattr__(self, "kappa", k)
 
 
-def _weak_moments(m: ModelSpec, k: KernelSpec, spec: FeatureMapSpec) -> FeatureVector:
-    """w_j for every j in ``spec.orders``, all from one adaptive pass."""
-    route, res = _pairing_pass(m, k, spec, [None], ())
-    return FeatureVector(np.atleast_1d(res.value), np.atleast_1d(res.error_estimate),
-                         (route,) * len(spec.orders))
+def _feature_maps(points, spec: FeatureMapSpec) -> list:
+    """w_j for every j in ``spec.orders`` at each (model, kernel) point,
+    from stacked adaptive passes."""
+    return [FeatureVector(values, errors, (route,) * len(spec.orders))
+            for route, values, errors in _pairing_pass(points, spec, [None], ())]
 
 
 def weak_moment(m: ModelSpec, k: KernelSpec, j: int, spec: FeatureMapSpec | None = None) -> MomentEstimate:
@@ -143,7 +144,7 @@ def weak_moment(m: ModelSpec, k: KernelSpec, j: int, spec: FeatureMapSpec | None
     ``Unsupported`` there.
     """
     spec = FeatureMapSpec(orders=(j,)) if spec is None else replace(spec, orders=(j,))
-    fv = _weak_moments(m, k, spec)
+    fv = _feature_maps([(m, k)], spec)[0]
     return MomentEstimate(float(fv.values[0]), float(fv.errors[0]), fv.paths[0])
 
 
@@ -152,7 +153,7 @@ def feature_map(fam: ModelFamily, theta, k: KernelSpec, spec: FeatureMapSpec) ->
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.size != fam.p:
         raise ValueError(f"family {fam.name} expects {fam.p} parameters, got {theta.size}")
-    return _weak_moments(fam.make(theta), k, spec)
+    return _feature_maps([(fam.make(theta), k)], spec)[0]
 
 
 # model parameter name -> the score it selects in models._score
@@ -182,44 +183,93 @@ def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_param
 
     The route follows ``spec.path`` as in :func:`weak_moment`.
     """
-    unknown = [name for name in model_params if name not in _SCORE_NAMES]
+    _, values, errors = _pairing_pass([(m, k)], spec, model_params, kernel_params)[0]
+    shape = (len(spec.orders), len(model_params) + len(kernel_params))
+    return np.reshape(values, shape), np.reshape(errors, shape)
+
+
+# rows per stacked integrand call: one call holds its rows times the union
+# of its points' panels, so its memory would grow with points squared
+_STACK_ROWS = 32
+
+
+def _pairing_pass(points, spec, model_params, kernel_params):
+    """Adaptive passes over the rows of the pairing of each (model,
+    kernel) point: for each order j in ``spec.orders``, one row per entry
+    of ``model_params`` (None: w_j itself; a name: d/dtheta w_j) and one
+    per entry of ``kernel_params``.  Returns, per point, its route and
+    its value and error rows.
+
+    Points are grouped by route and support.  Consecutive points of a
+    group share one pass, a stack of at most ``_STACK_ROWS`` rows (or of
+    one point), written into one array, over the union of the points'
+    breakpoints.  A stack that raises a ``QuadratureError`` is split in
+    half and each half retried, so a point that converges alone
+    converges; alone, a point raises its error naming it, and for
+    ``NonConvergence`` the order and the column."""
+    unknown = [name for name in model_params if name is not None and name not in _SCORE_NAMES]
     unknown += [name for name in kernel_params if name not in ("s", "c")]
     if unknown:
         raise Unsupported(f"no analytic derivative for parameters {unknown}")
-    _, res = _pairing_pass(m, k, spec, model_params, kernel_params)
-    shape = (len(spec.orders), len(model_params) + len(kernel_params))
-    return np.reshape(res.value, shape), np.reshape(res.error_estimate, shape)
+    columns = [name or "value" for name in model_params] + list(kernel_params)
+    width = len(spec.orders) * len(columns)
+    groups = {}
+    for i, (m, k) in enumerate(points):
+        on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(m))
+        route = "density" if on_density else "charfn"
+        score_of = _score if route == "density" else _charfn_score
+        scores = [None if name is None else score_of(m, _SCORE_NAMES[name]) for name in model_params]
+        build = _density_rows if route == "density" else _charfn_rows
+        groups.setdefault((route, support(m) if on_density else "real"), []).append(
+            (i, m, k, build(m, k, spec.orders, scores, kernel_params)))
+    per_stack = max(1, _STACK_ROWS // width)
+    todo = [(route, group[start:start + per_stack]) for (route, _), group in groups.items()
+            for start in range(0, len(group), per_stack)]
+    out = [None] * len(points)
+    while todo:
+        route, stack = todo.pop(0)
 
+        def f(x, stack=stack):
+            rows = np.empty((width * len(stack), x.size))
+            for n, (*_, fill) in enumerate(stack):
+                fill(x, rows[n * width:(n + 1) * width])
+            return rows
 
-def _pairing_pass(m, k, spec, model_params, kernel_params):
-    """One adaptive pass over the rows of the pairing of ``m`` with ``k``:
-    for each order j in ``spec.orders``, one row per entry of
-    ``model_params`` (None: w_j itself; a name: d/dtheta w_j) and one per
-    entry of ``kernel_params``.  Returns the route and the
-    :class:`IntegralResult`."""
-    on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(m))
-    route = "density" if on_density else "charfn"
-    score_of = _score if route == "density" else _charfn_score
-    scores = [None if name is None else score_of(m, _SCORE_NAMES[name]) for name in model_params]
-    build = _density_rows if route == "density" else _charfn_rows
-    # at extreme orders x^j or Psi_j overflows; the inf or nan reaches the
-    # engine, which raises it as NonFiniteEvaluation
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = build(m, k, spec.orders, scores, kernel_params)
-        if route == "density":
-            return route, _integrate_support(m, f, _breakpoints(m, k))
         try:
-            return route, integrate_real_line(f)
-        except NonFiniteEvaluation as exc:  # the char-fn rows are functions of u
-            raise NonFiniteEvaluation(exc.points, "u") from None
+            # at extreme orders x^j or Psi_j overflows; the inf or nan
+            # reaches the engine, which raises it as NonFiniteEvaluation
+            with np.errstate(over="ignore", invalid="ignore"):
+                if route == "density":
+                    breaks = np.concatenate([_breakpoints(m, k) for _, m, k, _ in stack])
+                    res = _integrate_support(stack[0][1], f, breaks)
+                else:
+                    res = integrate_real_line(f)
+        except QuadratureError as exc:
+            if len(stack) > 1:
+                todo[:0] = [(route, stack[:len(stack) // 2]), (route, stack[len(stack) // 2:])]
+                continue
+            if route == "charfn" and isinstance(exc, NonFiniteEvaluation):
+                exc = NonFiniteEvaluation(exc.points, "u")  # the char-fn rows are functions of u
+            where = f"{stack[0][1]} with {stack[0][2]}"
+            if isinstance(exc, NonConvergence):
+                order, col = divmod(exc.component, len(columns))
+                where = f"order {spec.orders[order]}, column {columns[col]}, at {where}"
+            exc.args = (f"{exc}; {where}",)
+            raise exc from None
+        values = np.reshape(res.value, (len(stack), width))
+        errors = np.reshape(res.error_estimate, (len(stack), width))
+        for (i, *_), v, e in zip(stack, values, errors):
+            out[i] = (route, v, e)
+    return out
 
 
 def _density_rows(m, k, orders, scores, kernel_params):
-    """Density-route integrand: per order j, x^j phi f times each score
-    (None: the value row x^j phi f), then x^j f d/dlambda phi."""
+    """fill(x, out), writing the density-route rows into ``out``: per
+    order j, x^j phi f times each score (None: the value row x^j phi f),
+    then x^j f d/dlambda phi."""
     powers = np.array(orders)[:, None]
 
-    def integrand(x):
+    def fill(x, out):
         if kernel_params:
             phi, dphi_ds, dphi_dc = kernel_eval(k, x, derivs=True)
         else:
@@ -230,23 +280,28 @@ def _density_rows(m, k, orders, scores, kernel_params):
         # 0 the product is far below double range, while x^j alone may
         # overflow, so x^j is formed only where both are nonzero
         nz = (phi != 0.0) & (dens != 0.0)
+        rows = out.reshape(powers.size, -1, x.size)
+        if nz.all():  # slices, not masks
+            nz = slice(None)
+        else:
+            rows[..., ~nz] = 0.0
         xs, fs = x[nz], dens[nz]
         xj = xs ** powers
         base = xj * phi[nz] * fs
-        cols = [base if score is None else base * score(xs) for score in scores]
+        for col, score in enumerate(scores):
+            rows[:, col, nz] = base if score is None else base * score(xs)
         if kernel_params:
             dphi = {"s": dphi_ds, "c": dphi_dc}
-            cols += [xj * dphi[name][nz] * fs for name in kernel_params]
-        out = np.zeros((powers.size, len(cols), x.size))
-        out[:, :, nz] = np.stack(cols, axis=1)
-        return out.reshape(-1, x.size)
+            for col, name in enumerate(kernel_params, len(scores)):
+                rows[:, col, nz] = xj * dphi[name][nz] * fs
 
-    return integrand
+    return fill
 
 
 def _charfn_rows(m, k, orders, scores, kernel_params):
-    """Char-fn-route integrand: per order j, Re c Psi_j / 2 pi times each
-    score (None: the value row), then Re c d/dlambda Psi_j / 2 pi.
+    """fill(u, out), writing the char-fn-route rows into ``out``: per
+    order j, Re c Psi_j / 2 pi times each score (None: the value row),
+    then Re c d/dlambda Psi_j / 2 pi.
 
     Psi_j comes from the window-transform recurrence, rolled up to the
     highest order with only the last three terms kept.  It stops at the
@@ -255,27 +310,29 @@ def _charfn_rows(m, k, orders, scores, kernel_params):
     """
     s2 = k.s * k.s
 
-    def integrand(u):
+    def fill(u, out):
         cf = char_fn(m, u)
         dcf = [cf if score is None else cf * score(u) for score in scores]
         iu = 1j * u
         a = k.c - s2 * iu
         psi = np.exp(-iu * k.c - 0.5 * s2 * u * u) / (2.0 * np.pi)
         older = old = np.zeros_like(psi)
-        j, rows = 0, []
+        j, row = 0, 0
         for order in orders:
             while j < order and np.isfinite(psi).all():
                 older, old, psi = old, psi, a * psi + j * s2 * old
                 j += 1
-            rows += [d * psi for d in dcf]
+            rows = [d * psi for d in dcf]
             for name in kernel_params:
                 if name == "s":
                     rows.append(cf * k.s * (j * (j - 1) * older - 2 * j * iu * old + iu * iu * psi))
                 else:
                     rows.append(cf * (j * old - iu * psi))
-        return np.real(rows)
+            for z in rows:
+                out[row] = z.real
+                row += 1
 
-    return integrand
+    return fill
 
 
 def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
@@ -311,7 +368,7 @@ def weak_cumulants(m: ModelSpec, k: KernelSpec, J: int) -> WeakCumulants:
     if not support_has_density(m):
         raise NoDensity("weak cumulants need pointwise f phi (a density-bearing model)")
     spec = FeatureMapSpec(orders=tuple(range(J + 1)), path="density")
-    w = _weak_moments(m, k, spec).values
+    w = _feature_maps([(m, k)], spec)[0].values
     tilted = w[1:] / w[0]
     return WeakCumulants(moments_to_cumulants(tilted))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMapSpec, FeatureVector, feature_map, weak_moment_jacobian
+from .features import FeatureMapSpec, FeatureVector, _pairing_pass, feature_map
 from .models import KernelFamily, ModelFamily, Unsupported
 
 __all__ = [
@@ -69,11 +69,13 @@ class MetricOverflow(ValueError):
 @dataclass(frozen=True)
 class JacobianReport:
     """Derivative of the joint feature map at one point, with the
-    quadrature error estimate of every entry."""
+    quadrature error estimate of every entry, and the feature values
+    from the same pass."""
 
     d_theta: np.ndarray        # (K+1, p)
     d_lambda: np.ndarray       # (K+1, q)
     error_estimates: np.ndarray  # (K+1, p + q)
+    features: FeatureVector | None = None
 
     @property
     def joint(self) -> np.ndarray:
@@ -211,26 +213,34 @@ def jacobian(fam: ModelFamily, kfam: KernelFamily, theta, lam,
     strictly inside the family boxes; see
     :func:`wml.features.weak_moment_jacobian` for the integrals.  The
     family's parameters must be the model's own fields (as in every
-    catalog family)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if theta.size != fam.p:
-        raise DimensionMismatch(f"family {fam.name} expects {fam.p} parameters")
-    if lam.size != kfam.q:
-        raise DimensionMismatch(f"kernel family expects {kfam.q} parameters")
-    for x, (lo, hi) in zip(np.concatenate((theta, lam)), tuple(fam.box) + tuple(kfam.box)):
-        if not lo < x < hi:
-            raise StepUnderflow(f"point {x} is not interior to the box [{lo}, {hi}]")
+    catalog family).  The feature values come from the same pass."""
+    return _jacobians(fam, kfam, [(theta, lam)], spec)[0]
 
-    m = fam.make(theta)
-    if any(getattr(m, name, None) != value for name, value in zip(fam.param_names, theta)):
-        raise Unsupported(f"family {fam.name}: parameters {fam.param_names} are not fields of {m}")
-    full, errors = weak_moment_jacobian(m, kfam.make(lam), fam.param_names, kfam.param_names, spec)
-    return JacobianReport(
-        d_theta=full[:, : fam.p].copy(),
-        d_lambda=full[:, fam.p:].copy(),
-        error_estimates=errors,
-    )
+
+def _jacobians(fam: ModelFamily, kfam: KernelFamily, points, spec: FeatureMapSpec) -> list:
+    """:func:`jacobian` at every (theta, lam) of ``points``, each checked
+    as there, from stacked passes (see ``features._pairing_pass``)."""
+    pairs = []
+    for theta, lam in points:
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        if theta.size != fam.p:
+            raise DimensionMismatch(f"family {fam.name} expects {fam.p} parameters")
+        if lam.size != kfam.q:
+            raise DimensionMismatch(f"kernel family expects {kfam.q} parameters")
+        for x, (lo, hi) in zip(np.concatenate((theta, lam)), tuple(fam.box) + tuple(kfam.box)):
+            if not lo < x < hi:
+                raise StepUnderflow(f"point {x} is not interior to the box [{lo}, {hi}]")
+        m = fam.make(theta)
+        if any(getattr(m, name, None) != value for name, value in zip(fam.param_names, theta)):
+            raise Unsupported(f"family {fam.name}: parameters {fam.param_names} are not fields of {m}")
+        pairs.append((m, kfam.make(lam)))
+    reports = []
+    for route, values, errors in _pairing_pass(pairs, spec, (None, *fam.param_names), kfam.param_names):
+        v, e = np.reshape(values, (len(spec.orders), -1)), np.reshape(errors, (len(spec.orders), -1))
+        reports.append(JacobianReport(v[:, 1:fam.p + 1], v[:, fam.p + 1:], e[:, 1:],
+                                      FeatureVector(v[:, 0], e[:, 0], (route,) * len(spec.orders))))
+    return reports
 
 
 def metric_tensor(report: JacobianReport) -> MetricTensor:
@@ -254,23 +264,28 @@ def metric_tensor(report: JacobianReport) -> MetricTensor:
     return MetricTensor(matrix=g, det=det, condition_number=cond, correlation_det=corr_det)
 
 
-def numerical_rank(matrix) -> RankReport:
-    """Rank by singular-value thresholding at _RANK_TOL * sigma_max * max(m, n)."""
+def numerical_rank(matrix, errors=None) -> RankReport:
+    """Rank by singular-value thresholding at the larger of
+    _RANK_TOL * sigma_max * max(m, n) and |E|_F, the Frobenius norm of
+    the entries' error estimates ``errors``: by Weyl's inequality a
+    singular value moves by at most |E|_2 <= |E|_F, so one at or below
+    that floor may be zero."""
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite")
     sv = np.linalg.svd(a, compute_uv=False)
     smax = sv[0] if sv.size else 0.0
-    if smax == 0.0:
-        return RankReport(sv, 0, 0.0)
-    tol = _RANK_TOL * smax * max(a.shape)
+    floor = 0.0 if errors is None else float(np.linalg.norm(errors))
+    tol = max(_RANK_TOL * smax * max(a.shape), floor)
     return RankReport(sv, int(np.sum(sv > tol)), float(tol))
 
 
 def transversality_check(report: JacobianReport, strata, y) -> TransversalityReport:
     """Transversality verdicts for the joint map at one evaluation point.
 
-    If the joint Jacobian is surjective (rank K+1) every stratum verdict
+    Model and joint ranks count only singular values above the entries'
+    error estimates (see :func:`numerical_rank`).  If the joint Jacobian
+    is surjective (rank K+1) every stratum verdict
     is 'transversal'.  Otherwise each stratum within ``_INTERSECTION_TOL``
     of the point is tested by the component-wise criterion: stack the
     projections of the model and kernel blocks onto the stratum's normal
@@ -283,8 +298,9 @@ def transversality_check(report: JacobianReport, strata, y) -> TransversalityRep
         raise DimensionMismatch(f"feature point has size {yv.size}, Jacobian has {n_feat} rows")
 
     joint = report.joint
-    model_rank = numerical_rank(report.d_theta).rank
-    joint_rank = numerical_rank(joint).rank
+    p = report.d_theta.shape[1]
+    model_rank = numerical_rank(report.d_theta, report.error_estimates[:, :p]).rank
+    joint_rank = numerical_rank(joint, report.error_estimates).rank
     submersive = joint_rank == n_feat
 
     verdicts = []

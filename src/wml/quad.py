@@ -76,12 +76,14 @@ class NonConvergence(QuadratureError):
     split missed the target on its own, before the tolerance was met.
 
     Carries the best available estimate in ``result`` (``converged`` is
-    False there).
+    False there) and the index of the row furthest from its target in
+    ``component``.
     """
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result=None, component=0):
         super().__init__(message)
         self.result = result
+        self.component = component
 
 
 @dataclass(frozen=True)
@@ -169,8 +171,11 @@ def _kronrod_panels(f, a, b):
     ah = np.abs(hlgth)
     resk = rows @ _KRONROD
     resg = rows @ _GAUSS
-    resabs = np.abs(rows) @ _KRONROD * ah
-    resasc = np.abs(rows - 0.5 * resk[..., None]) @ _KRONROD * ah
+    # one buffer holds |rows|, then |rows - resk / 2|
+    buf = np.abs(rows)
+    resabs = buf @ _KRONROD * ah
+    dev = np.subtract(rows, 0.5 * resk[..., None], out=None if np.iscomplexobj(rows) else buf)
+    resasc = np.abs(dev, out=buf) @ _KRONROD * ah
     abserr = np.abs(resk - resg) * ah
     # where resasc is 0 the rescaled term is 0 and abserr stays as it is
     flat = resasc == 0.0
@@ -237,7 +242,7 @@ def _adaptive(f, edges) -> IntegralResult:
         i = int(np.argmax(err_sum / goal))
         which = f"component {i} " if err_sum.size > 1 else ""
         return NonConvergence(f"adaptive quadrature: {which}error {err_sum[i]:.3e} against a target of "
-                              f"{goal[i]:.3e} after {evaluations // 15} panels", result(False))
+                              f"{goal[i]:.3e} after {evaluations // 15} panels", result(False), i)
 
     while not met(err_sum):
         if subdivisions >= _MAX_SUBDIVISIONS or not heap:
@@ -279,11 +284,25 @@ def _adaptive(f, edges) -> IntegralResult:
     return result(True)
 
 
+def _on_nodes(fx, w, good):
+    """fx * w at the nodes where ``good`` and 0 at the others, written
+    into fx (an integrand returns a new array on every call) where that
+    gives the same array; with every node good that is the result."""
+    inplace = isinstance(fx, np.ndarray) and fx.flags.writeable and np.result_type(fx, w) == fx.dtype
+    fx = np.multiply(fx, w, out=fx if inplace else None)
+    if good.all():
+        return fx
+    vals = np.zeros(fx.shape[:-1] + good.shape, dtype=fx.dtype)
+    vals[..., good] = fx
+    return vals
+
+
 def integrate_real_line(f, points=None) -> IntegralResult:
     """Approximate the integral of ``f`` over the whole real line.
 
-    ``f`` must accept an ndarray of n points and return n finite values,
-    or an (m, n) array for m integrands sharing one panel tree; it must
+    ``f`` must accept an ndarray of n points and return a new array of n
+    finite values, or of (m, n) values for m integrands sharing one panel
+    tree (the pass scales that array in place); it must
     be absolutely integrable.  Uses the substitution
     ``x = t / (1 - t^2)`` with Jacobian ``(1 + t^2) / (1 - t^2)^2``.
     Beyond the representable floating-point range (|x| > ~1e150) the
@@ -299,10 +318,7 @@ def integrate_real_line(f, points=None) -> IntegralResult:
         one = 1.0 - tt
         good = one > 1e-150
         one = one[good]
-        fx = f(t[good] / one) * ((1.0 + tt[good]) / (one * one))
-        vals = np.zeros(fx.shape[:-1] + t.shape, dtype=fx.dtype)
-        vals[..., good] = fx
-        return vals
+        return _on_nodes(f(t[good] / one), (1.0 + tt[good]) / (one * one), good)
 
     edges = [-1.0, 1.0]
     if points is not None:
@@ -335,10 +351,7 @@ def integrate_half_line(f, points=None) -> IntegralResult:
     def substituted(y):
         good = np.abs(y) < 64.0
         x = np.exp(y[good])
-        fx = f(x) * x
-        vals = np.zeros(fx.shape[:-1] + y.shape, dtype=fx.dtype)
-        vals[..., good] = fx
-        return vals
+        return _on_nodes(f(x), x, good)
 
     if points is not None:
         x = np.asarray(points, dtype=float)

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wml
+import wml.quad
 from wml.cli import main, parse_grid, parse_kernel, parse_model, parse_orders
 from wml.models import Cauchy, Gaussian, KernelSpec, SymmetricStable
 
@@ -128,6 +130,30 @@ def test_eval_document(capsys):
     assert len(doc["features"]["values"]) == 3
     assert doc["transversality"]["joint_rank"] == doc["joint_rank_report"]["rank"]
     assert len(doc["metric_tensor"]["matrix"]) == 2
+
+
+def test_eval_is_one_adaptive_pass(capsys, monkeypatch):
+    # the features come from the value rows of the Jacobian's own pass
+    calls = []
+    adaptive = wml.quad._adaptive
+    monkeypatch.setattr(wml.quad, "_adaptive", lambda *a: calls.append(1) or adaptive(*a))
+    for model, kernel in (("gaussian:mu=0.3,sigma=1.2", "1,0.2"), ("stable:alpha=1.5", "1"),
+                          ("lognormal", "0.8")):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "eval", "--model", model, "--kernel", kernel, "--orders", "0,1,2")
+        assert code == 0 and len(calls) == 1
+        assert all(np.isfinite(json.loads(out)["features"]["values"]))
+
+
+def test_sweep_rank_counts_only_singular_values_above_their_error(capsys):
+    # d/dmu w_0 of Cauchy(0) vanishes by symmetry, and its computed value
+    # lies far below its error estimate: the model's information is
+    # singular there, and kernel variation restores submersion
+    code, out, _ = run_cli(capsys, "sweep", "--model", "cauchy:mu=0", "--orders", "0",
+                           "--s", "0.5:4:2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["model_rank"], r["joint_rank"], r["enrichment"]) for r in rows] == [(0, 1, 1)] * 2
 
 
 def test_eval_two_sample_is_config_error(capsys):

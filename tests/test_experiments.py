@@ -126,7 +126,7 @@ def test_metric_overflow_is_reported_not_raised(monkeypatch):
     # the result carries the diagnostic instead
     huge = JacobianReport(d_theta=np.full((3, 2), 1e200), d_lambda=np.zeros((3, 1)),
                           error_estimates=np.zeros((3, 3)))
-    monkeypatch.setattr(wml.experiments, "jacobian", lambda *a: huge)
+    monkeypatch.setattr(wml.experiments, "_jacobians", lambda fam, kfam, points, spec: [huge] * len(points))
     res = run_experiment("singular-limit")
     assert res.passed is False
     assert res.metrics == {"numeric_failure": 1.0}

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 import wml.quad
+from wml.experiments import sweep_kernel
 from wml.features import (
     FeatureMapSpec,
+    _pairing_pass,
     feature_map,
     influence_bound,
     influence_value,
@@ -27,14 +29,23 @@ from wml.models import (
     StieltjesLogNormal,
     SymmetricStable,
     Unsupported,
+    _breakpoints,
+    _charfn_score,
+    _integrate_support,
+    _score,
     canonical_family,
+    cauchy_family,
+    char_fn,
     density,
     gaussian_family,
+    kernel_eval,
     lognormal_family,
     scale_center_kernel_family,
+    scale_kernel_family,
     stable_family,
+    support_has_density,
 )
-from wml.quad import NonConvergence
+from wml.quad import NonConvergence, NonFiniteEvaluation
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 UNIT_KERNEL = KernelSpec(1.0, 0.0)
@@ -236,6 +247,159 @@ def test_one_adaptive_pass_per_call(monkeypatch):
     calls.clear()
     weak_moment(Gaussian(0.3, 1.2), UNIT_KERNEL, 3)
     assert len(calls) == 1
+
+
+def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
+    """The one-point pass as written before points were stacked: every
+    row from arrays of its own, stacked into a fresh array, over the
+    point's own breakpoints.  Returns (values, errors)."""
+    route = "density" if spec.path == "density" or (spec.path == "auto" and support_has_density(m)) \
+        else "charfn"
+    score_of = _score if route == "density" else _charfn_score
+    scores = [None if n is None else score_of(m, {"mu": "location", "sigma": "scale", "a": "a"}[n])
+              for n in model_params]
+    powers = np.array(spec.orders)[:, None]
+
+    def density_rows(x):
+        phi, dphi_ds, dphi_dc = kernel_eval(k, x, derivs=True)
+        dens = density(m, x)
+        nz = (phi != 0.0) & (dens != 0.0)
+        xs, fs = x[nz], dens[nz]
+        xj = xs ** powers
+        base = xj * phi[nz] * fs
+        cols = [base if score is None else base * score(xs) for score in scores]
+        cols += [xj * {"s": dphi_ds, "c": dphi_dc}[name][nz] * fs for name in kernel_params]
+        out = np.zeros((powers.size, len(cols), x.size))
+        out[:, :, nz] = np.stack(cols, axis=1)
+        return out.reshape(-1, x.size)
+
+    def charfn_rows(u):
+        s2, cf = k.s * k.s, char_fn(m, u)
+        dcf = [cf if score is None else cf * score(u) for score in scores]
+        iu = 1j * u
+        psi = np.exp(-iu * k.c - 0.5 * s2 * u * u) / (2.0 * np.pi)
+        older = old = np.zeros_like(psi)
+        j, rows = 0, []
+        for order in spec.orders:
+            while j < order:
+                older, old, psi = old, psi, (k.c - s2 * iu) * psi + j * s2 * old
+                j += 1
+            rows += [d * psi for d in dcf]
+            rows += [cf * k.s * (j * (j - 1) * older - 2 * j * iu * old + iu * iu * psi) if name == "s"
+                     else cf * (j * old - iu * psi) for name in kernel_params]
+        return np.real(rows)
+
+    if route == "density":
+        res = _integrate_support(m, density_rows, _breakpoints(m, k))
+    else:
+        res = wml.quad.integrate_real_line(charfn_rows)
+    return res.value, res.error_estimate
+
+
+def seeded_points(rng, n):
+    """n (model, kernel, model_params) triples per family, over both
+    routes and both supports."""
+    out = []
+    for _ in range(n):
+        k = KernelSpec(float(np.exp(rng.uniform(-1.5, 1.5))), float(rng.uniform(-2.0, 2.0)))
+        mu, sigma = float(rng.uniform(-2.0, 2.0)), float(np.exp(rng.uniform(-1.0, 1.0)))
+        out += [(Gaussian(mu, sigma), k, ("mu", "sigma")), (Cauchy(mu), k, ("mu",)),
+                (LogNormal(0.5 * mu, 0.5 * sigma), k, ("mu", "sigma")),
+                (StieltjesLogNormal(0.4 * mu), k, ("a",)),
+                (SymmetricStable(float(rng.uniform(1.1, 1.9)), mu, sigma), k, ("mu", "sigma"))]
+    return out
+
+
+def test_one_point_pass_is_the_unstacked_pass_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for m, k, model_params in seeded_points(rng, 4):
+        for path in ("density", "charfn", "auto"):
+            spec = FeatureMapSpec((0, 1, 3), path=path)
+            if (path == "density" and not support_has_density(m)) or \
+                    (path == "charfn" and isinstance(m, (LogNormal, StieltjesLogNormal))):
+                continue
+            for cols in ((None,), (None, *model_params), model_params):
+                [(_, values, errors)] = _pairing_pass([(m, k)], spec, cols, ("s", "c"))
+                ref_values, ref_errors = unstacked_one_point_pass(m, k, spec, cols, ("s", "c"))
+                assert values.tobytes() == ref_values.tobytes(), (m, k, path, cols)
+                assert errors.tobytes() == ref_errors.tobytes(), (m, k, path, cols)
+
+
+def test_stacked_points_agree_with_each_point_alone():
+    # a stacked point has a finer panel tree than it has alone, never a
+    # worse one: both estimates lie within the sum of their errors
+    rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
+    points = seeded_points(rng, 12)
+    for path in ("auto", "charfn"):
+        spec = FeatureMapSpec((0, 1, 2), path=path)
+        for kind in (Gaussian, Cauchy, LogNormal, StieltjesLogNormal, SymmetricStable):
+            group = [(m, k) for m, k, _ in points if isinstance(m, kind)]
+            cols = next(c for m, _, c in points if isinstance(m, kind))
+            if path == "charfn" and kind in (LogNormal, StieltjesLogNormal):
+                continue
+            stacked = _pairing_pass(group, spec, (None, *cols), ("s",))
+            for (m, k), (route, values, errors) in zip(group, stacked):
+                [(alone_route, alone, alone_errors)] = _pairing_pass([(m, k)], spec, (None, *cols), ("s",))
+                assert route == alone_route
+                assert np.all(np.abs(values - alone) <= errors + alone_errors + 4 * eps * np.abs(alone)), (m, k)
+
+
+def test_a_stack_of_points_that_converge_alone_converges(monkeypatch):
+    # shifted copies of a narrow window far out in a wide model (once out
+    # of budget) and of a unit window 54 model widths out (once near
+    # underflow), four points to a stack: no stack has to split
+    calls = []
+    adaptive = wml.quad._adaptive
+    monkeypatch.setattr(wml.quad, "_adaptive", lambda *a: calls.append(1) or adaptive(*a))
+    points = []
+    for d in (0.0, 1.5, -2.25, 3.0, -4.0, 0.75, 2.0, -1.0):
+        points += [(Gaussian(-1.388 + d, 5.56), KernelSpec(0.051, -6.754 + d)),
+                   (Gaussian(d, 1.0), KernelSpec(1.0, 54.0 + d))]
+    spec = FeatureMapSpec((0, 1))
+    stacked = _pairing_pass(points, spec, ("mu", "sigma"), ("s", "c"))
+    assert len(calls) == len(points) // (wml.features._STACK_ROWS // 8)
+    eps = np.finfo(float).eps
+    for point, (_, values, errors) in zip(points, stacked):
+        [(_, alone, alone_errors)] = _pairing_pass([point], spec, ("mu", "sigma"), ("s", "c"))
+        assert np.all(np.abs(values - alone) <= errors + alone_errors + 4 * eps * np.abs(alone)), point
+
+
+def test_a_hostile_point_in_a_stack_raises_its_own_error():
+    # d/ds Psi_300 overflows for a window 2 wide, not for one 0.3 wide: the
+    # stack splits until the wide window is alone, and its error names it
+    spec = FeatureMapSpec((0, 300))
+    benign = (SymmetricStable(1.5, 0.0, 1.0), KernelSpec(0.3))
+    hostile = (SymmetricStable(1.5, 0.5, 1.0), KernelSpec(2.0))
+    with pytest.raises(NonFiniteEvaluation, match=r"u=\[.*; SymmetricStable\(alpha=1.5, mu=0.5, sigma=1.0\) "
+                                                  r"with KernelSpec\(s=2.0, c=0.0\)$"):
+        _pairing_pass([benign, benign, hostile, benign], spec, (None,), ("s",))
+
+
+def test_nonconvergence_names_the_point_order_and_column(one_bisection):
+    with pytest.raises(NonConvergence) as info:
+        weak_moment_jacobian(Gaussian(0.3, 0.01), UNIT_KERNEL, ("mu", "sigma"), ("s",),
+                             FeatureMapSpec((0, 1, 2)))
+    order, col = divmod(info.value.component, 3)
+    assert str(info.value).endswith(f"; order {order}, column {('mu', 'sigma', 's')[col]}, "
+                                    f"at Gaussian(mu=0.3, sigma=0.01) with KernelSpec(s=1.0, c=0.0)")
+
+
+def test_no_integrand_call_carries_more_rows_than_the_cap(monkeypatch):
+    widest = []
+    kronrod = wml.quad._kronrod_panels
+
+    def panels(f, a, b):
+        out = kronrod(f, a, b)
+        widest.append(out[0].shape[1])
+        return out
+
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", panels)
+    mus = np.linspace(-2.0, 2.0, 25)
+    rows = sweep_kernel(cauchy_family(), scale_kernel_family(), FeatureMapSpec((0, 1)),
+                        [(s,) for s in np.geomspace(1.0, 100.0, 12)], [(mu,) for mu in mus])
+    assert len(rows) == 300
+    assert 1 < max(widest) <= wml.features._STACK_ROWS
 
 
 _KERNELS = scale_center_kernel_family()

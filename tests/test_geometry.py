@@ -237,6 +237,31 @@ def test_numerical_rank_examples():
     assert np.all(np.diff(rep.singular_values) <= 0)
 
 
+def test_numerical_rank_counts_only_singular_values_above_the_error_norm():
+    # Weyl: a singular value moves by at most |E|_2 <= |E|_F under the
+    # entries' errors E, so one below |E|_F may be zero
+    a = np.diag([1.0, 1e-6])
+    assert numerical_rank(a, np.zeros((2, 2))).rank == numerical_rank(a).rank == 2
+    assert numerical_rank(a, np.full((2, 2), 1e-8)).rank == 2
+    rep = numerical_rank(a, np.full((2, 2), 1e-6))
+    assert rep.rank == 1 and rep.tol_used == pytest.approx(2e-6)
+    assert numerical_rank([[2.8e-18]], [[7.2e-13]]).rank == 0
+
+
+def test_jacobian_reads_singular_information_off_its_errors():
+    # d/dmu w_0 of Cauchy(0) under a centred window is 0 by symmetry; the
+    # pass returns it as rounding far below its error estimate.  The
+    # features come from the same pass, within its errors of feature_map
+    spec = FeatureMapSpec(orders=(0,))
+    rep = jacobian(cauchy_family(), scale_kernel_family(), [0.0], [1.0], spec)
+    fv = feature_map(cauchy_family(), [0.0], KernelSpec(1.0), spec)
+    assert rep.features.paths == fv.paths
+    assert abs(rep.features.values[0] - fv.values[0]) <= rep.features.errors[0] + fv.errors[0]
+    report = transversality_check(rep, (), rep.features)
+    assert (report.model_rank, report.joint_rank, report.enrichment) == (0, 1, 1)
+    assert report.submersive
+
+
 def test_numerical_rank_invariances():
     rng = np.random.default_rng(17)
     for _ in range(10):

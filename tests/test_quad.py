@@ -288,3 +288,49 @@ def test_breakpoints_reveal_a_narrow_peak():
     # points outside the half-line are dropped
     on_half = integrate_half_line(peak, points=np.concatenate(([-1.0, 0.0, np.inf], points)))
     assert on_half.value == pytest.approx(1.0, rel=1e-10)
+
+
+def test_scaling_in_place_leaves_every_result_bit_identical():
+    # reference: the substitutions as first written, scaling into a fresh
+    # zero-filled array, run by the same engine
+    def real_line(f):
+        def transformed(t):
+            tt = t * t
+            one = 1.0 - tt
+            good = one > 1e-150
+            one = one[good]
+            fx = f(t[good] / one) * ((1.0 + tt[good]) / (one * one))
+            vals = np.zeros(fx.shape[:-1] + t.shape, dtype=fx.dtype)
+            vals[..., good] = fx
+            return vals
+        return transformed
+
+    def half_line(f):
+        def substituted(y):
+            good = np.abs(y) < 64.0
+            x = np.exp(y[good])
+            fx = f(x) * x
+            vals = np.zeros(fx.shape[:-1] + y.shape, dtype=fx.dtype)
+            vals[..., good] = fx
+            return vals
+        return substituted
+
+    def read_only(x):
+        out = 1.0 / (1.0 + x * x)
+        out.flags.writeable = False
+        return out
+
+    rows = np.array([0.5, 1.0, 3.0])[:, None]
+    cases = [lambda x: np.exp(-rows * x * x) * np.cos(x), read_only, lambda x: np.exp(1j * x - x * x)]
+    for f in cases:
+        got = integrate_real_line(f)
+        want = wml.quad._adaptive(real_line(f), [-1.0, 1.0])
+        assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
+        assert np.asarray(got.error_estimate).tobytes() == np.asarray(want.error_estimate).tobytes()
+    # the log-normal power rows reach past the |log x| <= 64 clip
+    n = np.arange(4.0)[:, None]
+    g = lambda x: np.exp((n - 1.0) * np.log(x) - 0.5 * np.log(x) ** 2 - 0.5 * n * n)
+    got = integrate_half_line(g)
+    want = wml.quad._adaptive(real_line(half_line(g)), [-1.0, 1.0])
+    assert got.value.tobytes() == want.value.tobytes()
+    assert got.error_estimate.tobytes() == want.error_estimate.tobytes()
