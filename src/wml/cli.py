@@ -205,7 +205,7 @@ def _cmd_eval(args) -> int:
         kfam = scale_center_kernel_family()
         lam = np.array([kernel.s, kernel.c])
     else:
-        kfam = scale_kernel_family(c=kernel.c)
+        kfam = scale_kernel_family()
         lam = np.array([kernel.s])
 
     rep = jacobian(fam, kfam, theta, lam, spec)

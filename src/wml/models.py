@@ -414,7 +414,6 @@ class KernelFamily:
 
     mode: str = "scale"  # "scale" | "scale-center"
     box: tuple = ((0.05, 100.0),)
-    fixed_c: float = 0.0
 
     def __post_init__(self):
         if self.mode not in ("scale", "scale-center"):
@@ -437,7 +436,7 @@ class KernelFamily:
         if lam.size != self.q:
             raise ValueError(f"expected {self.q} kernel parameters, got {lam.size}")
         if self.mode == "scale":
-            return KernelSpec(s=float(lam[0]), c=self.fixed_c)
+            return KernelSpec(s=float(lam[0]))
         return KernelSpec(s=float(lam[0]), c=float(lam[1]))
 
 
@@ -471,8 +470,8 @@ def stable_family(alpha: float) -> ModelFamily:
                        ((-5.0, 5.0), (0.05, 10.0)))
 
 
-def scale_kernel_family(c: float = 0.0) -> KernelFamily:
-    return KernelFamily("scale", (_SCALE_BOX,), fixed_c=c)
+def scale_kernel_family() -> KernelFamily:
+    return KernelFamily("scale", (_SCALE_BOX,))
 
 
 def scale_center_kernel_family() -> KernelFamily:

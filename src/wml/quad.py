@@ -21,17 +21,16 @@ for a one-signed integrand it is ``rel_tol * |value|``, and it sits at
 least 2x above the engine's own 50 ulp error floor when
 ``rel_tol >= 100 eps``.  It stops only at the smallest normal float,
 below which an integrand's values are subnormal and carry no relative
-precision.  The price falls on
-integrands that cancel: their reported error is ``rel_tol`` of
-int |f|, not of the (smaller) value.
+precision.  The price falls on integrands that cancel: their reported
+error is ``rel_tol`` of int |f|, not of the (smaller) value.
 
 There is one code path.  An integrand returns n values for n nodes, or
 an (m, n) array: m integrals over one shared panel tree, each held to
 its own target; a 1-D integrand is the case m = 1, and its value and
-error come back as scalars.  Panels are evaluated in batches: one
-integrand call covers all initial panels, and each later round pops
-the worst panels until the error left would meet every target, then
-bisects them all from one call.
+error come back as scalars.  The panel tree is a table of arrays, and
+panels are evaluated in batches: one integrand call covers all initial
+panels, and each later round bisects, from one call, the shortest
+worst-first run of panels whose removal would meet every target.
 
 The half-line is reduced to the real line by the logarithmic
 substitution ``x = e^y``, so endpoint behaviour at 0 becomes ordinary
@@ -43,7 +42,6 @@ with a numpy array of nodes and must return an array of values.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +70,8 @@ class NonFiniteEvaluation(QuadratureError):
 
 
 class NonConvergence(QuadratureError):
-    """The subdivision budget was exhausted, or a panel too narrow to
-    split missed the target on its own, before the tolerance was met.
+    """The subdivision budget ran out, or no panel was left to bisect,
+    before the tolerance was met.
 
     Carries the best available estimate in ``result`` (``converged`` is
     False there) and the index of the row furthest from its target in
@@ -90,8 +88,7 @@ class NonConvergence(QuadratureError):
 class IntegralResult:
     """Outcome of one adaptive integration; for an (m, n)-valued
     integrand ``value`` and ``error_estimate`` have shape (m,).
-    ``converged`` is False only on the result a ``NonConvergence``
-    carries."""
+    ``converged`` is False only on the result a ``NonConvergence`` carries."""
 
     value: complex
     error_estimate: float
@@ -137,10 +134,16 @@ _GAUSS[14] = _WG[3]
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-_HUGE = np.finfo(float).max
 _FLOOR_MIN = _TINY / (50.0 * _EPS)  # below this the 50 ulp floor would underflow
 _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 2000
+
+
+def _as_real(op, z):
+    """op(z), on a complex z's real and imaginary parts as on real arrays."""
+    if not np.iscomplexobj(z):
+        return op(z)
+    return op(np.ascontiguousarray(z.real)) + 1j * op(np.ascontiguousarray(z.imag))
 
 
 def _kronrod_panels(f, a, b):
@@ -169,8 +172,8 @@ def _kronrod_panels(f, a, b):
     # of its own, whatever P is
     rows = np.ascontiguousarray(fv.reshape(-1, centr.size, 15).transpose(1, 0, 2))
     ah = np.abs(hlgth)
-    resk = rows @ _KRONROD
-    resg = rows @ _GAUSS
+    resk = _as_real(lambda r: r @ _KRONROD, rows)
+    resg = _as_real(lambda r: r @ _GAUSS, rows)
     # one buffer holds |rows|, then |rows - resk / 2|
     buf = np.abs(rows)
     resabs = buf @ _KRONROD * ah
@@ -189,99 +192,71 @@ def _adaptive(f, edges) -> IntegralResult:
     starting from the panels between consecutive ``edges``.
 
     Every integrand is m rows sharing one panel tree (m = 1 for a 1-D
-    integrand).  Each panel carries its value, error and int |f| per
-    row, and the pass keeps their running sums.  Row i has met its
-    target when ``err_i <= _REL_TOL * int |f_i|``, a target never set
+    integrand), held as a table of arrays: each panel's ends and, per
+    row, its value, error and int |f|.  Row i has met its target when
+    its summed ``err_i <= _REL_TOL * int |f_i|``, a target never set
     below the smallest normal float: a row that small is built from
     subnormal values, which carry no relative precision (a row whose
-    int |f| is 0 has error 0 and is met at once).  The pass returns when
-    every row has met its target.
+    int |f| is 0 has error 0 and is met at once).
 
-    One integrand call covers all initial panels.  Each later round pops
-    panels worst-first, by the largest err_i / scale_i, with scale_i the
-    target of row i at the first estimate (for m = 1 the order of err
-    itself; ratios that overflow rank first, by log2), until the error
-    left in every row would meet its target; one integrand call then
-    covers both halves of every popped panel, and the sums are updated
-    panel by panel in pop order.  A 1-D integrand's value and error come
-    back as scalars.
+    One integrand call covers all initial panels.  Panels rank by
+    max_i(log2 err_i - log2 scale_i), scale_i being row i's target at
+    the first estimate; one too narrow to split, or with error 0 in every
+    row, ranks last and is never bisected.  Until every row has met its
+    target, each round bisects, from one integrand call, the shortest
+    worst-first run of panels whose removal would meet every target: the
+    left halves replace their panels, the right halves are appended.
 
     Raises ``NonConvergence`` when the ``_MAX_SUBDIVISIONS`` bisections
-    run out first (a round never pops past them), or when the panels too
-    narrow to split miss the target on their own; the message names the
-    component furthest from its target.  Both settings are read at call
-    time.
+    run out first (a round never bisects past them), or when no panel
+    left can be bisected, as when the error sits in panels narrower than
+    one ulp; the message names the component furthest from its target.
+    Both settings are read at call time.
     """
-    edges = np.asarray(edges, dtype=float)
-    vals, errs, l1s, scalar = _kronrod_panels(f, edges[:-1], edges[1:])
-    val_sum, err_sum, l1_sum = sum(vals), sum(errs), sum(l1s)
-    evaluations = 15 * len(vals)
-    target = lambda: np.maximum(_REL_TOL * l1_sum, _TINY)
-    # l1_sum changes only between rounds, so each round's target is read once
-    goal = target()
-    met = lambda e: bool((e <= goal).all())
-    # heap keys (-max_i(err_i / scale_i), tie): worst panel first
-    scale = goal
+    # copies, as the table is written in place (edges[:-1] and edges[1:] would overlap)
+    a, b = np.array(edges[:-1], dtype=float), np.array(edges[1:], dtype=float)
+    vals, errs, l1s, scalar = _kronrod_panels(f, a, b)
+    log_scale = np.log2(np.maximum(_REL_TOL * l1s.sum(axis=0), _TINY))
 
-    def keys(e):
-        with np.errstate(over="ignore", divide="ignore"):
-            return [(-r, 0.0) if r < np.inf else (-_HUGE, -float(np.max(np.log2(p) - np.log2(scale))))
-                    for r, p in zip((e / scale).max(axis=1).tolist(), e)]
+    pick = 0 if scalar else slice(None)  # a 1-D integrand's value and error are scalars
 
-    heap = list(zip(keys(errs), range(len(vals)), edges[:-1].tolist(), edges[1:].tolist(),
-                    vals, errs, l1s))
-    heapq.heapify(heap)
-    counter = len(heap)
-    subdivisions = 0
-    stuck_err = 0.0  # panels too narrow to split further
-    result = lambda converged: IntegralResult(val_sum[0] if scalar else val_sum,
-                                              err_sum[0] if scalar else err_sum,
-                                              evaluations, converged)
+    def rank(a, b, errs):
+        with np.errstate(divide="ignore"):
+            keys = np.maximum.reduce(np.log2(errs) - log_scale, axis=1)
+        return np.where(np.nextafter(a, b) < b, keys, -np.inf)  # else 0.5 * (a + b) is a or b
 
-    def failure():
-        i = int(np.argmax(err_sum / goal))
-        which = f"component {i} " if err_sum.size > 1 else ""
-        return NonConvergence(f"adaptive quadrature: {which}error {err_sum[i]:.3e} against a target of "
-                              f"{goal[i]:.3e} after {evaluations // 15} panels", result(False), i)
+    def result(converged):
+        value = _as_real(lambda t: t.sum(axis=0), vals)
+        return IntegralResult(value[pick], err_sum[pick], evaluations, converged)
 
-    while not met(err_sum):
-        if subdivisions >= _MAX_SUBDIVISIONS or not heap:
-            raise failure()
-        popped, popped_err = [], 0.0
-        while heap and subdivisions + len(popped) < _MAX_SUBDIVISIONS and not met(err_sum - popped_err):
-            panel = heapq.heappop(heap)
-            pa, pb, perr = panel[2], panel[3], panel[5]
-            mid = 0.5 * (pa + pb)
-            if mid <= pa or mid >= pb:
-                # panel narrower than one ulp; its error is irreducible
-                stuck_err = stuck_err + perr
-                if not met(stuck_err):
-                    raise failure()
-                continue
-            popped.append(panel)
-            popped_err = popped_err + perr
-        if not popped:
-            continue
-        n = len(popped)
-        pa = np.array([p[2] for p in popped])
-        pb = np.array([p[3] for p in popped])
+    table = [a, b, vals, errs, l1s, rank(a, b, errs)]
+    while True:
+        a, b, vals, errs, l1s, keys = table
+        # every bisection adds one panel to the table and evaluates two
+        evaluations = 15 * (2 * len(a) - len(edges) + 1)
+        err_sum = errs.sum(axis=0)
+        goal = np.maximum(_REL_TOL * l1s.sum(axis=0), _TINY)
+        if (err_sum <= goal).all():
+            return result(True)
+        order = (-keys).argsort(kind="stable")
+        meets = np.logical_and.reduce(err_sum - np.add.accumulate(errs[order]) <= goal, axis=1)
+        # the shortest run meeting every target (meets only turns True), within splittable and budget
+        n = min(1 + len(order) - np.count_nonzero(meets), np.count_nonzero(keys > -np.inf),
+                _MAX_SUBDIVISIONS - (len(a) - len(edges) + 1))
+        if n <= 0:
+            i = int(np.argmax(err_sum / goal))
+            which = f"component {i} " if err_sum.size > 1 else ""
+            raise NonConvergence(f"adaptive quadrature: {which}error {err_sum[i]:.3e} against a target of "
+                                 f"{goal[i]:.3e} after {evaluations // 15} panels", result(False), i)
+        popped = order[:n]
+        pa, pb = a[popped], b[popped]
         mid = 0.5 * (pa + pb)
-        v, e, l1, _ = _kronrod_panels(f, np.concatenate((pa, mid)), np.concatenate((mid, pb)))
-        evaluations += 30 * n
-        subdivisions += n
-        k = keys(e)
-        # panel by panel in pop order: a vectorised sum rounds complex and
-        # real rows in different orders
-        for i, ((_, _, a, b, pval, perr, pl1), m) in enumerate(zip(popped, mid.tolist())):
-            j = n + i
-            val_sum = val_sum + ((v[i] + v[j]) - pval)
-            err_sum = err_sum + ((e[i] + e[j]) - perr)
-            l1_sum = l1_sum + ((l1[i] + l1[j]) - pl1)
-            heapq.heappush(heap, (k[i], counter, a, m, v[i], e[i], l1[i]))
-            heapq.heappush(heap, (k[j], counter + 1, m, b, v[j], e[j], l1[j]))
-            counter += 2
-        goal = target()
-    return result(True)
+        left, right = np.concatenate((pa, mid)), np.concatenate((mid, pb))
+        v, e, l1, _ = _kronrod_panels(f, left, right)
+        halves = (left, right, v, e, l1, rank(left, right, e))
+        for column, half in zip(table, halves):
+            column[popped] = half[:n]
+        table = [np.concatenate((column, half[n:])) for column, half in zip(table, halves)]
 
 
 def _on_nodes(fx, w, good):

@@ -112,6 +112,17 @@ def test_one_adaptive_pass_per_experiment(monkeypatch, name, rows):
     assert len(calls) == 1 and len(res.table) == rows
 
 
+def test_cauchy_submersion_takes_its_scale_sensitivity_from_the_jacobian_pass(monkeypatch):
+    # 25 points of 3 rows in stacks of 10 points: three passes, and no
+    # fourth for w_2, which d/ds w_0 = w_2 / s^3 - w_0 / s already gives
+    calls = []
+    adaptive = wml.quad._adaptive
+    monkeypatch.setattr(wml.quad, "_adaptive", lambda *a: calls.append(1) or adaptive(*a))
+    res = run_experiment("cauchy-submersion")
+    assert res.passed, res.metrics
+    assert len(calls) == 3 and len(res.table) == 25
+
+
 def test_numeric_failure_is_reported_not_raised(one_bisection):
     # an unreachable quadrature budget raises NonConvergence inside the
     # experiment; the result carries the diagnostic instead

@@ -43,6 +43,7 @@ from wml.models import (
     scale_center_kernel_family,
     scale_kernel_family,
     stable_family,
+    stieltjes_family,
     support_has_density,
 )
 from wml.quad import NonConvergence, NonFiniteEvaluation
@@ -452,10 +453,22 @@ def test_kernel_separates_stieltjes_from_lognormal():
 
 
 def test_weak_char_fn_at_zero_equals_w0_exactly():
-    for m in (Gaussian(0.4, 1.1), Cauchy(0.2)):
-        w0 = weak_moment(m, UNIT_KERNEL, 0, FeatureMapSpec(orders=(0,))).value
-        z = weak_char_fn(m, UNIT_KERNEL, 0.0)
-        assert z.real == w0  # same quadrature problem, bit for bit
+    # the complex rows of the weak char fn are summed part by part like
+    # real rows; with complex arithmetic 9 of these 42 windows missed w_0
+    # in the last bits
+    cases = [(Gaussian(0.4, 1.1), UNIT_KERNEL), (Cauchy(0.2), UNIT_KERNEL)]
+    rng = np.random.default_rng(3)
+    families = (gaussian_family(), cauchy_family(), lognormal_family(), stieltjes_family(),
+                stable_family(1.0))
+    for n in range(40):
+        fam = families[n % 5]
+        theta = [rng.uniform(lo, hi) for lo, hi in fam.box]
+        s = float(np.exp(rng.uniform(np.log(0.05), np.log(100.0))))
+        cases.append((fam.make(theta), KernelSpec(s, float(rng.uniform(-10.0, 10.0)))))
+    for m, k in cases:
+        w0 = weak_moment(m, k, 0, FeatureMapSpec(orders=(0,))).value
+        z = weak_char_fn(m, k, 0.0)
+        assert z.real == w0, (m, k)  # same quadrature problem, bit for bit
         assert z.imag == 0.0
 
 
@@ -533,11 +546,11 @@ def test_subnormal_pairings_meet_a_target_floored_at_the_smallest_normal():
     assert np.all(np.abs(vals) < tiny) and np.all(errs < tiny)
 
 
-def test_near_underflow_jacobian_entries_are_bounded_by_their_errors():
-    # a unit window 54 model widths out: phi * f alone is subnormal near
-    # the pairing's peak, and x^12 times the score once magnified its
-    # rounding until the pass exhausted its budget; x^j now goes into
-    # phi first.  Truth: mpmath derivatives of the tilted-Gaussian form
+def tilted_gaussian_jacobian(point, orders):
+    """Truth for the Jacobian of Gaussian(mu, sigma) under the window
+    KernelSpec(s, c) at ``point`` = (mu, sigma, s, c): mpmath derivatives
+    of the tilted-Gaussian form w_j = w_0 E[Y^j], Y ~ N(m, v), one row per
+    order and columns mu, sigma, s, c."""
     import mpmath
 
     def w(j, mu, sigma, s, c):
@@ -549,27 +562,96 @@ def test_near_underflow_jacobian_entries_are_bounded_by_their_errors():
         t = sigma**2 + s**2
         return mpmath.exp(-(mu - c) ** 2 / (2 * t)) / mpmath.sqrt(2 * mpmath.pi * t) * raw[j]
 
-    point = (0.0, 1.0, 1.0, 54.0)
-    spec = FeatureMapSpec(orders=tuple(range(13)))
-    vals, errs = weak_moment_jacobian(Gaussian(*point[:2]), KernelSpec(*point[2:]),
-                                      ("mu", "sigma"), ("s", "c"), spec)
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    checked = 0
     with mpmath.workdps(40):
-        for j in spec.orders:
-            for col in range(4):
-                grad = [1 if i == col else 0 for i in range(4)]
-                truth = float(mpmath.diff(lambda *p: w(j, *p), point, grad))
-                if abs(truth) >= tiny:
-                    checked += 1
-                    assert abs(vals[j, col] - truth) <= errs[j, col] + 4 * eps * abs(truth), (j, col)
-    assert checked > 0
+        return np.array([[float(mpmath.diff(lambda *p: w(j, *p), point, [int(i == col) for i in range(4)]))
+                          for col in range(4)] for j in orders])
+
+
+def jacobian_misses(point, orders=tuple(range(5))):
+    """Entries of the Gaussian Jacobian at ``point`` whose truth is normal
+    and lies further from the entry than its reported error + 4 eps|truth|."""
+    vals, errs = weak_moment_jacobian(Gaussian(*point[:2]), KernelSpec(*point[2:]),
+                                      ("mu", "sigma"), ("s", "c"), FeatureMapSpec(orders))
+    truth = tilted_gaussian_jacobian(point, orders)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    return (np.abs(truth) >= tiny) & (np.abs(vals - truth) > errs + 4 * eps * np.abs(truth))
+
+
+def test_near_underflow_jacobian_entries_are_bounded_by_their_errors():
+    # a unit window 54 model widths out: phi * f alone is subnormal near
+    # the pairing's peak, and x^12 times the score once magnified its
+    # rounding until the pass exhausted its budget; x^j now goes into
+    # phi first
+    point = (0.0, 1.0, 1.0, 54.0)
+    orders = tuple(range(13))
+    assert not jacobian_misses(point, orders).any()
+    assert (np.abs(tilted_gaussian_jacobian(point, orders)) >= np.finfo(float).tiny).any()
+
+
+def in_x_map_rounding_region(mu, sigma, s, c):
+    """Whether a Gaussian pairing lies where ROADMAP I.4's x-map rounding
+    (and the missed tail next to it) is still open: model and window 12 or
+    more combined widths apart, or the pairing's peak 60 or more of its
+    own widths from 0."""
+    v = 1.0 / (1.0 / sigma**2 + 1.0 / s**2)
+    peak = v * (mu / sigma**2 + c / s**2)
+    return abs(mu - c) >= 12.0 * np.hypot(sigma, s) or abs(peak) >= 60.0 * np.sqrt(v)
+
+
+def test_reported_errors_bound_the_gaussian_jacobian():
+    # every entry, d/d(mu, sigma, s, c) w_j for j <= 4, lies within its
+    # reported error of the closed form: 160 points from the family boxes
+    # with log-uniform scales, and 80 narrow windows a few widths from a
+    # wide model.  The open I.4 region is skipped; see the xfail cases below
+    rng = np.random.default_rng(13)
+    loguniform = lambda lo, hi: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    (mu_box, sigma_box), (s_box, c_box) = _GAUSSIANS.box, _KERNELS.box
+    points = [(rng.uniform(*mu_box), loguniform(*sigma_box), loguniform(*s_box), rng.uniform(*c_box))
+              for _ in range(160)]
+    for _ in range(80):
+        mu, sigma = rng.uniform(-4.0, 4.0), loguniform(0.5, 5.0)
+        c = np.clip(mu + rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 6.0) * sigma, *c_box)
+        points.append((mu, sigma, loguniform(0.05, 0.15), float(c)))
+    checked = [p for p in points if not in_x_map_rounding_region(*p)]
+    assert len(checked) >= 175
+    missed = [p for p in checked if jacobian_misses(p).any()]
+    assert not missed
+
+
+# ROADMAP I.4, the x-map rounding far from 0 (CHANGES.md FOUND, "reported
+# errors are still not bounds where rounding in the map ..." and "ROADMAP
+# I.4's x-map rounding also reaches ordinary pairings ..."), and the missed
+# tail of a far pairing (CHANGES.md FOUND, "the density route can miss the
+# tail of a far pairing ..."): the gate above skips these regions, and a
+# fix has to flip these cases
+@pytest.mark.parametrize("point", [
+    pytest.param((4.1564, 0.5142, 0.06749, -9.5957), id="I.4-jacobian-all-entries"),
+    pytest.param((-2.9783190602451537, 0.99302794969361152, 0.052485886284647357, 8.7581021727197879),
+                 id="I.4-jacobian-d-dc"),
+    pytest.param((1.6857045230899947, 3.7930180362778634, 0.08929790003246636, -9.57685203356277),
+                 id="I.4-narrow-window-beside-a-wide-model"),
+    pytest.param((-4.9938983304312625, 0.48779894334698226, 0.12284145503674918, 9.843147646192548),
+                 id="far-pairing-missed-tail"),
+])
+@pytest.mark.xfail(strict=True, reason="open: ROADMAP I.4 and the far-pairing FOUND line in CHANGES.md")
+def test_open_x_map_points_are_bounded_by_their_errors(point):
+    assert in_x_map_rounding_region(*point)
+    assert not jacobian_misses(point).any()
+
+
+@pytest.mark.xfail(strict=True, reason="open: ROADMAP I.4 (CHANGES.md FOUND, x-map rounding)")
+def test_open_x_map_feature_map_point_is_bounded_by_its_errors():
+    mu, sigma, s, c = -3.6552, 0.1158, 0.5901, 8.8887
+    spec = FeatureMapSpec(orders=(0, 1, 2, 3, 4))
+    truth, _ = gaussian_tilted_moments(mu, sigma, s, c, spec.orders)
+    fv = feature_map(_GAUSSIANS, [mu, sigma], KernelSpec(s, c), spec)
+    assert np.all(np.abs(fv.values - truth) <= fv.errors + 4.0 * np.finfo(float).eps * np.abs(truth))
 
 
 def test_rows_whose_first_estimate_is_zero_rank_their_panels_without_overflow():
     # a window 520 wide: on the char-fn route its transform misses every
     # first node, so five rows start with int |f| = 0 and a target at the
-    # floor; their later panel errors once overflowed the heap keys to
+    # floor; their later panel errors once overflowed the ranking keys to
     # -inf, with a RuntimeWarning, and tied
     spec = FeatureMapSpec(orders=(0, 12), path="charfn")
     with warnings.catch_warnings():

@@ -119,7 +119,7 @@ def test_one_integrand_call_for_the_initial_panels_and_one_per_round(monkeypatch
 
 def test_a_round_never_pops_past_the_budget(monkeypatch):
     # eight seeded panels, each far above the whole integral's target: a
-    # round would pop them all, but stops at the three bisections left
+    # round would bisect them all, but stops at the three bisections left
     monkeypatch.setattr(wml.quad, "_MAX_SUBDIVISIONS", 3)
     points = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
     panels = len(points) + 1
@@ -143,6 +143,22 @@ def test_a_failing_pass_spends_its_budget_in_few_integrand_calls():
         integrate_real_line(f)
     assert failure.value.result.evaluations == 15 * (1 + 2 * wml.quad._MAX_SUBDIVISIONS)
     assert len(calls) <= 100
+
+
+def test_a_pass_raises_once_no_panel_can_be_split(monkeypatch):
+    # below the 50 ulp error floor no panel meets its target, and a panel
+    # one ulp wide has no midpoint to split at: the pass raises after its
+    # first integrand call
+    monkeypatch.setattr(wml.quad, "_REL_TOL", 1e-15)
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.ones_like(x)
+
+    with pytest.raises(NonConvergence) as failure:
+        wml.quad._adaptive(f, [1.0, np.nextafter(1.0, 2.0)])
+    assert calls == [15] and str(failure.value).endswith("after 1 panels")
 
 
 def test_non_finite_integrand_raises():
@@ -270,7 +286,8 @@ def test_vector_integrand_shares_one_panel_tree():
 @pytest.mark.filterwarnings("error")
 def test_a_zero_row_has_a_zero_target_and_is_met_at_once():
     # a row that is 0 everywhere has error 0 and meets its target, the
-    # smallest normal float, at once; its heap key stays finite
+    # smallest normal float, at once; the panels rank by the other row,
+    # and its log2 0 raises no warning
     res = integrate_real_line(lambda x: np.array([np.exp(-x * x), 0.0 * x]))
     assert res.value[1] == 0.0 and res.error_estimate[1] == 0.0
     assert res.value[0] == pytest.approx(SQRT_PI, rel=1e-10)
