@@ -47,7 +47,6 @@ from .geometry import (
 from .models import (
     Cauchy,
     Gaussian,
-    KernelFamily,
     KernelSpec,
     LogNormal,
     ModelFamily,

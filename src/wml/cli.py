@@ -178,16 +178,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    overrides = {"tolerances": {}}
+    tolerances = {}
     for item in args.tol:
         key, eq, val = item.partition("=")
         if not eq:
             raise ConfigError(f"--tol expects METRIC=VALUE, got {item!r}")
         try:
-            overrides["tolerances"][key.strip()] = float(val)
+            tolerances[key.strip()] = float(val)
         except ValueError as exc:
             raise ConfigError(f"--tol: non-numeric value in {item!r}") from exc
-    res = run_experiment(args.experiment, overrides)
+    res = run_experiment(args.experiment, tolerances)
     text = experiment_csv(res) if args.format == "csv" else dumps_json(experiment_doc(res))
     _emit(text, args.out)
     if not res.passed:

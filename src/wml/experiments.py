@@ -12,7 +12,7 @@ their own.
 
 An experiment maps its tolerances to (metrics, checks, rows), and
 ``_CATALOG`` pairs it with its default tolerances.  Only
-:func:`run_experiment` times a run, merges tolerance overrides and
+:func:`run_experiment` times a run, merges the given tolerances and
 builds the :class:`ExperimentResult`.  The two grid experiments
 (log-normal immersion, singular limit) are :func:`sweep_kernel` calls,
 so their table rows are sweep rows.
@@ -387,15 +387,15 @@ def list_experiments() -> tuple:
     return tuple(_CATALOG)
 
 
-def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult:
+def run_experiment(name: str, tolerances: dict | None = None) -> ExperimentResult:
     """Run one catalog experiment with its default tolerances, updated
-    from ``overrides["tolerances"]``; a tolerance the experiment does not
-    have raises ``ValueError``.  Numeric failures are reported in the
-    result (pass = false with a diagnostic) rather than raised."""
+    from ``tolerances``; a tolerance the experiment does not have raises
+    ``ValueError``.  Numeric failures are reported in the result
+    (pass = false with a diagnostic) rather than raised."""
     if name not in _CATALOG:
         raise UnknownExperiment(f"unknown experiment {name!r}; have {', '.join(_CATALOG)}")
     experiment, defaults = _CATALOG[name]
-    given = (overrides or {}).get("tolerances", {})
+    given = tolerances or {}
     unknown = [key for key in given if key not in defaults]
     if unknown:
         raise ValueError(f"experiment {name} has no tolerance {', '.join(unknown)}; "

@@ -9,8 +9,10 @@ verdicts here are finite linear algebra on that matrix:
 
 * submersivity: rank [D_theta F | D_lambda F] equals the number of
   features, which implies transversality to every stratum at once;
-* the component-wise criterion: project both blocks onto the normal
-  space of a stratum and check the stacked projections have full rank;
+* the component-wise criterion: a stratum is a level set {y : g(y) = 0}
+  of a submersion g, so its normal space is the row space of Dg; project
+  both blocks onto that space and check the stacked projections have
+  rank equal to the stratum's codimension;
 * rank enrichment: joint rank minus model rank counts the independent
   directions contributed by kernel variation alone.
 
@@ -23,11 +25,12 @@ pass per point, each with its own error estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .features import FeatureMapSpec, FeatureVector, _pairing_pass, feature_map
-from .models import KernelFamily, ModelFamily, Unsupported
+from .models import ModelFamily, Unsupported
 
 __all__ = [
     "StepUnderflow",
@@ -101,73 +104,55 @@ class RankReport:
 
 @dataclass(frozen=True)
 class StratumSpec:
-    """A catalog degeneracy stratum in feature space.
-
-    Supported kinds: 'coordinate' (the level set {y_i = v}), 'affine'
-    ({y : A (y - y0) = 0} with A of full row rank c), and 'sphere'
-    ({|y - y0| = r}).  ``constraint`` evaluates the defining map
-    g: R^{K+1} -> R^c and ``normal_basis`` returns orthonormal rows
-    spanning the normal space (the rows of Dg, orthonormalised).
+    """A degeneracy stratum in feature space: the level set {y : g(y) = 0}
+    of a submersion g: R^{K+1} -> R^codim, whose differential ``dg(y)``
+    is a (codim, K+1) matrix of full row rank.  The normal space at y is
+    the row space of Dg; ``normal_basis`` returns orthonormal rows
+    spanning it.  The factories build a coordinate level set {y_i = v},
+    an affine stratum {y : A (y - y0) = 0} and a sphere {|y - y0| = r}.
     """
 
-    kind: str
     name: str
-    index: int = 0
-    value: float = 0.0
-    matrix: np.ndarray | None = None
-    base: np.ndarray | None = None
-    radius: float = 0.0
+    codim: int
+    g: Callable
+    dg: Callable
 
     @staticmethod
     def coordinate(index: int, value: float, name: str | None = None) -> "StratumSpec":
-        return StratumSpec("coordinate", name or f"y[{index}]={value:g}", index=index, value=value)
+        return StratumSpec(name or f"y[{index}]={value:g}", 1,
+                           lambda y: np.array([y[index] - value]), lambda y: np.eye(y.size)[[index]])
 
     @staticmethod
     def affine(matrix, base, name: str = "affine") -> "StratumSpec":
         a = np.atleast_2d(np.asarray(matrix, dtype=float))
         if numerical_rank(a).rank < a.shape[0]:
             raise ValueError("affine stratum rows must be linearly independent")
-        return StratumSpec("affine", name, matrix=a, base=np.asarray(base, dtype=float))
+        y0 = np.asarray(base, dtype=float)
+        return StratumSpec(name, a.shape[0], lambda y: a @ (y - y0), lambda y: a)
 
     @staticmethod
     def sphere(center, radius: float, name: str | None = None) -> "StratumSpec":
         if radius <= 0.0:
             raise ValueError("sphere radius must be positive")
-        return StratumSpec("sphere", name or f"sphere(r={radius:g})",
-                           base=np.asarray(center, dtype=float), radius=radius)
+        y0 = np.asarray(center, dtype=float)
 
-    @property
-    def codim(self) -> int:
-        if self.kind == "affine":
-            return self.matrix.shape[0]
-        return 1
-
-    def constraint(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self.kind == "coordinate":
-            return np.array([y[self.index] - self.value])
-        if self.kind == "affine":
-            return self.matrix @ (y - self.base)
-        if self.kind == "sphere":
-            return np.array([np.linalg.norm(y - self.base) - self.radius])
-        raise ValueError(f"unknown stratum kind {self.kind!r}")
-
-    def normal_basis(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self.kind == "coordinate":
-            e = np.zeros((1, y.size))
-            e[0, self.index] = 1.0
-            return e
-        if self.kind == "affine":
-            q, _ = np.linalg.qr(self.matrix.T)
-            return q.T[: self.matrix.shape[0]]
-        if self.kind == "sphere":
-            d = y - self.base
+        def dg(y):
+            d = y - y0
             nrm = np.linalg.norm(d)
             if nrm == 0.0:
                 raise DimensionMismatch("sphere normal is undefined at the centre")
             return (d / nrm)[None, :]
-        raise ValueError(f"unknown stratum kind {self.kind!r}")
+        return StratumSpec(name or f"sphere(r={radius:g})", 1,
+                           lambda y: np.array([np.linalg.norm(y - y0) - radius]), dg)
+
+    def constraint(self, y) -> np.ndarray:
+        return self.g(np.asarray(y, dtype=float))
+
+    def normal_basis(self, y) -> np.ndarray:
+        """The QR of Dg^T, with signs so that diag(R) > 0: each row keeps
+        the sign of the Dg row it orthonormalises."""
+        q, r = np.linalg.qr(self.dg(np.asarray(y, dtype=float)).T)
+        return (q * np.sign(np.diag(r))).T
 
 
 @dataclass(frozen=True)
@@ -207,7 +192,7 @@ class CollisionCandidate:
     objective: float
 
 
-def jacobian(fam: ModelFamily, kfam: KernelFamily, theta, lam,
+def jacobian(fam: ModelFamily, kfam: ModelFamily, theta, lam,
              spec: FeatureMapSpec) -> JacobianReport:
     """Analytic Jacobian of the joint map at (theta, lam), which must lie
     strictly inside the family boxes; see
@@ -217,20 +202,19 @@ def jacobian(fam: ModelFamily, kfam: KernelFamily, theta, lam,
     return _jacobians(fam, kfam, [(theta, lam)], spec)[0]
 
 
-def _jacobians(fam: ModelFamily, kfam: KernelFamily, points, spec: FeatureMapSpec) -> list:
+def _jacobians(fam: ModelFamily, kfam: ModelFamily, points, spec: FeatureMapSpec) -> list:
     """:func:`jacobian` at every (theta, lam) of ``points``, each checked
     as there, from stacked passes (see ``features._pairing_pass``)."""
     pairs = []
     for theta, lam in points:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if theta.size != fam.p:
-            raise DimensionMismatch(f"family {fam.name} expects {fam.p} parameters")
-        if lam.size != kfam.q:
-            raise DimensionMismatch(f"kernel family expects {kfam.q} parameters")
-        for x, (lo, hi) in zip(np.concatenate((theta, lam)), tuple(fam.box) + tuple(kfam.box)):
-            if not lo < x < hi:
-                raise StepUnderflow(f"point {x} is not interior to the box [{lo}, {hi}]")
+        for family, z in ((fam, theta), (kfam, lam)):
+            if z.size != family.p:
+                raise DimensionMismatch(f"family {family.name} expects {family.p} parameters")
+            for x, (lo, hi) in zip(z, family.box):
+                if not lo < x < hi:
+                    raise StepUnderflow(f"point {x} is not interior to the box [{lo}, {hi}]")
         m = fam.make(theta)
         if any(getattr(m, name, None) != value for name, value in zip(fam.param_names, theta)):
             raise Unsupported(f"family {fam.name}: parameters {fam.param_names} are not fields of {m}")

@@ -1,4 +1,4 @@
-"""Distributional models and the Gaussian kernel family.
+"""Distributional models and the Gaussian kernel families.
 
 A model is a small frozen value object describing one member of the
 catalog: Gaussian, Cauchy, log-normal, the Stieltjes perturbation of the
@@ -14,7 +14,8 @@ The kernel is always a normalised Gaussian window
 
 with strictly positive scale ``s`` and centre ``c`` (default 0); it
 integrates to one and decays fast enough that x^j phi(x) is bounded for
-every j.
+every j.  Its parameter families are ``ModelFamily`` values like the
+models': lambda = (s) or (s, c) -> ``KernelSpec``, each with its box.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "ModelSpec",
     "ModelFamily",
     "KernelSpec",
-    "KernelFamily",
     "support",
     "density",
     "char_fn",
@@ -199,8 +199,12 @@ def density(m: ModelSpec, x):
         elif m.alpha == 2.0:
             out = _gauss_pdf(xv, m.mu, m.sigma * np.sqrt(2.0))
         else:
-            raise NoDensity(f"symmetric stable with alpha={m.alpha} is characteristic-function-only")
+            raise _no_density(m)
     return float(out) if scalar else out
+
+
+def _no_density(m: SymmetricStable) -> NoDensity:
+    return NoDensity(f"symmetric stable with alpha={m.alpha} is characteristic-function-only")
 
 
 def support_has_density(m: ModelSpec) -> bool:
@@ -226,8 +230,12 @@ def char_fn(m: ModelSpec, u):
     elif isinstance(m, SymmetricStable):
         out = np.exp(1j * uv * m.mu - np.abs(m.sigma * uv) ** m.alpha)
     else:
-        raise Unsupported(f"{type(m).__name__} has no closed-form char fn; use the density route")
+        raise _no_char_fn(m)
     return complex(out) if scalar else out
+
+
+def _no_char_fn(m: ModelSpec) -> Unsupported:
+    return Unsupported(f"{type(m).__name__} has no closed-form char fn; use the density route")
 
 
 def classical_moment(m: ModelSpec, n: int) -> float:
@@ -264,7 +272,8 @@ def _gaussian_moment(n, mu, sigma):
 
 
 def _score(m: ModelSpec, which: str):
-    """Analytic score function d/dtheta log f for the selected parameter."""
+    """Analytic score function d/dtheta log f for the selected parameter;
+    ``NoDensity`` for a characteristic-function-only model."""
     if isinstance(m, Gaussian):
         if which == "location":
             return lambda x: (x - m.mu) / m.sigma**2
@@ -293,11 +302,16 @@ def _score(m: ModelSpec, which: str):
         if which == "scale":
             return lambda x: np.sqrt(2.0) * score(x)
         return score
+    elif isinstance(m, SymmetricStable):
+        raise _no_density(m)
     raise ValueError(f"no '{which}' score for {type(m).__name__}")
 
 
 def _charfn_score(m: ModelSpec, which: str):
-    """d/dtheta log c(u) of a closed-form characteristic function."""
+    """d/dtheta log c(u) of a closed-form characteristic function;
+    ``Unsupported`` for a model that has none."""
+    if isinstance(m, (LogNormal, StieltjesLogNormal)):
+        raise _no_char_fn(m)
     if isinstance(m, (Gaussian, Cauchy, SymmetricStable)) and which == "location":
         return lambda u: 1j * u
     if isinstance(m, Gaussian) and which == "scale":
@@ -342,8 +356,6 @@ def classical_fisher_info(m: ModelSpec, which: str = "location") -> float:
     """Classical Fisher information for one parameter, by quadrature of
     score^2 * density over the model's support, with breakpoints at the
     model's location and scale."""
-    if not support_has_density(m):
-        raise NoDensity(f"{type(m).__name__} has no density to differentiate")
     score = _score(m, which)
 
     def f(x):
@@ -387,7 +399,8 @@ def kernel_eval(k: KernelSpec, x, derivs: bool = False):
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """A parametric family theta -> ModelSpec with its probe box."""
+    """A parametric family theta -> ModelSpec (or, for the kernel
+    families, lambda -> KernelSpec) with its probe box."""
 
     name: str
     param_names: tuple
@@ -406,38 +419,6 @@ class ModelFamily:
         for lo, hi in self.box:
             if not (lo <= hi):
                 raise ValueError(f"invalid box interval ({lo}, {hi})")
-
-
-@dataclass(frozen=True)
-class KernelFamily:
-    """Kernel parameter family: scale-only (q = 1) or scale-and-centre (q = 2)."""
-
-    mode: str = "scale"  # "scale" | "scale-center"
-    box: tuple = ((0.05, 100.0),)
-
-    def __post_init__(self):
-        if self.mode not in ("scale", "scale-center"):
-            raise ValueError(f"unknown kernel family mode {self.mode!r}")
-        if len(self.box) != self.q:
-            raise ValueError("box must have one (lo, hi) pair per kernel parameter")
-        if self.box[0][0] <= 0.0:
-            raise ValueError("kernel scale box must be strictly positive")
-
-    @property
-    def q(self) -> int:
-        return 1 if self.mode == "scale" else 2
-
-    @property
-    def param_names(self):
-        return ("s",) if self.mode == "scale" else ("s", "c")
-
-    def make(self, lam) -> KernelSpec:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if lam.size != self.q:
-            raise ValueError(f"expected {self.q} kernel parameters, got {lam.size}")
-        if self.mode == "scale":
-            return KernelSpec(s=float(lam[0]))
-        return KernelSpec(s=float(lam[0]), c=float(lam[1]))
 
 
 def gaussian_family() -> ModelFamily:
@@ -470,12 +451,16 @@ def stable_family(alpha: float) -> ModelFamily:
                        ((-5.0, 5.0), (0.05, 10.0)))
 
 
-def scale_kernel_family() -> KernelFamily:
-    return KernelFamily("scale", (_SCALE_BOX,))
+def scale_kernel_family() -> ModelFamily:
+    return ModelFamily("scale", ("s",),
+                       lambda lam: KernelSpec(float(np.atleast_1d(lam)[0])),
+                       (_SCALE_BOX,))
 
 
-def scale_center_kernel_family() -> KernelFamily:
-    return KernelFamily("scale-center", (_SCALE_BOX, _CENTRE_BOX))
+def scale_center_kernel_family() -> ModelFamily:
+    return ModelFamily("scale-center", ("s", "c"),
+                       lambda lam: KernelSpec(float(lam[0]), float(lam[1])),
+                       (_SCALE_BOX, _CENTRE_BOX))
 
 
 def canonical_family(m: ModelSpec):

@@ -1,15 +1,17 @@
 """Machine-readable output: JSON and CSV with stable schemas.
 
-Numeric fields are serialised with 17 significant digits in both
-formats, so a value parsed back from CSV is bit-identical to the same
-value parsed from JSON.  Non-finite floats become null (JSON) or the
-tokens inf/-inf/nan (CSV).
+Floats are written in both formats as their shortest round-trip repr,
+so a value parsed back from CSV is bit-identical to the same value
+parsed from JSON.  Non-finite floats become null (JSON) or the tokens
+inf/-inf/nan (CSV).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+import math
 
 import numpy as np
 
@@ -22,64 +24,23 @@ def format_number(x: float) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if not np.isfinite(x):
-        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
-    return format(x, ".17g")
+    return repr(float(x))
 
 
-def _json_scalar(x) -> str:
-    if x is None:
-        return "null"
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format_number(float(x)) if np.isfinite(x) else "null"
-    if isinstance(x, str):
-        out = x.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
-    raise TypeError(f"cannot serialise {type(x).__name__} to JSON")
-
-
-def dumps_json(obj, indent: int = 2) -> str:
-    pieces = []
-    _write_json(obj, pieces, indent, 0)
-    pieces.append("\n")
-    return "".join(pieces)
-
-
-def _write_json(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _plain(obj):
+    """``obj`` with numpy scalars and arrays as Python values and
+    non-finite floats as None."""
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.append(f'{pad_in}"{key}": ')
-            _write_json(val, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
-            out.append("[" + ", ".join(_json_scalar(v) for v in seq) + "]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(seq):
-            out.append(pad_in)
-            _write_json(val, out, indent, level + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        out.append(_json_scalar(obj))
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(val) for val in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def dumps_json(obj) -> str:
+    return json.dumps(_plain(obj), indent=2, allow_nan=False) + "\n"
 
 
 def dumps_csv(rows, columns=None) -> str:
@@ -114,8 +75,7 @@ def flatten_doc(doc, prefix=""):
         for key, val in doc.items():
             items.extend(flatten_doc(val, f"{prefix}{key}."))
     elif isinstance(doc, (list, tuple, np.ndarray)):
-        seq = np.asarray(doc).tolist() if isinstance(doc, np.ndarray) else list(doc)
-        for i, val in enumerate(seq):
+        for i, val in enumerate(doc):
             items.extend(flatten_doc(val, f"{prefix}{i}."))
     else:
         items.append((prefix[:-1], doc))

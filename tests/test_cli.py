@@ -162,6 +162,19 @@ def test_eval_two_sample_is_config_error(capsys):
     assert "model" in err
 
 
+@pytest.mark.parametrize("argv, message", (
+    (("--model", "stable:alpha=1.5", "--path", "density"),
+     "symmetric stable with alpha=1.5 is characteristic-function-only"),
+    (("--model", "lognormal", "--orders", "0", "--path", "charfn"),
+     "LogNormal has no closed-form char fn; use the density route"),
+))
+def test_eval_route_without_its_function_names_what_is_missing(capsys, argv, message):
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"wml: error: {message}\n"
+
+
 def test_eval_unconverged_quadrature_is_an_error(capsys, one_bisection):
     code, out, err = run_cli(capsys, "eval", "--model", "gaussian:mu=-1.388,sigma=5.56",
                              "--kernel", "0.051,-6.754", "--orders", "0,1,2,3,4")

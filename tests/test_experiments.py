@@ -66,7 +66,7 @@ def test_pass_flag_recomputable_from_metrics_and_tolerances():
 
 
 def test_tolerance_overrides_can_fail_an_experiment():
-    res = run_experiment("cauchy-fisher", {"tolerances": {"abs_error": 0.0}})
+    res = run_experiment("cauchy-fisher", {"abs_error": 0.0})
     assert not res.passed
 
 

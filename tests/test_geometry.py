@@ -120,10 +120,10 @@ def test_analytic_jacobian_matches_finite_differences(fam, theta, path):
                       (scale_center_kernel_family(), [0.9, 0.4])):
         rep = jacobian(fam, kfam, theta, lam, spec)
         oracle = fd_jacobian(fam, kfam, theta, lam, spec)
-        assert rep.joint.shape == oracle.shape == (3, fam.p + kfam.q)
+        assert rep.joint.shape == oracle.shape == (3, fam.p + kfam.p)
         assert rep.error_estimates.shape == oracle.shape
         assert np.allclose(rep.joint, oracle, rtol=1e-6, atol=1e-9 * np.abs(oracle).max()), \
-            (fam.name, kfam.mode, rep.joint, oracle)
+            (fam.name, kfam.name, rep.joint, oracle)
 
 
 @pytest.mark.parametrize("fam,theta", [(cauchy_family(), [0.4]),
@@ -385,6 +385,12 @@ def test_stratum_constraints_and_normals():
     assert aff.codim == 2
     basis = aff.normal_basis(np.zeros(2))
     assert np.allclose(basis @ basis.T, np.eye(2), atol=1e-12)
+    # non-orthogonal rows: the basis is orthonormal and spans them
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    basis = StratumSpec.affine(a, np.zeros(3)).normal_basis(np.zeros(3))
+    assert np.allclose(basis @ basis.T, np.eye(2), atol=1e-12)
+    assert np.allclose(a @ (np.eye(3) - basis.T @ basis), 0.0, atol=1e-12)
+    assert np.array_equal(StratumSpec.coordinate(1, 0.5).normal_basis(np.zeros(3)), [[0.0, 1.0, 0.0]])
     with pytest.raises(ValueError):
         StratumSpec.affine(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
     with pytest.raises(ValueError):

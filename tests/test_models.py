@@ -5,7 +5,6 @@ from scipy.integrate import quad as scipy_quad
 from wml.models import (
     Cauchy,
     Gaussian,
-    KernelFamily,
     KernelSpec,
     LogNormal,
     NoDensity,
@@ -252,10 +251,8 @@ def test_families():
     assert lognormal_family().make([0.1, 0.9]) == LogNormal(0.1, 0.9)
     assert stieltjes_family().make([0.7]) == StieltjesLogNormal(0.7)
     kfam = scale_kernel_family()
-    assert kfam.q == 1 and kfam.make([2.0]) == KernelSpec(2.0, 0.0)
+    assert kfam.p == 1 and kfam.make([2.0]) == KernelSpec(2.0, 0.0)
     kfam2 = scale_center_kernel_family()
-    assert kfam2.q == 2 and kfam2.make([2.0, -0.5]) == KernelSpec(2.0, -0.5)
-    with pytest.raises(ValueError):
-        KernelFamily("scale", ((0.0, 1.0),))
+    assert kfam2.p == 2 and kfam2.make([2.0, -0.5]) == KernelSpec(2.0, -0.5)
     fam2, theta = canonical_family(Cauchy(0.25))
     assert fam2.name == "cauchy" and theta[0] == 0.25
