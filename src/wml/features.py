@@ -13,9 +13,13 @@ evaluation routes are provided:
   forward transform Psi(u) = int psi(x) e^{-iux} dx and the model's
   char fn c(u) = E[e^{iuX}] = int f(x) e^{iux} dx, one has
 
-      int f(x) psi(x) dx = (1 / 2 pi) int c(u) Psi(u) du,
+      int f(x) psi(x) dx = (1 / 2 pi) int c(u) Psi(u) du
+                         = (1 / pi) int_0^inf Re c(u) Psi(u) du,
 
-  and for psi(x) = x^j phi(x) with a Gaussian window the identity
+  since f and psi are real, so c(-u) Psi(-u) is the conjugate of
+  c(u) Psi(u).  The half-line is integrated in log u, where the kink of
+  a stable char fn exp(-|sigma u|^alpha) at u = 0 is smooth.  For
+  psi(x) = x^j phi(x) with a Gaussian window the identity
   x phi = c phi - s^2 phi' gives the transforms Psi_j by a three-term
   recurrence: with a = c - i s^2 u,
 
@@ -39,6 +43,7 @@ from .models import (
     NoDensity,
     Unsupported,
     _breakpoints,
+    _charfn_points,
     _charfn_score,
     _integrate_support,
     _score,
@@ -48,7 +53,7 @@ from .models import (
     support,
     support_has_density,
 )
-from .quad import NonConvergence, NonFiniteEvaluation, QuadratureError, integrate_real_line
+from .quad import NonConvergence, NonFiniteEvaluation, QuadratureError, integrate_half_line
 
 __all__ = [
     "FeatureMapSpec",
@@ -239,11 +244,12 @@ def _pairing_pass(points, spec, model_params, kernel_params):
             # at extreme orders x^j or Psi_j overflows; the inf or nan
             # reaches the engine, which raises it as NonFiniteEvaluation
             with np.errstate(over="ignore", invalid="ignore"):
+                points_of = _breakpoints if route == "density" else _charfn_points
+                breaks = np.concatenate([points_of(m, k) for _, m, k, _ in stack])
                 if route == "density":
-                    breaks = np.concatenate([_breakpoints(m, k) for _, m, k, _ in stack])
                     res = _integrate_support(stack[0][1], f, breaks)
-                else:
-                    res = integrate_real_line(f)
+                else:  # the rows are even in u: their pairing is the integral over u > 0
+                    res = integrate_half_line(f, breaks)
         except QuadratureError as exc:
             if len(stack) > 1:
                 todo[:0] = [(route, stack[:len(stack) // 2]), (route, stack[len(stack) // 2:])]
@@ -300,8 +306,10 @@ def _density_rows(m, k, orders, scores, kernel_params):
 
 def _charfn_rows(m, k, orders, scores, kernel_params):
     """fill(u, out), writing the char-fn-route rows into ``out``: per
-    order j, Re c Psi_j / 2 pi times each score (None: the value row),
-    then Re c d/dlambda Psi_j / 2 pi.
+    order j, Re c Psi_j / pi times each score (None: the value row),
+    then Re c d/dlambda Psi_j / pi.  Each row, the real part of the
+    transform of a real function, is even in u: 1 / pi over (0, inf)
+    is 1 / 2 pi over the line.
 
     Psi_j comes from the window-transform recurrence, rolled up to the
     highest order with only the last three terms kept.  It stops at the
@@ -315,7 +323,7 @@ def _charfn_rows(m, k, orders, scores, kernel_params):
         dcf = [cf if score is None else cf * score(u) for score in scores]
         iu = 1j * u
         a = k.c - s2 * iu
-        psi = np.exp(-iu * k.c - 0.5 * s2 * u * u) / (2.0 * np.pi)
+        psi = np.exp(-iu * k.c - 0.5 * s2 * u * u) / np.pi
         older = old = np.zeros_like(psi)
         j, row = 0, 0
         for order in orders:

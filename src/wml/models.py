@@ -345,6 +345,20 @@ def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
     return np.concatenate((_model_points(m), k.c + k.s * _OFFSETS))
 
 
+_DECAY = _OFFSETS[_OFFSETS > 0.0]
+_LEFT_TAIL = np.exp(-np.array([2.0, 5.0, 10.0, 16.0]))
+
+
+def _charfn_points(m: ModelSpec, k: KernelSpec) -> np.ndarray:
+    """Breakpoints in u > 0 for the char-fn pairing of ``m`` with ``k``:
+    {1, 3, 6, 10} over s, where the window transform decays, and over
+    sigma (1 for a model without one, as the Cauchy), where the char fn
+    decays; and the least of those times e^{-2, -5, -10, -16}, for the
+    left tail in log u, where the pairing levels off towards u = 0."""
+    decay = np.concatenate((_DECAY / k.s, _DECAY / getattr(m, "sigma", 1.0)))
+    return np.concatenate((decay, decay.min() * _LEFT_TAIL))
+
+
 def _integrate_support(m: ModelSpec, f, points) -> IntegralResult:
     """Integrate ``f`` over the support of ``m`` from breakpoints ``points``."""
     if support(m) == "half":

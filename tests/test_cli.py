@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,20 @@ def test_eval_hostile_char_fn_point_converges(capsys):
                            "--kernel", "0.0709,7.028")
     assert code == 0
     assert json.loads(out)
+
+
+@pytest.mark.parametrize("alpha", (0.1, 1.0, 1.5, 1.99))
+@pytest.mark.parametrize("sigma", (0.0501, 9.99))
+@pytest.mark.parametrize("s", (0.0501, 999.0))
+@pytest.mark.parametrize("c", (-9.99, 0.0))
+def test_eval_char_fn_at_the_box_edges_ends_within_its_bound(capsys, alpha, sigma, s, c):
+    # stable models and windows at the corners of their boxes, heavy tails
+    # down to alpha = 0.1: each ends in a result or a named error, at once
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "--model", f"stable:alpha={alpha},sigma={sigma}",
+                             "--kernel", f"{s},{c}", "--orders", "0,1,2,3,4", "--path", "charfn")
+    assert time.perf_counter() - start < 2.0
+    assert (code == 0 and json.loads(out)) or (code == 2 and err.startswith("wml: error:"))
 
 
 def test_eval_narrow_window_far_from_a_wide_model_converges(capsys):

@@ -10,6 +10,7 @@ import wml.quad
 from wml.experiments import sweep_kernel
 from wml.features import (
     FeatureMapSpec,
+    _charfn_rows,
     _pairing_pass,
     feature_map,
     influence_bound,
@@ -30,6 +31,7 @@ from wml.models import (
     SymmetricStable,
     Unsupported,
     _breakpoints,
+    _charfn_points,
     _charfn_score,
     _integrate_support,
     _score,
@@ -187,6 +189,52 @@ def test_stable_char_fn_high_orders_converge():
     assert np.all(np.isfinite(fv.values)) and np.all(fv.errors <= 1e-6 * np.abs(fv.values))
 
 
+def test_char_fn_rows_are_even_in_u():
+    # each row is the real part of the Fourier transform of a real function,
+    # c(-u) Psi_j(-u) = conj(c(u) Psi_j(u)) and likewise for the score and
+    # kernel columns, so the pairing over R is twice the one over (0, inf)
+    u = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 40)))
+    orders = range(9)
+    models = [Gaussian(0.4, 1.3), Cauchy(0.4)] + [SymmetricStable(a, 0.4, 1.3) for a in (0.5, 1.0, 1.5, 2.0)]
+    for m in models:
+        for k in (UNIT_KERNEL, KernelSpec(0.7, -1.3)):
+            names = ("location",) if isinstance(m, Cauchy) else ("location", "scale")
+            scores = [None] + [_charfn_score(m, name) for name in names]
+            fill = _charfn_rows(m, k, orders, scores, ("s", "c"))
+            at_u, at_minus_u = (np.empty((len(orders) * (len(scores) + 2), u.size)) for _ in range(2))
+            fill(u, at_u)
+            fill(-u, at_minus_u)
+            assert np.all(np.isfinite(at_u))
+            np.testing.assert_array_equal(at_u, at_minus_u, err_msg=f"{m} with {k}")
+
+
+def test_stable_feature_maps_take_few_integrand_calls(monkeypatch):
+    # the char-fn pairing is folded onto (0, inf) in log u, where the kink
+    # of exp(-|sigma u|^alpha) at u = 0 is smooth; on the whole line the
+    # pass bisected the panels beside 0 for 7-9 rounds (about 11 calls)
+    calls = []
+    kronrod = wml.quad._kronrod_panels
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        alpha, theta = rng.uniform(1.1, 1.9), [rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)]
+        k = KernelSpec(np.exp(rng.uniform(np.log(0.3), np.log(5.0))), rng.uniform(-1.0, 1.0))
+        calls.clear()
+        fv = feature_map(stable_family(alpha), theta, k, FeatureMapSpec(range(5)))
+        assert fv.paths == ("charfn",) * 5
+        assert len(calls) <= 5, (alpha, theta, k)
+
+
+@pytest.mark.parametrize("alpha, theta", [(0.7, [-2.0, 1.0]), (0.1, [-2.0, 9.99])])
+def test_wide_window_char_fn_feature_map_converges(alpha, theta):
+    # a window 999 wide: on the whole line the pass ran out of budget
+    # (4,001 panels) on w_6 and w_8
+    k = KernelSpec(999.0)
+    fv = feature_map(stable_family(alpha), theta, k, FeatureMapSpec(range(9), path="charfn"))
+    assert np.all(np.isfinite(fv.values))
+    assert 0.0 < fv.values[0] <= 1.0 / (k.s * SQRT_2PI)
+
+
 def test_path_errors():
     with pytest.raises(NoDensity):
         weak_moment(SymmetricStable(1.5, 0, 1), UNIT_KERNEL, 0,
@@ -278,7 +326,7 @@ def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
         s2, cf = k.s * k.s, char_fn(m, u)
         dcf = [cf if score is None else cf * score(u) for score in scores]
         iu = 1j * u
-        psi = np.exp(-iu * k.c - 0.5 * s2 * u * u) / (2.0 * np.pi)
+        psi = np.exp(-iu * k.c - 0.5 * s2 * u * u) / np.pi
         older = old = np.zeros_like(psi)
         j, rows = 0, []
         for order in spec.orders:
@@ -293,7 +341,7 @@ def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
     if route == "density":
         res = _integrate_support(m, density_rows, _breakpoints(m, k))
     else:
-        res = wml.quad.integrate_real_line(charfn_rows)
+        res = wml.quad.integrate_half_line(charfn_rows, _charfn_points(m, k))
     return res.value, res.error_estimate
 
 
