@@ -13,6 +13,7 @@ Model grammar is ``name:key=value,key=value``; grids are ``lo:hi:n``
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -140,7 +141,10 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one
+    (parse_args leaves it unchanged, and copies list defaults)."""
     parser = argparse.ArgumentParser(prog="wml",
                                      description="weak-moment feature maps and "
                                                  "transversality diagnostics")

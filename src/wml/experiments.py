@@ -62,6 +62,8 @@ from .models import (
     SymmetricStable,
     Undefined,
     Unsupported,
+    _Z_MESH,
+    _log_grid,
     _score,
     cauchy_family,
     classical_fisher_info,
@@ -125,7 +127,9 @@ def _lognorm_power_integrand(orders):
 def _stieltjes_cancellation(tol):
     orders = range(11)
     power = _lognorm_power_integrand(orders)
-    res = integrate_half_line(lambda x: np.sin(2.0 * np.pi * np.log(x)) * power(x))
+    # row n peaks at log x = n + 1 with width 1: half periods of the sine
+    # over [-10, 20] in log x cover every row out to 10 widths
+    res = integrate_half_line(lambda x: np.sin(2.0 * np.pi * np.log(x)) * power(x), _log_grid(-10.0, 20.0, 0.5))
     rows = []
     for n, value in zip(orders, res.value.tolist()):
         moment_scale = float(np.exp(0.5 * n * n))
@@ -152,7 +156,8 @@ def _stieltjes_kernel_break(tol):
 
 def _lognormal_classical_moments(tol):
     orders = range(7)
-    res = integrate_half_line(_lognorm_power_integrand(orders))
+    # row n peaks at log x = n + 1 with width 1
+    res = integrate_half_line(_lognorm_power_integrand(orders), _log_grid(-10.0, 16.0, 1.0))
     rows = []
     for n, value in zip(orders, res.value.tolist()):
         expected = float(np.exp(0.5 * n * n))
@@ -315,7 +320,7 @@ def _sinusoidal_orthogonality(tol):
     cs = (0.5, 1.0, 2.0)
     freqs = np.array(cs)[:, None]
     res = integrate_real_line(
-        lambda x: np.sin(freqs * (x - mu)) * (scale_score(x) * density(model, x)))
+        lambda x: np.sin(freqs * (x - mu)) * (scale_score(x) * density(model, x)), mu + sigma * _Z_MESH)
     rows = [{"c": c, "abs_pairing": abs(v)} for c, v in zip(cs, res.value.tolist())]
     metrics = {"max_abs_pairing": max(row["abs_pairing"] for row in rows)}
     checks = {"max_abs_pairing": metrics["max_abs_pairing"] < tol["max_abs_pairing"]}

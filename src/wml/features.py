@@ -8,7 +8,12 @@ finite for every order and every model in the catalog because the
 Gaussian window decays faster than any polynomial grows.  Two
 evaluation routes are provided:
 
-* the density route integrates x^j phi(x) f(x) over the model support;
+* the density route integrates x^j phi(x) f(x) over the model support.
+  A Gaussian model times the window is w_0 N(m, w^2) in closed form, so
+  its pairing is integrated in the product's own coordinate
+  z = (x - m) / w, where w phi f is a closed-form mass times
+  exp(-z^2 / 2); every other pairing is integrated in x (in log x over
+  the half-line), from breakpoints placed on the product;
 * the characteristic-function route uses Parseval's identity.  With the
   forward transform Psi(u) = int psi(x) e^{-iux} dx and the model's
   char fn c(u) = E[e^{iuX}] = int f(x) e^{iux} dx, one has
@@ -45,15 +50,16 @@ from .models import (
     _breakpoints,
     _charfn_points,
     _charfn_score,
-    _integrate_support,
+    _frame,
+    _integrate_frame,
     _score,
+    _tilt,
     char_fn,
     density,
     kernel_eval,
-    support,
     support_has_density,
 )
-from .quad import NonConvergence, NonFiniteEvaluation, QuadratureError, integrate_half_line
+from .quad import NonConvergence, NonFiniteEvaluation, QuadratureError
 
 __all__ = [
     "FeatureMapSpec",
@@ -205,13 +211,19 @@ def _pairing_pass(points, spec, model_params, kernel_params):
     per entry of ``kernel_params``.  Returns, per point, its route and
     its value and error rows.
 
-    Points are grouped by route and support.  Consecutive points of a
-    group share one pass, a stack of at most ``_STACK_ROWS`` rows (or of
-    one point), written into one array, over the union of the points'
-    breakpoints.  A stack that raises a ``QuadratureError`` is split in
-    half and each half retried, so a point that converges alone
-    converges; alone, a point raises its error naming it, and for
-    ``NonConvergence`` the order and the column."""
+    Points are grouped by route and by the variable they are integrated
+    in: z, the tilted coordinate of a Gaussian product (``models._tilt``),
+    x over the model's support, or u > 0 on the char-fn route.  Each
+    starts from a first mesh placed on its own product
+    (``models._breakpoints``, ``models._charfn_points``).  Consecutive
+    points of a group share one pass, a stack of at most ``_STACK_ROWS``
+    rows (or of one point), written into one array, over the union of
+    the points' breakpoints; every Gaussian product has the same mesh in
+    z, so its stacks start from no more panels than one point.  A stack
+    that raises a ``QuadratureError`` is split in half and each half
+    retried, so a point that converges alone converges; alone, a point
+    raises its error naming it, and for ``NonConvergence`` the order and
+    the column."""
     unknown = [name for name in model_params if name is not None and name not in _SCORE_NAMES]
     unknown += [name for name in kernel_params if name not in ("s", "c")]
     if unknown:
@@ -221,41 +233,40 @@ def _pairing_pass(points, spec, model_params, kernel_params):
     groups = {}
     for i, (m, k) in enumerate(points):
         on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(m))
-        route = "density" if on_density else "charfn"
-        score_of = _score if route == "density" else _charfn_score
-        scores = [None if name is None else score_of(m, _SCORE_NAMES[name]) for name in model_params]
-        build = _density_rows if route == "density" else _charfn_rows
-        groups.setdefault((route, support(m) if on_density else "real"), []).append(
-            (i, m, k, build(m, k, spec.orders, scores, kernel_params)))
+        frame = _frame(m, k) if on_density else "u"
+        build = {"z": _tilted_rows, "u": _charfn_rows}.get(frame, _density_rows)
+        mesh = _charfn_points if frame == "u" else _breakpoints
+        groups.setdefault(("density" if on_density else "charfn", frame), []).append(
+            (i, m, k, mesh(m, k), build(m, k, spec.orders, model_params, kernel_params)))
     per_stack = max(1, _STACK_ROWS // width)
-    todo = [(route, group[start:start + per_stack]) for (route, _), group in groups.items()
+    todo = [(route, frame, group[start:start + per_stack]) for (route, frame), group in groups.items()
             for start in range(0, len(group), per_stack)]
     out = [None] * len(points)
     while todo:
-        route, stack = todo.pop(0)
+        route, frame, stack = todo.pop(0)
 
-        def f(x, stack=stack):
-            rows = np.empty((width * len(stack), x.size))
+        def f(v, stack=stack):
+            rows = np.empty((width * len(stack), v.size))
             for n, (*_, fill) in enumerate(stack):
-                fill(x, rows[n * width:(n + 1) * width])
+                fill(v, rows[n * width:(n + 1) * width])
             return rows
 
         try:
             # at extreme orders x^j or Psi_j overflows; the inf or nan
             # reaches the engine, which raises it as NonFiniteEvaluation
             with np.errstate(over="ignore", invalid="ignore"):
-                points_of = _breakpoints if route == "density" else _charfn_points
-                breaks = np.concatenate([points_of(m, k) for _, m, k, _ in stack])
-                if route == "density":
-                    res = _integrate_support(stack[0][1], f, breaks)
-                else:  # the rows are even in u: their pairing is the integral over u > 0
-                    res = integrate_half_line(f, breaks)
+                breaks = np.concatenate([points for _, _, _, points, _ in stack])
+                # the char-fn rows are even in u: their pairing is the integral over u > 0
+                res = _integrate_frame("half" if frame == "u" else frame, f, breaks)
         except QuadratureError as exc:
             if len(stack) > 1:
-                todo[:0] = [(route, stack[:len(stack) // 2]), (route, stack[len(stack) // 2:])]
+                todo[:0] = [(route, frame, stack[:len(stack) // 2]), (route, frame, stack[len(stack) // 2:])]
                 continue
-            if route == "charfn" and isinstance(exc, NonFiniteEvaluation):
+            if frame == "u" and isinstance(exc, NonFiniteEvaluation):
                 exc = NonFiniteEvaluation(exc.points, "u")  # the char-fn rows are functions of u
+            elif frame == "z" and isinstance(exc, NonFiniteEvaluation):
+                tilt = _tilt(stack[0][1], stack[0][2])  # name the nodes in x
+                exc = NonFiniteEvaluation(tilt.mean + tilt.width * exc.points)
             where = f"{stack[0][1]} with {stack[0][2]}"
             if isinstance(exc, NonConvergence):
                 order, col = divmod(exc.component, len(columns))
@@ -269,10 +280,11 @@ def _pairing_pass(points, spec, model_params, kernel_params):
     return out
 
 
-def _density_rows(m, k, orders, scores, kernel_params):
+def _density_rows(m, k, orders, model_params, kernel_params):
     """fill(x, out), writing the density-route rows into ``out``: per
-    order j, x^j phi f times each score (None: the value row x^j phi f),
-    then x^j f d/dlambda phi."""
+    order j, x^j phi f times each score d/dtheta log f (None: the value
+    row x^j phi f), then x^j f d/dlambda phi."""
+    scores = [None if name is None else _score(m, _SCORE_NAMES[name]) for name in model_params]
     powers = np.array(orders)[:, None]
 
     def fill(x, out):
@@ -304,10 +316,48 @@ def _density_rows(m, k, orders, scores, kernel_params):
     return fill
 
 
-def _charfn_rows(m, k, orders, scores, kernel_params):
+def _tilted_rows(m, k, orders, model_params, kernel_params):
+    """fill(z, out) for a Gaussian product (``models._tilt``), in its
+    tilted coordinate z = (x - mean) / width: the rows of
+    ``_density_rows`` times dx/dz = width.  The factor width f phi is
+    the closed-form mass times exp(-z^2 / 2), and the scores and the
+    kernel's d/dlambda log phi come from the gaps x - mu = mu_gap + width z
+    and x - c = c_gap + width z, which carry no rounding of x itself.
+    Where the mass is lifted, x^j goes in before e^-lift, as it goes into
+    phi before f in ``_density_rows``."""
+    for name in model_params:  # a parameter the model lacks raises as in _score
+        if name is not None:
+            _score(m, _SCORE_NAMES[name])
+    t = _tilt(m, k)
+    location = lambda gap, scale: lambda z: (gap + t.width * z) / scale**2
+    spread = lambda gap, scale, chain=1.0: lambda z: chain * ((gap + t.width * z) ** 2 - scale**2) / scale**3
+    factor_of = {None: None, "mu": location(t.mu_gap, t.sd), "sigma": spread(t.mu_gap, t.sd, t.sd / m.sigma),
+                 "s": spread(t.c_gap, k.s), "c": location(t.c_gap, k.s)}
+    factors = [factor_of[name] for name in (*model_params, *kernel_params)]
+    powers = np.array(orders)[:, None]
+
+    def fill(z, out):
+        bell = np.exp(-0.5 * z * z)
+        nz = bell != 0.0  # x^j is formed only where the product is nonzero
+        rows = out.reshape(powers.size, -1, z.size)
+        if nz.all():
+            nz = slice(None)
+        else:
+            rows[..., ~nz] = 0.0
+        zs = z[nz]
+        base = (t.mean + t.width * zs) ** powers * (bell[nz] * t.mass)
+        for col, factor in enumerate(factors):
+            rows[:, col, nz] = base if factor is None else base * factor(zs)
+        if t.lift:
+            out *= np.exp(-t.lift)
+
+    return fill
+
+
+def _charfn_rows(m, k, orders, model_params, kernel_params):
     """fill(u, out), writing the char-fn-route rows into ``out``: per
-    order j, Re c Psi_j / pi times each score (None: the value row),
-    then Re c d/dlambda Psi_j / pi.  Each row, the real part of the
+    order j, Re c Psi_j / pi times each d/dtheta log c (None: the value
+    row), then Re c d/dlambda Psi_j / pi.  Each row, the real part of the
     transform of a real function, is even in u: 1 / pi over (0, inf)
     is 1 / 2 pi over the line.
 
@@ -316,6 +366,7 @@ def _charfn_rows(m, k, orders, scores, kernel_params):
     first non-finite Psi_j, and every higher order gets that Psi_j's rows,
     so the engine raises at once rather than rolling on through inf/nan.
     """
+    scores = [None if name is None else _charfn_score(m, _SCORE_NAMES[name]) for name in model_params]
     s2 = k.s * k.s
 
     def fill(u, out):
@@ -345,11 +396,20 @@ def _charfn_rows(m, k, orders, scores, kernel_params):
 
 def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
     """Weak characteristic function E[e^{iuX} phi(X)] by complex quadrature
-    of the density pairing (entire in u)."""
+    of the density pairing (entire in u), in the pairing's own variable
+    and from its own breakpoints, as for w_0."""
     if not support_has_density(m):
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
-    f = lambda x: np.exp(1j * u * x) * kernel_eval(k, x) * density(m, x)
-    return complex(_integrate_support(m, f, _breakpoints(m, k)).value)
+    frame, tilt = _frame(m, k), _tilt(m, k)
+    fill = (_tilted_rows if frame == "z" else _density_rows)(m, k, (0,), (None,), ())
+
+    def f(v):
+        row = np.empty((1, v.size))
+        fill(v, row)
+        x = v if tilt is None else tilt.mean + tilt.width * v
+        return np.exp(1j * u * x) * row[0]
+
+    return complex(_integrate_frame(frame, f, _breakpoints(m, k)).value)
 
 
 def moments_to_cumulants(raw: np.ndarray) -> np.ndarray:

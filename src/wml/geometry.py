@@ -358,6 +358,7 @@ def injectivity_probe(fam: ModelFamily, kernel, spec: FeatureMapSpec,
     if np.linalg.norm(widths) < separation:
         return []
 
+    spans = np.concatenate((widths, widths))  # the box widths of z = (theta_1, theta_2)
     cache: dict = {}
 
     def phi(theta_key):
@@ -387,7 +388,7 @@ def injectivity_probe(fam: ModelFamily, kernel, spec: FeatureMapSpec,
             continue
         z = np.concatenate((t1, t2))
         best = objective(z)
-        step = 0.25 * np.concatenate((widths, widths))
+        step = 0.25 * spans
         for _ in range(max_sweeps):
             improved = False
             for a in range(z.size):
@@ -402,7 +403,7 @@ def injectivity_probe(fam: ModelFamily, kernel, spec: FeatureMapSpec,
                         break
             if not improved:
                 step *= 0.5
-                if np.max(step / np.maximum(widths, _EPS)) < 1e-6:
+                if np.max(step / np.maximum(spans, _EPS)) < 1e-6:
                     break
         if best < tol * tol:
             found.append(CollisionCandidate(z[: fam.p].copy(), z[fam.p:].copy(), best))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_TINY = np.finfo(float).tiny
 _SCALE_BOX, _CENTRE_BOX = (0.05, 1000.0), (-10.0, 10.0)  # the kernel families' boxes
 
 
@@ -339,29 +340,165 @@ def _model_points(m: ModelSpec) -> np.ndarray:
     return m.mu + m.sigma * _OFFSETS  # Gaussian, SymmetricStable
 
 
+def _variance_ratio(m: ModelSpec):
+    """var / sigma^2 of a Gaussian model, or None for any other: 1 for a
+    Gaussian, 2 for stable(2), the Gaussian with variance 2 sigma^2."""
+    if isinstance(m, Gaussian):
+        return 1.0
+    if isinstance(m, SymmetricStable) and m.alpha == 2.0:
+        return 2.0
+    return None
+
+
+_SPLIT = 2.0**27 + 1.0  # Dekker's splitter for doubles
+
+
+def _two_sum(a, b):
+    """(s, e): s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_product(a, b):
+    """(p, e): p = fl(a b) and p + e = a b exactly (Dekker), for a and b
+    well inside the double range."""
+    p = a * b
+    ah, bh = _SPLIT * a, _SPLIT * b
+    ah, bh = ah - (ah - a), bh - (bh - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+# the tilted mass is kept as mass e^-lift with mass normal: below this log
+# mass exp(log_mass - z^2 / 2) would be subnormal, or nearly so, at the peak
+_LOG_LIFT = -600.0
+
+
+class _Tilt(NamedTuple):
+    """A Gaussian model f, with standard deviation ``sd``, times the window
+    phi, in closed form: f phi is w_0 N(mean, width^2), and in
+    z = (x - mean) / width the pairing's integrand width f phi is
+    mass e^-lift exp(-z^2 / 2).  ``mu_gap`` and ``c_gap`` are x - mu and
+    x - c at z = 0, so that no score subtracts two nearly equal x's."""
+
+    mean: float
+    width: float
+    sd: float
+    mu_gap: float
+    c_gap: float
+    mass: float
+    lift: float
+
+
+def _tilt(m: ModelSpec, k: KernelSpec):
+    """The tilted law of a Gaussian model under the window ``k`` (see
+    ``_Tilt``), or None for a pairing not integrated in z (``_frame``).
+
+    log(mass e^-lift) = -(c - mu)^2 / 2T - log(T) / 2 - log(2 pi), with
+    T = var + s^2.  Its first term reaches 700 before the pairing
+    underflows, where one rounding of it costs 1e-13 of every entry, so it
+    is formed in double-double arithmetic; lift > 0 only where e^log_mass
+    would be subnormal."""
+    if _frame(m, k) != "z":
+        return None
+    ratio = _variance_ratio(m)
+    gap, gap_lo = _two_sum(k.c, -m.mu)
+    square, square_lo = _two_product(gap, gap)
+    var, var_lo = _two_product(m.sigma, m.sigma)
+    var, var_lo = ratio * var, ratio * var_lo
+    s2, s2_lo = _two_product(k.s, k.s)
+    total, total_lo = _two_sum(var, s2)
+    total_lo += var_lo + s2_lo
+    q = square / total  # (c - mu)^2 / T = q + q_lo
+    p, p_lo = _two_product(q, total)
+    q_lo = ((square - p) - p_lo + (square_lo + 2.0 * gap * gap_lo) - q * total_lo) / total
+    log_mass, lo = _two_sum(-0.5 * q, -0.5 * math.log(total) - math.log(2.0 * math.pi))
+    lift = float(np.clip(np.ceil(_LOG_LIFT - log_mass), 0.0, 700.0))
+    mass = math.exp(log_mass + lift)  # log_mass + lift is exact
+    if mass:
+        mass *= 1.0 + (lo - 0.5 * q_lo)
+    sd = m.sigma * math.sqrt(ratio)
+    mu_gap = gap * var / total
+    return _Tilt(mean=m.mu + mu_gap, width=sd * k.s / math.sqrt(total), sd=sd,
+                 mu_gap=mu_gap, c_gap=-gap * s2 / total, mass=mass, lift=lift)
+
+
+def _log_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The points x = e^y for y the multiples of ``step`` from the last at
+    or below ``lo`` to the first at or above ``hi``."""
+    return np.exp(np.arange(np.floor(lo / step), np.ceil(hi / step) + 1.0) * step)
+
+
+# the first mesh of a Gaussian product, in its tilted coordinate z: the
+# integrand exp(-z^2 / 2) (x^j, score) is resolved on it to 1e-10 for
+# low orders, and the points at 10 widths close its tails
+_Z_HALF = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0, 10.0])
+_Z_MESH = np.concatenate((-_Z_HALF[::-1], [0.0], _Z_HALF))
+
+
+def _frame(m: ModelSpec, k: KernelSpec) -> str:
+    """The variable a density pairing of ``m`` with ``k`` is integrated
+    in: 'z', the tilted coordinate of a Gaussian product (``_tilt``), over
+    the line, if the product's variance is a normal double; else x over
+    the model's support, 'real' or 'half'."""
+    ratio = _variance_ratio(m)
+    if ratio is not None and _TINY < ratio * m.sigma * m.sigma + k.s * k.s < math.inf:
+        return "z"
+    return support(m)
+
+
+# the tails of a Stieltjes pairing in log x, beyond its quarter periods
+_LOG_TAIL = np.array([-10.0, -8.0, -6.0, -5.0, 5.0, 6.0, 8.0, 10.0])
+
+
 def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
-    """Breakpoints for a pairing of ``m`` with the window ``k``: the
-    model's points and the window's centre +- {0, 1, 3, 6, 10} s."""
-    return np.concatenate((_model_points(m), k.c + k.s * _OFFSETS))
+    """Breakpoints for the density pairing of ``m`` with the window ``k``,
+    in the variable of its ``_frame``, placed on the product f phi:
+
+    * a Gaussian product: the fixed mesh ``_Z_MESH`` in z, the same for
+      every such pairing;
+    * the Stieltjes family, whose log-normal factor is N(0, 1) in
+      y = log x: the quarter periods of sin(2 pi y) over |y| <= 4, and
+      y = +-{5, 6, 8, 10} for the tails, as far as the window reaches
+      (c +- 10 s, where that lies in x > 0); and the window's own points
+      where its range in y is bounded, as it then is narrow there;
+    * any other, and a Stieltjes pairing with no quarter period in that
+      range: the model's points (``_model_points``) and the window's
+      centre +- {0, 1, 3, 6, 10} s.
+    """
+    if _frame(m, k) == "z":
+        return _Z_MESH
+    window = k.c + k.s * _OFFSETS
+    if isinstance(m, StieltjesLogNormal) and window[-1] > 0.0:
+        lo = np.log(window[0]) if window[0] > 0.0 else -np.inf
+        hi = np.log(window[-1])
+        if max(lo, -4.0) < min(hi, 4.0):
+            tail = _LOG_TAIL[(lo <= _LOG_TAIL) & (_LOG_TAIL <= hi)]
+            points = np.concatenate((_log_grid(max(lo, -4.0), min(hi, 4.0), 0.25), np.exp(tail)))
+            return points if lo == -np.inf else np.concatenate((points, window))
+    return np.concatenate((_model_points(m), window))
 
 
-_DECAY = _OFFSETS[_OFFSETS > 0.0]
+_DECAY = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0])
 _LEFT_TAIL = np.exp(-np.array([2.0, 5.0, 10.0, 16.0]))
 
 
 def _charfn_points(m: ModelSpec, k: KernelSpec) -> np.ndarray:
     """Breakpoints in u > 0 for the char-fn pairing of ``m`` with ``k``:
-    {1, 3, 6, 10} over s, where the window transform decays, and over
-    sigma (1 for a model without one, as the Cauchy), where the char fn
-    decays; and the least of those times e^{-2, -5, -10, -16}, for the
-    left tail in log u, where the pairing levels off towards u = 0."""
+    {0.5, 1, 1.5, 2, 3, 4, 6, 10} over s, where the window transform
+    decays, and over sigma (1 for a model without one, as the Cauchy),
+    where the char fn decays; and the least of those times
+    e^{-2, -5, -10, -16}, for the left tail in log u, where the pairing
+    levels off towards u = 0."""
     decay = np.concatenate((_DECAY / k.s, _DECAY / getattr(m, "sigma", 1.0)))
     return np.concatenate((decay, decay.min() * _LEFT_TAIL))
 
 
-def _integrate_support(m: ModelSpec, f, points) -> IntegralResult:
-    """Integrate ``f`` over the support of ``m`` from breakpoints ``points``."""
-    if support(m) == "half":
+def _integrate_frame(frame: str, f, points) -> IntegralResult:
+    """Integrate ``f`` over (0, inf) for the frame 'half', else over the
+    line, from breakpoints ``points``."""
+    if frame == "half":
         return integrate_half_line(f, points)
     return integrate_real_line(f, points)
 
@@ -378,7 +515,7 @@ def classical_fisher_info(m: ModelSpec, which: str = "location") -> float:
         nz = dens != 0.0
         out[nz] = score(x[nz]) ** 2 * dens[nz]
         return out
-    return float(_integrate_support(m, f, _model_points(m)).value)
+    return float(_integrate_frame(support(m), f, _model_points(m)).value)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,20 @@ def test_run_failure_names_only_the_failing_checks(capsys):
     assert "kappa1_rel_err" not in err
 
 
+def test_successive_runs_do_not_share_tolerances(capsys):
+    # one parser serves every main call in a process; each call's --tol
+    # list is its own, so the first run's override does not reach the second
+    import wml.cli
+
+    assert wml.cli._build_parser() is wml.cli._build_parser()
+    code, _, _ = run_cli(capsys, "run", "gaussian-tilted-cumulants", "--tol", "abs_kappa3=0")
+    assert code == 1
+    code, out, _ = run_cli(capsys, "run", "gaussian-tilted-cumulants", "--tol", "kappa1_rel_err=1")
+    doc = json.loads(out)
+    assert code == 0 and doc["pass"] is True
+    assert doc["tolerances"]["kappa1_rel_err"] == 1.0 and doc["tolerances"]["abs_kappa3"] > 0.0
+
+
 def test_run_unknown_tolerance_is_config_error(capsys):
     # a misspelt key used to be recorded and ignored, so the default held
     code, out, err = run_cli(capsys, "run", "cauchy-fisher", "--tol", "abs_eror=0")
@@ -177,7 +191,7 @@ def test_eval_route_without_its_function_names_what_is_missing(capsys, argv, mes
 
 
 def test_eval_unconverged_quadrature_is_an_error(capsys, one_bisection):
-    code, out, err = run_cli(capsys, "eval", "--model", "gaussian:mu=-1.388,sigma=5.56",
+    code, out, err = run_cli(capsys, "eval", "--model", "cauchy:mu=-1.388",
                              "--kernel", "0.051,-6.754", "--orders", "0,1,2,3,4")
     assert code == 2
     assert out == ""

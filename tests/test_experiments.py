@@ -126,7 +126,7 @@ def test_cauchy_submersion_takes_its_scale_sensitivity_from_the_jacobian_pass(mo
 def test_numeric_failure_is_reported_not_raised(one_bisection):
     # an unreachable quadrature budget raises NonConvergence inside the
     # experiment; the result carries the diagnostic instead
-    res = run_experiment("stieltjes-kernel-break")
+    res = run_experiment("lognormal-immersion")
     assert res.passed is False
     assert res.metrics == {"numeric_failure": 1.0}
     assert res.diagnostic.startswith("NonConvergence")

@@ -33,8 +33,10 @@ from wml.models import (
     _breakpoints,
     _charfn_points,
     _charfn_score,
-    _integrate_support,
+    _frame,
+    _integrate_frame,
     _score,
+    _tilt,
     canonical_family,
     cauchy_family,
     char_fn,
@@ -82,15 +84,22 @@ def test_gaussian_w0_closed_form():
 
 def gaussian_tilted_moments(mu, sigma, s, c, orders):
     """Closed form: N(mu, sigma^2) times the N(c, s^2) window is w_0 N(m, v),
-    so w_j = w_0 E[Y^j] with Y ~ N(m, v); also a magnitude scale per order."""
-    v = 1.0 / (1.0 / sigma**2 + 1.0 / s**2)
-    m = v * (mu / sigma**2 + c / s**2)
-    w0 = gaussian_w0(mu, sigma, s, c)
-    raw = [1.0, m]
-    for j in range(2, max(orders) + 1):
-        raw.append(m * raw[-1] + (j - 1) * v * raw[-2])
-    values = np.array([w0 * raw[j] for j in orders])
-    scales = np.array([w0 * (abs(m) + 3.0 * np.sqrt(v)) ** j for j in orders])
+    so w_j = w_0 E[Y^j] with Y ~ N(m, v); also a magnitude scale per order.
+    Evaluated in 40-digit arithmetic: in doubles the exponent of w_0, up to
+    about 700, carries rounding of 1e-14 of w_0 and more."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        mu, sigma, s, c = map(mpmath.mpf, (mu, sigma, s, c))
+        v = 1 / (1 / sigma**2 + 1 / s**2)
+        m = v * (mu / sigma**2 + c / s**2)
+        t = sigma**2 + s**2
+        w0 = mpmath.exp(-(mu - c) ** 2 / (2 * t)) / mpmath.sqrt(2 * mpmath.pi * t)
+        raw = [mpmath.mpf(1), m]
+        for j in range(2, max(orders) + 1):
+            raw.append(m * raw[-1] + (j - 1) * v * raw[-2])
+        values = np.array([float(w0 * raw[j]) for j in orders])
+        scales = np.array([float(w0 * (abs(m) + 3 * mpmath.sqrt(v)) ** j) for j in orders])
     return values, scales
 
 
@@ -198,10 +207,9 @@ def test_char_fn_rows_are_even_in_u():
     models = [Gaussian(0.4, 1.3), Cauchy(0.4)] + [SymmetricStable(a, 0.4, 1.3) for a in (0.5, 1.0, 1.5, 2.0)]
     for m in models:
         for k in (UNIT_KERNEL, KernelSpec(0.7, -1.3)):
-            names = ("location",) if isinstance(m, Cauchy) else ("location", "scale")
-            scores = [None] + [_charfn_score(m, name) for name in names]
-            fill = _charfn_rows(m, k, orders, scores, ("s", "c"))
-            at_u, at_minus_u = (np.empty((len(orders) * (len(scores) + 2), u.size)) for _ in range(2))
+            model_params = (None, "mu") if isinstance(m, Cauchy) else (None, "mu", "sigma")
+            fill = _charfn_rows(m, k, orders, model_params, ("s", "c"))
+            at_u, at_minus_u = (np.empty((len(orders) * (len(model_params) + 2), u.size)) for _ in range(2))
             fill(u, at_u)
             fill(-u, at_minus_u)
             assert np.all(np.isfinite(at_u))
@@ -223,6 +231,25 @@ def test_stable_feature_maps_take_few_integrand_calls(monkeypatch):
         fv = feature_map(stable_family(alpha), theta, k, FeatureMapSpec(range(5)))
         assert fv.paths == ("charfn",) * 5
         assert len(calls) <= 5, (alpha, theta, k)
+
+
+@pytest.mark.parametrize("fam, most", [(gaussian_family(), 1), (stieltjes_family(), 2)])
+def test_density_feature_maps_converge_on_their_first_mesh(monkeypatch, fam, most):
+    # the pass starts from a mesh on the pairing's own product: a fixed mesh
+    # in the tilted coordinate z of a Gaussian product, the quarter periods
+    # of sin(2 pi log x) for the Stieltjes family.  From the model's and the
+    # window's points they took 2.75 and 3.5 calls on average
+    calls = []
+    kronrod = wml.quad._kronrod_panels
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        theta = [rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)] if fam.p == 2 else [rng.uniform(-0.9, 0.9)]
+        k = KernelSpec(np.exp(rng.uniform(np.log(0.3), np.log(5.0))), rng.uniform(-1.0, 1.0))
+        calls.clear()
+        fv = feature_map(fam, theta, k, FeatureMapSpec(range(5)))
+        assert fv.paths == ("density",) * 5
+        assert len(calls) <= most, (theta, k)
 
 
 @pytest.mark.parametrize("alpha, theta", [(0.7, [-2.0, 1.0]), (0.1, [-2.0, 9.99])])
@@ -255,10 +282,11 @@ def test_path_errors():
 
 def test_feature_map_reports_an_unmet_budget(one_bisection):
     # a pass of several rows raises NonConvergence like a one-row pass
-    # (its error array once met a scalar format and raised TypeError)
+    # (its error array once met a scalar format and raised TypeError); a
+    # Gaussian pass now converges on its first mesh, a Cauchy one does not
     spec = FeatureMapSpec(orders=(0, 1, 2))
     with pytest.raises(NonConvergence, match="component"):
-        feature_map(gaussian_family(), [0.3, 0.01], UNIT_KERNEL, spec)
+        feature_map(cauchy_family(), [0.3], UNIT_KERNEL, spec)
 
 
 def test_feature_map_gaussian_orders_01():
@@ -301,7 +329,8 @@ def test_one_adaptive_pass_per_call(monkeypatch):
 def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
     """The one-point pass as written before points were stacked: every
     row from arrays of its own, stacked into a fresh array, over the
-    point's own breakpoints.  Returns (values, errors)."""
+    point's own breakpoints, in its own variable (z for a Gaussian
+    product).  Returns (values, errors)."""
     route = "density" if spec.path == "density" or (spec.path == "auto" and support_has_density(m)) \
         else "charfn"
     score_of = _score if route == "density" else _charfn_score
@@ -322,6 +351,22 @@ def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
         out[:, :, nz] = np.stack(cols, axis=1)
         return out.reshape(-1, x.size)
 
+    def tilted_rows(z):
+        # z = (x - mean) / width; width phi f = mass exp(-z^2 / 2), with no
+        # lift at these points, and the gaps x - mu and x - c in closed form
+        t = _tilt(m, k)
+        bell = np.exp(-0.5 * z * z)
+        nz = bell != 0.0
+        zs = z[nz]
+        base = (t.mean + t.width * zs) ** powers * (bell[nz] * t.mass)
+        gap_mu, gap_c = t.mu_gap + t.width * zs, t.c_gap + t.width * zs
+        factors = {"mu": gap_mu / t.sd**2, "sigma": t.sd / m.sigma * (gap_mu**2 - t.sd**2) / t.sd**3,
+                   "s": (gap_c**2 - k.s**2) / k.s**3, "c": gap_c / k.s**2}
+        cols = [base if name is None else base * factors[name] for name in (*model_params, *kernel_params)]
+        out = np.zeros((powers.size, len(cols), z.size))
+        out[:, :, nz] = np.stack(cols, axis=1)
+        return out.reshape(-1, z.size)
+
     def charfn_rows(u):
         s2, cf = k.s * k.s, char_fn(m, u)
         dcf = [cf if score is None else cf * score(u) for score in scores]
@@ -339,7 +384,8 @@ def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
         return np.real(rows)
 
     if route == "density":
-        res = _integrate_support(m, density_rows, _breakpoints(m, k))
+        frame = _frame(m, k)
+        res = _integrate_frame(frame, tilted_rows if frame == "z" else density_rows, _breakpoints(m, k))
     else:
         res = wml.quad.integrate_half_line(charfn_rows, _charfn_points(m, k))
     return res.value, res.error_estimate
@@ -427,11 +473,11 @@ def test_a_hostile_point_in_a_stack_raises_its_own_error():
 
 def test_nonconvergence_names_the_point_order_and_column(one_bisection):
     with pytest.raises(NonConvergence) as info:
-        weak_moment_jacobian(Gaussian(0.3, 0.01), UNIT_KERNEL, ("mu", "sigma"), ("s",),
+        weak_moment_jacobian(LogNormal(0.3, 0.1), UNIT_KERNEL, ("mu", "sigma"), ("s",),
                              FeatureMapSpec((0, 1, 2)))
     order, col = divmod(info.value.component, 3)
     assert str(info.value).endswith(f"; order {order}, column {('mu', 'sigma', 's')[col]}, "
-                                    f"at Gaussian(mu=0.3, sigma=0.01) with KernelSpec(s=1.0, c=0.0)")
+                                    f"at LogNormal(mu=0.3, sigma=0.1) with KernelSpec(s=1.0, c=0.0)")
 
 
 def test_no_integrand_call_carries_more_rows_than_the_cap(monkeypatch):
@@ -576,6 +622,19 @@ def test_weak_cumulants_gaussian_product():
     assert abs(wc.kappa[3]) < 1e-6
 
 
+def test_gaussian_tilted_law_has_no_cumulants_beyond_the_second():
+    # f phi / w_0 is N(m, v) for a Gaussian model, so kappa_3 .. kappa_6 are
+    # 0.  Each w_j / w_0 comes within about 1e-15 of its scale
+    # (|m| + sqrt v)^j; raw moments 5 and 6 off by 1 part in 1e9 put
+    # kappa_5 and kappa_6 100x or more past the bound
+    for mu, sigma, s, c in ((0.7, 1.3, 0.9, -0.4), (-1.2, 0.6, 1.5, 0.8), (2.0, 1.0, 0.5, -1.0)):
+        v = 1.0 / (1.0 / sigma**2 + 1.0 / s**2)
+        m = v * (mu / sigma**2 + c / s**2)
+        kappa = weak_cumulants(Gaussian(mu, sigma), KernelSpec(s, c), 6).kappa
+        scale = (abs(m) + np.sqrt(v)) ** np.arange(3, 7)
+        assert np.all(np.abs(kappa[2:]) <= 1e-12 * scale), (mu, sigma, s, c)
+
+
 def test_weak_cumulants_of_a_tiny_w0():
     # w_0 ~ 9.4e-280 once met an absolute target on the first panels and
     # gave kappa = (32.94, 0.0057); the tilted law is N(32, 0.2)
@@ -637,10 +696,10 @@ def test_near_underflow_jacobian_entries_are_bounded_by_their_errors():
 
 
 def in_x_map_rounding_region(mu, sigma, s, c):
-    """Whether a Gaussian pairing lies where ROADMAP I.4's x-map rounding
-    (and the missed tail next to it) is still open: model and window 12 or
-    more combined widths apart, or the pairing's peak 60 or more of its
-    own widths from 0."""
+    """Whether a Gaussian pairing lies where integrating in x broke the
+    error bound (ROADMAP I.4's x-map rounding, and the missed tail next to
+    it): model and window 12 or more combined widths apart, or the
+    pairing's peak 60 or more of its own widths from 0."""
     v = 1.0 / (1.0 / sigma**2 + 1.0 / s**2)
     peak = v * (mu / sigma**2 + c / s**2)
     return abs(mu - c) >= 12.0 * np.hypot(sigma, s) or abs(peak) >= 60.0 * np.sqrt(v)
@@ -650,7 +709,8 @@ def test_reported_errors_bound_the_gaussian_jacobian():
     # every entry, d/d(mu, sigma, s, c) w_j for j <= 4, lies within its
     # reported error of the closed form: 160 points from the family boxes
     # with log-uniform scales, and 80 narrow windows a few widths from a
-    # wide model.  The open I.4 region is skipped; see the xfail cases below
+    # wide model.  63 of them lie in the region where the pass in x missed
+    # (ROADMAP I.4); the pass in the tilted coordinate z bounds them all
     rng = np.random.default_rng(13)
     loguniform = lambda lo, hi: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     (mu_box, sigma_box), (s_box, c_box) = _GAUSSIANS.box, _KERNELS.box
@@ -660,18 +720,14 @@ def test_reported_errors_bound_the_gaussian_jacobian():
         mu, sigma = rng.uniform(-4.0, 4.0), loguniform(0.5, 5.0)
         c = np.clip(mu + rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 6.0) * sigma, *c_box)
         points.append((mu, sigma, loguniform(0.05, 0.15), float(c)))
-    checked = [p for p in points if not in_x_map_rounding_region(*p)]
-    assert len(checked) >= 175
-    missed = [p for p in checked if jacobian_misses(p).any()]
+    assert sum(in_x_map_rounding_region(*p) for p in points) >= 60
+    missed = [p for p in points if jacobian_misses(p).any()]
     assert not missed
 
 
-# ROADMAP I.4, the x-map rounding far from 0 (CHANGES.md FOUND, "reported
-# errors are still not bounds where rounding in the map ..." and "ROADMAP
-# I.4's x-map rounding also reaches ordinary pairings ..."), and the missed
-# tail of a far pairing (CHANGES.md FOUND, "the density route can miss the
-# tail of a far pairing ..."): the gate above skips these regions, and a
-# fix has to flip these cases
+# ROADMAP I.4, the x-map rounding far from 0, and the missed tail of a far
+# pairing (CHANGES.md FOUND lines): once strict xfails of the pass in x,
+# where entries were 1.3x to 2e8x their reported errors
 @pytest.mark.parametrize("point", [
     pytest.param((4.1564, 0.5142, 0.06749, -9.5957), id="I.4-jacobian-all-entries"),
     pytest.param((-2.9783190602451537, 0.99302794969361152, 0.052485886284647357, 8.7581021727197879),
@@ -681,14 +737,12 @@ def test_reported_errors_bound_the_gaussian_jacobian():
     pytest.param((-4.9938983304312625, 0.48779894334698226, 0.12284145503674918, 9.843147646192548),
                  id="far-pairing-missed-tail"),
 ])
-@pytest.mark.xfail(strict=True, reason="open: ROADMAP I.4 and the far-pairing FOUND line in CHANGES.md")
-def test_open_x_map_points_are_bounded_by_their_errors(point):
+def test_x_map_points_are_bounded_by_their_errors(point):
     assert in_x_map_rounding_region(*point)
     assert not jacobian_misses(point).any()
 
 
-@pytest.mark.xfail(strict=True, reason="open: ROADMAP I.4 (CHANGES.md FOUND, x-map rounding)")
-def test_open_x_map_feature_map_point_is_bounded_by_its_errors():
+def test_x_map_feature_map_point_is_bounded_by_its_errors():
     mu, sigma, s, c = -3.6552, 0.1158, 0.5901, 8.8887
     spec = FeatureMapSpec(orders=(0, 1, 2, 3, 4))
     truth, _ = gaussian_tilted_moments(mu, sigma, s, c, spec.orders)

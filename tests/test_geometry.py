@@ -162,7 +162,7 @@ def test_jacobian_refuses_what_it_cannot_differentiate():
 def test_jacobian_reports_an_unmet_budget(one_bisection):
     spec = FeatureMapSpec(orders=(0, 1, 2))
     with pytest.raises(NonConvergence, match="component"):
-        jacobian(gaussian_family(), scale_kernel_family(), [0.3, 0.06], [1.0], spec)
+        jacobian(cauchy_family(), scale_kernel_family(), [0.3], [1.0], spec)
 
 
 def test_jacobian_symmetry_zero_mu_derivative():
@@ -208,6 +208,13 @@ def test_correlation_det_of_a_huge_diagonal_is_one():
     # diag(G)^2 = 3.3e439 overflows; normalising by sqrt(diag) does not
     g = metric_tensor(make_report(np.array([[1e-3], [7.6e109]]), np.zeros((2, 0))))
     assert g.correlation_det == 1.0
+
+
+def test_correlation_det_with_a_zero_diagonal_entry_is_zero():
+    # a model column that is identically 0 makes G singular: its correlation
+    # matrix is undefined, and its determinant reads 0, not 1
+    g = metric_tensor(make_report(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros((2, 0))))
+    assert g.correlation_det == 0.0
 
 
 def test_metric_tensor_determinant_overflow_is_an_error():
@@ -457,6 +464,18 @@ def test_probe_finds_no_collision_at_unit_scale():
     found = injectivity_probe(fam, KernelSpec(1.0, 0.0), PROBE_SPEC,
                               n_starts=3, separation=0.5, tol=1e-4, seed=2,
                               max_sweeps=12)
+    assert found == []
+
+
+def test_probe_runs_on_a_two_parameter_family():
+    # the step of a pair (theta_1, theta_2) has 2p entries and the box p
+    # widths: on every two-parameter family the first step shrink raised
+    # "operands could not be broadcast together with shapes (4,) (2,)".
+    # w_0, w_1, w_2 fix the tilted mean and variance, and with them mu and
+    # sigma, so no collision is found
+    fam = gaussian_family()
+    found = injectivity_probe(fam, KernelSpec(1.0, 0.0), PROBE_SPEC,
+                              n_starts=1, separation=0.5, tol=1e-4, seed=0, max_sweeps=6)
     assert found == []
 
 
