@@ -179,30 +179,35 @@ def _cauchy_fisher(tol):
 def _cauchy_submersion(tol):
     """Joint 1x2 Jacobian of the Cauchy zeroth weak moment on a (mu, s) grid.
 
-    The rank check uses the analytic Jacobian of the normalised-kernel
-    pairing.  The positivity metric is the kernel
-    window sensitivity E[X^2 phi_s(X)] / s^3, i.e. the derivative of the
-    pairing when only the Gaussian window (not its normalisation) varies
-    with s; that is the quantity whose strict positivity underwrites the
-    rank-1 claim for a location family.  The Jacobian's pass gives it:
-    d/ds w_0 = w_2 / s^3 - w_0 / s for the normalised window.
+    The ranks count singular values above their errors: the model rank is
+    0 at mu = 0, where d/dmu w_0 = 0 by symmetry.  The positivity metric
+    is the window sensitivity E[X^2 phi_s(X)] / s^3, i.e. the derivative
+    of the pairing when only the Gaussian window (not its normalisation)
+    varies with s; that is the quantity whose strict positivity
+    underwrites the rank-1 claim for a location family.  The Jacobian's
+    pass gives it: d/ds w_0 = w_2 / s^3 - w_0 / s for the normalised window.
     """
     grid = [(mu, s) for mu in np.linspace(-2.0, 2.0, 5) for s in np.linspace(0.5, 4.0, 5)]
     reps = _jacobians(cauchy_family(), scale_kernel_family(), [([mu], [s]) for mu, s in grid],
                       FeatureMapSpec(orders=(0,), path="density"))
     rows = []
     for (mu, s), rep in zip(grid, reps):
-        rank = numerical_rank(rep.joint, rep.error_estimates).rank
-        rows.append({"mu": float(mu), "s": float(s), "joint_rank": rank,
-                     "d_mu": float(rep.d_theta[0, 0]),
+        model = numerical_rank(rep.d_theta, rep.error_estimates[:, :1]).rank
+        joint = numerical_rank(rep.joint, rep.error_estimates).rank
+        rows.append({"mu": float(mu), "s": float(s), "model_rank": model, "joint_rank": joint,
+                     "enrichment": joint - model, "d_mu": float(rep.d_theta[0, 0]),
                      "d_s": float(rep.d_lambda[0, 0]),
                      "scale_sensitivity": float(rep.d_lambda[0, 0] + rep.features.values[0] / s)})
     ranks = [row["joint_rank"] for row in rows]
     metrics = {"min_joint_rank": float(min(ranks)), "max_joint_rank": float(max(ranks)),
-               "min_scale_sensitivity": min(row["scale_sensitivity"] for row in rows)}
+               "min_scale_sensitivity": min(row["scale_sensitivity"] for row in rows),
+               "max_model_rank_mu0": float(max(row["model_rank"] for row in rows if row["mu"] == 0.0)),
+               "min_model_rank_off_mu0": float(min(row["model_rank"] for row in rows if row["mu"] != 0.0))}
     checks = {
         "joint_rank": metrics["min_joint_rank"] == tol["joint_rank"] == metrics["max_joint_rank"],
         "min_scale_sensitivity_min": metrics["min_scale_sensitivity"] > tol["min_scale_sensitivity_min"],
+        "model_rank_mu0": metrics["max_model_rank_mu0"] == tol["model_rank_mu0"],
+        "model_rank_off_mu0": metrics["min_model_rank_off_mu0"] == tol["model_rank_off_mu0"],
     }
     return metrics, checks, rows
 
@@ -239,16 +244,12 @@ def _behrens_fisher_w0(tol):
         rows.append({"mu": m, "sigma": sigma, "s": s, "w0": float(got),
                      "closed_form": float(closed), "rel_err": float(rel)})
 
-    spreads = {}
-    for s, w0s in zip(scales, w0[len(closed_grid):].reshape(len(scales), -1)):
-        wbar = float(np.mean(w0s))
-        spreads[s] = float(np.max(np.abs(w0s - wbar)) / wbar)
-    spread_vals = [spreads[s] for s in scales]
-    decreasing = all(a > b for a, b in zip(spread_vals, spread_vals[1:]))
+    spreads = [float(np.max(np.abs(w - np.mean(w))) / np.mean(w))
+               for w in w0[len(closed_grid):].reshape(len(scales), -1)]
+    decreasing = all(a > b for a, b in zip(spreads, spreads[1:]))
 
     metrics = {"max_w0_rel_err": max(row["rel_err"] for row in rows),
-               "spread_s1": spreads[1.0], "spread_s3": spreads[3.0],
-               "spread_s10": spreads[10.0], "spread_s30": spreads[30.0],
+               **{f"spread_s{s:g}": v for s, v in zip(scales, spreads)},
                "nuisance_spread_decreasing": 1.0 if decreasing else 0.0}
     checks = {"max_w0_rel_err": metrics["max_w0_rel_err"] < tol["max_w0_rel_err"],
               "nuisance_spread_decreasing":
@@ -269,10 +270,8 @@ def _singular_limit(tol):
         metrics[f"cond_s{row['s']:g}"] = row["condition_number"]
     tail_dets = [row["det_g"] for row in rows[1:]]   # s >= 2
     tail_conds = [row["condition_number"] for row in rows[1:]]
-    metrics["det_strictly_decreasing"] = 1.0 if all(
-        a > b for a, b in zip(tail_dets, tail_dets[1:])) else 0.0
-    metrics["cond_nondecreasing"] = 1.0 if all(
-        a <= b for a, b in zip(tail_conds, tail_conds[1:])) else 0.0
+    metrics["det_strictly_decreasing"] = float(all(a > b for a, b in zip(tail_dets, tail_dets[1:])))
+    metrics["cond_nondecreasing"] = float(all(a <= b for a, b in zip(tail_conds, tail_conds[1:])))
     checks = {"det_strictly_decreasing":
                   metrics["det_strictly_decreasing"] == tol["det_strictly_decreasing"],
               "cond_nondecreasing": metrics["cond_nondecreasing"] == tol["cond_nondecreasing"]}
@@ -372,7 +371,8 @@ _CATALOG = {
     "lognormal-classical-moments": (_lognormal_classical_moments, {"max_rel_err": 1e-6}),
     "cauchy-fisher": (_cauchy_fisher, {"abs_error": 1e-6}),
     "cauchy-submersion": (_cauchy_submersion,
-                          {"joint_rank": 1.0, "min_scale_sensitivity_min": 0.0}),
+                          {"joint_rank": 1.0, "min_scale_sensitivity_min": 0.0,
+                           "model_rank_mu0": 0.0, "model_rank_off_mu0": 1.0}),
     "lognormal-immersion": (_lognormal_immersion,
                             {"model_rank": 2.0, "joint_rank": 2.0, "min_det_g_min": 0.0}),
     "behrens-fisher-w0": (_behrens_fisher_w0,

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .features import FeatureMapSpec, FeatureVector, _pairing_pass, feature_map
+from .features import FeatureMapSpec, FeatureVector, _pairing_pass
 from .models import ModelFamily, Unsupported
 
 __all__ = [
@@ -52,9 +52,11 @@ __all__ = [
     "injectivity_probe",
 ]
 
-_EPS = np.finfo(float).eps
 _RANK_TOL = 1e-10
 _INTERSECTION_TOL = 1e-8  # a point this close to a stratum lies on it
+# injectivity_probe's iteration cap; a pair stops once its step is below _PROBE_STEP
+# of the box widths, its damping above _PROBE_DAMPING or |r|^2 below _PROBE_FLOOR tol^2
+_PROBE_ITERATIONS, _PROBE_STEP, _PROBE_DAMPING, _PROBE_FLOOR = 60, 1e-6, 1e8, 1e-4
 
 
 class StepUnderflow(Exception):
@@ -255,13 +257,13 @@ def numerical_rank(matrix, errors=None) -> RankReport:
     singular value moves by at most |E|_2 <= |E|_F, so one at or below
     that floor may be zero."""
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix must be finite")
     sv = np.linalg.svd(a, compute_uv=False)
     smax = sv[0] if sv.size else 0.0
     floor = 0.0 if errors is None else float(np.linalg.norm(errors))
     tol = max(_RANK_TOL * smax * max(a.shape), floor)
-    return RankReport(sv, int(np.sum(sv > tol)), float(tol))
+    return RankReport(sv, int(np.count_nonzero(sv > tol)), float(tol))
 
 
 def transversality_check(report: JacobianReport, strata, y) -> TransversalityReport:
@@ -300,7 +302,7 @@ def transversality_check(report: JacobianReport, strata, y) -> TransversalityRep
         if normal.shape[1] != n_feat:
             raise DimensionMismatch(f"stratum {stratum.name}: normal basis has wrong width")
         projected = normal @ joint
-        nrank = numerical_rank(projected).rank
+        nrank = numerical_rank(projected, np.abs(normal) @ report.error_estimates).rank
         status = "transversal" if (submersive or nrank == stratum.codim) else "non-transversal"
         verdicts.append(StratumVerdict(stratum.name, status, dist, nrank))
 
@@ -337,74 +339,71 @@ def codimension_thresholds(p: int, K: int) -> ThresholdReport:
 
 def injectivity_probe(fam: ModelFamily, kernel, spec: FeatureMapSpec,
                       n_starts: int = 8, separation: float = 0.5,
-                      tol: float = 1e-4, seed: int = 0,
-                      max_sweeps: int = 60) -> list:
+                      tol: float = 1e-4, seed: int = 0) -> list:
     """Numerical search for feature-map collisions (a Type-I detector).
 
     From ``n_starts`` random parameter pairs at least ``separation``
-    apart, the squared feature distance |Phi(theta_1) - Phi(theta_2)|^2
-    is minimised by coordinate-wise pattern search with shrinking steps,
-    rejecting moves that leave the box or violate the separation.  Pairs
-    whose final objective falls below tol^2 are returned with their
-    objectives; an empty list means no collision was found (a probe, not
-    a proof).
+    apart, Levenberg-Marquardt minimises |r|^2, r = Phi(theta_1) -
+    Phi(theta_2), by one stacked pass per iteration over both points of
+    every live pair (value and model columns only: no kernel box).  A
+    step is clipped into the box, pushed apart by :func:`_separate`, and
+    kept if |r|^2 falls.  Pairs ending below tol^2 are returned with
+    |r|^2; an empty list means no collision was found (a probe, not a
+    proof).  The family's parameters must be fields of its model.
     """
     if separation <= 0.0:
         raise ValueError("separation must be positive")
     rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in fam.box])
-    hi = np.array([b[1] for b in fam.box])
-    widths = hi - lo
-    if np.linalg.norm(widths) < separation:
-        return []
-
-    spans = np.concatenate((widths, widths))  # the box widths of z = (theta_1, theta_2)
-    cache: dict = {}
-
-    def phi(theta_key):
-        if theta_key not in cache:
-            cache[theta_key] = feature_map(fam, np.array(theta_key), kernel, spec).values
-        return cache[theta_key]
-
-    def objective(z):
-        t1 = tuple(np.round(z[: fam.p], 12))
-        t2 = tuple(np.round(z[fam.p:], 12))
-        d = phi(t1) - phi(t2)
-        return float(np.dot(d, d))
-
-    def admissible(z):
-        t1, t2 = z[: fam.p], z[fam.p:]
-        inside = np.all(t1 >= lo) and np.all(t1 <= hi) and np.all(t2 >= lo) and np.all(t2 <= hi)
-        return inside and np.linalg.norm(t1 - t2) >= separation
-
-    found = []
+    lo, hi = np.array(fam.box, dtype=float).T
+    widths, starts = hi - lo, []
     for _ in range(n_starts):
         for _ in range(200):
-            t1 = lo + widths * rng.random(fam.p)
-            t2 = lo + widths * rng.random(fam.p)
-            if np.linalg.norm(t1 - t2) >= separation:
+            pair = lo + widths * rng.random((2, fam.p))
+            if np.linalg.norm(pair[0] - pair[1]) >= separation:
+                starts.append(pair)
                 break
-        else:
-            continue
-        z = np.concatenate((t1, t2))
-        best = objective(z)
-        step = 0.25 * spans
-        for _ in range(max_sweeps):
-            improved = False
-            for a in range(z.size):
-                for sign in (+1.0, -1.0):
-                    trial = z.copy()
-                    trial[a] += sign * step[a]
-                    if not admissible(trial):
-                        continue
-                    val = objective(trial)
-                    if val < best:
-                        z, best, improved = trial, val, True
-                        break
-            if not improved:
-                step *= 0.5
-                if np.max(step / np.maximum(spans, _EPS)) < 1e-6:
-                    break
-        if best < tol * tol:
-            found.append(CollisionCandidate(z[: fam.p].copy(), z[fam.p:].copy(), best))
-    return found
+    if not starts:
+        return []
+    trial = np.array(starts)  # (pair, point, parameter)
+    n, k = trial.shape[0], len(spec.orders)
+    pairs, r, jac, obj = trial.copy(), np.empty((n, k)), np.empty((n, k, 2 * fam.p)), np.full(n, np.inf)
+    # the starts' pass counts as a kept step, which divides the damping by 10
+    damping, live, idx = np.full(n, 1e-2), np.ones(n, dtype=bool), np.arange(n)
+    for _ in range(_PROBE_ITERATIONS + 1):
+        out = _pairing_pass([(fam.make(theta), kernel) for theta in trial.reshape(-1, fam.p)],
+                            spec, (None, *fam.param_names), ())
+        rows = np.array([values for _, values, _ in out]).reshape(idx.size, 2, k, 1 + fam.p)
+        r_new = rows[:, 0, :, 0] - rows[:, 1, :, 0]
+        obj_new = np.einsum("nk,nk->n", r_new, r_new)
+        down = (obj_new < obj[idx]) & (np.linalg.norm(trial[:, 0] - trial[:, 1], axis=1) >= separation)
+        keep = idx[down]
+        pairs[keep], r[keep], obj[keep] = trial[down], r_new[down], obj_new[down]
+        jac[keep] = np.concatenate((rows[down, 0, :, 1:], -rows[down, 1, :, 1:]), axis=2) * np.tile(widths, 2)
+        damping[idx] *= np.where(down, 0.1, 10.0)
+        live &= (damping <= _PROBE_DAMPING) & (obj >= _PROBE_FLOOR * tol * tol)
+        idx = np.flatnonzero(live)
+        # the least-squares step argmin |r + J d|^2 + mu |d|^2, mu = damping
+        # sigma_max^2, from the SVD of J: a zero singular value takes no step
+        u, sv, vt = np.linalg.svd(jac[idx], full_matrices=False)
+        gain = np.divide(sv, sv * sv + damping[idx, None] * sv[:, :1] ** 2,
+                         out=np.zeros_like(sv), where=sv > 0.0)
+        step = np.einsum("nmi,nm->ni", vt, gain * np.einsum("nkm,nk->nm", u, r[idx])).reshape(-1, 2, fam.p)
+        trial = _separate(np.clip(pairs[idx] - step * widths, lo, hi), pairs[idx], lo, hi, separation)
+        moved = np.any(np.abs(trial - pairs[idx]) > _PROBE_STEP * widths, axis=(1, 2))
+        live[idx] = moved
+        idx, trial = idx[moved], trial[moved]
+        if idx.size == 0:
+            break
+    return [CollisionCandidate(t1, t2, float(o)) for (t1, t2), o in zip(pairs, obj) if o < tol * tol]
+
+
+def _separate(pairs, before, lo, hi, separation):
+    """Push each pair closer than ``separation`` apart about its midpoint, to a
+    hair over it, along its line, or its line in ``before`` if its points meet
+    or cross (a swap only reflects the pair); the midpoint stays in the box."""
+    d, d_before = pairs[:, 0] - pairs[:, 1], before[:, 0] - before[:, 1]
+    u = np.where(np.einsum("ni,ni->n", d, d_before)[:, None] > 0.0, d, d_before)
+    half = 0.5 * separation * (1.0 + 1e-9) * u / np.linalg.norm(u, axis=1, keepdims=True)
+    mid = np.clip(0.5 * (pairs[:, 0] + pairs[:, 1]), lo + np.abs(half), hi - np.abs(half))
+    close = np.linalg.norm(d, axis=1)[:, None, None] < separation
+    return np.clip(np.where(close, np.stack((mid + half, mid - half), axis=1), pairs), lo, hi)

@@ -123,6 +123,20 @@ def test_cauchy_submersion_takes_its_scale_sensitivity_from_the_jacobian_pass(mo
     assert len(calls) == 3 and len(res.table) == 25
 
 
+def test_cauchy_submersion_checks_the_model_rank():
+    # d/dmu w_0 vanishes by symmetry at mu = 0: the model rank is 0 at those
+    # five points, where kernel variation alone restores rank 1, and 1 elsewhere
+    res = run_experiment("cauchy-submersion")
+    assert res.passed, res.metrics
+    assert (res.metrics["max_model_rank_mu0"], res.metrics["min_model_rank_off_mu0"]) == (0.0, 1.0)
+    ranks = [(row["mu"] == 0.0, row["model_rank"], row["joint_rank"], row["enrichment"]) for row in res.table]
+    assert ranks == [(mu0, 0 if mu0 else 1, 1, 1 if mu0 else 0) for mu0, *_ in ranks]
+    assert sum(mu0 for mu0, *_ in ranks) == 5
+    for key, wrong in (("model_rank_mu0", 1.0), ("model_rank_off_mu0", 0.0)):
+        res = run_experiment("cauchy-submersion", {key: wrong})
+        assert not res.passed and key in res.diagnostic
+
+
 def test_numeric_failure_is_reported_not_raised(one_bisection):
     # an unreachable quadrature budget raises NonConvergence inside the
     # experiment; the result carries the diagnostic instead

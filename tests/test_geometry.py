@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+import wml.features
+import wml.geometry
 from wml.features import FeatureMapSpec, feature_map
 from wml.geometry import (
     CollisionCandidate,
@@ -10,6 +12,7 @@ from wml.geometry import (
     MetricOverflow,
     StepUnderflow,
     StratumSpec,
+    _separate,
     codimension_thresholds,
     injectivity_probe,
     jacobian,
@@ -383,6 +386,15 @@ def test_submersive_implies_every_verdict_transversal():
         assert verdict.status == "transversal"  # all pass through y
 
 
+def test_stratum_normal_rank_uses_the_error_floor():
+    # the joint map's projection onto the normal of {y_1 = 0} is 1e-9, below
+    # its error |n| @ E = 1e-6, so it may be zero: no transversality there
+    rep = JacobianReport(np.array([[1.0], [1e-9]]), np.zeros((2, 0)), np.full((2, 1), 1e-6))
+    report = transversality_check(rep, (StratumSpec.coordinate(1, 0.0),), np.array([0.3, 0.0]))
+    assert not report.submersive
+    assert [(v.status, v.normal_rank) for v in report.verdicts] == [("non-transversal", 0)]
+
+
 def test_stratum_constraints_and_normals():
     sph = StratumSpec.sphere(np.zeros(2), 1.0)
     assert sph.constraint(np.array([2.0, 0.0]))[0] == pytest.approx(1.0)
@@ -445,8 +457,7 @@ def test_probe_finds_classical_blindness_at_huge_scale():
     # s = 1000 emulates classical moments: the Stieltjes family collides
     fam = stieltjes_family()
     found = injectivity_probe(fam, KernelSpec(1000.0, 0.0), PROBE_SPEC,
-                              n_starts=2, separation=0.5, tol=1e-5, seed=1,
-                              max_sweeps=8)
+                              n_starts=2, separation=0.5, tol=1e-5, seed=1)
     assert len(found) >= 1
     assert all(isinstance(c, CollisionCandidate) for c in found)
     assert min(c.objective for c in found) < 1e-10
@@ -462,8 +473,7 @@ def test_probe_finds_no_collision_at_unit_scale():
     phi_a0 = feature_map(fam, [0.0], KernelSpec(1.0, 0.0), PROBE_SPEC).values
     assert np.abs(phi_a1 - phi_a0).max() > 1e-6
     found = injectivity_probe(fam, KernelSpec(1.0, 0.0), PROBE_SPEC,
-                              n_starts=3, separation=0.5, tol=1e-4, seed=2,
-                              max_sweeps=12)
+                              n_starts=3, separation=0.5, tol=1e-4, seed=2)
     assert found == []
 
 
@@ -475,8 +485,105 @@ def test_probe_runs_on_a_two_parameter_family():
     # sigma, so no collision is found
     fam = gaussian_family()
     found = injectivity_probe(fam, KernelSpec(1.0, 0.0), PROBE_SPEC,
-                              n_starts=1, separation=0.5, tol=1e-4, seed=0, max_sweeps=6)
+                              n_starts=1, separation=0.5, tol=1e-4, seed=0)
     assert found == []
+
+
+# orders (0,): w_0 alone cannot separate points, so every family collides.
+# The Stieltjes w_0 is affine in a under a unit window, and collides only in
+# the classical limit, here s = 1000
+PROBE_FAMILIES = {
+    "gaussian": (gaussian_family(), KernelSpec(1.0), "auto"),
+    "cauchy": (cauchy_family(), KernelSpec(1.0), "auto"),
+    "lognormal": (lognormal_family(), KernelSpec(1.0), "auto"),
+    "stieltjes": (stieltjes_family(), KernelSpec(1000.0), "auto"),
+    "stable1.5-charfn": (stable_family(1.5), KernelSpec(1.0), "charfn"),
+}
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("name", PROBE_FAMILIES)
+def test_probe_finds_admissible_collisions_on_every_family(name, seed):
+    fam, kernel, path = PROBE_FAMILIES[name]
+    found = injectivity_probe(fam, kernel, FeatureMapSpec(orders=(0,), path=path),
+                              n_starts=2, separation=0.5, tol=1e-4, seed=seed)
+    assert len(found) >= 1
+    lo, hi = np.array(fam.box).T
+    for c in found:
+        for theta in (c.theta_1, c.theta_2):
+            assert np.all((lo <= theta) & (theta <= hi))
+        assert np.linalg.norm(c.theta_1 - c.theta_2) >= 0.5
+        assert c.objective < 1e-8
+
+
+def test_probe_makes_one_stacked_pass_per_iteration(monkeypatch):
+    # each call carries both points of every live pair, pair by pair, with
+    # the value and model columns only; no feature map is evaluated alone
+    calls = []
+    pairing_pass = wml.geometry._pairing_pass
+
+    def counted(points, spec, model_params, kernel_params):
+        calls.append(([(m.mu, m.sigma) for m, _ in points], model_params, kernel_params))
+        return pairing_pass(points, spec, model_params, kernel_params)
+
+    def refuse(*args):
+        raise AssertionError("the probe evaluated a feature map alone")
+
+    monkeypatch.setattr(wml.geometry, "_pairing_pass", counted)
+    monkeypatch.setattr(wml.features, "feature_map", refuse)
+    monkeypatch.setattr(wml.features, "_feature_maps", refuse)
+    assert not hasattr(wml.geometry, "feature_map")
+    injectivity_probe(gaussian_family(), KernelSpec(1.0), PROBE_SPEC, n_starts=4, seed=0)
+    sizes = [len(points) for points, _, _ in calls]
+    assert sizes[0] == 8 and 1 < len(calls) <= 1 + wml.geometry._PROBE_ITERATIONS
+    assert all(n > 0 and n % 2 == 0 for n in sizes)
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))  # a pair that stops never comes back
+    for points, model_params, kernel_params in calls:
+        assert (model_params, kernel_params) == ((None, "mu", "sigma"), ())
+        pairs = np.array(points).reshape(-1, 2, 2)
+        assert np.all(np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=1) >= 0.5)
+
+
+def test_separate_pushes_coincident_and_crossed_points_along_their_old_line():
+    # a step may clip both points of a pair onto one corner of the box, or
+    # carry them past each other: such a pair goes apart along the line it
+    # had, with no 0/0, and the midpoint moves back into the box
+    lo, hi = np.array([-5.0, 0.05]), np.array([5.0, 10.0])
+    before = np.array([[[4.0, 9.0], [4.6, 9.8]], [[0.0, 1.0], [0.3, 1.4]], [[-4.0, 2.0], [-3.0, 2.0]]])
+    after = np.array([[[5.0, 10.0], [5.0, 10.0]], [[0.2, 1.3], [0.1, 1.1]], [[-4.5, 2.0], [-3.5, 2.0]]])
+    out = _separate(after, before, lo, hi, 0.5)
+    assert np.all((lo <= out) & (out <= hi))
+    d, d_before = out[:, 0] - out[:, 1], before[:, 0] - before[:, 1]
+    assert np.all(np.linalg.norm(d, axis=1) >= 0.5)
+    unit = lambda v: v / np.linalg.norm(v)
+    for i in (0, 1):
+        assert np.allclose(unit(d[i]), unit(d_before[i]))
+    assert np.array_equal(out[2], after[2])  # a pair far enough apart is left alone
+
+
+@pytest.mark.parametrize("fam, path", ((gaussian_family(), "auto"), (stable_family(1.5), "charfn")),
+                         ids=("gaussian", "stable1.5-charfn"))
+def test_probe_runs_where_the_normal_equations_are_singular(fam, path):
+    # with orders (0, 1) J is 2x4, so J^T J is singular at every step: the
+    # step is a least-squares solve, which raises no LinAlgError
+    found = injectivity_probe(fam, KernelSpec(5.0), FeatureMapSpec(orders=(0, 1), path=path),
+                              n_starts=4, separation=0.5, tol=1e-4, seed=1)
+    assert all(c.objective < 1e-8 for c in found)
+
+
+def test_probe_solves_a_rank_one_jacobian(monkeypatch):
+    # Phi(mu, sigma) = mu + sigma: J = [1, 1, -1, -1] times the box widths
+    # has rank 1, and the least-squares steps bring every pair below tol^2
+    def plane(points, spec, model_params, kernel_params):
+        return [("density", np.array([m.mu + m.sigma, 1.0, 1.0]), np.zeros(3)) for m, _ in points]
+
+    monkeypatch.setattr(wml.geometry, "_pairing_pass", plane)
+    found = injectivity_probe(gaussian_family(), KernelSpec(1.0), FeatureMapSpec(orders=(0,)),
+                              n_starts=4, seed=1)
+    assert len(found) == 4
+    for c in found:
+        assert c.objective < 1e-8
+        assert np.linalg.norm(c.theta_1 - c.theta_2) >= 0.5
 
 
 def test_probe_collapsed_box_returns_empty():
