@@ -12,8 +12,9 @@ evaluation routes are provided:
   A Gaussian model times the window is w_0 N(m, w^2) in closed form, so
   its pairing is integrated in the product's own coordinate
   z = (x - m) / w, where w phi f is a closed-form mass times
-  exp(-z^2 / 2); every other pairing is integrated in x (in log x over
-  the half-line), from breakpoints placed on the product;
+  exp(-z^2 / 2); the Cauchy and stable(1) in the window's coordinate
+  z = (x - c) / s, and the half-line models in log x.  Each starts from
+  a first mesh placed on its own product (``models._breakpoints``);
 * the characteristic-function route uses Parseval's identity.  With the
   forward transform Psi(u) = int psi(x) e^{-iux} dx and the model's
   char fn c(u) = E[e^{iuX}] = int f(x) e^{iux} dx, one has
@@ -47,6 +48,7 @@ from .models import (
     ModelSpec,
     NoDensity,
     Unsupported,
+    _SQRT_2PI,
     _breakpoints,
     _charfn_points,
     _charfn_score,
@@ -54,6 +56,7 @@ from .models import (
     _integrate_frame,
     _score,
     _tilt,
+    _to_x,
     char_fn,
     density,
     kernel_eval,
@@ -212,14 +215,14 @@ def _pairing_pass(points, spec, model_params, kernel_params):
     its value and error rows.
 
     Points are grouped by route and by the variable they are integrated
-    in: z, the tilted coordinate of a Gaussian product (``models._tilt``),
-    x over the model's support, or u > 0 on the char-fn route.  Each
-    starts from a first mesh placed on its own product
-    (``models._breakpoints``, ``models._charfn_points``).  Consecutive
-    points of a group share one pass, a stack of at most ``_STACK_ROWS``
-    rows (or of one point), written into one array, over the union of
-    the points' breakpoints; every Gaussian product has the same mesh in
-    z, so its stacks start from no more panels than one point.  A stack
+    in: u > 0 on the char-fn route, else their ``models._frame`` (z, the
+    window's z or x > 0).  Each starts from a first mesh placed on its own
+    product (``models._breakpoints``, ``models._charfn_points``).
+    Consecutive points of a group share one pass, a stack of at most
+    ``_STACK_ROWS`` rows (or of one point), written into one array, over
+    the union of the points' breakpoints; the meshes in z and in the
+    window's z are shared (but for a narrow Lorentzian's points), so
+    those stacks start from few more panels than one point.  A stack
     that raises a ``QuadratureError`` is split in half and each half
     retried, so a point that converges alone converges; alone, a point
     raises its error naming it, and for ``NonConvergence`` the order and
@@ -264,9 +267,9 @@ def _pairing_pass(points, spec, model_params, kernel_params):
                 continue
             if frame == "u" and isinstance(exc, NonFiniteEvaluation):
                 exc = NonFiniteEvaluation(exc.points, "u")  # the char-fn rows are functions of u
-            elif frame == "z" and isinstance(exc, NonFiniteEvaluation):
-                tilt = _tilt(stack[0][1], stack[0][2])  # name the nodes in x
-                exc = NonFiniteEvaluation(tilt.mean + tilt.width * exc.points)
+            elif isinstance(exc, NonFiniteEvaluation):
+                origin, unit = _to_x(stack[0][1], stack[0][2])  # name the nodes in x
+                exc = NonFiniteEvaluation(origin + unit * exc.points)
             where = f"{stack[0][1]} with {stack[0][2]}"
             if isinstance(exc, NonConvergence):
                 order, col = divmod(exc.component, len(columns))
@@ -281,17 +284,27 @@ def _pairing_pass(points, spec, model_params, kernel_params):
 
 
 def _density_rows(m, k, orders, model_params, kernel_params):
-    """fill(x, out), writing the density-route rows into ``out``: per
+    """fill(v, out), writing the density-route rows into ``out``: per
     order j, x^j phi f times each score d/dtheta log f (None: the value
-    row x^j phi f), then x^j f d/dlambda phi."""
+    row x^j phi f), then x^j f d/dlambda phi.  In the frame 'window'
+    (``models._frame``) v is the window's z = (x - c) / s and the rows
+    carry dx/dz = s: s phi = exp(-z^2 / 2) / sqrt(2 pi) and the kernel's
+    d/dlambda log phi, (z^2 - 1) / s and z / s, come from z itself; in
+    'half' v is x."""
     scores = [None if name is None else _score(m, _SCORE_NAMES[name]) for name in model_params]
     powers = np.array(orders)[:, None]
+    window = _frame(m, k) == "window"
 
-    def fill(x, out):
-        if kernel_params:
+    def fill(v, out):
+        if window:
+            x = k.c + k.s * v
+            phi = np.exp(-0.5 * v * v) / _SQRT_2PI
+            dphi_ds, dphi_dc = phi * (v * v - 1.0) / k.s, phi * v / k.s
+        elif kernel_params:
+            x = v
             phi, dphi_ds, dphi_dc = kernel_eval(k, x, derivs=True)
         else:
-            phi = kernel_eval(k, x)
+            x, phi = v, kernel_eval(k, v)
         dens = density(m, x)
         # x^j goes into phi before f: far out phi * f alone is subnormal, and
         # x^j and the score would magnify its rounding.  Where phi or f is
@@ -400,14 +413,13 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
     and from its own breakpoints, as for w_0."""
     if not support_has_density(m):
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
-    frame, tilt = _frame(m, k), _tilt(m, k)
+    frame, (origin, unit) = _frame(m, k), _to_x(m, k)
     fill = (_tilted_rows if frame == "z" else _density_rows)(m, k, (0,), (None,), ())
 
     def f(v):
         row = np.empty((1, v.size))
         fill(v, row)
-        x = v if tilt is None else tilt.mean + tilt.width * v
-        return np.exp(1j * u * x) * row[0]
+        return np.exp(1j * u * (origin + unit * v)) * row[0]
 
     return complex(_integrate_frame(frame, f, _breakpoints(m, k)).value)
 

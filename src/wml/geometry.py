@@ -346,10 +346,11 @@ def injectivity_probe(fam: ModelFamily, kernel, spec: FeatureMapSpec,
     apart, Levenberg-Marquardt minimises |r|^2, r = Phi(theta_1) -
     Phi(theta_2), by one stacked pass per iteration over both points of
     every live pair (value and model columns only: no kernel box).  A
-    step is clipped into the box, pushed apart by :func:`_separate`, and
-    kept if |r|^2 falls.  Pairs ending below tol^2 are returned with
-    |r|^2; an empty list means no collision was found (a probe, not a
-    proof).  The family's parameters must be fields of its model.
+    pair on the separation bound whose step would close it steps along
+    the bound instead.  A step is clipped into the box, pushed apart by
+    :func:`_separate`, and kept if |r|^2 falls.  Pairs ending below
+    tol^2 are returned with |r|^2; an empty list means no collision was
+    found (a probe, not a proof).  The family's parameters must be fields of its model.
     """
     if separation <= 0.0:
         raise ValueError("separation must be positive")
@@ -382,12 +383,19 @@ def injectivity_probe(fam: ModelFamily, kernel, spec: FeatureMapSpec,
         damping[idx] *= np.where(down, 0.1, 10.0)
         live &= (damping <= _PROBE_DAMPING) & (obj >= _PROBE_FLOOR * tol * tol)
         idx = np.flatnonzero(live)
-        # the least-squares step argmin |r + J d|^2 + mu |d|^2, mu = damping
-        # sigma_max^2, from the SVD of J: a zero singular value takes no step
-        u, sv, vt = np.linalg.svd(jac[idx], full_matrices=False)
-        gain = np.divide(sv, sv * sv + damping[idx, None] * sv[:, :1] ** 2,
-                         out=np.zeros_like(sv), where=sv > 0.0)
-        step = np.einsum("nmi,nm->ni", vt, gain * np.einsum("nkm,nk->nm", u, r[idx])).reshape(-1, 2, fam.p)
+        step, top = _lm_step(jac[idx], r[idx], damping[idx])
+        step = step.reshape(-1, 2, fam.p)
+        # a pair on the separation bound whose step would close it slides
+        # along the bound: the bound's normal (d, -d), in box widths, is
+        # projected out of J and the step solved again
+        d = pairs[idx, 0] - pairs[idx, 1]
+        slide = (np.linalg.norm(d, axis=1) <= separation * (1.0 + 1e-6)) & \
+            (np.linalg.norm(d - (step[:, 0] - step[:, 1]) * widths, axis=1) < separation)
+        if slide.any():
+            normal = np.concatenate((d, -d), axis=1)[slide] * np.tile(widths, 2)
+            normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+            along = jac[idx[slide]] - np.einsum("nkm,nm,ni->nki", jac[idx[slide]], normal, normal)
+            step[slide] = _lm_step(along, r[idx[slide]], damping[idx[slide]], top[slide])[0].reshape(-1, 2, fam.p)
         trial = _separate(np.clip(pairs[idx] - step * widths, lo, hi), pairs[idx], lo, hi, separation)
         moved = np.any(np.abs(trial - pairs[idx]) > _PROBE_STEP * widths, axis=(1, 2))
         live[idx] = moved
@@ -395,6 +403,16 @@ def injectivity_probe(fam: ModelFamily, kernel, spec: FeatureMapSpec,
         if idx.size == 0:
             break
     return [CollisionCandidate(t1, t2, float(o)) for (t1, t2), o in zip(pairs, obj) if o < tol * tol]
+
+
+def _lm_step(jac, r, damping, top=None):
+    """The least-squares steps argmin |r + J d|^2 + mu |d|^2, mu = damping
+    top^2, from the SVD of each J, and top, J's largest singular value
+    unless given: a zero singular value takes no step."""
+    u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    top = sv[:, :1] if top is None else top
+    gain = np.divide(sv, sv * sv + damping[:, None] * top**2, out=np.zeros_like(sv), where=sv > 0.0)
+    return np.einsum("nmi,nm->ni", vt, gain * np.einsum("nkm,nk->nm", u, r)), top
 
 
 def _separate(pairs, before, lo, hi, separation):

@@ -326,11 +326,11 @@ _OFFSETS = np.array([-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 10.0])
 
 
 def _model_points(m: ModelSpec) -> np.ndarray:
-    """Quadrature breakpoints at the model's location +- {0, 1, 3, 6, 10}
-    scales (placed in log x for the half-line models), so that the first
-    panels see a narrow peak wherever it sits.  The points at 10 scales
-    keep the panels next to the 6-scale ones short enough that their
-    nodes sample the tails."""
+    """Breakpoints for ``classical_fisher_info``, at the model's location
+    +- {0, 1, 3, 6, 10} scales (placed in log x for the half-line models),
+    so that the first panels see a narrow peak wherever it sits.  The
+    points at 10 scales keep the panels next to the 6-scale ones short
+    enough that their nodes sample the tails."""
     if isinstance(m, LogNormal):
         return np.exp(m.mu + m.sigma * _OFFSETS)
     if isinstance(m, StieltjesLogNormal):
@@ -440,13 +440,31 @@ _Z_MESH = np.concatenate((-_Z_HALF[::-1], [0.0], _Z_HALF))
 def _frame(m: ModelSpec, k: KernelSpec) -> str:
     """The variable a density pairing of ``m`` with ``k`` is integrated
     in: 'z', the tilted coordinate of a Gaussian product (``_tilt``), over
-    the line, if the product's variance is a normal double; else x over
-    the model's support, 'real' or 'half'."""
+    the line, if the product's variance is a normal double; 'window', the
+    window's coordinate z = (x - c) / s, over the line for any other model
+    on the line (a Gaussian whose product variance is not included);
+    'half', x over (0, inf), for a half-line model."""
     ratio = _variance_ratio(m)
     if ratio is not None and _TINY < ratio * m.sigma * m.sigma + k.s * k.s < math.inf:
         return "z"
-    return support(m)
+    return "window" if support(m) == "real" else "half"
 
+
+def _to_x(m: ModelSpec, k: KernelSpec):
+    """(origin, unit) with x = origin + unit v, v the variable of the
+    pairing's ``_frame``."""
+    frame = _frame(m, k)
+    if frame == "z":
+        t = _tilt(m, k)
+        return t.mean, t.width
+    return (k.c, k.s) if frame == "window" else (0.0, 1.0)
+
+
+# the first mesh of a window pairing, in z = (x - c) / s, and the points of
+# a Lorentzian narrower than the window, about its centre in its own widths
+_W_HALF = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0])
+_W_MESH = np.concatenate((-_W_HALF[::-1], [0.0], _W_HALF))
+_PEAK = np.array([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
 
 # the tails of a Stieltjes pairing in log x, beyond its quarter periods
 _LOG_TAIL = np.array([-10.0, -8.0, -6.0, -5.0, 5.0, 6.0, 8.0, 10.0])
@@ -458,18 +476,34 @@ def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
 
     * a Gaussian product: the fixed mesh ``_Z_MESH`` in z, the same for
       every such pairing;
+    * the Cauchy and stable(1) (and a Gaussian outside the frame 'z'),
+      in the window's z = (x - c) / s: z = 0, +-0.5, +-1, +-1.5, +-2,
+      +-3, +-4, +-6, +-10, the same for every such pairing; and where
+      the model is narrower than the window (sigma / s < 0.7, sigma = 1
+      for the Cauchy), its own points
+      (mu - c) / s + (sigma / s) {0, +-0.5, +-1, +-2, +-4} within
+      |z| <= 10;
     * the Stieltjes family, whose log-normal factor is N(0, 1) in
       y = log x: the quarter periods of sin(2 pi y) over |y| <= 4, and
       y = +-{5, 6, 8, 10} for the tails, as far as the window reaches
-      (c +- 10 s, where that lies in x > 0); and the window's own points
-      where its range in y is bounded, as it then is narrow there;
-    * any other, and a Stieltjes pairing with no quarter period in that
-      range: the model's points (``_model_points``) and the window's
-      centre +- {0, 1, 3, 6, 10} s.
+      (c +- 10 s, where that lies in x > 0); and the window's points
+      c + s ``_Z_MESH`` where its range in y is bounded, as it then is
+      narrow there;
+    * the log-normal, and a Stieltjes pairing with no quarter period in
+      that range as N(0, 1) in y: y = mu + sigma ``_Z_MESH``, up to the
+      window's reach log(c + 10 s), and the window's points
+      c + s ``_Z_MESH`` in x > 0.
     """
-    if _frame(m, k) == "z":
+    frame = _frame(m, k)
+    if frame == "z":
         return _Z_MESH
-    window = k.c + k.s * _OFFSETS
+    if frame == "window":
+        width = getattr(m, "sigma", 1.0) / k.s
+        if not width < 0.7:
+            return _W_MESH
+        peak = (m.mu - k.c) / k.s + width * _PEAK
+        return np.concatenate((_W_MESH, peak[np.abs(peak) <= 10.0]))
+    window = k.c + k.s * _Z_MESH
     if isinstance(m, StieltjesLogNormal) and window[-1] > 0.0:
         lo = np.log(window[0]) if window[0] > 0.0 else -np.inf
         hi = np.log(window[-1])
@@ -477,11 +511,14 @@ def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
             tail = _LOG_TAIL[(lo <= _LOG_TAIL) & (_LOG_TAIL <= hi)]
             points = np.concatenate((_log_grid(max(lo, -4.0), min(hi, 4.0), 0.25), np.exp(tail)))
             return points if lo == -np.inf else np.concatenate((points, window))
-    return np.concatenate((_model_points(m), window))
+    y = getattr(m, "mu", 0.0) + getattr(m, "sigma", 1.0) * _Z_MESH
+    if window[-1] > 0.0:
+        y = y[y <= np.log(window[-1])]
+    return np.concatenate((np.exp(y), window[window > 0.0]))
 
 
 _DECAY = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0])
-_LEFT_TAIL = np.exp(-np.array([2.0, 5.0, 10.0, 16.0]))
+_LEFT_TAIL = np.exp(-np.array([0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 16.0, 24.0]))
 
 
 def _charfn_points(m: ModelSpec, k: KernelSpec) -> np.ndarray:
@@ -489,8 +526,9 @@ def _charfn_points(m: ModelSpec, k: KernelSpec) -> np.ndarray:
     {0.5, 1, 1.5, 2, 3, 4, 6, 10} over s, where the window transform
     decays, and over sigma (1 for a model without one, as the Cauchy),
     where the char fn decays; and the least of those times
-    e^{-2, -5, -10, -16}, for the left tail in log u, where the pairing
-    levels off towards u = 0."""
+    e^{-0.5, -1, -2, -3, -5, -7.5, -10, -16, -24}, for the left tail in
+    log u, where the pairing levels off towards u = 0, close enough that
+    the panels there converge on the first mesh."""
     decay = np.concatenate((_DECAY / k.s, _DECAY / getattr(m, "sigma", 1.0)))
     return np.concatenate((decay, decay.min() * _LEFT_TAIL))
 

@@ -40,7 +40,7 @@ def _plain(obj):
 
 
 def dumps_json(obj) -> str:
-    return json.dumps(_plain(obj), indent=2, allow_nan=False) + "\n"
+    return json.dumps(_plain(obj), allow_nan=False) + "\n"
 
 
 def dumps_csv(rows, columns=None) -> str:

@@ -191,8 +191,9 @@ def test_eval_route_without_its_function_names_what_is_missing(capsys, argv, mes
 
 
 def test_eval_unconverged_quadrature_is_an_error(capsys, one_bisection):
-    code, out, err = run_cli(capsys, "eval", "--model", "cauchy:mu=-1.388",
-                             "--kernel", "0.051,-6.754", "--orders", "0,1,2,3,4")
+    # a window 30 wide over the Cauchy needs more than one bisection
+    code, out, err = run_cli(capsys, "eval", "--model", "cauchy:mu=0.3",
+                             "--kernel", "30,0", "--orders", "0,1,2,3,4")
     assert code == 2
     assert out == ""
     assert err.startswith("wml: error:")

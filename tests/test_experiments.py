@@ -123,6 +123,19 @@ def test_cauchy_submersion_takes_its_scale_sensitivity_from_the_jacobian_pass(mo
     assert len(calls) == 3 and len(res.table) == 25
 
 
+def test_cauchy_submersion_stacks_converge_on_their_first_mesh(monkeypatch):
+    # its Cauchy points are integrated in the window's z = (x - c) / s,
+    # where they share one mesh: each of the three stacks converges on its
+    # first integrand call, over 138 panels.  From the model's and the
+    # window's points in x they took 151 panels
+    panels = []
+    kronrod = wml.quad._kronrod_panels
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda f, a, b: panels.append(a.size) or kronrod(f, a, b))
+    res = run_experiment("cauchy-submersion")
+    assert res.passed, res.metrics
+    assert len(panels) <= 3 and sum(panels) <= 140
+
+
 def test_cauchy_submersion_checks_the_model_rank():
     # d/dmu w_0 vanishes by symmetry at mu = 0: the model rank is 0 at those
     # five points, where kernel variation alone restores rank 1, and 1 elsewhere
@@ -140,7 +153,7 @@ def test_cauchy_submersion_checks_the_model_rank():
 def test_numeric_failure_is_reported_not_raised(one_bisection):
     # an unreachable quadrature budget raises NonConvergence inside the
     # experiment; the result carries the diagnostic instead
-    res = run_experiment("lognormal-immersion")
+    res = run_experiment("stieltjes-cancellation")
     assert res.passed is False
     assert res.metrics == {"numeric_failure": 1.0}
     assert res.diagnostic.startswith("NonConvergence")

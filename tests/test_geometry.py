@@ -163,9 +163,10 @@ def test_jacobian_refuses_what_it_cannot_differentiate():
 
 
 def test_jacobian_reports_an_unmet_budget(one_bisection):
+    # a window 30 wide over the Cauchy needs more than one bisection
     spec = FeatureMapSpec(orders=(0, 1, 2))
     with pytest.raises(NonConvergence, match="component"):
-        jacobian(cauchy_family(), scale_kernel_family(), [0.3], [1.0], spec)
+        jacobian(cauchy_family(), scale_kernel_family(), [0.3], [30.0], spec)
 
 
 def test_jacobian_symmetry_zero_mu_derivative():
@@ -514,6 +515,21 @@ def test_probe_finds_admissible_collisions_on_every_family(name, seed):
             assert np.all((lo <= theta) & (theta <= hi))
         assert np.linalg.norm(c.theta_1 - c.theta_2) >= 0.5
         assert c.objective < 1e-8
+
+
+@pytest.mark.parametrize("fam, most", [(cauchy_family(), 20), (stieltjes_family(), 2)])
+def test_probe_slides_along_the_separation_bound(monkeypatch, fam, most):
+    # Cauchy pairs meet the separation bound with steps that would close it;
+    # pushed back about their midpoints, they crept to the iteration cap
+    # (61 passes).  Sliding along the bound, every pair stops within 20.
+    # A Stieltjes pair's w_j is nearly affine in a at s = 1, so its J along
+    # the bound is nearly 0: damped by that J's own scale, not the full J's,
+    # its slide took huge steps and 17 passes, where the family needs 2
+    calls = []
+    pairing_pass = wml.geometry._pairing_pass
+    monkeypatch.setattr(wml.geometry, "_pairing_pass", lambda *a: calls.append(1) or pairing_pass(*a))
+    found = injectivity_probe(fam, KernelSpec(1.0), PROBE_SPEC, n_starts=8, seed=0)
+    assert found == [] and len(calls) <= most
 
 
 def test_probe_makes_one_stacked_pass_per_iteration(monkeypatch):

@@ -16,6 +16,13 @@ def test_json_writes_null_for_non_finite_values_at_any_depth():
                                           "e": [0.5, None, None]}
 
 
+def test_json_is_one_line():
+    # json's C encoder writes one line; any indent falls back to its
+    # pure-Python encoder, several times slower
+    text = dumps_json({"rows": [{"x": 0.5, "y": [1, 2]}], "pass": True})
+    assert text.endswith("\n") and text.count("\n") == 1
+
+
 def test_json_accepts_numpy_values():
     doc = {"flag": np.bool_(True), "count": np.int64(7), "x": np.float64(0.25),
            "matrix": np.array([[1.0, 2.0], [3.0, 4.0]]), "ranks": np.array([1, 2])}
