@@ -45,13 +45,13 @@ from .features import (
 )
 from .geometry import (
     DimensionMismatch,
+    JacobianReport,
     MetricOverflow,
     StepUnderflow,
     _jacobians,
     codimension_thresholds,
     metric_tensor,
     numerical_rank,
-    transversality_check,
 )
 from .models import (
     Cauchy,
@@ -190,10 +190,11 @@ def _cauchy_submersion(tol):
     grid = [(mu, s) for mu in np.linspace(-2.0, 2.0, 5) for s in np.linspace(0.5, 4.0, 5)]
     reps = _jacobians(cauchy_family(), scale_kernel_family(), [([mu], [s]) for mu, s in grid],
                       FeatureMapSpec(orders=(0,), path="density"))
+    stack = _stacked(reps)
+    models = numerical_rank(stack.d_theta, stack.error_estimates[..., :1]).rank.tolist()
+    joints = numerical_rank(stack.joint, stack.error_estimates).rank.tolist()
     rows = []
-    for (mu, s), rep in zip(grid, reps):
-        model = numerical_rank(rep.d_theta, rep.error_estimates[:, :1]).rank
-        joint = numerical_rank(rep.joint, rep.error_estimates).rank
+    for (mu, s), rep, model, joint in zip(grid, reps, models, joints):
         rows.append({"mu": float(mu), "s": float(s), "model_rank": model, "joint_rank": joint,
                      "enrichment": joint - model, "d_mu": float(rep.d_theta[0, 0]),
                      "d_s": float(rep.d_lambda[0, 0]),
@@ -422,26 +423,36 @@ def run_experiment(name: str, tolerances: dict | None = None) -> ExperimentResul
 def sweep_kernel(fam, kfam, spec: FeatureMapSpec, lambda_grid, theta_grid):
     """Diagnostics on a (lambda, theta) grid: one row per pair, in grid
     order, each with the metric-tensor and rank summaries.  The Jacobians
-    of all pairs come from stacked passes; the ranks count only singular
-    values above the entries' error estimates."""
+    of all pairs come from stacked passes, their tensors and ranks from
+    one batched call each; the ranks count only singular values above the
+    entries' error estimates."""
     lambdas = [np.atleast_1d(np.asarray(l, dtype=float)) for l in lambda_grid]
     thetas = [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_grid]
     if not lambdas or not thetas:
         raise EmptyGrid("sweep grids must be non-empty")
     grid = [(th, lam) for lam in lambdas for th in thetas]
+    stack = _stacked(_jacobians(fam, kfam, grid, spec))
+    g = metric_tensor(stack)
+    models = numerical_rank(stack.d_theta, stack.error_estimates[..., :fam.p]).rank.tolist()
+    joints = numerical_rank(stack.joint, stack.error_estimates).rank.tolist()
     rows = []
-    for (th, lam), rep in zip(grid, _jacobians(fam, kfam, grid, spec)):
-        g = metric_tensor(rep)
-        trans = transversality_check(rep, (), rep.features)
+    for (th, lam), det, cond, corr, model, joint in zip(grid, g.det.tolist(), g.condition_number.tolist(),
+                                                        g.correlation_det.tolist(), models, joints):
         out = {name: float(v) for name, v in zip(kfam.param_names + fam.param_names, (*lam, *th))}
         out.update({
-            "det_g": g.det,
-            "condition_number": g.condition_number,
-            "correlation_det": g.correlation_det,
-            "model_rank": trans.model_rank,
-            "joint_rank": trans.joint_rank,
-            "enrichment": trans.enrichment,
-            "submersive": trans.submersive,
+            "det_g": det,
+            "condition_number": cond,
+            "correlation_det": corr,
+            "model_rank": model,
+            "joint_rank": joint,
+            "enrichment": joint - model,
+            "submersive": joint == len(spec.orders),
         })
         rows.append(out)
     return tuple(rows)
+
+
+def _stacked(reports) -> JacobianReport:
+    """The reports' blocks on a leading axis, for one batched call over a grid."""
+    return JacobianReport(*(np.array([getattr(r, name) for r in reports])
+                            for name in ("d_theta", "d_lambda", "error_estimates")))

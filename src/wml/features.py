@@ -31,6 +31,9 @@ evaluation routes are provided:
 
       Psi_0 = exp(-iuc - s^2 u^2 / 2),  Psi_{j+1} = a Psi_j + j s^2 Psi_{j-1}.
 
+Points share passes: with their parameters held as columns, one
+vectorised call fills the rows of many points (``_pairing_pass``).
+
 The tilted law f phi / w_0 supplies weak cumulants; the boundedness of
 x^j phi(x) supplies the influence bound.
 """
@@ -49,12 +52,14 @@ from .models import (
     NoDensity,
     Unsupported,
     _SQRT_2PI,
+    _Tilt,
     _breakpoints,
     _charfn_points,
     _charfn_score,
     _frame,
     _integrate_frame,
     _score,
+    _stack,
     _tilt,
     _to_x,
     char_fn,
@@ -214,19 +219,17 @@ def _pairing_pass(points, spec, model_params, kernel_params):
     per entry of ``kernel_params``.  Returns, per point, its route and
     its value and error rows.
 
-    Points are grouped by route and by the variable they are integrated
-    in: u > 0 on the char-fn route, else their ``models._frame`` (z, the
-    window's z or x > 0).  Each starts from a first mesh placed on its own
-    product (``models._breakpoints``, ``models._charfn_points``).
-    Consecutive points of a group share one pass, a stack of at most
-    ``_STACK_ROWS`` rows (or of one point), written into one array, over
-    the union of the points' breakpoints; the meshes in z and in the
-    window's z are shared (but for a narrow Lorentzian's points), so
-    those stacks start from few more panels than one point.  A stack
-    that raises a ``QuadratureError`` is split in half and each half
-    retried, so a point that converges alone converges; alone, a point
-    raises its error naming it, and for ``NonConvergence`` the order and
-    the column."""
+    Points are grouped by route, variable (u > 0 on the char-fn route,
+    else their ``models._frame``), model type and alpha, and each starts
+    from a first mesh on its own product (``models._breakpoints``,
+    ``models._charfn_points``).  Consecutive points of a group share a
+    pass: a stack of at most ``_STACK_ROWS`` rows (or one point), its rows
+    filled by one vectorised call over the points' ``models._stack``, over
+    the union of their breakpoints (shared in z and in the window's z, so
+    few more panels than one point).  A stack that raises a
+    ``QuadratureError`` is split in half and each half retried, so a
+    point that converges alone converges; alone, a point raises its error
+    naming it, and for ``NonConvergence`` the order and the column."""
     unknown = [name for name in model_params if name is not None and name not in _SCORE_NAMES]
     unknown += [name for name in kernel_params if name not in ("s", "c")]
     if unknown:
@@ -237,174 +240,182 @@ def _pairing_pass(points, spec, model_params, kernel_params):
     for i, (m, k) in enumerate(points):
         on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(m))
         frame = _frame(m, k) if on_density else "u"
-        build = {"z": _tilted_rows, "u": _charfn_rows}.get(frame, _density_rows)
-        mesh = _charfn_points if frame == "u" else _breakpoints
-        groups.setdefault(("density" if on_density else "charfn", frame), []).append(
-            (i, m, k, mesh(m, k), build(m, k, spec.orders, model_params, kernel_params)))
+        key = ("density" if on_density else "charfn", frame, type(m), getattr(m, "alpha", None))
+        groups.setdefault(key, []).append((i, m, k))
     per_stack = max(1, _STACK_ROWS // width)
-    todo = [(route, frame, group[start:start + per_stack]) for (route, frame), group in groups.items()
+    todo = [(key, group[start:start + per_stack]) for key, group in groups.items()
             for start in range(0, len(group), per_stack)]
     out = [None] * len(points)
     while todo:
-        route, frame, stack = todo.pop(0)
-
-        def f(v, stack=stack):
-            rows = np.empty((width * len(stack), v.size))
-            for n, (*_, fill) in enumerate(stack):
-                fill(v, rows[n * width:(n + 1) * width])
-            return rows
-
+        key, stack = todo.pop(0)
+        (route, frame, *_), (index, ms, ks) = key, zip(*stack)
+        f = {"z": _tilted_stack, "u": _charfn_stack}.get(frame, _density_stack)(
+            ms, ks, spec.orders, model_params, kernel_params)
+        mesh = _charfn_points if frame == "u" else _breakpoints
         try:
-            # at extreme orders x^j or Psi_j overflows; the inf or nan
-            # reaches the engine, which raises it as NonFiniteEvaluation
-            with np.errstate(over="ignore", invalid="ignore"):
-                breaks = np.concatenate([points for _, _, _, points, _ in stack])
+            # at extreme orders x^j or Psi_j overflows (the engine raises it as
+            # NonFiniteEvaluation), and a score may divide by 0 where f is 0
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                breaks = np.concatenate([mesh(m, k) for m, k in zip(ms, ks)])
                 # the char-fn rows are even in u: their pairing is the integral over u > 0
                 res = _integrate_frame("half" if frame == "u" else frame, f, breaks)
         except QuadratureError as exc:
             if len(stack) > 1:
-                todo[:0] = [(route, frame, stack[:len(stack) // 2]), (route, frame, stack[len(stack) // 2:])]
+                todo[:0] = [(key, stack[:len(stack) // 2]), (key, stack[len(stack) // 2:])]
                 continue
             if frame == "u" and isinstance(exc, NonFiniteEvaluation):
                 exc = NonFiniteEvaluation(exc.points, "u")  # the char-fn rows are functions of u
             elif isinstance(exc, NonFiniteEvaluation):
-                origin, unit = _to_x(stack[0][1], stack[0][2])  # name the nodes in x
+                origin, unit = _to_x(ms[0], ks[0])  # name the nodes in x
                 exc = NonFiniteEvaluation(origin + unit * exc.points)
-            where = f"{stack[0][1]} with {stack[0][2]}"
+            where = f"{ms[0]} with {ks[0]}"
             if isinstance(exc, NonConvergence):
                 order, col = divmod(exc.component, len(columns))
                 where = f"order {spec.orders[order]}, column {columns[col]}, at {where}"
             exc.args = (f"{exc}; {where}",)
             raise exc from None
-        values = np.reshape(res.value, (len(stack), width))
-        errors = np.reshape(res.error_estimate, (len(stack), width))
-        for (i, *_), v, e in zip(stack, values, errors):
+        values = np.reshape(res.value, (width, len(stack))).T  # rows run (order, column, point)
+        errors = np.reshape(res.error_estimate, (width, len(stack))).T
+        for i, v, e in zip(index, values, errors):
             out[i] = (route, v, e)
     return out
 
 
-def _density_rows(m, k, orders, model_params, kernel_params):
-    """fill(v, out), writing the density-route rows into ``out``: per
-    order j, x^j phi f times each score d/dtheta log f (None: the value
-    row x^j phi f), then x^j f d/dlambda phi.  In the frame 'window'
-    (``models._frame``) v is the window's z = (x - c) / s and the rows
-    carry dx/dz = s: s phi = exp(-z^2 / 2) / sqrt(2 pi) and the kernel's
-    d/dlambda log phi, (z^2 - 1) / s and z / s, come from z itself; in
-    'half' v is x."""
-    scores = [None if name is None else _score(m, _SCORE_NAMES[name]) for name in model_params]
-    powers = np.array(orders)[:, None]
-    window = _frame(m, k) == "window"
+def _powers(x, orders):
+    """x^j for j in ``orders`` on a new first axis, by a running product
+    (``x ** j`` takes libm's scalar pow at every negative x).  Past order 32
+    it stops at the first non-finite power, as the char-fn recurrence does."""
+    out = np.empty((len(orders),) + x.shape)
+    xj, j = np.ones_like(x), 0
+    for i, order in enumerate(orders):
+        while j < order and (j < 32 or np.isfinite(xj).all()):
+            xj, j = xj * x, j + 1
+        out[i] = xj
+    return out
 
-    def fill(v, out):
+
+def _density_stack(ms, ks, orders, model_params, kernel_params):
+    """f(v), the density-route rows of the points (ms[i], ks[i]) of one
+    ``models._frame``, over their ``models._stack``: per order j, x^j phi f
+    times each score d/dtheta log f (None: the value row), then
+    x^j f d/dlambda phi.  In the frame 'window' v is the window's
+    z = (x - c) / s and the rows carry dx/dz = s: s phi = exp(-z^2 / 2) /
+    sqrt(2 pi) and d/dlambda log phi, (z^2 - 1) / s and z / s, come from z
+    itself; in 'half' v is x."""
+    m, k = _stack(ms), _stack(ks)
+    scores = [None if name is None else _score(m, _SCORE_NAMES[name]) for name in model_params]
+    window = _frame(ms[0], ks[0]) == "window"
+
+    def f(v):
         if window:
             x = k.c + k.s * v
             phi = np.exp(-0.5 * v * v) / _SQRT_2PI
-            dphi_ds, dphi_dc = phi * (v * v - 1.0) / k.s, phi * v / k.s
-        elif kernel_params:
-            x = v
-            phi, dphi_ds, dphi_dc = kernel_eval(k, x, derivs=True)
+            dphi = (phi * (v * v - 1.0) / k.s, phi * v / k.s)
         else:
-            x, phi = v, kernel_eval(k, v)
+            x = v[None]
+            phi, *dphi = kernel_eval(k, x, derivs=True) if kernel_params else (kernel_eval(k, x),)
         dens = density(m, x)
         # x^j goes into phi before f: far out phi * f alone is subnormal, and
         # x^j and the score would magnify its rounding.  Where phi or f is
         # 0 the product is far below double range, while x^j alone may
         # overflow, so x^j is formed only where both are nonzero
         nz = (phi != 0.0) & (dens != 0.0)
-        rows = out.reshape(powers.size, -1, x.size)
-        if nz.all():  # slices, not masks
-            nz = slice(None)
-        else:
-            rows[..., ~nz] = 0.0
-        xs, fs = x[nz], dens[nz]
-        xj = xs ** powers
-        base = xj * phi[nz] * fs
+        masked = not nz.all()
+        xj = _powers(np.where(nz, x, 0.0) if masked else x, orders)
+        base = xj * phi * dens
+        rows = np.empty((len(orders), len(scores) + len(kernel_params)) + dens.shape)
         for col, score in enumerate(scores):
-            rows[:, col, nz] = base if score is None else base * score(xs)
-        if kernel_params:
-            dphi = {"s": dphi_ds, "c": dphi_dc}
-            for col, name in enumerate(kernel_params, len(scores)):
-                rows[:, col, nz] = xj * dphi[name][nz] * fs
+            rows[:, col] = base if score is None else base * score(x)
+        for col, name in enumerate(kernel_params, len(scores)):
+            rows[:, col] = xj * dphi["sc".index(name)] * dens
+        if masked:
+            rows[..., ~nz] = 0.0
+        return rows.reshape(-1, v.size)
 
-    return fill
+    return f
 
 
-def _tilted_rows(m, k, orders, model_params, kernel_params):
-    """fill(z, out) for a Gaussian product (``models._tilt``), in its
-    tilted coordinate z = (x - mean) / width: the rows of
-    ``_density_rows`` times dx/dz = width.  The factor width f phi is
-    the closed-form mass times exp(-z^2 / 2), and the scores and the
-    kernel's d/dlambda log phi come from the gaps x - mu = mu_gap + width z
-    and x - c = c_gap + width z, which carry no rounding of x itself.
-    Where the mass is lifted, x^j goes in before e^-lift, as it goes into
-    phi before f in ``_density_rows``."""
+def _tilted_stack(ms, ks, orders, model_params, kernel_params):
+    """f(z) for Gaussian products (``models._tilt``), in their tilted
+    coordinate z = (x - mean) / width: the rows of ``_density_stack``
+    times dx/dz = width.  The factor width f phi is the closed-form mass
+    times exp(-z^2 / 2), and the scores and the kernel's d/dlambda log
+    phi come from the gaps x - mu = mu_gap + width z and
+    x - c = c_gap + width z, which carry no rounding of x itself.  Where
+    the mass is lifted, x^j goes in before e^-lift, as it goes into phi
+    before f in ``_density_stack``."""
+    m = _stack(ms)
     for name in model_params:  # a parameter the model lacks raises as in _score
         if name is not None:
             _score(m, _SCORE_NAMES[name])
-    t = _tilt(m, k)
-    location = lambda gap, scale: lambda z: (gap + t.width * z) / scale**2
-    spread = lambda gap, scale, chain=1.0: lambda z: chain * ((gap + t.width * z) ** 2 - scale**2) / scale**3
+    t = _tilt(ms[0], ks[0]) if len(ms) == 1 else _Tilt(*np.array(list(map(_tilt, ms, ks))).T[..., None])
+    s = _stack(ks).s
+    location = lambda gap, scale: lambda z: (gap + t.width * z) / (scale * scale)
+    spread = lambda gap, scale, chain=1.0: lambda z: \
+        chain * ((gap + t.width * z) ** 2 - scale * scale) / (scale * scale * scale)
     factor_of = {None: None, "mu": location(t.mu_gap, t.sd), "sigma": spread(t.mu_gap, t.sd, t.sd / m.sigma),
-                 "s": spread(t.c_gap, k.s), "c": location(t.c_gap, k.s)}
+                 "s": spread(t.c_gap, s), "c": location(t.c_gap, s)}
     factors = [factor_of[name] for name in (*model_params, *kernel_params)]
-    powers = np.array(orders)[:, None]
 
-    def fill(z, out):
+    def f(z):
         bell = np.exp(-0.5 * z * z)
         nz = bell != 0.0  # x^j is formed only where the product is nonzero
-        rows = out.reshape(powers.size, -1, z.size)
-        if nz.all():
-            nz = slice(None)
-        else:
-            rows[..., ~nz] = 0.0
-        zs = z[nz]
-        base = (t.mean + t.width * zs) ** powers * (bell[nz] * t.mass)
+        x = t.mean + t.width * z
+        masked = not nz.all()
+        base = _powers(np.where(nz, x, 0.0) if masked else x, orders) * (bell * t.mass)
+        rows = np.empty((len(orders), len(factors)) + x.shape)
         for col, factor in enumerate(factors):
-            rows[:, col, nz] = base if factor is None else base * factor(zs)
-        if t.lift:
-            out *= np.exp(-t.lift)
+            rows[:, col] = base if factor is None else base * factor(z)
+        if masked:
+            rows[..., ~nz] = 0.0
+        if np.count_nonzero(t.lift):
+            rows *= np.exp(-t.lift)
+        return rows.reshape(-1, z.size)
 
-    return fill
+    return f
 
 
-def _charfn_rows(m, k, orders, model_params, kernel_params):
-    """fill(u, out), writing the char-fn-route rows into ``out``: per
-    order j, Re c Psi_j / pi times each d/dtheta log c (None: the value
-    row), then Re c d/dlambda Psi_j / pi.  Each row, the real part of the
-    transform of a real function, is even in u: 1 / pi over (0, inf)
-    is 1 / 2 pi over the line.
+def _charfn_stack(ms, ks, orders, model_params, kernel_params):
+    """f(u), the char-fn-route rows of the points (ms[i], ks[i]) over their
+    ``models._stack``: per order j, Re c Psi_j / pi times each d/dtheta
+    log c (None: the value row), then Re c d/dlambda Psi_j / pi.  Each row,
+    the real part of the transform of a real function, is even in u:
+    1 / pi over (0, inf) is 1 / 2 pi over the line.
 
     Psi_j comes from the window-transform recurrence, rolled up to the
     highest order with only the last three terms kept.  It stops at the
     first non-finite Psi_j, and every higher order gets that Psi_j's rows,
     so the engine raises at once rather than rolling on through inf/nan.
     """
+    m, k = _stack(ms), _stack(ks)
     scores = [None if name is None else _charfn_score(m, _SCORE_NAMES[name]) for name in model_params]
     s2 = k.s * k.s
 
-    def fill(u, out):
+    def f(u):
         cf = char_fn(m, u)
         dcf = [cf if score is None else cf * score(u) for score in scores]
         iu = 1j * u
         a = k.c - s2 * iu
         psi = np.exp(-iu * k.c - 0.5 * s2 * u * u) / np.pi
         older = old = np.zeros_like(psi)
+        rows = np.empty((len(orders) * (len(scores) + len(kernel_params)),) + psi.shape)
         j, row = 0, 0
         for order in orders:
             while j < order and np.isfinite(psi).all():
                 older, old, psi = old, psi, a * psi + j * s2 * old
                 j += 1
-            rows = [d * psi for d in dcf]
+            cols = [d * psi for d in dcf]
             for name in kernel_params:
                 if name == "s":
-                    rows.append(cf * k.s * (j * (j - 1) * older - 2 * j * iu * old + iu * iu * psi))
+                    cols.append(cf * k.s * (j * (j - 1) * older - 2 * j * iu * old + iu * iu * psi))
                 else:
-                    rows.append(cf * (j * old - iu * psi))
-            for z in rows:
-                out[row] = z.real
+                    cols.append(cf * (j * old - iu * psi))
+            for z in cols:
+                rows[row] = z.real
                 row += 1
+        return rows.reshape(-1, u.size)
 
-    return fill
+    return f
 
 
 def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
@@ -414,12 +425,10 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
     if not support_has_density(m):
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
     frame, (origin, unit) = _frame(m, k), _to_x(m, k)
-    fill = (_tilted_rows if frame == "z" else _density_rows)(m, k, (0,), (None,), ())
+    rows = (_tilted_stack if frame == "z" else _density_stack)([m], [k], (0,), (None,), ())
 
     def f(v):
-        row = np.empty((1, v.size))
-        fill(v, row)
-        return np.exp(1j * u * (origin + unit * v)) * row[0]
+        return np.exp(1j * u * (origin + unit * v)) * rows(v)[0]
 
     return complex(_integrate_frame(frame, f, _breakpoints(m, k)).value)
 

@@ -84,7 +84,7 @@ class JacobianReport:
 
     @property
     def joint(self) -> np.ndarray:
-        return np.hstack((self.d_theta, self.d_lambda))
+        return np.concatenate((self.d_theta, self.d_lambda), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -233,20 +233,24 @@ def metric_tensor(report: JacobianReport) -> MetricTensor:
     """Gram matrix of the model block, with determinant, condition number
     (computed from the singular values of D_theta F) and the determinant
     of the correlation-normalised tensor; ``MetricOverflow`` if G or its
-    determinant overflows."""
+    determinant overflows.  Blocks stacked (N, K+1, p) give a stack of
+    tensors, and arrays of numbers, from one batched det and SVD."""
     d = report.d_theta
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = d.T @ d
-        g = 0.5 * (g + g.T)
-        det = float(np.linalg.det(g))
-        if not (np.all(np.isfinite(g)) and np.isfinite(det)):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = np.swapaxes(d, -1, -2) @ d
+        g = 0.5 * (g + np.swapaxes(g, -1, -2))
+        det = np.linalg.det(g)
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(det))):
             raise MetricOverflow("metric tensor G = D^T D or its determinant is not finite")
         sv = np.linalg.svd(d, compute_uv=False)
-        smin = sv[min(d.shape) - 1] if min(d.shape) > 0 else 0.0
-        cond = float("inf") if smin == 0.0 else float((sv[0] / smin) ** 2)
-    # normalise by sqrt(diag) on each side: diag_i * diag_j may overflow
-    root = np.sqrt(np.diag(g))
-    corr_det = float(np.linalg.det(g / np.outer(root, root))) if np.all(root > 0.0) else 0.0
+        top, least = (sv[..., 0], sv[..., -1]) if sv.shape[-1] else (np.zeros(sv.shape[:-1]),) * 2
+        cond = np.where(least == 0.0, np.inf, (top / least) ** 2)
+        # normalise by sqrt(diag) on each side: diag_i * diag_j may overflow
+        root = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
+        corr = np.linalg.det(g / (root[..., :, None] * root[..., None, :]))
+    corr_det = np.where(np.all(root > 0.0, axis=-1), corr, 0.0)
+    if d.ndim == 2:
+        det, cond, corr_det = float(det), float(cond), float(corr_det)
     return MetricTensor(matrix=g, det=det, condition_number=cond, correlation_det=corr_det)
 
 
@@ -255,15 +259,17 @@ def numerical_rank(matrix, errors=None) -> RankReport:
     _RANK_TOL * sigma_max * max(m, n) and |E|_F, the Frobenius norm of
     the entries' error estimates ``errors``: by Weyl's inequality a
     singular value moves by at most |E|_2 <= |E|_F, so one at or below
-    that floor may be zero."""
+    that floor may be zero.  A stack (..., m, n) of matrices and errors
+    gives arrays of ranks and thresholds, from one batched SVD."""
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     if not np.isfinite(a).all():
         raise ValueError("matrix must be finite")
     sv = np.linalg.svd(a, compute_uv=False)
-    smax = sv[0] if sv.size else 0.0
-    floor = 0.0 if errors is None else float(np.linalg.norm(errors))
-    tol = max(_RANK_TOL * smax * max(a.shape), floor)
-    return RankReport(sv, int(np.count_nonzero(sv > tol)), float(tol))
+    smax = np.max(sv, axis=-1, initial=0.0)
+    floor = 0.0 if errors is None else np.sqrt(np.square(np.atleast_2d(errors)).sum(axis=(-2, -1)))
+    tol = np.maximum(_RANK_TOL * smax * max(a.shape[-2:]), floor)
+    rank = (sv > tol[..., None]).sum(axis=-1)
+    return RankReport(sv, int(rank), float(tol)) if a.ndim == 2 else RankReport(sv, rank, tol)
 
 
 def transversality_check(report: JacobianReport, strata, y) -> TransversalityReport:

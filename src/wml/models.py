@@ -274,35 +274,34 @@ def _gaussian_moment(n, mu, sigma):
 
 def _score(m: ModelSpec, which: str):
     """Analytic score function d/dtheta log f for the selected parameter;
-    ``NoDensity`` for a characteristic-function-only model."""
-    if isinstance(m, Gaussian):
+    ``NoDensity`` for a characteristic-function-only model.  Powers of a
+    field are products: a field and its ``_stack`` column round alike."""
+    ratio = _variance_ratio(m)
+    if ratio is not None:
+        # a Gaussian with standard deviation sd: stable(2) has sd = sqrt(2)
+        # sigma, and its scale score carries the chain-rule factor sqrt(2)
+        sd, chain = m.sigma * np.sqrt(ratio), np.sqrt(ratio)
         if which == "location":
-            return lambda x: (x - m.mu) / m.sigma**2
+            return lambda x: (x - m.mu) / (sd * sd)
         if which == "scale":
-            return lambda x: ((x - m.mu) ** 2 - m.sigma**2) / m.sigma**3
+            return lambda x: chain * (((x - m.mu) ** 2 - sd * sd) / (sd * sd * sd))
     elif isinstance(m, Cauchy):
         if which == "location":
             return lambda x: 2.0 * (x - m.mu) / (1.0 + (x - m.mu) ** 2)
     elif isinstance(m, LogNormal):
         if which == "location":
-            return lambda x: (np.log(x) - m.mu) / m.sigma**2
+            return lambda x: (np.log(x) - m.mu) / (m.sigma * m.sigma)
         if which == "scale":
-            return lambda x: ((np.log(x) - m.mu) ** 2 - m.sigma**2) / m.sigma**3
+            return lambda x: ((np.log(x) - m.mu) ** 2 - m.sigma * m.sigma) / (m.sigma * m.sigma * m.sigma)
     elif isinstance(m, StieltjesLogNormal):
         if which == "a":
             return lambda x: np.sin(2.0 * np.pi * np.log(x)) / (1.0 + m.a * np.sin(2.0 * np.pi * np.log(x)))
     elif isinstance(m, SymmetricStable) and m.alpha == 1.0:
         if which == "location":
-            return lambda x: 2.0 * (x - m.mu) / (m.sigma**2 + (x - m.mu) ** 2)
+            return lambda x: 2.0 * (x - m.mu) / (m.sigma * m.sigma + (x - m.mu) ** 2)
         if which == "scale":
-            return lambda x: ((x - m.mu) ** 2 - m.sigma**2) / (m.sigma * (m.sigma**2 + (x - m.mu) ** 2))
-    elif isinstance(m, SymmetricStable) and m.alpha == 2.0:
-        # Gaussian with standard deviation sqrt(2) sigma: the scale score
-        # carries the chain-rule factor sqrt(2)
-        score = _score(Gaussian(m.mu, m.sigma * np.sqrt(2.0)), which)
-        if which == "scale":
-            return lambda x: np.sqrt(2.0) * score(x)
-        return score
+            return lambda x: ((x - m.mu) ** 2 - m.sigma * m.sigma) / \
+                (m.sigma * (m.sigma * m.sigma + (x - m.mu) ** 2))
     elif isinstance(m, SymmetricStable):
         raise _no_density(m)
     raise ValueError(f"no '{which}' score for {type(m).__name__}")
@@ -317,8 +316,8 @@ def _charfn_score(m: ModelSpec, which: str):
         return lambda u: 1j * u
     if isinstance(m, Gaussian) and which == "scale":
         return lambda u: -m.sigma * u * u
-    if isinstance(m, SymmetricStable) and which == "scale":
-        return lambda u: -m.alpha * m.sigma ** (m.alpha - 1.0) * np.abs(u) ** m.alpha
+    if isinstance(m, SymmetricStable) and which == "scale":  # alpha sigma^(alpha - 1) |u|^alpha
+        return lambda u: -m.alpha * np.abs(m.sigma * u) ** m.alpha / m.sigma
     raise Unsupported(f"no closed-form '{which}' derivative of the char fn of {type(m).__name__}")
 
 
@@ -450,6 +449,19 @@ def _frame(m: ModelSpec, k: KernelSpec) -> str:
     return "window" if support(m) == "real" else "half"
 
 
+def _stack(specs):
+    """One spec of the specs' common type, unchecked, whose fields are (N, 1)
+    columns (but alpha, which a stack shares): ``density``, ``char_fn``,
+    the scores and ``kernel_eval`` broadcast over them.  A stack of one is
+    its spec, whose scalars broadcast alike at less cost."""
+    if len(specs) == 1:
+        return specs[0]
+    stack = object.__new__(type(specs[0]))
+    vars(stack).update({name: value if name == "alpha" else np.array([getattr(p, name) for p in specs])[:, None]
+                        for name, value in vars(specs[0]).items()})
+    return stack
+
+
 def _to_x(m: ModelSpec, k: KernelSpec):
     """(origin, unit) with x = origin + unit v, v the variable of the
     pairing's ``_frame``."""
@@ -482,7 +494,8 @@ def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
       the model is narrower than the window (sigma / s < 0.7, sigma = 1
       for the Cauchy), its own points
       (mu - c) / s + (sigma / s) {0, +-0.5, +-1, +-2, +-4} within
-      |z| <= 10;
+      |z| <= 10, and at +-(sigma / s) 2^k, k >= 3, up to the window
+      mesh's 0.5, which split the Lorentzian's 1 / z^2 tails;
     * the Stieltjes family, whose log-normal factor is N(0, 1) in
       y = log x: the quarter periods of sin(2 pi y) over |y| <= 4, and
       y = +-{5, 6, 8, 10} for the tails, as far as the window reaches
@@ -501,7 +514,8 @@ def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
         width = getattr(m, "sigma", 1.0) / k.s
         if not width < 0.7:
             return _W_MESH
-        peak = (m.mu - k.c) / k.s + width * _PEAK
+        tail = width * 2.0 ** np.arange(3.0, np.log2(0.5 / width) + 1.0)  # up to 0.5
+        peak = (m.mu - k.c) / k.s + np.concatenate((width * _PEAK, tail, -tail))
         return np.concatenate((_W_MESH, peak[np.abs(peak) <= 10.0]))
     window = k.c + k.s * _Z_MESH
     if isinstance(m, StieltjesLogNormal) and window[-1] > 0.0:
@@ -579,8 +593,8 @@ def kernel_eval(k: KernelSpec, x, derivs: bool = False):
         phi = np.exp(-0.5 * (d / k.s) ** 2) / (_SQRT_2PI * k.s)
     if not derivs:
         return float(phi) if scalar else phi
-    ds = phi * (d * d - k.s * k.s) / k.s**3
-    dc = phi * d / k.s**2
+    ds = phi * (d * d - k.s * k.s) / (k.s * k.s * k.s)
+    dc = phi * d / (k.s * k.s)
     if scalar:
         return float(phi), float(ds), float(dc)
     return phi, ds, dc

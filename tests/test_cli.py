@@ -191,9 +191,10 @@ def test_eval_route_without_its_function_names_what_is_missing(capsys, argv, mes
 
 
 def test_eval_unconverged_quadrature_is_an_error(capsys, one_bisection):
-    # a window 30 wide over the Cauchy needs more than one bisection
-    code, out, err = run_cli(capsys, "eval", "--model", "cauchy:mu=0.3",
-                             "--kernel", "30,0", "--orders", "0,1,2,3,4")
+    # a window 0.06 wide over a log-normal 0.15 wide in log x needs more
+    # than one bisection
+    code, out, err = run_cli(capsys, "eval", "--model", "lognormal:mu=0.3,sigma=0.15",
+                             "--kernel", "0.06,0", "--orders", "0,1,2,3,4")
     assert code == 2
     assert out == ""
     assert err.startswith("wml: error:")
@@ -208,14 +209,13 @@ def test_eval_metric_tensor_overflow_is_an_error(capsys):
     assert err.startswith("wml: error:")
 
 
+# the order scan: at order 150 G or det G overflows for the Gaussian, x^j
+# overflows in the density rows from about 200, and the window transform
+# Psi_j on the char-fn route from about 300
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("model, order", (
-    ("gaussian", 150),                  # diag(G)^2 and det G overflow
-    ("cauchy", 250),                    # x^j overflows in the density rows
-    ("gaussian:mu=3,sigma=0.2", 400),
-    ("stable:alpha=1.5", 150),          # the char-fn rows at a high order
-    ("stable:alpha=1.5", 400),          # the window transform Psi_j overflows
-))
+@pytest.mark.parametrize("order", (60, 100, 150, 250, 400))
+@pytest.mark.parametrize("model", ("gaussian", "cauchy", "lognormal", "stieltjes:a=0.3", "stable:alpha=1.5",
+                                   "stable:alpha=1", "gaussian:mu=3,sigma=0.2"))
 def test_eval_extreme_order_ends_without_a_warning(capsys, model, order):
     code, out, err = run_cli(capsys, "eval", "--model", model, "--orders", f"0,{order}")
     assert code in (0, 2)
@@ -229,6 +229,17 @@ def test_eval_char_fn_order_beyond_overflow_fails_at_once():
     env = dict(os.environ, PYTHONPATH=str(Path(wml.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "wml.cli", "eval", "--model", "stable:alpha=1.5",
                            "--orders", "0,100000"], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("wml: error: integrand returned a non-finite value")
+
+
+def test_eval_density_order_beyond_overflow_fails_at_once():
+    # on the density route x^j overflows from about order 220; its running
+    # product stops at the first non-finite power rather than multiplying
+    # on to j = 10^8, which would take minutes
+    env = dict(os.environ, PYTHONPATH=str(Path(wml.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wml.cli", "eval", "--model", "gaussian",
+                           "--orders", "0,100000000"], capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 2
     assert proc.stderr.startswith("wml: error: integrand returned a non-finite value")
 

@@ -11,8 +11,10 @@ import wml.quad
 from wml.experiments import sweep_kernel
 from wml.features import (
     FeatureMapSpec,
-    _charfn_rows,
+    _charfn_stack,
+    _density_stack,
     _pairing_pass,
+    _tilted_stack,
     feature_map,
     influence_bound,
     influence_value,
@@ -209,10 +211,8 @@ def test_char_fn_rows_are_even_in_u():
     for m in models:
         for k in (UNIT_KERNEL, KernelSpec(0.7, -1.3)):
             model_params = (None, "mu") if isinstance(m, Cauchy) else (None, "mu", "sigma")
-            fill = _charfn_rows(m, k, orders, model_params, ("s", "c"))
-            at_u, at_minus_u = (np.empty((len(orders) * (len(model_params) + 2), u.size)) for _ in range(2))
-            fill(u, at_u)
-            fill(-u, at_minus_u)
+            rows = _charfn_stack([m], [k], orders, model_params, ("s", "c"))
+            at_u, at_minus_u = rows(u), rows(-u)
             assert np.all(np.isfinite(at_u))
             np.testing.assert_array_equal(at_u, at_minus_u, err_msg=f"{m} with {k}")
 
@@ -266,6 +266,21 @@ def test_density_feature_maps_converge_on_their_first_mesh(monkeypatch, fam, mos
         assert len(calls) <= most, (theta, k)
 
 
+@pytest.mark.parametrize("s", (30.0, 100.0, 300.0, 1000.0))
+def test_wide_window_cauchy_feature_maps_converge_on_their_first_mesh(monkeypatch, s):
+    # a Lorentzian much narrower than the window gets points at (1 / s) 2^k
+    # out to the window mesh's 0.5 in z: its 1 / z^2 tails ran there in one
+    # panel, and these feature maps took 2 (s = 30) to 8 (s = 1000) calls
+    calls = []
+    kronrod = wml.quad._kronrod_panels
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))
+    for mu in np.linspace(-2.0, 2.0, 9):
+        calls.clear()
+        fv = feature_map(cauchy_family(), [mu], KernelSpec(s), FeatureMapSpec(range(5)))
+        assert fv.paths == ("density",) * 5
+        assert len(calls) == 1, mu
+
+
 @pytest.mark.parametrize("alpha, theta", [(0.7, [-2.0, 1.0]), (0.1, [-2.0, 9.99])])
 def test_wide_window_char_fn_feature_map_converges(alpha, theta):
     # a window 999 wide: on the whole line the pass ran out of budget
@@ -297,11 +312,11 @@ def test_path_errors():
 def test_feature_map_reports_an_unmet_budget(one_bisection):
     # a pass of several rows raises NonConvergence like a one-row pass
     # (its error array once met a scalar format and raised TypeError); a
-    # unit window converges on its first mesh, a Cauchy under a window 30
-    # wide does not
+    # unit window converges on its first mesh, a window 0.06 wide over a
+    # log-normal 0.15 wide in log x does not
     spec = FeatureMapSpec(orders=(0, 1, 2))
     with pytest.raises(NonConvergence, match="component"):
-        feature_map(cauchy_family(), [0.3], KernelSpec(30.0), spec)
+        feature_map(lognormal_family(), [0.3, 0.15], KernelSpec(0.06), spec)
 
 
 def test_feature_map_gaussian_orders_01():
@@ -354,11 +369,16 @@ def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
               for n in model_params]
     powers = np.array(spec.orders)[:, None]
 
+    def running_powers(x):
+        # x^j by a running product, x^{j+1} = x^j x
+        products = np.cumprod(np.broadcast_to(x, (max(spec.orders), x.size)), axis=0)
+        return np.vstack((np.ones_like(x), products))[powers[:, 0]]
+
     def density_rows(x, phi, dphi_ds, dphi_dc):
         dens = density(m, x)
         nz = (phi != 0.0) & (dens != 0.0)
         xs, fs = x[nz], dens[nz]
-        xj = xs ** powers
+        xj = running_powers(xs)
         base = xj * phi[nz] * fs
         cols = [base if score is None else base * score(xs) for score in scores]
         cols += [xj * {"s": dphi_ds, "c": dphi_dc}[name][nz] * fs for name in kernel_params]
@@ -381,10 +401,11 @@ def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
         bell = np.exp(-0.5 * z * z)
         nz = bell != 0.0
         zs = z[nz]
-        base = (t.mean + t.width * zs) ** powers * (bell[nz] * t.mass)
+        base = running_powers(t.mean + t.width * zs) * (bell[nz] * t.mass)
         gap_mu, gap_c = t.mu_gap + t.width * zs, t.c_gap + t.width * zs
-        factors = {"mu": gap_mu / t.sd**2, "sigma": t.sd / m.sigma * (gap_mu**2 - t.sd**2) / t.sd**3,
-                   "s": (gap_c**2 - k.s**2) / k.s**3, "c": gap_c / k.s**2}
+        sd2, s2 = t.sd * t.sd, k.s * k.s
+        factors = {"mu": gap_mu / sd2, "sigma": t.sd / m.sigma * (gap_mu**2 - sd2) / (sd2 * t.sd),
+                   "s": (gap_c**2 - s2) / (s2 * k.s), "c": gap_c / s2}
         cols = [base if name is None else base * factors[name] for name in (*model_params, *kernel_params)]
         out = np.zeros((powers.size, len(cols), z.size))
         out[:, :, nz] = np.stack(cols, axis=1)
@@ -442,6 +463,65 @@ def test_one_point_pass_is_the_unstacked_pass_bit_for_bit():
                 ref_values, ref_errors = unstacked_one_point_pass(m, k, spec, cols, ("s", "c"))
                 assert values.tobytes() == ref_values.tobytes(), (m, k, path, cols)
                 assert errors.tobytes() == ref_errors.tobytes(), (m, k, path, cols)
+
+
+def stack_fill_cases(rng, n):
+    """(frame, builder, n models, n kernels, model columns) for every frame
+    and catalog family: the density route's z (Gaussian, stable(2)),
+    window (Cauchy, stable(1)) and half (log-normal, Stieltjes), and the
+    char-fn route's u (Gaussian, Cauchy, stable(1.5))."""
+    kernels = [KernelSpec(float(np.exp(rng.uniform(-1.0, 1.5))), float(rng.uniform(-1.0, 1.0))) for _ in range(n)]
+    mu, sigma = rng.uniform(-2.0, 2.0, n), np.exp(rng.uniform(-1.0, 1.0, n))
+    density_models = [
+        [Gaussian(a, b) for a, b in zip(mu, sigma)], [SymmetricStable(2.0, a, b) for a, b in zip(mu, sigma)],
+        [Cauchy(a) for a in mu], [SymmetricStable(1.0, a, b) for a, b in zip(mu, sigma)],
+        [LogNormal(0.5 * a, 0.5 * b) for a, b in zip(mu, sigma)], [StieltjesLogNormal(0.4 * a) for a in mu]]
+    charfn_models = [[Gaussian(a, b) for a, b in zip(mu, sigma)], [Cauchy(a) for a in mu],
+                     [SymmetricStable(1.5, a, b) for a, b in zip(mu, sigma)]]
+    builders = {"z": _tilted_stack, "window": _density_stack, "half": _density_stack}
+    for ms in density_models:
+        frame = _frame(ms[0], kernels[0])
+        yield frame, builders[frame], ms, kernels, canonical_family(ms[0])[0].param_names
+    for ms in charfn_models:
+        yield "u", _charfn_stack, ms, kernels, canonical_family(ms[0])[0].param_names
+
+
+def test_stack_fill_equals_each_point_fill_bit_for_bit():
+    # one vectorised call over a stack's (N, 1) columns fills, bit for bit,
+    # the rows that N one-point calls fill, nodes where a row is 0 included
+    rng = np.random.default_rng(19)
+    nodes = {"z": np.linspace(-45.0, 45.0, 181), "window": np.linspace(-45.0, 45.0, 181),
+             "half": np.geomspace(1e-6, 1e6, 181), "u": np.geomspace(1e-6, 60.0, 181)}
+    orders = (0, 1, 2, 4)
+    for frame, build, ms, ks, names in stack_fill_cases(rng, 6):
+        v = nodes[frame]
+        assert all(_frame(m, k) == frame for m, k in zip(ms, ks)) or frame == "u"
+        for model_params, kernel_params in (((None,), ()), ((None, *names), ()), ((None, *names), ("s", "c"))):
+            stacked = build(ms, ks, orders, model_params, kernel_params)(v)
+            alone = np.stack([build([m], [k], orders, model_params, kernel_params)(v) for m, k in zip(ms, ks)])
+            rows = stacked.reshape(-1, len(ms), v.size).transpose(1, 0, 2)  # the rows run (order, column, point)
+            assert rows.tobytes() == alone.tobytes(), (frame, ms[0], model_params, kernel_params)
+            assert np.any(alone == 0.0) or frame == "u"
+
+
+def test_a_stack_makes_one_model_call_per_integrand_call(monkeypatch):
+    # ten points share every density or char fn call of their pass; one
+    # call per point filled a stack's rows before
+    counts = {"density": 0, "char_fn": 0, "panels": 0}
+    for name in ("density", "char_fn"):
+        original = getattr(wml.features, name)
+        monkeypatch.setattr(wml.features, name, lambda *a, name=name, original=original:
+                            counts.__setitem__(name, counts[name] + 1) or original(*a))
+    kronrod = wml.quad._kronrod_panels
+    monkeypatch.setattr(wml.quad, "_kronrod_panels",
+                        lambda *a: counts.__setitem__("panels", counts["panels"] + 1) or kronrod(*a))
+    spec, kernels = FeatureMapSpec((0, 1)), [KernelSpec(1.0 + 0.2 * i, 0.1 * i) for i in range(10)]
+    for models, route in (([Cauchy(0.1 * i) for i in range(10)], "density"),
+                          ([LogNormal(0.1 * i, 0.8) for i in range(10)], "density"),
+                          ([SymmetricStable(1.5, 0.1 * i, 1.0) for i in range(10)], "char_fn")):
+        counts.update(density=0, char_fn=0, panels=0)
+        _pairing_pass(list(zip(models, kernels)), spec, (None,), ())
+        assert counts["panels"] >= 1 and counts[route] == counts["panels"], (models[0], counts)
 
 
 def test_stacked_points_agree_with_each_point_alone():

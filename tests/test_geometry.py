@@ -4,6 +4,7 @@ from scipy.integrate import quad as scipy_quad
 
 import wml.features
 import wml.geometry
+from wml.experiments import sweep_kernel
 from wml.features import FeatureMapSpec, feature_map
 from wml.geometry import (
     CollisionCandidate,
@@ -12,6 +13,7 @@ from wml.geometry import (
     MetricOverflow,
     StepUnderflow,
     StratumSpec,
+    _jacobians,
     _separate,
     codimension_thresholds,
     injectivity_probe,
@@ -163,10 +165,11 @@ def test_jacobian_refuses_what_it_cannot_differentiate():
 
 
 def test_jacobian_reports_an_unmet_budget(one_bisection):
-    # a window 30 wide over the Cauchy needs more than one bisection
+    # a window 0.06 wide over a log-normal 0.15 wide in log x needs more
+    # than one bisection
     spec = FeatureMapSpec(orders=(0, 1, 2))
     with pytest.raises(NonConvergence, match="component"):
-        jacobian(cauchy_family(), scale_kernel_family(), [0.3], [30.0], spec)
+        jacobian(lognormal_family(), scale_kernel_family(), [0.3, 0.15], [0.06], spec)
 
 
 def test_jacobian_symmetry_zero_mu_derivative():
@@ -257,6 +260,52 @@ def test_numerical_rank_counts_only_singular_values_above_the_error_norm():
     rep = numerical_rank(a, np.full((2, 2), 1e-6))
     assert rep.rank == 1 and rep.tol_used == pytest.approx(2e-6)
     assert numerical_rank([[2.8e-18]], [[7.2e-13]]).rank == 0
+
+
+def test_numerical_rank_of_a_stack_is_the_rank_of_each_matrix():
+    # one batched SVD over a stack gives each matrix the rank and the
+    # threshold of its own call, with and without errors
+    rng = np.random.default_rng(21)
+    for shape in ((1, 1), (1, 2), (3, 1), (3, 3), (5, 2), (5, 4)):
+        a = rng.normal(size=(40, *shape)) * np.exp(rng.uniform(-20.0, 20.0, (40, 1, 1)))
+        a[::4] = rng.normal(size=(10, shape[0], 1)) * rng.normal(size=(10, 1, shape[1]))  # rank 1
+        a[1::8] = 0.0
+        errors = np.abs(a).max(axis=(1, 2), keepdims=True) * 10.0 ** rng.uniform(-18.0, 0.0, (40, 1, 1)) \
+            * rng.random((40, *shape))
+        for e in (None, errors):
+            stacked = numerical_rank(a, e)
+            for i in range(a.shape[0]):
+                alone = numerical_rank(a[i], None if e is None else e[i])
+                assert (stacked.rank[i], stacked.tol_used[i]) == (alone.rank, alone.tol_used), (shape, i)
+    # the mu = 0 Cauchy Jacobians: model rank 0 (d/dmu w_0 = 0 by symmetry), joint rank 1
+    reps = _jacobians(cauchy_family(), scale_kernel_family(), [([0.0], [s]) for s in np.geomspace(0.5, 100.0, 9)],
+                      FeatureMapSpec(orders=(0,)))
+    for block, errs, rank in (([r.d_theta for r in reps], [r.error_estimates[:, :1] for r in reps], 0),
+                              ([r.joint for r in reps], [r.error_estimates for r in reps], 1)):
+        stacked = numerical_rank(np.array(block), np.array(errs))
+        alone = [numerical_rank(b, e) for b, e in zip(block, errs)]
+        assert stacked.rank.tolist() == [r.rank for r in alone] == [rank] * 9
+        assert stacked.tol_used.tolist() == [r.tol_used for r in alone]
+
+
+@pytest.mark.parametrize("fam, thetas", [(gaussian_family(), [(0.0, 1.0), (0.7, 0.4)]),
+                                         (cauchy_family(), [(0.0,), (1.2,)]),
+                                         (lognormal_family(), [(0.2, 0.8)])])
+def test_sweep_rows_are_the_per_point_linear_algebra(fam, thetas):
+    # one batched det, SVD and rank per grid: the ranks and verdicts are
+    # those of per-point calls on the same Jacobians, and the metric
+    # numbers within 8 ulps of them
+    kfam, spec, scales = scale_kernel_family(), FeatureMapSpec(orders=(0, 1, 2)), [(0.5,), (3.0,), (30.0,)]
+    rows = sweep_kernel(fam, kfam, spec, scales, thetas)
+    reps = _jacobians(fam, kfam, [(th, lam) for lam in scales for th in thetas], spec)
+    assert len(rows) == len(reps) == len(scales) * len(thetas)
+    for row, rep in zip(rows, reps):
+        g, trans = metric_tensor(rep), transversality_check(rep, (), rep.features)
+        assert (row["model_rank"], row["joint_rank"], row["enrichment"], row["submersive"]) == \
+            (trans.model_rank, trans.joint_rank, trans.enrichment, trans.submersive)
+        for key, value in (("det_g", g.det), ("condition_number", g.condition_number),
+                           ("correlation_det", g.correlation_det)):
+            assert abs(row[key] - value) <= 8 * np.spacing(abs(value)), (key, row[key], value)
 
 
 def test_jacobian_reads_singular_information_off_its_errors():
