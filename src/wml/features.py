@@ -31,8 +31,9 @@ evaluation routes are provided:
 
       Psi_0 = exp(-iuc - s^2 u^2 / 2),  Psi_{j+1} = a Psi_j + j s^2 Psi_{j-1}.
 
-Points share passes: with their parameters held as columns, one
-vectorised call fills the rows of many points (``_pairing_pass``).
+Points share passes, each with a panel tree of its own: one vectorised
+call fills the rows of every point's nodes from that point's
+parameters, held as columns (``_pairing_pass``).
 
 The tilted law f phi / w_0 supplies weak cumulants; the boundedness of
 x^j phi(x) supplies the influence bound.
@@ -52,7 +53,6 @@ from .models import (
     NoDensity,
     Unsupported,
     _SQRT_2PI,
-    _Tilt,
     _breakpoints,
     _charfn_points,
     _charfn_score,
@@ -67,7 +67,7 @@ from .models import (
     kernel_eval,
     support_has_density,
 )
-from .quad import NonConvergence, NonFiniteEvaluation, QuadratureError
+from .quad import NonConvergence, NonFiniteEvaluation, QuadratureError, _half_line, _real_line
 
 __all__ = [
     "FeatureMapSpec",
@@ -207,9 +207,10 @@ def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_param
     return np.reshape(values, shape), np.reshape(errors, shape)
 
 
-# rows per stacked integrand call: one call holds its rows times the union
-# of its points' panels, so its memory would grow with points squared
-_STACK_ROWS = 32
+# first-mesh values per integrand call (15 nodes a panel, times the rows):
+# a group of points is cut into passes of at most this many, so that a
+# pass's arrays stay a few MB however many points it holds
+_CALL_VALUES = 2**17
 
 
 def _pairing_pass(points, spec, model_params, kernel_params):
@@ -220,64 +221,64 @@ def _pairing_pass(points, spec, model_params, kernel_params):
     its value and error rows.
 
     Points are grouped by route, variable (u > 0 on the char-fn route,
-    else their ``models._frame``), model type and alpha, and each starts
-    from a first mesh on its own product (``models._breakpoints``,
-    ``models._charfn_points``).  Consecutive points of a group share a
-    pass: a stack of at most ``_STACK_ROWS`` rows (or one point), its rows
-    filled by one vectorised call over the points' ``models._stack``, over
-    the union of their breakpoints (shared in z and in the window's z, so
-    few more panels than one point).  A stack that raises a
-    ``QuadratureError`` is split in half and each half retried, so a
-    point that converges alone converges; alone, a point raises its error
-    naming it, and for ``NonConvergence`` the order and the column."""
+    else their ``models._frame``), model type and, on the density route,
+    alpha.  A group shares passes of at most ``_CALL_VALUES`` first-mesh
+    values each (or one point): every point is a segment of the pass,
+    with its own panel tree from its own first mesh
+    (``models._breakpoints``, ``models._charfn_points``), so it returns,
+    bit for bit, what it returns alone, while each integrand call fills
+    the rows of all its points' nodes at once, over their
+    ``models._stack``.  A point that fails raises its error naming it,
+    and for ``NonConvergence`` the order and the column."""
     unknown = [name for name in model_params if name is not None and name not in _SCORE_NAMES]
     unknown += [name for name in kernel_params if name not in ("s", "c")]
     if unknown:
         raise Unsupported(f"no analytic derivative for parameters {unknown}")
     columns = [name or "value" for name in model_params] + list(kernel_params)
     width = len(spec.orders) * len(columns)
-    groups = {}
-    for i, (m, k) in enumerate(points):
-        on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(m))
-        frame = _frame(m, k) if on_density else "u"
-        key = ("density" if on_density else "charfn", frame, type(m), getattr(m, "alpha", None))
-        groups.setdefault(key, []).append((i, m, k))
-    per_stack = max(1, _STACK_ROWS // width)
-    todo = [(key, group[start:start + per_stack]) for key, group in groups.items()
-            for start in range(0, len(group), per_stack)]
-    out = [None] * len(points)
-    while todo:
-        key, stack = todo.pop(0)
-        (route, frame, *_), (index, ms, ks) = key, zip(*stack)
-        f = {"z": _tilted_stack, "u": _charfn_stack}.get(frame, _density_stack)(
-            ms, ks, spec.orders, model_params, kernel_params)
-        mesh = _charfn_points if frame == "u" else _breakpoints
-        try:
-            # at extreme orders x^j or Psi_j overflows (the engine raises it as
-            # NonFiniteEvaluation), and a score may divide by 0 where f is 0
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                breaks = np.concatenate([mesh(m, k) for m, k in zip(ms, ks)])
+    groups, passes = {}, []
+    # at extreme orders x^j or Psi_j overflows (the engine raises it as
+    # NonFiniteEvaluation), and a score may divide by 0 where f is 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, (m, k) in enumerate(points):
+            on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(m))
+            key = ("density", _frame(m, k), type(m), getattr(m, "alpha", None)) if on_density \
+                else ("charfn", "u", type(m), None)
+            groups.setdefault(key, []).append((i, m, k, (_breakpoints if on_density else _charfn_points)(m, k)))
+        for key, group in groups.items():
+            for point in group:
+                first = 15 * width * (point[3].size + 1)  # its first-mesh values: one panel more than points at most
+                if passes and passes[-1][0] == key and load + first <= _CALL_VALUES:
+                    passes[-1][1].append(point)
+                    load += first
+                else:
+                    passes.append((key, [point]))
+                    load = first
+        out = [None] * len(points)
+        for (route, frame, *_), group in passes:
+            index, ms, ks, meshes = zip(*group)
+            f = {"z": _tilted_stack, "u": _charfn_stack}.get(frame, _density_stack)(
+                ms, ks, spec.orders, model_params, kernel_params)
+            seg = np.repeat(np.arange(len(ms)), [mesh.size for mesh in meshes])
+            try:
                 # the char-fn rows are even in u: their pairing is the integral over u > 0
-                res = _integrate_frame("half" if frame == "u" else frame, f, breaks)
-        except QuadratureError as exc:
-            if len(stack) > 1:
-                todo[:0] = [(key, stack[:len(stack) // 2]), (key, stack[len(stack) // 2:])]
-                continue
-            if frame == "u" and isinstance(exc, NonFiniteEvaluation):
-                exc = NonFiniteEvaluation(exc.points, "u")  # the char-fn rows are functions of u
-            elif isinstance(exc, NonFiniteEvaluation):
-                origin, unit = _to_x(ms[0], ks[0])  # name the nodes in x
-                exc = NonFiniteEvaluation(origin + unit * exc.points)
-            where = f"{ms[0]} with {ks[0]}"
-            if isinstance(exc, NonConvergence):
-                order, col = divmod(exc.component, len(columns))
-                where = f"order {spec.orders[order]}, column {columns[col]}, at {where}"
-            exc.args = (f"{exc}; {where}",)
-            raise exc from None
-        values = np.reshape(res.value, (width, len(stack))).T  # rows run (order, column, point)
-        errors = np.reshape(res.error_estimate, (width, len(stack))).T
-        for i, v, e in zip(index, values, errors):
-            out[i] = (route, v, e)
+                values, errors, _ = (_half_line if frame in ("half", "u") else _real_line)(
+                    f, np.concatenate(meshes), seg, len(ms))
+            except QuadratureError as exc:
+                m, k = ms[exc.segment], ks[exc.segment]
+                if frame == "u" and isinstance(exc, NonFiniteEvaluation):
+                    exc = NonFiniteEvaluation(exc.points, "u")  # the char-fn rows are functions of u
+                elif isinstance(exc, NonFiniteEvaluation):
+                    origin, unit = _to_x(m, k)  # name the nodes in x
+                    exc = NonFiniteEvaluation(origin + unit * exc.points)
+                where = f"{m} with {k}"
+                if isinstance(exc, NonConvergence):
+                    order, col = divmod(exc.component, len(columns))
+                    where = f"order {spec.orders[order]}, column {columns[col]}, at {where}"
+                exc.args = (f"{exc}; {where}",)
+                raise exc from None
+            for i, v, e in zip(index, values, errors):
+                out[i] = (route, v, e)  # rows run (order, column)
     return out
 
 
@@ -286,7 +287,7 @@ def _powers(x, orders):
     (``x ** j`` takes libm's scalar pow at every negative x).  Past order 32
     it stops at the first non-finite power, as the char-fn recurrence does."""
     out = np.empty((len(orders),) + x.shape)
-    xj, j = np.ones_like(x), 0
+    xj, j = 1.0, 0
     for i, order in enumerate(orders):
         while j < order and (j < 32 or np.isfinite(xj).all()):
             xj, j = xj * x, j + 1
@@ -295,25 +296,27 @@ def _powers(x, orders):
 
 
 def _density_stack(ms, ks, orders, model_params, kernel_params):
-    """f(v), the density-route rows of the points (ms[i], ks[i]) of one
-    ``models._frame``, over their ``models._stack``: per order j, x^j phi f
-    times each score d/dtheta log f (None: the value row), then
-    x^j f d/dlambda phi.  In the frame 'window' v is the window's
-    z = (x - c) / s and the rows carry dx/dz = s: s phi = exp(-z^2 / 2) /
-    sqrt(2 pi) and d/dlambda log phi, (z^2 - 1) / s and z / s, come from z
-    itself; in 'half' v is x."""
-    m, k = _stack(ms), _stack(ks)
-    scores = [None if name is None else _score(m, _SCORE_NAMES[name]) for name in model_params]
+    """f(v, seg), the density-route rows of the points (ms[i], ks[i]) of
+    one ``models._frame``, each node's rows those of its own point ``seg``
+    (``models._stack``): per order j, x^j phi f times each score
+    d/dtheta log f (None: the value row), then x^j f d/dlambda phi.  In
+    the frame 'window' v is the window's z = (x - c) / s and the rows
+    carry dx/dz = s: s phi = exp(-z^2 / 2) / sqrt(2 pi) and d/dlambda log
+    phi, (z^2 - 1) / s and z / s, come from z itself; in 'half' v is x."""
+    models, kernels = _stack(ms), _stack(ks)
     window = _frame(ms[0], ks[0]) == "window"
 
-    def f(v):
+    def f(v, seg):
+        m, k = models(seg), kernels(seg)
         if window:
-            x = k.c + k.s * v
+            x = k.s * v
+            x += k.c
             phi = np.exp(-0.5 * v * v) / _SQRT_2PI
-            dphi = (phi * (v * v - 1.0) / k.s, phi * v / k.s)
+            dphi = {"s": lambda: phi * (v * v - 1.0) / k.s, "c": lambda: phi * v / k.s}
         else:
-            x = v[None]
-            phi, *dphi = kernel_eval(k, x, derivs=True) if kernel_params else (kernel_eval(k, x),)
+            x = v
+            phi, *derivs = kernel_eval(k, x, derivs=True) if kernel_params else (kernel_eval(k, x),)
+            dphi = {"s": lambda: derivs[0], "c": lambda: derivs[1]}
         dens = density(m, x)
         # x^j goes into phi before f: far out phi * f alone is subnormal, and
         # x^j and the score would magnify its rounding.  Where phi or f is
@@ -322,12 +325,17 @@ def _density_stack(ms, ks, orders, model_params, kernel_params):
         nz = (phi != 0.0) & (dens != 0.0)
         masked = not nz.all()
         xj = _powers(np.where(nz, x, 0.0) if masked else x, orders)
-        base = xj * phi * dens
-        rows = np.empty((len(orders), len(scores) + len(kernel_params)) + dens.shape)
-        for col, score in enumerate(scores):
-            rows[:, col] = base if score is None else base * score(x)
-        for col, name in enumerate(kernel_params, len(scores)):
-            rows[:, col] = xj * dphi["sc".index(name)] * dens
+        base = xj * phi
+        base *= dens
+        rows = np.empty((len(orders), len(model_params) + len(kernel_params), v.size))
+        for col, name in enumerate(model_params):
+            if name is None:
+                rows[:, col] = base
+            else:
+                np.multiply(base, _score(m, _SCORE_NAMES[name])(x), out=rows[:, col])
+        for col, name in enumerate(kernel_params, len(model_params)):
+            np.multiply(xj, dphi[name](), out=rows[:, col])
+            rows[:, col] *= dens
         if masked:
             rows[..., ~nz] = 0.0
         return rows.reshape(-1, v.size)
@@ -336,7 +344,7 @@ def _density_stack(ms, ks, orders, model_params, kernel_params):
 
 
 def _tilted_stack(ms, ks, orders, model_params, kernel_params):
-    """f(z) for Gaussian products (``models._tilt``), in their tilted
+    """f(z, seg) for Gaussian products (``models._tilt``), in their tilted
     coordinate z = (x - mean) / width: the rows of ``_density_stack``
     times dx/dz = width.  The factor width f phi is the closed-form mass
     times exp(-z^2 / 2), and the scores and the kernel's d/dlambda log
@@ -344,28 +352,33 @@ def _tilted_stack(ms, ks, orders, model_params, kernel_params):
     x - c = c_gap + width z, which carry no rounding of x itself.  Where
     the mass is lifted, x^j goes in before e^-lift, as it goes into phi
     before f in ``_density_stack``."""
-    m = _stack(ms)
     for name in model_params:  # a parameter the model lacks raises as in _score
         if name is not None:
-            _score(m, _SCORE_NAMES[name])
-    t = _tilt(ms[0], ks[0]) if len(ms) == 1 else _Tilt(*np.array(list(map(_tilt, ms, ks))).T[..., None])
-    s = _stack(ks).s
-    location = lambda gap, scale: lambda z: (gap + t.width * z) / (scale * scale)
-    spread = lambda gap, scale, chain=1.0: lambda z: \
-        chain * ((gap + t.width * z) ** 2 - scale * scale) / (scale * scale * scale)
-    factor_of = {None: None, "mu": location(t.mu_gap, t.sd), "sigma": spread(t.mu_gap, t.sd, t.sd / m.sigma),
-                 "s": spread(t.c_gap, s), "c": location(t.c_gap, s)}
-    factors = [factor_of[name] for name in (*model_params, *kernel_params)]
+            _score(ms[0], _SCORE_NAMES[name])
+    models, kernels, tilts = _stack(ms), _stack(ks), _stack(list(map(_tilt, ms, ks)))
 
-    def f(z):
-        bell = np.exp(-0.5 * z * z)
+    def f(z, seg):
+        t = tilts(seg)
+        location = lambda gap, scale: (gap + t.width * z) / (scale * scale)
+        spread = lambda gap, scale: ((gap + t.width * z) ** 2 - scale * scale) / (scale * scale * scale)
+        factor_of = {"mu": lambda: location(t.mu_gap, t.sd),
+                     "sigma": lambda: t.sd / models(seg).sigma * spread(t.mu_gap, t.sd),
+                     "s": lambda: spread(t.c_gap, kernels(seg).s), "c": lambda: location(t.c_gap, kernels(seg).s)}
+        bell = -0.5 * z
+        bell *= z
+        np.exp(bell, out=bell)
         nz = bell != 0.0  # x^j is formed only where the product is nonzero
-        x = t.mean + t.width * z
         masked = not nz.all()
-        base = _powers(np.where(nz, x, 0.0) if masked else x, orders) * (bell * t.mass)
-        rows = np.empty((len(orders), len(factors)) + x.shape)
-        for col, factor in enumerate(factors):
-            rows[:, col] = base if factor is None else base * factor(z)
+        bell *= t.mass
+        x = t.width * z
+        x += t.mean
+        base = _powers(np.where(nz, x, 0.0) if masked else x, orders)
+        base *= bell
+        del x, bell  # freed before the rows are filled
+        names = (*model_params, *kernel_params)
+        rows = np.empty((len(orders), len(names), z.size))
+        for col, name in enumerate(names):
+            rows[:, col] = base if name is None else base * factor_of[name]()
         if masked:
             rows[..., ~nz] = 0.0
         if np.count_nonzero(t.lift):
@@ -376,29 +389,30 @@ def _tilted_stack(ms, ks, orders, model_params, kernel_params):
 
 
 def _charfn_stack(ms, ks, orders, model_params, kernel_params):
-    """f(u), the char-fn-route rows of the points (ms[i], ks[i]) over their
-    ``models._stack``: per order j, Re c Psi_j / pi times each d/dtheta
-    log c (None: the value row), then Re c d/dlambda Psi_j / pi.  Each row,
-    the real part of the transform of a real function, is even in u:
-    1 / pi over (0, inf) is 1 / 2 pi over the line.
+    """f(u, seg), the char-fn-route rows of the points (ms[i], ks[i]), each
+    node's rows those of its own point ``seg`` (``models._stack``): per
+    order j, Re c Psi_j / pi times each d/dtheta log c (None: the value
+    row), then Re c d/dlambda Psi_j / pi.  Each row, the real part of the
+    transform of a real function, is even in u: 1 / pi over (0, inf) is
+    1 / 2 pi over the line.
 
     Psi_j comes from the window-transform recurrence, rolled up to the
     highest order with only the last three terms kept.  It stops at the
     first non-finite Psi_j, and every higher order gets that Psi_j's rows,
     so the engine raises at once rather than rolling on through inf/nan.
     """
-    m, k = _stack(ms), _stack(ks)
-    scores = [None if name is None else _charfn_score(m, _SCORE_NAMES[name]) for name in model_params]
-    s2 = k.s * k.s
+    models, kernels = _stack(ms), _stack(ks)
 
-    def f(u):
+    def f(u, seg):
+        m, k = models(seg), kernels(seg)
+        s2 = k.s * k.s
         cf = char_fn(m, u)
-        dcf = [cf if score is None else cf * score(u) for score in scores]
+        dcf = [cf if name is None else cf * _charfn_score(m, _SCORE_NAMES[name])(u) for name in model_params]
         iu = 1j * u
         a = k.c - s2 * iu
         psi = np.exp(-iu * k.c - 0.5 * s2 * u * u) / np.pi
         older = old = np.zeros_like(psi)
-        rows = np.empty((len(orders) * (len(scores) + len(kernel_params)),) + psi.shape)
+        rows = np.empty((len(orders) * (len(dcf) + len(kernel_params)), u.size))
         j, row = 0, 0
         for order in orders:
             while j < order and np.isfinite(psi).all():
@@ -413,7 +427,7 @@ def _charfn_stack(ms, ks, orders, model_params, kernel_params):
             for z in cols:
                 rows[row] = z.real
                 row += 1
-        return rows.reshape(-1, u.size)
+        return rows
 
     return f
 
@@ -428,7 +442,7 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
     rows = (_tilted_stack if frame == "z" else _density_stack)([m], [k], (0,), (None,), ())
 
     def f(v):
-        return np.exp(1j * u * (origin + unit * v)) * rows(v)[0]
+        return np.exp(1j * u * (origin + unit * v)) * rows(v, 0)[0]
 
     return complex(_integrate_frame(frame, f, _breakpoints(m, k)).value)
 

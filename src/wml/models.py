@@ -20,9 +20,10 @@ models': lambda = (s) or (s, c) -> ``KernelSpec``, each with its box.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -374,7 +375,8 @@ def _two_product(a, b):
 _LOG_LIFT = -600.0
 
 
-class _Tilt(NamedTuple):
+@dataclass
+class _Tilt:
     """A Gaussian model f, with standard deviation ``sd``, times the window
     phi, in closed form: f phi is w_0 N(mean, width^2), and in
     z = (x - mean) / width the pairing's integrand width f phi is
@@ -392,15 +394,13 @@ class _Tilt(NamedTuple):
 
 def _tilt(m: ModelSpec, k: KernelSpec):
     """The tilted law of a Gaussian model under the window ``k`` (see
-    ``_Tilt``), or None for a pairing not integrated in z (``_frame``).
+    ``_Tilt``), for a pairing integrated in z (``_frame``).
 
     log(mass e^-lift) = -(c - mu)^2 / 2T - log(T) / 2 - log(2 pi), with
     T = var + s^2.  Its first term reaches 700 before the pairing
     underflows, where one rounding of it costs 1e-13 of every entry, so it
     is formed in double-double arithmetic; lift > 0 only where e^log_mass
     would be subnormal."""
-    if _frame(m, k) != "z":
-        return None
     ratio = _variance_ratio(m)
     gap, gap_lo = _two_sum(k.c, -m.mu)
     square, square_lo = _two_product(gap, gap)
@@ -413,7 +413,7 @@ def _tilt(m: ModelSpec, k: KernelSpec):
     p, p_lo = _two_product(q, total)
     q_lo = ((square - p) - p_lo + (square_lo + 2.0 * gap * gap_lo) - q * total_lo) / total
     log_mass, lo = _two_sum(-0.5 * q, -0.5 * math.log(total) - math.log(2.0 * math.pi))
-    lift = float(np.clip(np.ceil(_LOG_LIFT - log_mass), 0.0, 700.0))
+    lift = float(math.ceil(min(max(_LOG_LIFT - log_mass, 0.0), 700.0)))
     mass = math.exp(log_mass + lift)  # log_mass + lift is exact
     if mass:
         mass *= 1.0 + (lo - 0.5 * q_lo)
@@ -450,16 +450,42 @@ def _frame(m: ModelSpec, k: KernelSpec) -> str:
 
 
 def _stack(specs):
-    """One spec of the specs' common type, unchecked, whose fields are (N, 1)
-    columns (but alpha, which a stack shares): ``density``, ``char_fn``,
-    the scores and ``kernel_eval`` broadcast over them.  A stack of one is
-    its spec, whose scalars broadcast alike at less cost."""
+    """The specs as one: a function of each node's segment (an index into
+    ``specs``) that gives one spec of their common type, unchecked, whose
+    fields are each node's own spec's values, for ``density``,
+    ``char_fn``, the scores and ``kernel_eval`` to work on elementwise.
+    A field the specs share is a scalar (alpha on the density route,
+    where ``density`` branches on it); any other is gathered from its
+    column when first read.  A stack of one is its spec: a scalar gives
+    the same bits as its column at less cost."""
     if len(specs) == 1:
-        return specs[0]
-    stack = object.__new__(type(specs[0]))
-    vars(stack).update({name: value if name == "alpha" else np.array([getattr(p, name) for p in specs])[:, None]
-                        for name, value in vars(specs[0]).items()})
-    return stack
+        return lambda seg: specs[0]
+    shared, columns = {}, {}
+    for name, value in vars(specs[0]).items():
+        column = np.array([getattr(spec, name) for spec in specs], dtype=float)
+        if (column.view(np.uint64) == column.view(np.uint64)[0]).all():
+            shared[name] = value
+        else:
+            columns[name] = column
+    kind = _gathered(type(specs[0]))
+
+    def at(seg):
+        spec = object.__new__(kind)
+        vars(spec).update(shared, _columns=columns, _seg=seg)
+        return spec
+
+    return at
+
+
+@functools.cache
+def _gathered(kind):
+    """A subclass of ``kind`` whose fields that a ``_stack`` holds as
+    columns are gathered at the nodes' segments when first read (a shared
+    field is set on the spec itself, which hides the gathering)."""
+    def column(name):
+        return functools.cached_property(lambda spec: spec._columns[name][spec._seg])
+
+    return type(kind.__name__, (kind,), {field.name: column(field.name) for field in fields(kind)})
 
 
 def _to_x(m: ModelSpec, k: KernelSpec):

@@ -25,12 +25,19 @@ precision.  The price falls on integrands that cancel: their reported
 error is ``rel_tol`` of int |f|, not of the (smaller) value.
 
 There is one code path.  An integrand returns n values for n nodes, or
-an (m, n) array: m integrals over one shared panel tree, each held to
-its own target; a 1-D integrand is the case m = 1, and its value and
-error come back as scalars.  The panel tree is a table of arrays, and
-panels are evaluated in batches: one integrand call covers all initial
-panels, and each later round bisects, from one call, the shortest
-worst-first run of panels whose removal would meet every target.
+an (m, n) array: m integrals over one panel tree, each held to its own
+target; a 1-D integrand is the case m = 1, and its value and error come
+back as scalars.  The panel tree is a table of arrays, and panels are
+evaluated in batches: one integrand call covers all initial panels,
+and each later round bisects, from one call, the shortest worst-first
+run of panels whose removal would meet every target.
+
+Several such integrands, segments, can share a pass: each keeps its own
+panel tree, targets and budget, and rounds as it would alone, while
+the nodes of all live segments go to one integrand call, which also
+gets each node's segment.  As each panel's sums are its own, a segment
+returns, bit for bit, what it returns alone.  A lone integrand is one
+segment.
 
 The half-line is reduced to the real line by the logarithmic
 substitution ``x = e^y``, so endpoint behaviour at 0 becomes ordinary
@@ -62,11 +69,14 @@ class QuadratureError(Exception):
 
 class NonFiniteEvaluation(QuadratureError):
     """The integrand produced NaN or infinity at the nodes ``points``,
-    given as the caller's integrand received them; ``var`` names them."""
+    given as the caller's integrand received them; ``var`` names them.
+    In a pass over several segments they are the nodes of ``segment``,
+    the first segment that had any."""
 
-    def __init__(self, points, var="x"):
+    def __init__(self, points, var="x", segment=0):
         super().__init__(f"integrand returned a non-finite value near {var}={points[:3]}")
         self.points = points
+        self.segment = segment
 
 
 class NonConvergence(QuadratureError):
@@ -74,14 +84,16 @@ class NonConvergence(QuadratureError):
     before the tolerance was met.
 
     Carries the best available estimate in ``result`` (``converged`` is
-    False there) and the index of the row furthest from its target in
-    ``component``.
+    False there), the index of the row furthest from its target in
+    ``component``, and in a pass over several segments the segment that
+    failed in ``segment``.
     """
 
-    def __init__(self, message, result=None, component=0):
+    def __init__(self, message, result=None, component=0, segment=0):
         super().__init__(message)
         self.result = result
         self.component = component
+        self.segment = segment
 
 
 @dataclass(frozen=True)
@@ -137,6 +149,7 @@ _TINY = np.finfo(float).tiny
 _FLOOR_MIN = _TINY / (50.0 * _EPS)  # below this the 50 ulp floor would underflow
 _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 2000
+_ENDS = np.array([-1.0, 1.0])  # the transformed real line
 
 
 def _as_real(op, z):
@@ -146,33 +159,36 @@ def _as_real(op, z):
     return op(np.ascontiguousarray(z.real)) + 1j * op(np.ascontiguousarray(z.imag))
 
 
-def _kronrod_panels(f, a, b):
-    """Integrate the P panels [a_k, b_k] from one call of ``f`` on all
-    P * 15 nodes.  Returns (values, errors, l1), each of shape (P, m),
-    with m = 1 for a 1-D integrand and l1 the panel's int |f|, and
-    whether ``f`` is 1-D.
+def _kronrod_panels(f, a, b, seg):
+    """Integrate the P panels [a_k, b_k], of segments ``seg``, from one
+    call of ``f`` on all P * 15 nodes and each node's segment.  Returns
+    (values, errors, l1), each of shape (P, m), with m = 1 for a 1-D
+    integrand and l1 the panel's int |f|, and whether ``f`` is 1-D.
 
     The error model is QUADPACK's: the raw Gauss/Kronrod difference is
     rescaled by the panel's variation so that smooth panels are not
     flagged as inaccurate, with a floor at 50 ulp of the absolute
     integral.
     """
-    a, b = a[:, None], b[:, None]
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    nodes = (centr + hlgth * _NODES).ravel()
-    fv = np.asarray(f(nodes))
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = hlgth[:, None] * _NODES
+    nodes += centr[:, None]
+    nodes = nodes.ravel()
+    at = seg.repeat(15)
+    fv = np.asarray(f(nodes, at))
     if fv.shape[-1:] != nodes.shape or fv.ndim > 2:
         raise ValueError("integrand must return one value, or one column of values, per node")
-    finite = np.isfinite(fv)
-    if not finite.all():
-        raise NonFiniteEvaluation(nodes[~finite.reshape(-1, nodes.size).all(axis=0)])
-
     # (P, m, 15), contiguous: each panel's sums round as one (m, 15) product
-    # of its own, whatever P is
+    # of its own, whatever P is and whatever other panels share the call
     rows = np.ascontiguousarray(fv.reshape(-1, centr.size, 15).transpose(1, 0, 2))
-    ah = np.abs(hlgth)
     resk = _as_real(lambda r: r @ _KRONROD, rows)
+    # every Kronrod weight is positive, so a non-finite value leaves its sum non-finite
+    if not np.isfinite(resk).all():
+        bad = ~np.isfinite(fv).reshape(-1, nodes.size).all(axis=0)
+        if bad.any():
+            first = at[bad].min()
+            raise NonFiniteEvaluation(nodes[bad & (at == first)], segment=int(first))
+    ah = np.abs(hlgth)[:, None]
     resg = _as_real(lambda r: r @ _GAUSS, rows)
     # one buffer holds |rows|, then |rows - resk / 2|
     buf = np.abs(rows)
@@ -184,92 +200,192 @@ def _kronrod_panels(f, a, b):
     flat = resasc == 0.0
     abserr = resasc * np.minimum(1.0, (200.0 * abserr / (resasc + flat)) ** 1.5) + flat * abserr
     abserr = np.maximum(abserr, 50.0 * _EPS * resabs * (resabs > _FLOOR_MIN))
-    return resk * hlgth, abserr, resabs, fv.ndim == 1
+    return resk * hlgth[:, None], abserr, resabs, fv.ndim == 1
 
 
-def _adaptive(f, edges) -> IntegralResult:
-    """Worst-panel-first bisection with the embedded pair, in rounds,
-    starting from the panels between consecutive ``edges``.
+def _adaptive(f, a, b, seg):
+    """Worst-panel-first bisection with the embedded pair, in rounds, of
+    the segments 0, 1, ...: segment i starts from the panels [a_k, b_k]
+    where ``seg`` (which never decreases) is i.  Returns (value, error,
+    evaluations): each segment's values and errors, of shape (S, m) for S
+    segments of m rows (or (S,) for a 1-D integrand), and its integrand
+    evaluations.
 
-    Every integrand is m rows sharing one panel tree (m = 1 for a 1-D
-    integrand), held as a table of arrays: each panel's ends and, per
-    row, its value, error and int |f|.  Row i has met its target when
-    its summed ``err_i <= _REL_TOL * int |f_i|``, a target never set
-    below the smallest normal float: a row that small is built from
-    subnormal values, which carry no relative precision (a row whose
-    int |f| is 0 has error 0 and is met at once).
+    Each segment is m rows sharing one panel tree (m = 1 for a 1-D
+    integrand), and all trees are held as one table of arrays, grouped by
+    segment: each panel's segment and ends and, per row, its value, error
+    and int |f|.  Row i of a segment has met its target when its summed
+    ``err_i <= _REL_TOL * int |f_i|``, a target never set below the
+    smallest normal float: a row that small is built from subnormal
+    values, which carry no relative precision (a row whose int |f| is 0
+    has error 0 and is met at once).
 
-    One integrand call covers all initial panels.  Panels rank by
-    max_i(log2 err_i - log2 scale_i), scale_i being row i's target at
-    the first estimate; one too narrow to split, or with error 0 in every
-    row, ranks last and is never bisected.  Until every row has met its
-    target, each round bisects, from one integrand call, the shortest
-    worst-first run of panels whose removal would meet every target: the
-    left halves replace their panels, the right halves are appended.
+    One integrand call covers the initial panels of every segment, and a
+    pass whose rows all meet their targets there returns before any panel
+    is ranked.  Panels rank by max_i(log2 err_i - log2 scale_i), scale_i
+    being row i's target in the panel's segment at the first estimate;
+    one too narrow to split, or with error 0 in every row, ranks last and
+    is never bisected.  Each round bisects, in every segment that has not
+    met its targets, the shortest worst-first run of its panels whose
+    removal would meet them all, and one integrand call covers the halves
+    of every run: the left halves replace their panels, the right halves
+    follow the segment's other panels.  A segment's sums and decisions
+    read its own panels only, so it rounds as it would alone.
 
-    Raises ``NonConvergence`` when the ``_MAX_SUBDIVISIONS`` bisections
-    run out first (a round never bisects past them), or when no panel
-    left can be bisected, as when the error sits in panels narrower than
-    one ulp; the message names the component furthest from its target.
-    Both settings are read at call time.
+    Raises ``NonConvergence`` when a segment's ``_MAX_SUBDIVISIONS``
+    bisections run out first (a round never bisects past them), or when
+    no panel of it left can be bisected, as when the error sits in panels
+    narrower than one ulp; the message names the segment's component
+    furthest from its target.  Both settings are read at call time.
     """
-    # copies, as the table is written in place (edges[:-1] and edges[1:] would overlap)
-    a, b = np.array(edges[:-1], dtype=float), np.array(edges[1:], dtype=float)
-    vals, errs, l1s, scalar = _kronrod_panels(f, a, b)
-    log_scale = np.log2(np.maximum(_REL_TOL * l1s.sum(axis=0), _TINY))
+    first = np.bincount(seg)  # the initial panels of each segment
+    firsts = first.tolist()
+    vals, errs, l1s, scalar = _kronrod_panels(f, a, b, seg)
+    keys = None
 
-    pick = 0 if scalar else slice(None)  # a 1-D integrand's value and error are scalars
-
-    def rank(a, b, errs):
+    def rank(a, b, errs, seg):
         with np.errstate(divide="ignore"):
-            keys = np.maximum.reduce(np.log2(errs) - log_scale, axis=1)
+            keys = np.maximum.reduce(np.log2(errs) - log_scale[seg], axis=1)
         return np.where(np.nextafter(a, b) < b, keys, -np.inf)  # else 0.5 * (a + b) is a or b
 
-    def result(converged):
-        value = _as_real(lambda t: t.sum(axis=0), vals)
-        return IntegralResult(value[pick], err_sum[pick], evaluations, converged)
-
-    table = [a, b, vals, errs, l1s, rank(a, b, errs)]
     while True:
-        a, b, vals, errs, l1s, keys = table
+        sizes = np.bincount(seg, minlength=first.size)
+        starts = sizes.cumsum() - sizes
+        err_sum = np.add.reduceat(errs, starts, axis=0)
+        goal = np.maximum(_REL_TOL * np.add.reduceat(l1s, starts, axis=0), _TINY)
+        unmet = np.logical_or.reduce(err_sum > goal, axis=1).nonzero()[0]
+        # each segment's value is the sum of its own panels, as alone: numpy's
+        # sum rounds by blocks of the summed length
+        value = lambda: _as_real(lambda t: np.array([np.add.reduce(t[lo:lo + size]) for lo, size in
+                                                     zip(starts.tolist(), sizes.tolist())]), vals)
         # every bisection adds one panel to the table and evaluates two
-        evaluations = 15 * (2 * len(a) - len(edges) + 1)
-        err_sum = errs.sum(axis=0)
-        goal = np.maximum(_REL_TOL * l1s.sum(axis=0), _TINY)
-        if (err_sum <= goal).all():
-            return result(True)
-        order = (-keys).argsort(kind="stable")
-        meets = np.logical_and.reduce(err_sum - np.add.accumulate(errs[order]) <= goal, axis=1)
-        # the shortest run meeting every target (meets only turns True), within splittable and budget
-        n = min(1 + len(order) - np.count_nonzero(meets), np.count_nonzero(keys > -np.inf),
-                _MAX_SUBDIVISIONS - (len(a) - len(edges) + 1))
-        if n <= 0:
-            i = int(np.argmax(err_sum / goal))
-            which = f"component {i} " if err_sum.size > 1 else ""
-            raise NonConvergence(f"adaptive quadrature: {which}error {err_sum[i]:.3e} against a target of "
-                                 f"{goal[i]:.3e} after {evaluations // 15} panels", result(False), i)
-        popped = order[:n]
-        pa, pb = a[popped], b[popped]
+        evaluations = lambda: 15 * (2 * sizes - first)
+        if unmet.size == 0:
+            return (value()[:, 0], err_sum[:, 0], evaluations()) if scalar else (value(), err_sum, evaluations())
+        if keys is None:  # the targets at the first estimate
+            log_scale = np.log2(goal)
+            keys = rank(a, b, errs, seg)
+        runs, starts_at, sizes_of = [], starts.tolist(), sizes.tolist()
+        for s in unmet.tolist():
+            lo, size = starts_at[s], sizes_of[s]
+            order = (-keys[lo:lo + size]).argsort(kind="stable")
+            meets = np.logical_and.reduce(err_sum[s] - np.add.accumulate(errs[lo:lo + size][order]) <= goal[s],
+                                          axis=1)
+            # the shortest run meeting every target (meets only turns True), within splittable and budget
+            n = min(1 + size - np.count_nonzero(meets), np.count_nonzero(keys[lo:lo + size] > -np.inf),
+                    _MAX_SUBDIVISIONS - (size - firsts[s]))
+            if n <= 0:
+                c = int(np.argmax(err_sum[s] / goal[s]))
+                pick = 0 if scalar else slice(None)  # a 1-D integrand's value and error are scalars
+                which = f"component {c} " if err_sum.shape[1] > 1 else ""
+                spent = 15 * (2 * size - firsts[s])
+                raise NonConvergence(f"adaptive quadrature: {which}error {err_sum[s][c]:.3e} against a target "
+                                     f"of {goal[s][c]:.3e} after {spent // 15} panels",
+                                     IntegralResult(value()[s][pick], err_sum[s][pick], spent, False), c, s)
+            runs.append(lo + order[:n])
+        popped = np.concatenate(runs)
+        pa, pb, ps = a[popped], b[popped], seg[popped]
         mid = 0.5 * (pa + pb)
-        left, right = np.concatenate((pa, mid)), np.concatenate((mid, pb))
-        v, e, l1, _ = _kronrod_panels(f, left, right)
-        halves = (left, right, v, e, l1, rank(left, right, e))
+        left, right, both = np.concatenate((pa, mid)), np.concatenate((mid, pb)), np.concatenate((ps, ps))
+        v, e, l1, _ = _kronrod_panels(f, left, right, both)
+        table, halves = (seg, a, b, vals, errs, l1s, keys), (both, left, right, v, e, l1, rank(left, right, e, both))
         for column, half in zip(table, halves):
-            column[popped] = half[:n]
-        table = [np.concatenate((column, half[n:])) for column, half in zip(table, halves)]
+            column[popped] = half[:popped.size]
+        table = [np.concatenate((column, half[popped.size:])) for column, half in zip(table, halves)]
+        if first.size > 1:  # each segment's right halves after its other panels
+            grouped = np.argsort(table[0], kind="stable")
+            table = [column[grouped] for column in table]
+        seg, a, b, vals, errs, l1s, keys = table
+
+
+def _inside(v, bound):
+    """Where |v| < ``bound``, or None where it holds everywhere."""
+    return None if not v.size or -bound < v.min() and v.max() < bound else np.abs(v) < bound
+
+
+def _at(good, *arrays):
+    """The arrays at the nodes where ``good`` (all of them where None)."""
+    return arrays if good is None else tuple(x[good] for x in arrays)
 
 
 def _on_nodes(fx, w, good):
-    """fx * w at the nodes where ``good`` and 0 at the others, written
-    into fx (an integrand returns a new array on every call) where that
-    gives the same array; with every node good that is the result."""
+    """fx * w at the nodes where ``good`` (all of them where None) and 0 at
+    the others, written into fx (an integrand returns a new array on every
+    call) where that gives the same array; with every node good that is
+    the result."""
     inplace = isinstance(fx, np.ndarray) and fx.flags.writeable and np.result_type(fx, w) == fx.dtype
     fx = np.multiply(fx, w, out=fx if inplace else None)
-    if good.all():
+    if good is None:
         return fx
     vals = np.zeros(fx.shape[:-1] + good.shape, dtype=fx.dtype)
     vals[..., good] = fx
     return vals
+
+
+def _real_line(f, points, seg, n):
+    """The integrals over the whole real line of n segments of ``f``,
+    which takes nodes and their segments, from breakpoints ``points`` in
+    x (``seg`` gives each one's segment); see :func:`integrate_real_line`."""
+    def transformed(t, seg):
+        good = _inside(t, 1.0)  # where 1 - t^2 > 0
+        t, seg = _at(good, t, seg)
+        one = 1.0 - t * t
+        fx = f(np.divide(t, one, out=one), seg)  # x, in the buffer of 1 - t^2
+        # the Jacobian (1 + t^2) / (1 - t^2)^2
+        w = t * t
+        one = 1.0 - w
+        w += 1.0
+        w /= np.multiply(one, one, out=one)
+        return _on_nodes(fx, w, good)
+
+    x = np.asarray(points, dtype=float)
+    x, seg = _at(_inside(x, 1e150), x, seg)
+    # inverse of x = t / (1 - t^2), written to avoid cancellation
+    t = 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * x * x))
+    t, seg = _at(_inside(t, 1.0), t, seg)
+    ends = np.arange(n)
+    t = np.concatenate((t, _ENDS.repeat(n)))
+    seg = np.concatenate((seg, ends, ends))
+    order = np.lexsort((t, seg))
+    t, seg = t[order], seg[order]
+    # the panels between consecutive distinct edges of a segment (copies, as
+    # the engine writes its table in place)
+    panel = (seg[1:] == seg[:-1]) & (t[1:] != t[:-1])
+    try:
+        return _adaptive(transformed, t[:-1][panel], t[1:][panel], seg[:-1][panel])
+    except NonFiniteEvaluation as exc:  # name the nodes in x, as f received them
+        raise NonFiniteEvaluation(exc.points / (1.0 - exc.points * exc.points), segment=exc.segment) from None
+
+
+def _half_line(f, points, seg, n):
+    """The integrals over (0, inf) of n segments of ``f``, as
+    :func:`_real_line`; see :func:`integrate_half_line`."""
+    def substituted(y, seg):
+        good = _inside(y, 64.0)
+        y, seg = _at(good, y, seg)
+        x = np.exp(y)
+        return _on_nodes(f(x, seg), x, good)
+
+    x = np.asarray(points, dtype=float)
+    positive = x > 0.0
+    y, seg = np.log(x[positive]), seg[positive]
+    near = np.abs(y) < 64.0
+    try:
+        return _real_line(substituted, y[near], seg[near], n)
+    except NonFiniteEvaluation as exc:
+        raise NonFiniteEvaluation(np.exp(exc.points), segment=exc.segment) from None
+
+
+def _one(points):
+    """A lone integrand's breakpoints and their segment, 0."""
+    points = np.empty(0) if points is None else np.ravel(np.asarray(points, dtype=float))
+    return points, np.zeros(points.size, dtype=np.intp)
+
+
+def _lone(out) -> IntegralResult:
+    """The result of a pass over one segment."""
+    value, error, evaluations = out
+    return IntegralResult(value[0], error[0], int(evaluations[0]), True)
 
 
 def integrate_real_line(f, points=None) -> IntegralResult:
@@ -288,31 +404,14 @@ def integrate_real_line(f, points=None) -> IntegralResult:
     feature narrower than one panel of the transformed line (a peak far
     from 0) is seen from the start.
     """
-    def transformed(t):
-        tt = t * t
-        one = 1.0 - tt
-        good = one > 1e-150
-        one = one[good]
-        return _on_nodes(f(t[good] / one), (1.0 + tt[good]) / (one * one), good)
-
-    edges = [-1.0, 1.0]
-    if points is not None:
-        x = np.asarray(points, dtype=float)
-        x = x[np.abs(x) < 1e150]
-        # inverse of x = t / (1 - t^2), written to avoid cancellation
-        t = 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * x * x))
-        edges = sorted({*edges, *t[np.abs(t) < 1.0].tolist()})
-    try:
-        return _adaptive(transformed, edges)
-    except NonFiniteEvaluation as exc:  # name the nodes in x, as f received them
-        raise NonFiniteEvaluation(exc.points / (1.0 - exc.points * exc.points)) from None
+    return _lone(_real_line(lambda x, _: f(x), *_one(points), 1))
 
 
 def integrate_half_line(f, points=None) -> IntegralResult:
     """Approximate the integral of ``f`` over (0, inf).
 
-    Applies the logarithmic substitution ``x = e^y`` and reuses
-    :func:`integrate_real_line` on ``y -> f(e^y) e^y``; ``f`` may be
+    Applies the logarithmic substitution ``x = e^y`` and integrates
+    ``y -> f(e^y) e^y`` over the real line as there; ``f`` may be
     (m, n)-valued as there, and ``points`` are breakpoints in x (those
     outside the range below are dropped).  The substituted
     range is clipped to |log x| <= 64, i.e. x in [e^-64, e^64]; outside
@@ -322,17 +421,4 @@ def integrate_half_line(f, points=None) -> IntegralResult:
     integrands evaluable (x^j stays finite there for j <= 11; compose
     more extreme products in exponent space).
     """
-
-    def substituted(y):
-        good = np.abs(y) < 64.0
-        x = np.exp(y[good])
-        return _on_nodes(f(x), x, good)
-
-    if points is not None:
-        x = np.asarray(points, dtype=float)
-        y = np.log(x[x > 0.0])
-        points = y[np.abs(y) < 64.0]
-    try:
-        return integrate_real_line(substituted, points)
-    except NonFiniteEvaluation as exc:
-        raise NonFiniteEvaluation(np.exp(exc.points)) from None
+    return _lone(_half_line(lambda x, _: f(x), *_one(points), 1))

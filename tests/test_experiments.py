@@ -113,27 +113,46 @@ def test_one_adaptive_pass_per_experiment(monkeypatch, name, rows):
 
 
 def test_cauchy_submersion_takes_its_scale_sensitivity_from_the_jacobian_pass(monkeypatch):
-    # 25 points of 3 rows in stacks of 10 points: three passes, and no
-    # fourth for w_2, which d/ds w_0 = w_2 / s^3 - w_0 / s already gives
+    # 25 points of 3 rows in one pass, and no second pass for w_2, which
+    # d/ds w_0 = w_2 / s^3 - w_0 / s already gives
     calls = []
     adaptive = wml.quad._adaptive
     monkeypatch.setattr(wml.quad, "_adaptive", lambda *a: calls.append(1) or adaptive(*a))
     res = run_experiment("cauchy-submersion")
     assert res.passed, res.metrics
-    assert len(calls) == 3 and len(res.table) == 25
+    assert len(calls) == 1 and len(res.table) == 25
 
 
 def test_cauchy_submersion_stacks_converge_on_their_first_mesh(monkeypatch):
-    # its Cauchy points are integrated in the window's z = (x - c) / s,
-    # where they share one mesh: each of the three stacks converges on its
-    # first integrand call, over 138 panels.  From the model's and the
-    # window's points in x they took 151 panels
-    panels = []
+    # its Cauchy points are integrated in the window's z = (x - c) / s, each
+    # over its own panel tree from its own mesh: the pass evaluates the
+    # 1,704 rows x panels that the 25 points need alone, 36 of them on a
+    # second call.  Stacks of 10 points over the union of their
+    # breakpoints evaluated 3,570
+    calls = []
     kronrod = wml.quad._kronrod_panels
-    monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda f, a, b: panels.append(a.size) or kronrod(f, a, b))
+
+    def panels(f, a, b, seg):
+        out = kronrod(f, a, b, seg)
+        calls.append(a.size * out[0].shape[1])
+        return out
+
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", panels)
     res = run_experiment("cauchy-submersion")
     assert res.passed, res.metrics
-    assert len(panels) <= 3 and sum(panels) <= 140
+    assert len(calls) <= 2 and sum(calls) <= 1704
+
+
+def test_type0_charpath_twins_share_one_pass(monkeypatch):
+    # alpha is a column on the char-fn route, where nothing branches on it:
+    # the stable(1) and stable(2) twins share one pass, and the experiment
+    # makes 4 integrand calls (5 when alpha split them)
+    calls = []
+    kronrod = wml.quad._kronrod_panels
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(np.unique(a[3]).size) or kronrod(*a))
+    res = run_experiment("type0-charpath")
+    assert res.passed, res.metrics
+    assert len(calls) == 4 and max(calls) == 2
 
 
 def test_cauchy_submersion_checks_the_model_rank():

@@ -212,7 +212,7 @@ def test_char_fn_rows_are_even_in_u():
         for k in (UNIT_KERNEL, KernelSpec(0.7, -1.3)):
             model_params = (None, "mu") if isinstance(m, Cauchy) else (None, "mu", "sigma")
             rows = _charfn_stack([m], [k], orders, model_params, ("s", "c"))
-            at_u, at_minus_u = rows(u), rows(-u)
+            at_u, at_minus_u = rows(u, 0), rows(-u, 0)
             assert np.all(np.isfinite(at_u))
             np.testing.assert_array_equal(at_u, at_minus_u, err_msg=f"{m} with {k}")
 
@@ -487,8 +487,9 @@ def stack_fill_cases(rng, n):
 
 
 def test_stack_fill_equals_each_point_fill_bit_for_bit():
-    # one vectorised call over a stack's (N, 1) columns fills, bit for bit,
-    # the rows that N one-point calls fill, nodes where a row is 0 included
+    # one vectorised call over the nodes of N points, each node's rows
+    # from its own point's fields, fills, bit for bit, the rows that N
+    # one-point calls fill, nodes where a row is 0 included
     rng = np.random.default_rng(19)
     nodes = {"z": np.linspace(-45.0, 45.0, 181), "window": np.linspace(-45.0, 45.0, 181),
              "half": np.geomspace(1e-6, 1e6, 181), "u": np.geomspace(1e-6, 60.0, 181)}
@@ -497,9 +498,11 @@ def test_stack_fill_equals_each_point_fill_bit_for_bit():
         v = nodes[frame]
         assert all(_frame(m, k) == frame for m, k in zip(ms, ks)) or frame == "u"
         for model_params, kernel_params in (((None,), ()), ((None, *names), ()), ((None, *names), ("s", "c"))):
-            stacked = build(ms, ks, orders, model_params, kernel_params)(v)
-            alone = np.stack([build([m], [k], orders, model_params, kernel_params)(v) for m, k in zip(ms, ks)])
-            rows = stacked.reshape(-1, len(ms), v.size).transpose(1, 0, 2)  # the rows run (order, column, point)
+            # the points' nodes interleaved, as a pass's rounds give them
+            seg = np.tile(np.arange(len(ms)), v.size)
+            stacked = build(ms, ks, orders, model_params, kernel_params)(np.repeat(v, len(ms)), seg)
+            alone = np.stack([build([m], [k], orders, model_params, kernel_params)(v, 0) for m, k in zip(ms, ks)])
+            rows = stacked.reshape(stacked.shape[0], v.size, len(ms)).transpose(2, 0, 1)
             assert rows.tobytes() == alone.tobytes(), (frame, ms[0], model_params, kernel_params)
             assert np.any(alone == 0.0) or frame == "u"
 
@@ -525,10 +528,10 @@ def test_a_stack_makes_one_model_call_per_integrand_call(monkeypatch):
 
 
 def test_stacked_points_agree_with_each_point_alone():
-    # a stacked point has a finer panel tree than it has alone, never a
-    # worse one: both estimates lie within the sum of their errors
+    # every stacked point has its own panel tree from its own first mesh,
+    # and rounds as it would alone: its values and errors are, bit for
+    # bit, those of its one-point pass
     rng = np.random.default_rng(12)
-    eps = np.finfo(float).eps
     points = seeded_points(rng, 12)
     for path in ("auto", "charfn"):
         spec = FeatureMapSpec((0, 1, 2), path=path)
@@ -541,13 +544,15 @@ def test_stacked_points_agree_with_each_point_alone():
             for (m, k), (route, values, errors) in zip(group, stacked):
                 [(alone_route, alone, alone_errors)] = _pairing_pass([(m, k)], spec, (None, *cols), ("s",))
                 assert route == alone_route
-                assert np.all(np.abs(values - alone) <= errors + alone_errors + 4 * eps * np.abs(alone)), (m, k)
+                assert values.tobytes() == alone.tobytes(), (m, k, path)
+                assert errors.tobytes() == alone_errors.tobytes(), (m, k, path)
 
 
 def test_a_stack_of_points_that_converge_alone_converges(monkeypatch):
     # shifted copies of a narrow window far out in a wide model (once out
     # of budget) and of a unit window 54 model widths out (once near
-    # underflow), four points to a stack: no stack has to split
+    # underflow): all sixteen share one pass, and each returns what it
+    # returns alone
     calls = []
     adaptive = wml.quad._adaptive
     monkeypatch.setattr(wml.quad, "_adaptive", lambda *a: calls.append(1) or adaptive(*a))
@@ -557,11 +562,10 @@ def test_a_stack_of_points_that_converge_alone_converges(monkeypatch):
                    (Gaussian(d, 1.0), KernelSpec(1.0, 54.0 + d))]
     spec = FeatureMapSpec((0, 1))
     stacked = _pairing_pass(points, spec, ("mu", "sigma"), ("s", "c"))
-    assert len(calls) == len(points) // (wml.features._STACK_ROWS // 8)
-    eps = np.finfo(float).eps
+    assert len(calls) == 1
     for point, (_, values, errors) in zip(points, stacked):
         [(_, alone, alone_errors)] = _pairing_pass([point], spec, ("mu", "sigma"), ("s", "c"))
-        assert np.all(np.abs(values - alone) <= errors + alone_errors + 4 * eps * np.abs(alone)), point
+        assert values.tobytes() == alone.tobytes() and errors.tobytes() == alone_errors.tobytes(), point
 
 
 def test_a_hostile_point_in_a_stack_raises_its_own_error():
@@ -575,6 +579,49 @@ def test_a_hostile_point_in_a_stack_raises_its_own_error():
         _pairing_pass([benign, benign, hostile, benign], spec, (None,), ("s",))
 
 
+def test_every_point_of_a_pass_has_its_own_budget(monkeypatch):
+    # narrow windows on a narrow log-normal bisect 4 or 5 panels each, over
+    # four rounds: a budget of 5 bisections a point lets every point of
+    # the pass converge, as alone, where the pass bisects 19 in all
+    points = [(LogNormal(0.3 + 0.01 * i, 0.15), KernelSpec(0.06 + 0.002 * i)) for i in range(4)]
+    spec, calls = FeatureMapSpec((0, 1)), []
+    kronrod = wml.quad._kronrod_panels
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(a[3]) or kronrod(*a))
+    monkeypatch.setattr(wml.quad, "_MAX_SUBDIVISIONS", 5)
+    stacked = _pairing_pass(points, spec, (None,), ())
+    bisections = sum(np.bincount(seg, minlength=len(points)) // 2 for seg in calls[1:])
+    assert list(bisections) == [4, 5, 5, 5]
+    for point, (_, values, errors) in zip(points, stacked):
+        [(_, alone, alone_errors)] = _pairing_pass([point], spec, (None,), ())
+        assert values.tobytes() == alone.tobytes() and errors.tobytes() == alone_errors.tobytes()
+
+
+def test_a_stacked_point_out_of_budget_raises_its_own_error(one_bisection):
+    # each point of a pass has its own budget: the point that needs more
+    # than one bisection raises, named, while the others converge on their
+    # first mesh
+    spec = FeatureMapSpec((0, 1, 2))
+    benign = (LogNormal(0.0, 1.0), KernelSpec(1.0))
+    hostile = (LogNormal(0.3, 0.1), KernelSpec(0.05))
+    with pytest.raises(NonConvergence) as info:
+        _pairing_pass([benign, hostile, benign], spec, ("mu", "sigma"), ("s",))
+    order, col = divmod(info.value.component, 3)
+    assert str(info.value).endswith(f"; order {spec.orders[order]}, column {('mu', 'sigma', 's')[col]}, "
+                                    f"at LogNormal(mu=0.3, sigma=0.1) with KernelSpec(s=0.05, c=0.0)")
+
+
+def test_a_pass_that_meets_its_targets_at_once_ranks_no_panel(monkeypatch):
+    # ranking the panels (log2 of the errors, nextafter of their ends) is
+    # left until a first round leaves a target unmet
+    calls = []
+    kronrod = wml.quad._kronrod_panels
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))
+    monkeypatch.setattr(np, "nextafter", lambda *a: pytest.fail("a panel was ranked"))
+    points = [(Gaussian(0.1 * i, 1.0), KernelSpec(1.0 + 0.1 * i)) for i in range(4)]
+    stacked = _pairing_pass(points, FeatureMapSpec(range(5)), (None,), ())
+    assert len(calls) == 1 and all(np.all(np.isfinite(values)) for _, values, _ in stacked)
+
+
 def test_nonconvergence_names_the_point_order_and_column(one_bisection):
     with pytest.raises(NonConvergence) as info:
         weak_moment_jacobian(LogNormal(0.3, 0.1), KernelSpec(0.05), ("mu", "sigma"), ("s",),
@@ -585,12 +632,15 @@ def test_nonconvergence_names_the_point_order_and_column(one_bisection):
 
 
 def test_no_integrand_call_carries_more_rows_than_the_cap(monkeypatch):
-    widest = []
+    # a 300-point grid is cut into passes by first-mesh values: no call,
+    # first or later, holds more values than the budget, and calls hold
+    # many points
+    calls = []
     kronrod = wml.quad._kronrod_panels
 
-    def panels(f, a, b):
-        out = kronrod(f, a, b)
-        widest.append(out[0].shape[1])
+    def panels(f, a, b, seg):
+        out = kronrod(f, a, b, seg)
+        calls.append((15 * a.size * out[0].shape[1], np.unique(seg).size))
         return out
 
     monkeypatch.setattr(wml.quad, "_kronrod_panels", panels)
@@ -598,7 +648,8 @@ def test_no_integrand_call_carries_more_rows_than_the_cap(monkeypatch):
     rows = sweep_kernel(cauchy_family(), scale_kernel_family(), FeatureMapSpec((0, 1)),
                         [(s,) for s in np.geomspace(1.0, 100.0, 12)], [(mu,) for mu in mus])
     assert len(rows) == 300
-    assert 1 < max(widest) <= wml.features._STACK_ROWS
+    values, points = zip(*calls)
+    assert max(values) <= wml.features._CALL_VALUES and max(points) > 1
 
 
 _KERNELS = scale_center_kernel_family()

@@ -95,9 +95,9 @@ def test_one_integrand_call_for_the_initial_panels_and_one_per_round(monkeypatch
     rounds = []
     kronrod = wml.quad._kronrod_panels
 
-    def panels(f, a, b):
+    def panels(f, a, b, seg):
         rounds.append((a, b))
-        return kronrod(f, a, b)
+        return kronrod(f, a, b, seg)
 
     monkeypatch.setattr(wml.quad, "_kronrod_panels", panels)
     sizes = []
@@ -157,8 +157,20 @@ def test_a_pass_raises_once_no_panel_can_be_split(monkeypatch):
         return np.ones_like(x)
 
     with pytest.raises(NonConvergence) as failure:
-        wml.quad._adaptive(f, [1.0, np.nextafter(1.0, 2.0)])
+        wml.quad._adaptive(lambda x, _: f(x), np.array([1.0]), np.array([np.nextafter(1.0, 2.0)]),
+                           np.zeros(1, dtype=int))
     assert calls == [15] and str(failure.value).endswith("after 1 panels")
+
+
+def test_a_non_finite_value_names_the_first_segment_that_has_one():
+    # segments 1 and 2 of a pass are NaN everywhere: the error names
+    # segment 1 and its nodes, in x
+    def f(x, seg):
+        return np.where(seg >= 1, np.nan, np.exp(-x * x))
+
+    with pytest.raises(NonFiniteEvaluation) as info:
+        wml.quad._real_line(f, np.empty(0), np.empty(0, dtype=int), 3)
+    assert info.value.segment == 1 and info.value.points.size == 15
 
 
 def test_non_finite_integrand_raises():
@@ -311,7 +323,7 @@ def test_scaling_in_place_leaves_every_result_bit_identical():
     # reference: the substitutions as first written, scaling into a fresh
     # zero-filled array, run by the same engine
     def real_line(f):
-        def transformed(t):
+        def transformed(t, _):
             tt = t * t
             one = 1.0 - tt
             good = one > 1e-150
@@ -341,13 +353,15 @@ def test_scaling_in_place_leaves_every_result_bit_identical():
     cases = [lambda x: np.exp(-rows * x * x) * np.cos(x), read_only, lambda x: np.exp(1j * x - x * x)]
     for f in cases:
         got = integrate_real_line(f)
-        want = wml.quad._adaptive(real_line(f), [-1.0, 1.0])
+        want = wml.quad._lone(wml.quad._adaptive(real_line(f), np.array([-1.0]), np.array([1.0]),
+                                                  np.zeros(1, dtype=int)))
         assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
         assert np.asarray(got.error_estimate).tobytes() == np.asarray(want.error_estimate).tobytes()
     # the log-normal power rows reach past the |log x| <= 64 clip
     n = np.arange(4.0)[:, None]
     g = lambda x: np.exp((n - 1.0) * np.log(x) - 0.5 * np.log(x) ** 2 - 0.5 * n * n)
     got = integrate_half_line(g)
-    want = wml.quad._adaptive(real_line(half_line(g)), [-1.0, 1.0])
+    want = wml.quad._lone(wml.quad._adaptive(real_line(half_line(g)), np.array([-1.0]), np.array([1.0]),
+                                              np.zeros(1, dtype=int)))
     assert got.value.tobytes() == want.value.tobytes()
     assert got.error_estimate.tobytes() == want.error_estimate.tobytes()
