@@ -8,13 +8,13 @@ finite for every order and every model in the catalog because the
 Gaussian window decays faster than any polynomial grows.  Two
 evaluation routes are provided:
 
-* the density route integrates x^j phi(x) f(x) over the model support.
-  A Gaussian model times the window is w_0 N(m, w^2) in closed form, so
-  its pairing is integrated in the product's own coordinate
-  z = (x - m) / w, where w phi f is a closed-form mass times
-  exp(-z^2 / 2); the Cauchy and stable(1) in the window's coordinate
-  z = (x - c) / s, and the half-line models in log x.  Each starts from
-  a first mesh placed on its own product (``models._breakpoints``);
+* the density route pairs x^j phi(x) with f(x).  A Gaussian model
+  times the window is w_0 N(m, w^2), so its w_j = w_0 E[Y^j], Y ~ N(m, w^2),
+  and their Jacobian come in closed form, with no integral
+  (``_gaussian_pairings``).  Any other pairing is integrated: the Cauchy
+  and stable(1) in the window's coordinate z = (x - c) / s, the
+  half-line models in log x, each from a first mesh placed on its own
+  product (``models._breakpoints``);
 * the characteristic-function route uses Parseval's identity.  With the
   forward transform Psi(u) = int psi(x) e^{-iux} dx and the model's
   char fn c(u) = E[e^{iuX}] = int f(x) e^{iux} dx, one has
@@ -61,7 +61,6 @@ from .models import (
     _score,
     _stack,
     _tilt,
-    _to_x,
     char_fn,
     density,
     kernel_eval,
@@ -214,17 +213,18 @@ _CALL_VALUES = 2**17
 
 
 def _pairing_pass(points, spec, model_params, kernel_params):
-    """Adaptive passes over the rows of the pairing of each (model,
-    kernel) point: for each order j in ``spec.orders``, one row per entry
-    of ``model_params`` (None: w_j itself; a name: d/dtheta w_j) and one
-    per entry of ``kernel_params``.  Returns, per point, its route and
-    its value and error rows.
+    """The rows of the pairing of each (model, kernel) point: for each
+    order j in ``spec.orders``, one row per entry of ``model_params``
+    (None: w_j itself; a name: d/dtheta w_j) and one per entry of
+    ``kernel_params``.  Returns, per point, its route and its value and
+    error rows.
 
     Points are grouped by route, variable (u > 0 on the char-fn route,
     else their ``models._frame``), model type and, on the density route,
-    alpha.  A group shares passes of at most ``_CALL_VALUES`` first-mesh
-    values each (or one point): every point is a segment of the pass,
-    with its own panel tree from its own first mesh
+    alpha.  A Gaussian group (the frame 'z') takes its closed form
+    (``_gaussian_pairings``).  Any other shares adaptive passes of at most
+    ``_CALL_VALUES`` first-mesh values each (or one point): every point is
+    a segment of the pass, with its own panel tree from its own first mesh
     (``models._breakpoints``, ``models._charfn_points``), so it returns,
     bit for bit, what it returns alone, while each integrand call fills
     the rows of all its points' nodes at once, over their
@@ -237,17 +237,18 @@ def _pairing_pass(points, spec, model_params, kernel_params):
     columns = [name or "value" for name in model_params] + list(kernel_params)
     width = len(spec.orders) * len(columns)
     groups, passes = {}, []
-    # at extreme orders x^j or Psi_j overflows (the engine raises it as
+    # at extreme orders x^j, Psi_j or M_j overflows (raised as
     # NonFiniteEvaluation), and a score may divide by 0 where f is 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, (m, k) in enumerate(points):
             on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(m))
             key = ("density", _frame(m, k), type(m), getattr(m, "alpha", None)) if on_density \
                 else ("charfn", "u", type(m), None)
-            groups.setdefault(key, []).append((i, m, k, (_breakpoints if on_density else _charfn_points)(m, k)))
+            mesh = None if key[1] == "z" else (_breakpoints if on_density else _charfn_points)(m, k)
+            groups.setdefault(key, []).append((i, m, k, mesh))
         for key, group in groups.items():
             for point in group:
-                first = 15 * width * (point[3].size + 1)  # its first-mesh values: one panel more than points at most
+                first = 0 if point[3] is None else 15 * width * (point[3].size + 1)  # first-mesh values, at most
                 if passes and passes[-1][0] == key and load + first <= _CALL_VALUES:
                     passes[-1][1].append(point)
                     load += first
@@ -257,20 +258,22 @@ def _pairing_pass(points, spec, model_params, kernel_params):
         out = [None] * len(points)
         for (route, frame, *_), group in passes:
             index, ms, ks, meshes = zip(*group)
-            f = {"z": _tilted_stack, "u": _charfn_stack}.get(frame, _density_stack)(
-                ms, ks, spec.orders, model_params, kernel_params)
-            seg = np.repeat(np.arange(len(ms)), [mesh.size for mesh in meshes])
             try:
-                # the char-fn rows are even in u: their pairing is the integral over u > 0
-                values, errors, _ = (_half_line if frame in ("half", "u") else _real_line)(
-                    f, np.concatenate(meshes), seg, len(ms))
+                if frame == "z":
+                    values, errors = _gaussian_pairings(ms, ks, spec.orders, model_params, kernel_params)
+                else:
+                    f = (_charfn_stack if frame == "u" else _density_stack)(
+                        ms, ks, spec.orders, model_params, kernel_params)
+                    seg = np.repeat(np.arange(len(ms)), [mesh.size for mesh in meshes])
+                    # the char-fn rows are even in u: their pairing is the integral over u > 0
+                    values, errors, _ = (_half_line if frame in ("half", "u") else _real_line)(
+                        f, np.concatenate(meshes), seg, len(ms))
             except QuadratureError as exc:
                 m, k = ms[exc.segment], ks[exc.segment]
                 if frame == "u" and isinstance(exc, NonFiniteEvaluation):
                     exc = NonFiniteEvaluation(exc.points, "u")  # the char-fn rows are functions of u
-                elif isinstance(exc, NonFiniteEvaluation):
-                    origin, unit = _to_x(m, k)  # name the nodes in x
-                    exc = NonFiniteEvaluation(origin + unit * exc.points)
+                elif isinstance(exc, NonFiniteEvaluation) and frame != "z":  # name the nodes in x
+                    exc = NonFiniteEvaluation(k.c + k.s * exc.points if frame == "window" else exc.points)
                 where = f"{m} with {k}"
                 if isinstance(exc, NonConvergence):
                     order, col = divmod(exc.component, len(columns))
@@ -343,49 +346,61 @@ def _density_stack(ms, ks, orders, model_params, kernel_params):
     return f
 
 
-def _tilted_stack(ms, ks, orders, model_params, kernel_params):
-    """f(z, seg) for Gaussian products (``models._tilt``), in their tilted
-    coordinate z = (x - mean) / width: the rows of ``_density_stack``
-    times dx/dz = width.  The factor width f phi is the closed-form mass
-    times exp(-z^2 / 2), and the scores and the kernel's d/dlambda log
-    phi come from the gaps x - mu = mu_gap + width z and
-    x - c = c_gap + width z, which carry no rounding of x itself.  Where
-    the mass is lifted, x^j goes in before e^-lift, as it goes into phi
-    before f in ``_density_stack``."""
-    for name in model_params:  # a parameter the model lacks raises as in _score
-        if name is not None:
-            _score(ms[0], _SCORE_NAMES[name])
-    models, kernels, tilts = _stack(ms), _stack(ks), _stack(list(map(_tilt, ms, ks)))
+_EPS, _SUBNORMAL = np.finfo(float).eps, float(np.nextafter(0.0, 1.0))
+_ROUNDING = 20.0 * _EPS  # a closed-form entry's own, beside its M_j's (about 12 eps)
 
-    def f(z, seg):
-        t = tilts(seg)
-        location = lambda gap, scale: (gap + t.width * z) / (scale * scale)
-        spread = lambda gap, scale: ((gap + t.width * z) ** 2 - scale * scale) / (scale * scale * scale)
-        factor_of = {"mu": lambda: location(t.mu_gap, t.sd),
-                     "sigma": lambda: t.sd / models(seg).sigma * spread(t.mu_gap, t.sd),
-                     "s": lambda: spread(t.c_gap, kernels(seg).s), "c": lambda: location(t.c_gap, kernels(seg).s)}
-        bell = -0.5 * z
-        bell *= z
-        np.exp(bell, out=bell)
-        nz = bell != 0.0  # x^j is formed only where the product is nonzero
-        masked = not nz.all()
-        bell *= t.mass
-        x = t.width * z
-        x += t.mean
-        base = _powers(np.where(nz, x, 0.0) if masked else x, orders)
-        base *= bell
-        del x, bell  # freed before the rows are filled
-        names = (*model_params, *kernel_params)
-        rows = np.empty((len(orders), len(names), z.size))
-        for col, name in enumerate(names):
-            rows[:, col] = base if name is None else base * factor_of[name]()
-        if masked:
-            rows[..., ~nz] = 0.0
-        if np.count_nonzero(t.lift):
-            rows *= np.exp(-t.lift)
-        return rows.reshape(-1, z.size)
 
-    return f
+def _gaussian_pairings(ms, ks, orders, model_params, kernel_params):
+    """(values, errors), (N, rows) as in ``_pairing_pass``, of Gaussian
+    models ``ms`` (of one type) paired with windows ``ks`` in closed form:
+    f phi = w_0 N(mean, width2) (``models._tilt``), so w_j = w_0 M_j with
+    M_j = E[Y^j], Y = mean + width Z, M_{j+1} = mean M_j + j width2 M_{j-1}.
+    A score is a polynomial in x - mu = mu_gap + width Z, and by Stein
+    E[Y^j Z] = j width M_{j-1}, E[Y^j Z^2] = M_j + j (j-1) width2 M_{j-2}:
+    d/dmu w_j = w_0 (mu_gap M_j + j width2 M_{j-1}) / var, d/dsd w_j =
+    w_0 (S M_j + 2 mu_gap j width2 M_{j-1} + j (j-1) width2^2 M_{j-2}) / sd^3,
+    S = mu_gap^2 + width2 - var = (var / T)^2 spread, and d/dsigma w_j =
+    (sd / sigma) d/dsd w_j divides by var sigma; c and s likewise.
+    The recurrence runs on mass M_j, e^-lift applied last, and past order
+    32 stops at its first non-finite term, which every higher order gets.
+    Its terms never cancel (M_j(-m) = (-1)^j M_j(m)), so each M_j's
+    rounding bound runs beside it on |mean|, fed by the errors of mass,
+    mean and width2 and by each step's rounding."""
+    n = len(ms)
+    m, k = _stack(ms)(np.arange(n)), _stack(ks)(np.arange(n))  # one point: its scalar fields
+    t = _tilt(m, k)
+    zero = np.zeros(n) if n > 1 else 0.0  # every column n long, shared fields too
+    w2, s2 = t.width2 + zero, k.s * k.s
+    mean_err = _EPS * (4.0 * np.minimum(abs(t.mu_gap), abs(t.c_gap)) + 3.0 * abs(t.mean))  # with its rounding
+    a, e = [zero, zero, t.mass + zero], [zero, zero, t.mass * t.mass_err + _SUBNORMAL + zero]  # M_{j-2, j-1, j}
+    windows, j = [], 0
+    for order in orders:
+        while j < order and (j < 32 or (np.isfinite(a[2]).all() and np.isfinite(e[2]).all())):
+            jw2 = j * w2
+            bound = abs(t.mean) * e[2] + jw2 * e[1] + mean_err * abs(a[2]) + 6.0 * _EPS * jw2 * abs(a[1])
+            a, e = [a[1], a[2], t.mean * a[2] + jw2 * a[1]], [e[1], e[2], bound + 2.0 * _SUBNORMAL]
+            j += 1
+        windows.append(a + e + [j + zero])
+    windows = np.array(windows)[:, None]  # (orders, 1, 7[, n])
+    a, e, j = windows[:, :, :3], windows[:, :, 3:6] + _ROUNDING * abs(windows[:, :, :3]), windows[:, :, 6]
+    # per column: the coefficients of M_j, j M_{j-1} and j (j-1) M_{j-2}, the
+    # divisor and the absolute error of the first coefficient
+    vshare, kshare = (t.var / t.total) * (t.var / t.total), (s2 / t.total) * (s2 / t.total)  # squares
+    columns = {None: (1.0, 0.0, 0.0, 1.0, 0.0), "mu": (t.mu_gap, w2, 0.0, t.var, 0.0), "c": (t.c_gap, w2, 0.0, s2, 0.0),
+               "sigma": (vshare * t.spread, 2.0 * t.mu_gap * w2, w2 * w2, t.var * m.sigma, vshare * t.spread_err),
+               "s": (kshare * t.spread, 2.0 * t.c_gap * w2, w2 * w2, s2 * k.s, kshare * t.spread_err)}
+    k0, k1, k2, div, slack = (np.array([x + zero for x in col]) for col in zip(*(  # (columns[, n])
+        columns.get(name) or _score(ms[0], _SCORE_NAMES[name])  # one the model lacks raises there
+        for name in (*model_params, *kernel_params))))
+    scale = np.exp(-t.lift) / div
+    values = (k0 * a[:, :, 2] + j * k1 * a[:, :, 1] + j * (j - 1.0) * k2 * a[:, :, 0]) * scale
+    errors = (abs(k0) * e[:, :, 2] + j * abs(k1) * e[:, :, 1] + j * (j - 1.0) * abs(k2) * e[:, :, 0]
+              + slack * abs(a[:, :, 2])) * scale + _SUBNORMAL
+    values, errors = values.reshape(-1, n).T, errors.reshape(-1, n).T  # (n, rows)
+    bad = np.flatnonzero(~(np.isfinite(values).all(axis=1) & np.isfinite(errors).all(axis=1)))
+    if bad.size:
+        raise NonFiniteEvaluation(np.atleast_1d(t.mean + zero)[bad[:1]], segment=int(bad[0]))
+    return values, errors
 
 
 def _charfn_stack(ms, ks, orders, model_params, kernel_params):
@@ -433,16 +448,21 @@ def _charfn_stack(ms, ks, orders, model_params, kernel_params):
 
 
 def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
-    """Weak characteristic function E[e^{iuX} phi(X)] by complex quadrature
-    of the density pairing (entire in u), in the pairing's own variable
-    and from its own breakpoints, as for w_0."""
+    """Weak characteristic function E[e^{iuX} phi(X)] of the density
+    pairing (entire in u): for a Gaussian product w_0 N(mean, width2),
+    w_0 exp(iu mean - width2 u^2 / 2) in closed form, with w_0 that of
+    ``weak_moment``; else by complex quadrature in the pairing's own
+    variable and from its own breakpoints, as for w_0."""
     if not support_has_density(m):
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
-    frame, (origin, unit) = _frame(m, k), _to_x(m, k)
-    rows = (_tilted_stack if frame == "z" else _density_stack)([m], [k], (0,), (None,), ())
+    frame = _frame(m, k)
+    if frame == "z":
+        t, (w0,) = _tilt(m, k), _gaussian_pairings([m], [k], (0,), (None,), ())[0][0]
+        return complex(w0 * np.exp(1j * u * t.mean - 0.5 * t.width2 * u * u))
+    rows = _density_stack([m], [k], (0,), (None,), ())
 
-    def f(v):
-        return np.exp(1j * u * (origin + unit * v)) * rows(v, 0)[0]
+    def f(v):  # v is z = (x - c) / s in the frame 'window', else x
+        return np.exp(1j * u * (k.c + k.s * v if frame == "window" else v)) * rows(v, 0)[0]
 
     return complex(_integrate_frame(frame, f, _breakpoints(m, k)).value)
 

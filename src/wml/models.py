@@ -60,6 +60,7 @@ __all__ = [
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 _SCALE_BOX, _CENTRE_BOX = (0.05, 1000.0), (-10.0, 10.0)  # the kernel families' boxes
 
 
@@ -79,10 +80,13 @@ class Undefined(Exception):
     """The classical moment diverges or does not exist."""
 
 
+_fields = functools.cache(fields)  # a dataclass's fields, once per class
+
+
 def _require_finite(spec):
     """ValueError naming the first field of the dataclass ``spec`` that is
     infinite or NaN."""
-    for field in fields(spec):
+    for field in _fields(type(spec)):
         value = getattr(spec, field.name)
         if not math.isfinite(value):
             raise ValueError(f"{field.name} must be finite, got {value}")
@@ -371,39 +375,45 @@ def _two_product(a, b):
 
 
 # the tilted mass is kept as mass e^-lift with mass normal: below this log
-# mass exp(log_mass - z^2 / 2) would be subnormal, or nearly so, at the peak
+# mass the recurrence for w_j would start from a subnormal value, or nearly so
 _LOG_LIFT = -600.0
 
 
 @dataclass
 class _Tilt:
-    """A Gaussian model f, with standard deviation ``sd``, times the window
-    phi, in closed form: f phi is w_0 N(mean, width^2), and in
-    z = (x - mean) / width the pairing's integrand width f phi is
-    mass e^-lift exp(-z^2 / 2).  ``mu_gap`` and ``c_gap`` are x - mu and
-    x - c at z = 0, so that no score subtracts two nearly equal x's."""
+    """A Gaussian model f, of variance ``var``, times the window phi, in
+    closed form: f phi = w_0 N(mean, width2), w_0 = mass e^-lift, ``mass``
+    within a relative ``mass_err``; ``mu_gap``, ``c_gap`` are mean - mu and
+    mean - c, and ``spread`` is (c - mu)^2 - total, total = var + s^2, within
+    ``spread_err``.  Each field is a scalar or a ``_stack``'s column."""
 
     mean: float
-    width: float
-    sd: float
+    width2: float
+    var: float
+    total: float
     mu_gap: float
     c_gap: float
+    spread: float
+    spread_err: float
     mass: float
+    mass_err: float
     lift: float
 
 
-def _tilt(m: ModelSpec, k: KernelSpec):
-    """The tilted law of a Gaussian model under the window ``k`` (see
-    ``_Tilt``), for a pairing integrated in z (``_frame``).
+def _tilt(m: ModelSpec, k: KernelSpec) -> _Tilt:
+    """The tilted law (``_Tilt``) of a Gaussian model under the window
+    ``k``, a pairing of the frame 'z' (``_frame``), elementwise over the
+    columns of ``_stack``s of points (scalar fields give the same bits).
 
-    log(mass e^-lift) = -(c - mu)^2 / 2T - log(T) / 2 - log(2 pi), with
-    T = var + s^2.  Its first term reaches 700 before the pairing
-    underflows, where one rounding of it costs 1e-13 of every entry, so it
-    is formed in double-double arithmetic; lift > 0 only where e^log_mass
-    would be subnormal."""
+    log(mass e^-lift) = -(c - mu)^2 / 2T - log(2 pi T) / 2, T = var + s^2.
+    Its first term reaches 700 before the pairing underflows, where one
+    rounding of it costs 1e-13 of every entry, so it is formed in
+    double-double arithmetic, as is the spread, which cancels near its
+    zero; lift > 0 only where e^log_mass would be subnormal, or nearly so."""
     ratio = _variance_ratio(m)
     gap, gap_lo = _two_sum(k.c, -m.mu)
     square, square_lo = _two_product(gap, gap)
+    square_lo += 2.0 * gap * gap_lo
     var, var_lo = _two_product(m.sigma, m.sigma)
     var, var_lo = ratio * var, ratio * var_lo
     s2, s2_lo = _two_product(k.s, k.s)
@@ -411,16 +421,18 @@ def _tilt(m: ModelSpec, k: KernelSpec):
     total_lo += var_lo + s2_lo
     q = square / total  # (c - mu)^2 / T = q + q_lo
     p, p_lo = _two_product(q, total)
-    q_lo = ((square - p) - p_lo + (square_lo + 2.0 * gap * gap_lo) - q * total_lo) / total
-    log_mass, lo = _two_sum(-0.5 * q, -0.5 * math.log(total) - math.log(2.0 * math.pi))
-    lift = float(math.ceil(min(max(_LOG_LIFT - log_mass, 0.0), 700.0)))
-    mass = math.exp(log_mass + lift)  # log_mass + lift is exact
-    if mass:
-        mass *= 1.0 + (lo - 0.5 * q_lo)
-    sd = m.sigma * math.sqrt(ratio)
-    mu_gap = gap * var / total
-    return _Tilt(mean=m.mu + mu_gap, width=sd * k.s / math.sqrt(total), sd=sd,
-                 mu_gap=mu_gap, c_gap=-gap * s2 / total, mass=mass, lift=lift)
+    q_lo = ((square - p) - p_lo + square_lo - q * total_lo) / total
+    log_total = np.log(total)
+    log_mass, lo = _two_sum(-0.5 * q, -0.5 * (log_total + math.log(2.0 * math.pi)))
+    lift = np.ceil(np.minimum(np.maximum(_LOG_LIFT - log_mass, 0.0), 700.0))
+    mass = np.exp(log_mass + lift)  # log_mass + lift is exact
+    mass = np.where(mass > 0.0, mass * (1.0 + (lo - 0.5 * q_lo)), 0.0)  # q_lo is nan where gap^2 overflows
+    mu_gap, c_gap = gap * var / total, -gap * s2 / total
+    return _Tilt(mean=np.where(var <= s2, m.mu + mu_gap, k.c + c_gap),  # from the nearer of mu and c
+                 width2=var * s2 / total, var=var, total=total, mu_gap=mu_gap, c_gap=c_gap,
+                 spread=(square - total) + (square_lo - total_lo),
+                 spread_err=4.0 * _EPS * _EPS * (square + total), mass=mass,
+                 mass_err=_EPS * (8.0 + 2.0 * abs(log_total)), lift=lift)
 
 
 def _log_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -429,19 +441,20 @@ def _log_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.exp(np.arange(np.floor(lo / step), np.ceil(hi / step) + 1.0) * step)
 
 
-# the first mesh of a Gaussian product, in its tilted coordinate z: the
-# integrand exp(-z^2 / 2) (x^j, score) is resolved on it to 1e-10 for
-# low orders, and the points at 10 widths close its tails
+# a first mesh for a factor exp(-z^2 / 2) in its own coordinate z (the
+# log-normal in log x, a window in x): the factor times x^j and a score is
+# resolved on it to 1e-10 for low orders, and the points at 10 widths
+# close its tails
 _Z_HALF = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0, 10.0])
 _Z_MESH = np.concatenate((-_Z_HALF[::-1], [0.0], _Z_HALF))
 
 
 def _frame(m: ModelSpec, k: KernelSpec) -> str:
-    """The variable a density pairing of ``m`` with ``k`` is integrated
-    in: 'z', the tilted coordinate of a Gaussian product (``_tilt``), over
-    the line, if the product's variance is a normal double; 'window', the
+    """How a density pairing of ``m`` with ``k`` is evaluated: 'z', in
+    closed form from its tilted law (``_tilt``), for a Gaussian product
+    whose variance is a normal double; else integrated in 'window', the
     window's coordinate z = (x - c) / s, over the line for any other model
-    on the line (a Gaussian whose product variance is not included);
+    on the line (a Gaussian whose product variance is not included), or in
     'half', x over (0, inf), for a half-line model."""
     ratio = _variance_ratio(m)
     if ratio is not None and _TINY < ratio * m.sigma * m.sigma + k.s * k.s < math.inf:
@@ -485,21 +498,12 @@ def _gathered(kind):
     def column(name):
         return functools.cached_property(lambda spec: spec._columns[name][spec._seg])
 
-    return type(kind.__name__, (kind,), {field.name: column(field.name) for field in fields(kind)})
+    return type(kind.__name__, (kind,), {field.name: column(field.name) for field in _fields(kind)})
 
 
-def _to_x(m: ModelSpec, k: KernelSpec):
-    """(origin, unit) with x = origin + unit v, v the variable of the
-    pairing's ``_frame``."""
-    frame = _frame(m, k)
-    if frame == "z":
-        t = _tilt(m, k)
-        return t.mean, t.width
-    return (k.c, k.s) if frame == "window" else (0.0, 1.0)
-
-
-# the first mesh of a window pairing, in z = (x - c) / s, and the points of
-# a Lorentzian narrower than the window, about its centre in its own widths
+# the first mesh of a window pairing, in z = (x - c) / s, whose half also
+# places the char-fn route's points over 1 / s and 1 / sigma; and the points
+# of a Lorentzian narrower than the window, about its centre in its own widths
 _W_HALF = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0])
 _W_MESH = np.concatenate((-_W_HALF[::-1], [0.0], _W_HALF))
 _PEAK = np.array([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
@@ -510,10 +514,9 @@ _LOG_TAIL = np.array([-10.0, -8.0, -6.0, -5.0, 5.0, 6.0, 8.0, 10.0])
 
 def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
     """Breakpoints for the density pairing of ``m`` with the window ``k``,
-    in the variable of its ``_frame``, placed on the product f phi:
+    in the variable of its ``_frame`` ('window' or 'half'), placed on the
+    product f phi:
 
-    * a Gaussian product: the fixed mesh ``_Z_MESH`` in z, the same for
-      every such pairing;
     * the Cauchy and stable(1) (and a Gaussian outside the frame 'z'),
       in the window's z = (x - c) / s: z = 0, +-0.5, +-1, +-1.5, +-2,
       +-3, +-4, +-6, +-10, the same for every such pairing; and where
@@ -533,10 +536,7 @@ def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
       window's reach log(c + 10 s), and the window's points
       c + s ``_Z_MESH`` in x > 0.
     """
-    frame = _frame(m, k)
-    if frame == "z":
-        return _Z_MESH
-    if frame == "window":
+    if _frame(m, k) == "window":
         width = getattr(m, "sigma", 1.0) / k.s
         if not width < 0.7:
             return _W_MESH
@@ -557,7 +557,6 @@ def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
     return np.concatenate((np.exp(y), window[window > 0.0]))
 
 
-_DECAY = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0])
 _LEFT_TAIL = np.exp(-np.array([0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 16.0, 24.0]))
 
 
@@ -569,7 +568,7 @@ def _charfn_points(m: ModelSpec, k: KernelSpec) -> np.ndarray:
     e^{-0.5, -1, -2, -3, -5, -7.5, -10, -16, -24}, for the left tail in
     log u, where the pairing levels off towards u = 0, close enough that
     the panels there converge on the first mesh."""
-    decay = np.concatenate((_DECAY / k.s, _DECAY / getattr(m, "sigma", 1.0)))
+    decay = np.concatenate((_W_HALF / k.s, _W_HALF / getattr(m, "sigma", 1.0)))
     return np.concatenate((decay, decay.min() * _LEFT_TAIL))
 
 

@@ -148,15 +148,16 @@ def test_eval_document(capsys):
 
 
 def test_eval_is_one_adaptive_pass(capsys, monkeypatch):
-    # the features come from the value rows of the Jacobian's own pass
+    # the features come from the value rows of the Jacobian's own pass; a
+    # Gaussian's come from its closed form, with no pass
     calls = []
     adaptive = wml.quad._adaptive
     monkeypatch.setattr(wml.quad, "_adaptive", lambda *a: calls.append(1) or adaptive(*a))
-    for model, kernel in (("gaussian:mu=0.3,sigma=1.2", "1,0.2"), ("stable:alpha=1.5", "1"),
-                          ("lognormal", "0.8")):
+    for model, kernel, passes in (("cauchy:mu=0.3", "1,0.2", 1), ("stable:alpha=1.5", "1", 1),
+                                  ("lognormal", "0.8", 1), ("gaussian:mu=0.3,sigma=1.2", "1,0.2", 0)):
         calls.clear()
         code, out, _ = run_cli(capsys, "eval", "--model", model, "--kernel", kernel, "--orders", "0,1,2")
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and len(calls) == passes
         assert all(np.isfinite(json.loads(out)["features"]["values"]))
 
 
@@ -234,14 +235,16 @@ def test_eval_char_fn_order_beyond_overflow_fails_at_once():
 
 
 def test_eval_density_order_beyond_overflow_fails_at_once():
-    # on the density route x^j overflows from about order 220; its running
-    # product stops at the first non-finite power rather than multiplying
-    # on to j = 10^8, which would take minutes
+    # on the density route x^j overflows from about order 200 (Cauchy), and
+    # the Gaussian w_j of its closed form from order 344: the running product
+    # and the moment recurrence stop at their first non-finite term rather
+    # than running on to j = 10^8, which would take minutes
     env = dict(os.environ, PYTHONPATH=str(Path(wml.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "wml.cli", "eval", "--model", "gaussian",
-                           "--orders", "0,100000000"], capture_output=True, text=True, env=env, timeout=30)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("wml: error: integrand returned a non-finite value")
+    for model in ("gaussian", "cauchy"):
+        proc = subprocess.run([sys.executable, "-m", "wml.cli", "eval", "--model", model,
+                               "--orders", "0,100000000"], capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("wml: error: integrand returned a non-finite value"), model
 
 
 def test_eval_char_fn_non_finite_value_names_the_frequency(capsys):

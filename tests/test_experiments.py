@@ -112,6 +112,18 @@ def test_one_adaptive_pass_per_experiment(monkeypatch, name, rows):
     assert len(calls) == 1 and len(res.table) == rows
 
 
+@pytest.mark.parametrize("name", ("behrens-fisher-w0", "gaussian-tilted-cumulants", "singular-limit"))
+def test_gaussian_experiments_take_their_closed_form(monkeypatch, name):
+    # every pairing of these experiments is a Gaussian model under a
+    # Gaussian window, w_0 N(mean, width2): no integrand call at all
+    calls = []
+    kronrod = wml.quad._kronrod_panels
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))
+    res = run_experiment(name)
+    assert res.passed, res.metrics
+    assert not calls
+
+
 def test_cauchy_submersion_takes_its_scale_sensitivity_from_the_jacobian_pass(monkeypatch):
     # 25 points of 3 rows in one pass, and no second pass for w_2, which
     # d/ds w_0 = w_2 / s^3 - w_0 / s already gives
@@ -146,13 +158,14 @@ def test_cauchy_submersion_stacks_converge_on_their_first_mesh(monkeypatch):
 def test_type0_charpath_twins_share_one_pass(monkeypatch):
     # alpha is a column on the char-fn route, where nothing branches on it:
     # the stable(1) and stable(2) twins share one pass, and the experiment
-    # makes 4 integrand calls (5 when alpha split them)
+    # makes 3 integrand calls (5 when alpha split them, 4 while the
+    # Gaussian twin's density pairing was integrated)
     calls = []
     kronrod = wml.quad._kronrod_panels
     monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(np.unique(a[3]).size) or kronrod(*a))
     res = run_experiment("type0-charpath")
     assert res.passed, res.metrics
-    assert len(calls) == 4 and max(calls) == 2
+    assert len(calls) == 3 and max(calls) == 2
 
 
 def test_cauchy_submersion_checks_the_model_rank():

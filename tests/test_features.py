@@ -14,7 +14,6 @@ from wml.features import (
     _charfn_stack,
     _density_stack,
     _pairing_pass,
-    _tilted_stack,
     feature_map,
     influence_bound,
     influence_value,
@@ -39,7 +38,6 @@ from wml.models import (
     _frame,
     _integrate_frame,
     _score,
-    _tilt,
     canonical_family,
     cauchy_family,
     char_fn,
@@ -242,17 +240,18 @@ _EVAL_RANGES = {"gaussian": ((-2.0, 2.0), (0.5, 2.0)), "stieltjes": ((-0.9, 0.9)
                 "stable(alpha=1)": ((-2.0, 2.0), (0.5, 2.0)), "lognormal": ((-1.0, 1.0), (0.3, 1.2))}
 
 
-@pytest.mark.parametrize("fam, most", [(gaussian_family(), 1), (stieltjes_family(), 2), (cauchy_family(), 2),
+@pytest.mark.parametrize("fam, most", [(gaussian_family(), 0), (stieltjes_family(), 2), (cauchy_family(), 2),
                                        (stable_family(1.0), 2), (lognormal_family(), 2)])
 def test_density_feature_maps_converge_on_their_first_mesh(monkeypatch, fam, most):
-    # the pass starts from a mesh on the pairing's own product: a fixed mesh
-    # in the tilted coordinate z of a Gaussian product, the quarter periods
-    # of sin(2 pi log x) for the Stieltjes family, a fixed mesh in the
-    # window's z = (x - c) / s plus a narrow Lorentzian's own points for
+    # the pass starts from a mesh on the pairing's own product: the quarter
+    # periods of sin(2 pi log x) for the Stieltjes family, a fixed mesh in
+    # the window's z = (x - c) / s plus a narrow Lorentzian's own points for
     # the Cauchy and stable(1), and N(mu, sigma^2)'s mesh in log x plus the
     # window's points for the log-normal.  From the model's and the
-    # window's points they took 2.75, 3.5, 2.3, 2.6 and 2.3 calls on
-    # average, and up to 3, 4 and 3 for the last three
+    # window's points they took 3.5, 2.3, 2.6 and 2.3 calls on average, and
+    # up to 3, 4 and 3 for the last three.  A Gaussian pairing takes its closed
+    # form and no call (it took 2.75 calls from those points, then 1 from a
+    # mesh in its tilted coordinate)
     calls = []
     kronrod = wml.quad._kronrod_panels
     monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))
@@ -338,30 +337,31 @@ def test_feature_map_single_order_matches_weak_moment():
 
 def test_one_adaptive_pass_per_call(monkeypatch):
     # every order of a feature map, and every moment behind the weak
-    # cumulants, shares one panel tree
+    # cumulants, shares one panel tree; a Gaussian pairing takes none
     calls = []
     adaptive = wml.quad._adaptive
     monkeypatch.setattr(wml.quad, "_adaptive", lambda *a: calls.append(1) or adaptive(*a))
     spec = FeatureMapSpec(orders=(0, 1, 2, 3, 4))
-    for fam, theta, path in ((gaussian_family(), [0.3, 1.2], "density"),
-                             (stable_family(1.5), [0.3, 1.2], "charfn")):
+    for fam, theta, path, passes in ((lognormal_family(), [0.3, 1.2], "density", 1),
+                                     (stable_family(1.5), [0.3, 1.2], "charfn", 1),
+                                     (gaussian_family(), [0.3, 1.2], "density", 0)):
         calls.clear()
         fv = feature_map(fam, theta, UNIT_KERNEL, spec)
-        assert len(calls) == 1 and fv.paths == (path,) * 5
-    calls.clear()
-    weak_cumulants(Gaussian(0.3, 1.2), UNIT_KERNEL, 4)
-    assert len(calls) == 1
-    calls.clear()
-    weak_moment(Gaussian(0.3, 1.2), UNIT_KERNEL, 3)
-    assert len(calls) == 1
+        assert len(calls) == passes and fv.paths == (path,) * 5
+    for m, passes in ((LogNormal(0.3, 1.2), 1), (Gaussian(0.3, 1.2), 0)):
+        calls.clear()
+        weak_cumulants(m, UNIT_KERNEL, 4)
+        assert len(calls) == passes
+        calls.clear()
+        weak_moment(m, UNIT_KERNEL, 3)
+        assert len(calls) == passes
 
 
 def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
     """The one-point pass as written before points were stacked: every
     row from arrays of its own, stacked into a fresh array, over the
-    point's own breakpoints, in its own variable (z for a Gaussian
-    product, the window's z = (x - c) / s for any other model on the
-    line).  Returns (values, errors)."""
+    point's own breakpoints, in its own variable (the window's
+    z = (x - c) / s for a model on the line).  Returns (values, errors)."""
     route = "density" if spec.path == "density" or (spec.path == "auto" and support_has_density(m)) \
         else "charfn"
     score_of = _score if route == "density" else _charfn_score
@@ -394,23 +394,6 @@ def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
         s_phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
         return density_rows(k.c + k.s * z, s_phi, s_phi * (z * z - 1.0) / k.s, s_phi * z / k.s)
 
-    def tilted_rows(z):
-        # z = (x - mean) / width; width phi f = mass exp(-z^2 / 2), with no
-        # lift at these points, and the gaps x - mu and x - c in closed form
-        t = _tilt(m, k)
-        bell = np.exp(-0.5 * z * z)
-        nz = bell != 0.0
-        zs = z[nz]
-        base = running_powers(t.mean + t.width * zs) * (bell[nz] * t.mass)
-        gap_mu, gap_c = t.mu_gap + t.width * zs, t.c_gap + t.width * zs
-        sd2, s2 = t.sd * t.sd, k.s * k.s
-        factors = {"mu": gap_mu / sd2, "sigma": t.sd / m.sigma * (gap_mu**2 - sd2) / (sd2 * t.sd),
-                   "s": (gap_c**2 - s2) / (s2 * k.s), "c": gap_c / s2}
-        cols = [base if name is None else base * factors[name] for name in (*model_params, *kernel_params)]
-        out = np.zeros((powers.size, len(cols), z.size))
-        out[:, :, nz] = np.stack(cols, axis=1)
-        return out.reshape(-1, z.size)
-
     def charfn_rows(u):
         s2, cf = k.s * k.s, char_fn(m, u)
         dcf = [cf if score is None else cf * score(u) for score in scores]
@@ -429,7 +412,7 @@ def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
 
     if route == "density":
         frame = _frame(m, k)
-        rows = {"z": tilted_rows, "window": window_rows}.get(frame, x_rows)
+        rows = window_rows if frame == "window" else x_rows
         res = _integrate_frame(frame, rows, _breakpoints(m, k))
     else:
         res = wml.quad.integrate_half_line(charfn_rows, _charfn_points(m, k))
@@ -451,12 +434,15 @@ def seeded_points(rng, n):
 
 
 def test_one_point_pass_is_the_unstacked_pass_bit_for_bit():
+    # every quadrature pass; a Gaussian density pairing takes its closed
+    # form, checked against quadrature by the oracle tests below
     rng = np.random.default_rng(11)
     for m, k, model_params in seeded_points(rng, 4):
         for path in ("density", "charfn", "auto"):
             spec = FeatureMapSpec((0, 1, 3), path=path)
             if (path == "density" and not support_has_density(m)) or \
-                    (path == "charfn" and isinstance(m, (LogNormal, StieltjesLogNormal))):
+                    (path == "charfn" and isinstance(m, (LogNormal, StieltjesLogNormal))) or \
+                    (path != "charfn" and isinstance(m, Gaussian)):
                 continue
             for cols in ((None,), (None, *model_params), model_params):
                 [(_, values, errors)] = _pairing_pass([(m, k)], spec, cols, ("s", "c"))
@@ -466,22 +452,19 @@ def test_one_point_pass_is_the_unstacked_pass_bit_for_bit():
 
 
 def stack_fill_cases(rng, n):
-    """(frame, builder, n models, n kernels, model columns) for every frame
-    and catalog family: the density route's z (Gaussian, stable(2)),
+    """(frame, row function, n models, n kernels, model columns) for every
+    integrated frame and the catalog families in it: the density route's
     window (Cauchy, stable(1)) and half (log-normal, Stieltjes), and the
     char-fn route's u (Gaussian, Cauchy, stable(1.5))."""
     kernels = [KernelSpec(float(np.exp(rng.uniform(-1.0, 1.5))), float(rng.uniform(-1.0, 1.0))) for _ in range(n)]
     mu, sigma = rng.uniform(-2.0, 2.0, n), np.exp(rng.uniform(-1.0, 1.0, n))
     density_models = [
-        [Gaussian(a, b) for a, b in zip(mu, sigma)], [SymmetricStable(2.0, a, b) for a, b in zip(mu, sigma)],
         [Cauchy(a) for a in mu], [SymmetricStable(1.0, a, b) for a, b in zip(mu, sigma)],
         [LogNormal(0.5 * a, 0.5 * b) for a, b in zip(mu, sigma)], [StieltjesLogNormal(0.4 * a) for a in mu]]
     charfn_models = [[Gaussian(a, b) for a, b in zip(mu, sigma)], [Cauchy(a) for a in mu],
                      [SymmetricStable(1.5, a, b) for a, b in zip(mu, sigma)]]
-    builders = {"z": _tilted_stack, "window": _density_stack, "half": _density_stack}
     for ms in density_models:
-        frame = _frame(ms[0], kernels[0])
-        yield frame, builders[frame], ms, kernels, canonical_family(ms[0])[0].param_names
+        yield _frame(ms[0], kernels[0]), _density_stack, ms, kernels, canonical_family(ms[0])[0].param_names
     for ms in charfn_models:
         yield "u", _charfn_stack, ms, kernels, canonical_family(ms[0])[0].param_names
 
@@ -491,7 +474,7 @@ def test_stack_fill_equals_each_point_fill_bit_for_bit():
     # from its own point's fields, fills, bit for bit, the rows that N
     # one-point calls fill, nodes where a row is 0 included
     rng = np.random.default_rng(19)
-    nodes = {"z": np.linspace(-45.0, 45.0, 181), "window": np.linspace(-45.0, 45.0, 181),
+    nodes = {"window": np.linspace(-45.0, 45.0, 181),
              "half": np.geomspace(1e-6, 1e6, 181), "u": np.geomspace(1e-6, 60.0, 181)}
     orders = (0, 1, 2, 4)
     for frame, build, ms, ks, names in stack_fill_cases(rng, 6):
@@ -551,8 +534,8 @@ def test_stacked_points_agree_with_each_point_alone():
 def test_a_stack_of_points_that_converge_alone_converges(monkeypatch):
     # shifted copies of a narrow window far out in a wide model (once out
     # of budget) and of a unit window 54 model widths out (once near
-    # underflow): all sixteen share one pass, and each returns what it
-    # returns alone
+    # underflow): all sixteen take their closed form, with no pass, and
+    # each returns what it returns alone
     calls = []
     adaptive = wml.quad._adaptive
     monkeypatch.setattr(wml.quad, "_adaptive", lambda *a: calls.append(1) or adaptive(*a))
@@ -562,7 +545,7 @@ def test_a_stack_of_points_that_converge_alone_converges(monkeypatch):
                    (Gaussian(d, 1.0), KernelSpec(1.0, 54.0 + d))]
     spec = FeatureMapSpec((0, 1))
     stacked = _pairing_pass(points, spec, ("mu", "sigma"), ("s", "c"))
-    assert len(calls) == 1
+    assert len(calls) == 0
     for point, (_, values, errors) in zip(points, stacked):
         [(_, alone, alone_errors)] = _pairing_pass([point], spec, ("mu", "sigma"), ("s", "c"))
         assert values.tobytes() == alone.tobytes() and errors.tobytes() == alone_errors.tobytes(), point
@@ -617,7 +600,7 @@ def test_a_pass_that_meets_its_targets_at_once_ranks_no_panel(monkeypatch):
     kronrod = wml.quad._kronrod_panels
     monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))
     monkeypatch.setattr(np, "nextafter", lambda *a: pytest.fail("a panel was ranked"))
-    points = [(Gaussian(0.1 * i, 1.0), KernelSpec(1.0 + 0.1 * i)) for i in range(4)]
+    points = [(LogNormal(0.1 * i, 0.8), KernelSpec(1.0 + 0.1 * i)) for i in range(4)]
     stacked = _pairing_pass(points, FeatureMapSpec(range(5)), (None,), ())
     assert len(calls) == 1 and all(np.all(np.isfinite(values)) for _, values, _ in stacked)
 
@@ -716,6 +699,110 @@ def test_reported_error_bounds_the_cauchy_and_lognormal_feature_maps():
             assert np.all(np.abs(fv.values - truth) <= fv.errors + 4.0 * eps * scale), (fam.name, theta, k)
 
 
+def raw_gaussian_pairings(mu, sigma, ratio, s, c, orders):
+    """(values, L1 masses), each (len(orders), 5), of x^j phi f times 1 and
+    each of d/dmu log f, d/dsigma log f, d/ds log phi and d/dc log phi for
+    f = N(mu, ratio sigma^2) and the window N(c, s^2), by
+    ``composite_moments`` over +-12 widths of the product about its peak.
+    The raw integrand is formed in extended precision, so that its
+    exponents, up to several hundred, and x^j cost no rounding beyond one
+    of each term."""
+    one = np.longdouble(1.0)
+    sd, chain, pi = np.sqrt(ratio * one) * sigma, np.sqrt(ratio * one), 4.0 * np.arctan(one)
+    v = 1.0 / (1.0 / sd**2 + 1.0 / s**2)
+    peak, width = v * (mu / sd**2 + c / s**2), np.sqrt(v)
+    factors = (lambda d, e: 1.0, lambda d, e: d / sd, lambda d, e: chain * (d * d - 1.0) / sd,
+               lambda d, e: (e * e - 1.0) / s, lambda d, e: e / s)
+
+    def integrand(factor):
+        def at(t):
+            x = peak + width * t.astype(np.longdouble)
+            d, e = (x - mu) / sd, (x - c) / s
+            return x, width * np.exp(-0.5 * (d * d + e * e)) / (2.0 * pi * sd * s) * factor(d, e)
+        return at
+
+    out = np.array([composite_moments(integrand(f), -12.0, 12.0, orders) for f in factors], dtype=float)
+    return out[:, 0].T, out[:, 1].T
+
+
+def test_gaussian_closed_form_matches_quadrature_of_the_raw_integrand(monkeypatch):
+    # an oracle independent of the recurrence: w_j and its four Jacobian
+    # columns, Gaussian and stable(2), from Gauss-Legendre quadrature of
+    # x^j phi f (times each score or d/dlambda log phi), at points from the
+    # boxes and far pairings with w_0 down to 1e-190; the closed form takes
+    # no integrand call
+    calls = []
+    kronrod = wml.quad._kronrod_panels
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))
+    rng = np.random.default_rng(23)
+    points = [(4.0, 0.8125, 0.05, 0.05), (4.1564, 0.5142, 0.06749, -9.5957),
+              (-4.9938983304312625, 0.48779894334698226, 0.12284145503674918, 9.843147646192548),
+              (-2.9783190602451537, 0.99302794969361152, 0.052485886284647357, 8.7581021727197879)]
+    points += [(rng.uniform(-5.0, 5.0), float(np.exp(rng.uniform(np.log(0.05), np.log(10.0)))),
+                float(np.exp(rng.uniform(np.log(0.05), np.log(100.0)))), rng.uniform(-10.0, 10.0)) for _ in range(16)]
+    eps, orders = np.finfo(float).eps, (0, 1, 2, 3, 4, 7)
+    spec = FeatureMapSpec(orders, path="density")
+    for i, (mu, sigma, s, c) in enumerate(points):
+        ratio = 2.0 if i % 4 == 3 else 1.0
+        m = SymmetricStable(2.0, mu, sigma) if ratio == 2.0 else Gaussian(mu, sigma)
+        vals, errs = weak_moment_jacobian(m, KernelSpec(s, c), (None, "mu", "sigma"), ("s", "c"), spec)
+        truth, l1 = raw_gaussian_pairings(mu, sigma, ratio, s, c, orders)
+        assert np.all(np.abs(vals - truth) <= errs + 4.0 * eps * l1), (m, s, c)
+    assert not calls
+
+
+def test_stacked_gaussian_pairings_are_each_point_alone_bit_for_bit():
+    # the closed form runs on columns, a lone point on its scalar fields:
+    # a 300-point grid, shared fields included, gives each point's values
+    # and Jacobian as that point alone does, bit for bit
+    rng = np.random.default_rng(29)
+    mus, sigmas = rng.uniform(-5.0, 5.0, 150), np.exp(rng.uniform(np.log(0.05), np.log(10.0), 150))
+    kernels = [KernelSpec(float(s), float(c)) for s, c in
+               zip(np.exp(rng.uniform(np.log(0.05), np.log(1000.0), 150)), rng.uniform(-10.0, 10.0, 150))]
+    grid = [(Gaussian(float(mu), float(sigma)), k) for mu, sigma, k in zip(mus, sigmas, kernels)]
+    grid += [(Gaussian(float(mu), 1.0), KernelSpec(1.0)) for mu in mus]
+    spec = FeatureMapSpec((0, 1, 2, 5))
+    for model_params, kernel_params in (((None,), ()), ((None, "mu", "sigma"), ("s", "c"))):
+        stacked = _pairing_pass(grid, spec, model_params, kernel_params)
+        for point, (route, values, errors) in zip(grid, stacked):
+            [(_, alone, alone_errors)] = _pairing_pass([point], spec, model_params, kernel_params)
+            assert route == "density"
+            assert values.tobytes() == alone.tobytes() and errors.tobytes() == alone_errors.tobytes(), point
+
+
+def test_reported_error_covers_a_tilted_mean_that_cancels():
+    # mean = mu + mu_gap near 1e-9 with |mu| near 4: the rounding of mu_gap
+    # is then about 1e-6 of the mean, and of every odd order; the bound
+    # carries it (without it, w_1, w_3 and w_5 of both points lay 5e6 to
+    # 9e7 times their errors from the truth)
+    for mu, sigma, s, c in ((3.7, 1.3, 1.31, -3.7 * 1.31**2 / 1.3**2 + 3e-9),
+                            (1.9, 0.7, 0.9, -1.9 * 0.81 / 0.49 + 1e-9)):
+        orders = tuple(range(6))
+        truth, _ = gaussian_tilted_moments(mu, sigma, s, c, orders)
+        fv = feature_map(_GAUSSIANS, [mu, sigma], KernelSpec(s, c), FeatureMapSpec(orders))
+        assert np.all(np.abs(fv.values - truth) <= fv.errors), (mu, sigma, s, c)
+
+
+def test_high_gaussian_orders_are_representable():
+    # w_j = (j - 1)!! 2^(-j/2) / sqrt(4 pi) for the standard Gaussian under
+    # a unit window stays below 1.8e308 up to j = 342; x^j at the nodes of a
+    # quadrature pass overflowed from j = 223.  The first order that
+    # overflows raises at once
+    import mpmath
+
+    def exact(j):
+        with mpmath.workdps(40):
+            return mpmath.fac2(j - 1) * mpmath.mpf(2) ** (-mpmath.mpf(j) / 2) / mpmath.sqrt(4 * mpmath.pi)
+
+    for j in (230, 300, 340):
+        est = weak_moment(Gaussian(0.0, 1.0), UNIT_KERNEL, j)
+        assert abs(est.value - float(exact(j))) <= est.error, j
+    assert exact(342) < np.finfo(float).max < exact(344)
+    assert weak_moment(Gaussian(0.0, 1.0), UNIT_KERNEL, 343).value == 0.0
+    with pytest.raises(NonFiniteEvaluation, match=r"Gaussian\(mu=0.0, sigma=1.0\)"):
+        weak_moment(Gaussian(0.0, 1.0), UNIT_KERNEL, 344)
+
+
 def test_tiny_feature_map_is_refined_to_a_bound():
     # w_0 ~ 7.6e-157: its pass once met an absolute target on the first
     # panels and reported an error 2.4x smaller than the true one
@@ -750,10 +837,14 @@ def test_kernel_separates_stieltjes_from_lognormal():
     assert abs(w_stieltjes - w_lognormal) > 1e-6
 
 
-def test_weak_char_fn_at_zero_equals_w0_exactly():
+def test_weak_char_fn_at_zero_equals_w0_exactly(monkeypatch):
     # the complex rows of the weak char fn are summed part by part like
     # real rows; with complex arithmetic 9 of these 42 windows missed w_0
-    # in the last bits
+    # in the last bits.  A Gaussian pairing's is w_0 exp(iu mean -
+    # width2 u^2 / 2), with w_0 from the same closed form, and no call
+    calls = []
+    kronrod = wml.quad._kronrod_panels
+    monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))
     cases = [(Gaussian(0.4, 1.1), UNIT_KERNEL), (Cauchy(0.2), UNIT_KERNEL)]
     rng = np.random.default_rng(3)
     families = (gaussian_family(), cauchy_family(), lognormal_family(), stieltjes_family(),
@@ -764,10 +855,12 @@ def test_weak_char_fn_at_zero_equals_w0_exactly():
         s = float(np.exp(rng.uniform(np.log(0.05), np.log(100.0))))
         cases.append((fam.make(theta), KernelSpec(s, float(rng.uniform(-10.0, 10.0)))))
     for m, k in cases:
+        calls.clear()
         w0 = weak_moment(m, k, 0, FeatureMapSpec(orders=(0,))).value
         z = weak_char_fn(m, k, 0.0)
         assert z.real == w0, (m, k)  # same quadrature problem, bit for bit
         assert z.imag == 0.0
+        assert (len(calls) == 0) == isinstance(m, Gaussian), (m, k)
 
 
 def test_weak_char_fn_derivative_is_first_weak_moment():
@@ -914,7 +1007,8 @@ def test_reported_errors_bound_the_gaussian_jacobian():
     # reported error of the closed form: 160 points from the family boxes
     # with log-uniform scales, and 80 narrow windows a few widths from a
     # wide model.  63 of them lie in the region where the pass in x missed
-    # (ROADMAP I.4); the pass in the tilted coordinate z bounds them all
+    # (ROADMAP I.4); the pass in the tilted coordinate z bounded them all,
+    # and so does the closed form
     rng = np.random.default_rng(13)
     loguniform = lambda lo, hi: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     (mu_box, sigma_box), (s_box, c_box) = _GAUSSIANS.box, _KERNELS.box
