@@ -57,7 +57,6 @@ from .models import (
     _charfn_points,
     _charfn_score,
     _frame,
-    _integrate_frame,
     _score,
     _stack,
     _tilt,
@@ -288,11 +287,12 @@ def _pairing_pass(points, spec, model_params, kernel_params):
 def _powers(x, orders):
     """x^j for j in ``orders`` on a new first axis, by a running product
     (``x ** j`` takes libm's scalar pow at every negative x).  Past order 32
-    it stops at the first non-finite power, as the char-fn recurrence does."""
+    it stops at the first non-finite power, as the char-fn recurrence does,
+    or at the first power that is 0 at every node, as every higher one is."""
     out = np.empty((len(orders),) + x.shape)
     xj, j = 1.0, 0
     for i, order in enumerate(orders):
-        while j < order and (j < 32 or np.isfinite(xj).all()):
+        while j < order and (j < 32 or np.isfinite(xj).all() and np.any(xj)):
             xj, j = xj * x, j + 1
         out[i] = xj
     return out
@@ -362,7 +362,9 @@ def _gaussian_pairings(ms, ks, orders, model_params, kernel_params):
     S = mu_gap^2 + width2 - var = (var / T)^2 spread, and d/dsigma w_j =
     (sd / sigma) d/dsd w_j divides by var sigma; c and s likewise.
     The recurrence runs on mass M_j, e^-lift applied last, and past order
-    32 stops at its first non-finite term, which every higher order gets.
+    32 stops at its first non-finite term, which every higher order gets,
+    or once M_{j-1} and M_j are 0 at every point with |mean| + order
+    width2 <= 3/4, where every higher term is 0.
     Its terms never cancel (M_j(-m) = (-1)^j M_j(m)), so each M_j's
     rounding bound runs beside it on |mean|, fed by the errors of mass,
     mean and width2 and by each step's rounding."""
@@ -376,6 +378,11 @@ def _gaussian_pairings(ms, ks, orders, model_params, kernel_params):
     windows, j = [], 0
     for order in orders:
         while j < order and (j < 32 or (np.isfinite(a[2]).all() and np.isfinite(e[2]).all())):
+            if j >= 32 and not (np.any(a[1]) or np.any(a[2])) and np.all(abs(t.mean) + order * w2 <= 0.75):
+                # every later M is 0, and the bound contracts by 3/4 a step plus 2 subnormals
+                bound = np.maximum(e[1], e[2]) + 8.0 * _SUBNORMAL
+                a, e, j = [zero, zero, zero], [bound, bound, bound], order
+                break
             jw2 = j * w2
             bound = abs(t.mean) * e[2] + jw2 * e[1] + mean_err * abs(a[2]) + 6.0 * _EPS * jw2 * abs(a[1])
             a, e = [a[1], a[2], t.mean * a[2] + jw2 * a[1]], [e[1], e[2], bound + 2.0 * _SUBNORMAL]
@@ -451,8 +458,11 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
     """Weak characteristic function E[e^{iuX} phi(X)] of the density
     pairing (entire in u): for a Gaussian product w_0 N(mean, width2),
     w_0 exp(iu mean - width2 u^2 / 2) in closed form, with w_0 that of
-    ``weak_moment``; else by complex quadrature in the pairing's own
-    variable and from its own breakpoints, as for w_0."""
+    ``weak_moment``; else E[cos(uX) phi(X)] and E[sin(uX) phi(X)] as the
+    one-row segments 0 and 1 (as a ``NonConvergence`` names them) of one
+    adaptive pass in the pairing's own variable, each from its own
+    breakpoints: each rounds as the w_0 pass does, so at u = 0 the real
+    part is w_0 bit for bit."""
     if not support_has_density(m):
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
     frame = _frame(m, k)
@@ -461,10 +471,14 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
         return complex(w0 * np.exp(1j * u * t.mean - 0.5 * t.width2 * u * u))
     rows = _density_stack([m], [k], (0,), (None,), ())
 
-    def f(v):  # v is z = (x - c) / s in the frame 'window', else x
-        return np.exp(1j * u * (k.c + k.s * v if frame == "window" else v)) * rows(v, 0)[0]
+    def f(v, seg):  # v is z = (x - c) / s in the frame 'window', else x; seg 0 is cos, 1 is sin
+        ux = u * (k.c + k.s * v if frame == "window" else v)
+        return np.where(seg == 0, np.cos(ux), np.sin(ux)) * rows(v, 0)[0]
 
-    return complex(_integrate_frame(frame, f, _breakpoints(m, k)).value)
+    mesh = _breakpoints(m, k)
+    values, _, _ = (_half_line if frame == "half" else _real_line)(
+        f, np.concatenate((mesh, mesh)), np.arange(2).repeat(mesh.size), 2)
+    return complex(values[0], values[1])
 
 
 def moments_to_cumulants(raw: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .quad import IntegralResult, integrate_half_line, integrate_real_line
+from .quad import integrate_half_line, integrate_real_line
 
 __all__ = [
     "NoDensity",
@@ -469,8 +469,9 @@ def _stack(specs):
     ``char_fn``, the scores and ``kernel_eval`` to work on elementwise.
     A field the specs share is a scalar (alpha on the density route,
     where ``density`` branches on it); any other is gathered from its
-    column when first read.  A stack of one is its spec: a scalar gives
-    the same bits as its column at less cost."""
+    column at the nodes' segments, as every integrand call reads every
+    such field.  A stack of one is its spec: a scalar gives the same bits
+    as its column at less cost."""
     if len(specs) == 1:
         return lambda seg: specs[0]
     shared, columns = {}, {}
@@ -480,25 +481,14 @@ def _stack(specs):
             shared[name] = value
         else:
             columns[name] = column
-    kind = _gathered(type(specs[0]))
+    kind = type(specs[0])
 
     def at(seg):
         spec = object.__new__(kind)
-        vars(spec).update(shared, _columns=columns, _seg=seg)
+        vars(spec).update(shared, **{name: column[seg] for name, column in columns.items()})
         return spec
 
     return at
-
-
-@functools.cache
-def _gathered(kind):
-    """A subclass of ``kind`` whose fields that a ``_stack`` holds as
-    columns are gathered at the nodes' segments when first read (a shared
-    field is set on the spec itself, which hides the gathering)."""
-    def column(name):
-        return functools.cached_property(lambda spec: spec._columns[name][spec._seg])
-
-    return type(kind.__name__, (kind,), {field.name: column(field.name) for field in _fields(kind)})
 
 
 # the first mesh of a window pairing, in z = (x - c) / s, whose half also
@@ -572,14 +562,6 @@ def _charfn_points(m: ModelSpec, k: KernelSpec) -> np.ndarray:
     return np.concatenate((decay, decay.min() * _LEFT_TAIL))
 
 
-def _integrate_frame(frame: str, f, points) -> IntegralResult:
-    """Integrate ``f`` over (0, inf) for the frame 'half', else over the
-    line, from breakpoints ``points``."""
-    if frame == "half":
-        return integrate_half_line(f, points)
-    return integrate_real_line(f, points)
-
-
 def classical_fisher_info(m: ModelSpec, which: str = "location") -> float:
     """Classical Fisher information for one parameter, by quadrature of
     score^2 * density over the model's support, with breakpoints at the
@@ -592,7 +574,8 @@ def classical_fisher_info(m: ModelSpec, which: str = "location") -> float:
         nz = dens != 0.0
         out[nz] = score(x[nz]) ** 2 * dens[nz]
         return out
-    return float(_integrate_frame(support(m), f, _model_points(m)).value)
+    integrate = integrate_half_line if support(m) == "half" else integrate_real_line
+    return float(integrate(f, _model_points(m)).value)
 
 
 @dataclass(frozen=True)

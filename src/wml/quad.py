@@ -1,8 +1,9 @@
 """Adaptive quadrature over the real line and the positive half-line.
 
 All pairings in this package reduce to one-dimensional integrals of
-rapidly decaying (possibly oscillatory, possibly complex-valued)
-integrands.  The engine here is deliberately simple and robust:
+rapidly decaying, possibly oscillatory, real integrands (a complex
+one is two: its real and imaginary parts).  The engine here is
+deliberately simple and robust:
 
 * the real line is mapped to (-1, 1) by ``x = t / (1 - t^2)``, which is
   smooth, monotone, and preserves exponential decay of the integrand;
@@ -44,7 +45,7 @@ substitution ``x = e^y``, so endpoint behaviour at 0 becomes ordinary
 decay at ``y -> -inf``.
 
 Everything is computed in 64-bit floating point; integrands are called
-with a numpy array of nodes and must return an array of values.
+with a numpy array of nodes and must return an array of real values.
 """
 
 from __future__ import annotations
@@ -98,12 +99,12 @@ class NonConvergence(QuadratureError):
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Outcome of one adaptive integration; for an (m, n)-valued
-    integrand ``value`` and ``error_estimate`` have shape (m,).
+    """Outcome of one adaptive integration: a float ``value`` and
+    ``error_estimate``, or for an (m, n)-valued integrand two (m,) arrays.
     ``converged`` is False only on the result a ``NonConvergence`` carries."""
 
-    value: complex
-    error_estimate: float
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     evaluations: int
     converged: bool
 
@@ -152,13 +153,6 @@ _MAX_SUBDIVISIONS = 2000
 _ENDS = np.array([-1.0, 1.0])  # the transformed real line
 
 
-def _as_real(op, z):
-    """op(z), on a complex z's real and imaginary parts as on real arrays."""
-    if not np.iscomplexobj(z):
-        return op(z)
-    return op(np.ascontiguousarray(z.real)) + 1j * op(np.ascontiguousarray(z.imag))
-
-
 def _kronrod_panels(f, a, b, seg):
     """Integrate the P panels [a_k, b_k], of segments ``seg``, from one
     call of ``f`` on all P * 15 nodes and each node's segment.  Returns
@@ -176,12 +170,15 @@ def _kronrod_panels(f, a, b, seg):
     nodes = nodes.ravel()
     at = seg.repeat(15)
     fv = np.asarray(f(nodes, at))
-    if fv.shape[-1:] != nodes.shape or fv.ndim > 2:
-        raise ValueError("integrand must return one value, or one column of values, per node")
+    if fv.shape[-1:] != nodes.shape or fv.ndim > 2 or np.iscomplexobj(fv):
+        raise ValueError("integrand must return one real value, or one column of real values, per node")
     # (P, m, 15), contiguous: each panel's sums round as one (m, 15) product
-    # of its own, whatever P is and whatever other panels share the call
+    # of its own, whatever P is and whatever other panels share the call.
+    # A row's bits do depend on m: row 0 rounds one way for m = 1, another
+    # for m = 2-3 and another for m >= 4, so an integral that must match a
+    # lone one bit for bit is a one-row segment, not a row of a shared tree
     rows = np.ascontiguousarray(fv.reshape(-1, centr.size, 15).transpose(1, 0, 2))
-    resk = _as_real(lambda r: r @ _KRONROD, rows)
+    resk = rows @ _KRONROD
     # every Kronrod weight is positive, so a non-finite value leaves its sum non-finite
     if not np.isfinite(resk).all():
         bad = ~np.isfinite(fv).reshape(-1, nodes.size).all(axis=0)
@@ -189,12 +186,11 @@ def _kronrod_panels(f, a, b, seg):
             first = at[bad].min()
             raise NonFiniteEvaluation(nodes[bad & (at == first)], segment=int(first))
     ah = np.abs(hlgth)[:, None]
-    resg = _as_real(lambda r: r @ _GAUSS, rows)
+    resg = rows @ _GAUSS
     # one buffer holds |rows|, then |rows - resk / 2|
     buf = np.abs(rows)
     resabs = buf @ _KRONROD * ah
-    dev = np.subtract(rows, 0.5 * resk[..., None], out=None if np.iscomplexobj(rows) else buf)
-    resasc = np.abs(dev, out=buf) @ _KRONROD * ah
+    resasc = np.abs(np.subtract(rows, 0.5 * resk[..., None], out=buf), out=buf) @ _KRONROD * ah
     abserr = np.abs(resk - resg) * ah
     # where resasc is 0 the rescaled term is 0 and abserr stays as it is
     flat = resasc == 0.0
@@ -256,8 +252,8 @@ def _adaptive(f, a, b, seg):
         unmet = np.logical_or.reduce(err_sum > goal, axis=1).nonzero()[0]
         # each segment's value is the sum of its own panels, as alone: numpy's
         # sum rounds by blocks of the summed length
-        value = lambda: _as_real(lambda t: np.array([np.add.reduce(t[lo:lo + size]) for lo, size in
-                                                     zip(starts.tolist(), sizes.tolist())]), vals)
+        value = lambda: np.array([np.add.reduce(vals[lo:lo + size]) for lo, size in
+                                  zip(starts.tolist(), sizes.tolist())])
         # every bisection adds one panel to the table and evaluates two
         evaluations = lambda: 15 * (2 * sizes - first)
         if unmet.size == 0:
@@ -392,10 +388,11 @@ def integrate_real_line(f, points=None) -> IntegralResult:
     """Approximate the integral of ``f`` over the whole real line.
 
     ``f`` must accept an ndarray of n points and return a new array of n
-    finite values, or of (m, n) values for m integrands sharing one panel
-    tree (the pass scales that array in place); it must
-    be absolutely integrable.  Uses the substitution
-    ``x = t / (1 - t^2)`` with Jacobian ``(1 + t^2) / (1 - t^2)^2``.
+    finite real values, or of (m, n) values for m integrands sharing one
+    panel tree (the pass scales that array in place); it must be
+    absolutely integrable; a complex-valued ``f`` raises ``ValueError``.
+    Uses the substitution ``x = t / (1 - t^2)`` with Jacobian
+    ``(1 + t^2) / (1 - t^2)^2``.
     Beyond the representable floating-point range (|x| > ~1e150) the
     transformed integrand is treated as zero, which for an integrable
     ``f`` discards a tail of mass below 1e-150.

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -36,7 +37,6 @@ from wml.models import (
     _charfn_points,
     _charfn_score,
     _frame,
-    _integrate_frame,
     _score,
     canonical_family,
     cauchy_family,
@@ -413,7 +413,8 @@ def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
     if route == "density":
         frame = _frame(m, k)
         rows = window_rows if frame == "window" else x_rows
-        res = _integrate_frame(frame, rows, _breakpoints(m, k))
+        integrate = wml.quad.integrate_half_line if frame == "half" else wml.quad.integrate_real_line
+        res = integrate(rows, _breakpoints(m, k))
     else:
         res = wml.quad.integrate_half_line(charfn_rows, _charfn_points(m, k))
     return res.value, res.error_estimate
@@ -803,6 +804,20 @@ def test_high_gaussian_orders_are_representable():
         weak_moment(Gaussian(0.0, 1.0), UNIT_KERNEL, 344)
 
 
+@pytest.mark.parametrize("m, k", [(Cauchy(0.0), KernelSpec(1e-3)), (Gaussian(0.0, 1e-150), UNIT_KERNEL)],
+                         ids=["cauchy-powers", "gaussian-recurrence"])
+def test_huge_order_whose_terms_all_vanish_ends_at_once(m, k):
+    # under a window of width 1e-3, x^j is 0 at every node where phi f is
+    # not from a few hundred orders on; for a Gaussian of width 1e-150 every
+    # M_j is 0 from order 5.  The running product and the moment recurrence
+    # stop there rather than rolling on over zeros to j = 10^8 (10-20 s)
+    start = time.perf_counter()
+    est = weak_moment(m, k, 10**8)
+    assert time.perf_counter() - start < 1.0
+    assert est.value == 0.0
+    assert 0.0 <= est.error < 1e-300
+
+
 def test_tiny_feature_map_is_refined_to_a_bound():
     # w_0 ~ 7.6e-157: its pass once met an absolute target on the first
     # panels and reported an error 2.4x smaller than the true one
@@ -838,9 +853,9 @@ def test_kernel_separates_stieltjes_from_lognormal():
 
 
 def test_weak_char_fn_at_zero_equals_w0_exactly(monkeypatch):
-    # the complex rows of the weak char fn are summed part by part like
-    # real rows; with complex arithmetic 9 of these 42 windows missed w_0
-    # in the last bits.  A Gaussian pairing's is w_0 exp(iu mean -
+    # the cos part of the weak char fn is a one-row segment, which rounds
+    # as the w_0 pass does; as a row of one panel tree with the sin part it
+    # would round otherwise.  A Gaussian pairing's is w_0 exp(iu mean -
     # width2 u^2 / 2), with w_0 from the same closed form, and no call
     calls = []
     kronrod = wml.quad._kronrod_panels
@@ -861,6 +876,44 @@ def test_weak_char_fn_at_zero_equals_w0_exactly(monkeypatch):
         assert z.real == w0, (m, k)  # same quadrature problem, bit for bit
         assert z.imag == 0.0
         assert (len(calls) == 0) == isinstance(m, Gaussian), (m, k)
+
+
+def reference_phi_f(m, k):
+    """phi f at a scalar x, written apart from wml.models."""
+    def phi(x):
+        return math.exp(-0.5 * ((x - k.c) / k.s) ** 2) / (SQRT_2PI * k.s)
+
+    def lognormal(x, mu, sigma):
+        return math.exp(-0.5 * ((math.log(x) - mu) / sigma) ** 2) / (x * sigma * SQRT_2PI) if x > 0.0 else 0.0
+
+    if isinstance(m, Cauchy):
+        return lambda x: phi(x) / (math.pi * (1.0 + (x - m.mu) ** 2))
+    if isinstance(m, SymmetricStable):  # alpha = 1: a Cauchy of scale sigma
+        return lambda x: phi(x) * m.sigma / (math.pi * (m.sigma ** 2 + (x - m.mu) ** 2))
+    if isinstance(m, LogNormal):
+        return lambda x: phi(x) * lognormal(x, m.mu, m.sigma)
+    return lambda x: phi(x) * lognormal(x, 0.0, 1.0) * (1.0 + m.a * math.sin(2.0 * math.pi * math.log(x))) \
+        if x > 0.0 else 0.0
+
+
+@pytest.mark.parametrize("m", [Cauchy(0.4), SymmetricStable(1.0, -0.3, 0.7), LogNormal(0.2, 0.6),
+                               StieltjesLogNormal(0.5)], ids=["cauchy", "stable1", "lognormal", "stieltjes"])
+@pytest.mark.parametrize("u", [0.5, 3.0])
+def test_weak_char_fn_against_weighted_quadrature(monkeypatch, m, u):
+    # QUADPACK's cos- and sin-weighted rule on phi f over the window's
+    # reach; phi f >= 0, so each part's L1 mass is at most w_0
+    k = KernelSpec(1.3, 0.4)
+    calls = []
+    adaptive = wml.quad._adaptive
+    monkeypatch.setattr(wml.quad, "_adaptive", lambda *a: calls.append(1) or adaptive(*a))
+    z = weak_char_fn(m, k, u)
+    assert len(calls) == 1  # the cos and sin parts share one pass
+    w0 = weak_moment(m, k, 0).value
+    lo = 0.0 if isinstance(m, (LogNormal, StieltjesLogNormal)) else k.c - 40.0 * k.s
+    want = [scipy_quad(reference_phi_f(m, k), lo, k.c + 40.0 * k.s, weight=weight, wvar=u,
+                       epsabs=1e-14, epsrel=1e-11, limit=500)[0] for weight in ("cos", "sin")]
+    assert abs(z.real - want[0]) <= 1e-9 * w0
+    assert abs(z.imag - want[1]) <= 1e-9 * w0
 
 
 def test_weak_char_fn_derivative_is_first_weak_moment():

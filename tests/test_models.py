@@ -123,8 +123,8 @@ def test_cauchy_char_fn_against_quadrature():
     # the in-package adaptive rule misses its default target on the bare
     # oscillatory tail, but its best estimate resolves the pairing to ~1e-6
     with pytest.raises(NonConvergence) as failure:
-        integrate_real_line(lambda x: np.exp(1j * u * x) * density(Cauchy(0), x))
-    assert failure.value.result.value.real == pytest.approx(np.exp(-2.0), abs=1e-6)
+        integrate_real_line(lambda x: np.cos(u * x) * density(Cauchy(0), x))
+    assert failure.value.result.value == pytest.approx(np.exp(-2.0), abs=1e-6)
 
 
 def test_char_fn_at_zero_is_one():
