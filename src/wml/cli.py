@@ -3,17 +3,18 @@
     wml list
     wml run <experiment> [--format json|csv] [--out FILE] [--tol K=V ...]
     wml eval --model gaussian:mu=0,sigma=1 --kernel 1[,c] --orders 0,1,2
-    wml sweep --model cauchy:mu=0 --orders 0 --s log1:100:12 [--grid mu=-2:2:5]
+    wml sweep --model cauchy:mu=0 --orders 0 --s log1:100:12 [--c -1:1:3] [--grid mu=-2:2:5]
 
 Model grammar is ``name:key=value,key=value``; grids are ``lo:hi:n``
-(linear) or ``loglo:hi:n`` (geometric).  Exit codes: 0 success / pass,
-1 experiment failure, 2 usage or configuration error.
+(linear) or ``loglo:hi:n`` (geometric), and may start with '-'.  Exit
+codes: 0 success / pass, 1 experiment failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 import numpy as np
@@ -205,12 +206,8 @@ def _cmd_eval(args) -> int:
     kernel = parse_kernel(args.kernel)
     spec = FeatureMapSpec(orders=parse_orders(args.orders), path=args.path)
     fam, theta = canonical_family(model)
-    if "," in args.kernel:
-        kfam = scale_center_kernel_family()
-        lam = np.array([kernel.s, kernel.c])
-    else:
-        kfam = scale_kernel_family()
-        lam = np.array([kernel.s])
+    kfam, lam = (scale_center_kernel_family(), [kernel.s, kernel.c]) if "," in args.kernel \
+        else (scale_kernel_family(), [kernel.s])
 
     rep = jacobian(fam, kfam, theta, lam, spec)
     tensor = metric_tensor(rep)
@@ -260,6 +257,11 @@ def _cmd_sweep(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads '-1:1:2' as a flag, so a negative value is joined to its flag: '--c=-1:1:2'
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--s", "--c", "--kernel") and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -45,7 +45,6 @@ from .features import (
 )
 from .geometry import (
     DimensionMismatch,
-    JacobianReport,
     MetricOverflow,
     StepUnderflow,
     _jacobians,
@@ -188,17 +187,17 @@ def _cauchy_submersion(tol):
     pass gives it: d/ds w_0 = w_2 / s^3 - w_0 / s for the normalised window.
     """
     grid = [(mu, s) for mu in np.linspace(-2.0, 2.0, 5) for s in np.linspace(0.5, 4.0, 5)]
-    reps = _jacobians(cauchy_family(), scale_kernel_family(), [([mu], [s]) for mu, s in grid],
-                      FeatureMapSpec(orders=(0,), path="density"))
-    stack = _stacked(reps)
+    stack = _jacobians(cauchy_family(), scale_kernel_family(), [([mu], [s]) for mu, s in grid],
+                       FeatureMapSpec(orders=(0,), path="density"))
     models = numerical_rank(stack.d_theta, stack.error_estimates[..., :1]).rank.tolist()
     joints = numerical_rank(stack.joint, stack.error_estimates).rank.tolist()
     rows = []
-    for (mu, s), rep, model, joint in zip(grid, reps, models, joints):
+    for (mu, s), model, joint, d_mu, d_s, w0 in zip(grid, models, joints, stack.d_theta[:, 0, 0].tolist(),
+                                                   stack.d_lambda[:, 0, 0].tolist(),
+                                                   stack.features.values[:, 0].tolist()):
         rows.append({"mu": float(mu), "s": float(s), "model_rank": model, "joint_rank": joint,
-                     "enrichment": joint - model, "d_mu": float(rep.d_theta[0, 0]),
-                     "d_s": float(rep.d_lambda[0, 0]),
-                     "scale_sensitivity": float(rep.d_lambda[0, 0] + rep.features.values[0] / s)})
+                     "enrichment": joint - model, "d_mu": d_mu, "d_s": d_s,
+                     "scale_sensitivity": d_s + w0 / float(s)})
     ranks = [row["joint_rank"] for row in rows]
     metrics = {"min_joint_rank": float(min(ranks)), "max_joint_rank": float(max(ranks)),
                "min_scale_sensitivity": min(row["scale_sensitivity"] for row in rows),
@@ -431,28 +430,15 @@ def sweep_kernel(fam, kfam, spec: FeatureMapSpec, lambda_grid, theta_grid):
     if not lambdas or not thetas:
         raise EmptyGrid("sweep grids must be non-empty")
     grid = [(th, lam) for lam in lambdas for th in thetas]
-    stack = _stacked(_jacobians(fam, kfam, grid, spec))
+    stack = _jacobians(fam, kfam, grid, spec)
     g = metric_tensor(stack)
     models = numerical_rank(stack.d_theta, stack.error_estimates[..., :fam.p]).rank.tolist()
     joints = numerical_rank(stack.joint, stack.error_estimates).rank.tolist()
     rows = []
     for (th, lam), det, cond, corr, model, joint in zip(grid, g.det.tolist(), g.condition_number.tolist(),
                                                         g.correlation_det.tolist(), models, joints):
-        out = {name: float(v) for name, v in zip(kfam.param_names + fam.param_names, (*lam, *th))}
-        out.update({
-            "det_g": det,
-            "condition_number": cond,
-            "correlation_det": corr,
-            "model_rank": model,
-            "joint_rank": joint,
-            "enrichment": joint - model,
-            "submersive": joint == len(spec.orders),
-        })
-        rows.append(out)
+        rows.append({**{name: float(v) for name, v in zip(kfam.param_names + fam.param_names, (*lam, *th))},
+                     "det_g": det, "condition_number": cond, "correlation_det": corr, "model_rank": model,
+                     "joint_rank": joint, "enrichment": joint - model, "submersive": joint == len(spec.orders)})
     return tuple(rows)
 
-
-def _stacked(reports) -> JacobianReport:
-    """The reports' blocks on a leading axis, for one batched call over a grid."""
-    return JacobianReport(*(np.array([getattr(r, name) for r in reports])
-                            for name in ("d_theta", "d_lambda", "error_estimates")))

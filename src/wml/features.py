@@ -146,8 +146,9 @@ class WeakCumulants:
 def _feature_maps(points, spec: FeatureMapSpec) -> list:
     """w_j for every j in ``spec.orders`` at each (model, kernel) point,
     from stacked adaptive passes."""
-    return [FeatureVector(values, errors, (route,) * len(spec.orders))
-            for route, values, errors in _pairing_pass(points, spec, [None], ())]
+    routes, values, errors = _pairing_pass(points, spec, [None], ())
+    return [FeatureVector(v, e, (route,) * len(spec.orders))
+            for route, v, e in zip(routes, values[..., 0], errors[..., 0])]
 
 
 def weak_moment(m: ModelSpec, k: KernelSpec, j: int, spec: FeatureMapSpec | None = None) -> MomentEstimate:
@@ -184,8 +185,8 @@ def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_param
     of ``k`` (``kernel_params``, from 's', 'c'), with their error
     estimates: two (K+1, p+q) arrays, columns in the order named.
 
-    Every entry is an integral, and all (K+1)(p+q) of them share one
-    adaptive pass.  On the density route
+    All (K+1)(p+q) entries share one pass: in closed form for a Gaussian
+    density pairing, else as integrals.  On the density route
 
         d/dtheta w_j = E[X^j phi(X) d/dtheta log f(X)],
         d/dlambda w_j = E[X^j d/dlambda phi(X)];
@@ -200,9 +201,8 @@ def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_param
 
     The route follows ``spec.path`` as in :func:`weak_moment`.
     """
-    _, values, errors = _pairing_pass([(m, k)], spec, model_params, kernel_params)[0]
-    shape = (len(spec.orders), len(model_params) + len(kernel_params))
-    return np.reshape(values, shape), np.reshape(errors, shape)
+    _, values, errors = _pairing_pass([(m, k)], spec, model_params, kernel_params)
+    return values[0], errors[0]
 
 
 # first-mesh values per integrand call (15 nodes a panel, times the rows):
@@ -215,8 +215,8 @@ def _pairing_pass(points, spec, model_params, kernel_params):
     """The rows of the pairing of each (model, kernel) point: for each
     order j in ``spec.orders``, one row per entry of ``model_params``
     (None: w_j itself; a name: d/dtheta w_j) and one per entry of
-    ``kernel_params``.  Returns, per point, its route and its value and
-    error rows.
+    ``kernel_params``.  Returns the points' routes, and their values and
+    errors, of shape (N, K+1, C) for N points, K+1 orders and C columns.
 
     Points are grouped by route, variable (u > 0 on the char-fn route,
     else their ``models._frame``), model type and, on the density route,
@@ -235,7 +235,7 @@ def _pairing_pass(points, spec, model_params, kernel_params):
         raise Unsupported(f"no analytic derivative for parameters {unknown}")
     columns = [name or "value" for name in model_params] + list(kernel_params)
     width = len(spec.orders) * len(columns)
-    groups, passes = {}, []
+    groups, passes, routes, out = {}, [], [], None
     # at extreme orders x^j, Psi_j or M_j overflows (raised as
     # NonFiniteEvaluation), and a score may divide by 0 where f is 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -245,6 +245,7 @@ def _pairing_pass(points, spec, model_params, kernel_params):
                 else ("charfn", "u", type(m), None)
             mesh = None if key[1] == "z" else (_breakpoints if on_density else _charfn_points)(m, k)
             groups.setdefault(key, []).append((i, m, k, mesh))
+            routes.append(key[0])
         for key, group in groups.items():
             for point in group:
                 first = 0 if point[3] is None else 15 * width * (point[3].size + 1)  # first-mesh values, at most
@@ -254,8 +255,7 @@ def _pairing_pass(points, spec, model_params, kernel_params):
                 else:
                     passes.append((key, [point]))
                     load = first
-        out = [None] * len(points)
-        for (route, frame, *_), group in passes:
+        for (_, frame, *_), group in passes:
             index, ms, ks, meshes = zip(*group)
             try:
                 if frame == "z":
@@ -279,9 +279,14 @@ def _pairing_pass(points, spec, model_params, kernel_params):
                     where = f"order {spec.orders[order]}, column {columns[col]}, at {where}"
                 exc.args = (f"{exc}; {where}",)
                 raise exc from None
-            for i, v, e in zip(index, values, errors):
-                out[i] = (route, v, e)  # rows run (order, column)
-    return out
+            shape = (len(ms), len(spec.orders), len(columns))  # rows run (order, column)
+            values, errors = values.reshape(shape), errors.reshape(shape)
+            if len(passes) == 1:  # every point, in input order
+                return tuple(routes), values, errors
+            if out is None:
+                out = np.empty((2, len(points)) + shape[1:])
+            out[:, list(index)] = values, errors
+    return tuple(routes), out[0], out[1]
 
 
 def _powers(x, orders):
@@ -351,7 +356,7 @@ _ROUNDING = 20.0 * _EPS  # a closed-form entry's own, beside its M_j's (about 12
 
 
 def _gaussian_pairings(ms, ks, orders, model_params, kernel_params):
-    """(values, errors), (N, rows) as in ``_pairing_pass``, of Gaussian
+    """(values, errors), (N, K+1, C) as in ``_pairing_pass``, of Gaussian
     models ``ms`` (of one type) paired with windows ``ks`` in closed form:
     f phi = w_0 N(mean, width2) (``models._tilt``), so w_j = w_0 M_j with
     M_j = E[Y^j], Y = mean + width Z, M_{j+1} = mean M_j + j width2 M_{j-1}.
@@ -403,10 +408,13 @@ def _gaussian_pairings(ms, ks, orders, model_params, kernel_params):
     values = (k0 * a[:, :, 2] + j * k1 * a[:, :, 1] + j * (j - 1.0) * k2 * a[:, :, 0]) * scale
     errors = (abs(k0) * e[:, :, 2] + j * abs(k1) * e[:, :, 1] + j * (j - 1.0) * abs(k2) * e[:, :, 0]
               + slack * abs(a[:, :, 2])) * scale + _SUBNORMAL
-    values, errors = values.reshape(-1, n).T, errors.reshape(-1, n).T  # (n, rows)
-    bad = np.flatnonzero(~(np.isfinite(values).all(axis=1) & np.isfinite(errors).all(axis=1)))
-    if bad.size:
-        raise NonFiniteEvaluation(np.atleast_1d(t.mean + zero)[bad[:1]], segment=int(bad[0]))
+    values, errors = (x.reshape(len(orders), -1, n).transpose(2, 0, 1) for x in (values, errors))  # (n, K+1, C)
+    finite = np.isfinite(values).all(axis=2) & np.isfinite(errors).all(axis=2)
+    if not finite.all():  # the first point and order that overflowed; no integrand ran
+        i, order = np.argwhere(~finite)[0]
+        exc = NonFiniteEvaluation(np.atleast_1d(t.mean + zero)[i:i + 1], segment=int(i))
+        exc.args = (f"the closed-form Gaussian pairing is not finite at order {orders[order]}",)
+        raise exc
     return values, errors
 
 
@@ -467,7 +475,7 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
     frame = _frame(m, k)
     if frame == "z":
-        t, (w0,) = _tilt(m, k), _gaussian_pairings([m], [k], (0,), (None,), ())[0][0]
+        t, w0 = _tilt(m, k), _gaussian_pairings([m], [k], (0,), (None,), ())[0][0, 0, 0]
         return complex(w0 * np.exp(1j * u * t.mean - 0.5 * t.width2 * u * u))
     rows = _density_stack([m], [k], (0,), (None,), ())
 

@@ -16,10 +16,10 @@ verdicts here are finite linear algebra on that matrix:
 * rank enrichment: joint rank minus model rank counts the independent
   directions contributed by kernel variation alone.
 
-Derivatives are analytic: each Jacobian entry is itself an integral
-(the score of the model, or the kernel's parameter derivative, under
-the same pairing), and all of them come from one adaptive quadrature
-pass per point, each with its own error estimate.
+Derivatives are analytic: each Jacobian entry pairs the kernel with a
+model score or a kernel parameter derivative, in closed form for a
+Gaussian density pairing and as an integral otherwise, with its own
+error estimate; a grid's Jacobians share passes and one stacked report.
 """
 
 from __future__ import annotations
@@ -73,13 +73,13 @@ class MetricOverflow(ValueError):
 
 @dataclass(frozen=True)
 class JacobianReport:
-    """Derivative of the joint feature map at one point, with the
-    quadrature error estimate of every entry, and the feature values
-    from the same pass."""
+    """Derivative of the joint feature map at one point or N stacked ones,
+    every entry's error estimate, and the feature values from the same
+    pass (for N points, (N, K+1) and one paths tuple per point)."""
 
-    d_theta: np.ndarray        # (K+1, p)
-    d_lambda: np.ndarray       # (K+1, q)
-    error_estimates: np.ndarray  # (K+1, p + q)
+    d_theta: np.ndarray        # ([N,] K+1, p)
+    d_lambda: np.ndarray       # ([N,] K+1, q)
+    error_estimates: np.ndarray  # ([N,] K+1, p + q)
     features: FeatureVector | None = None
 
     @property
@@ -201,32 +201,35 @@ def jacobian(fam: ModelFamily, kfam: ModelFamily, theta, lam,
     :func:`wml.features.weak_moment_jacobian` for the integrals.  The
     family's parameters must be the model's own fields (as in every
     catalog family).  The feature values come from the same pass."""
-    return _jacobians(fam, kfam, [(theta, lam)], spec)[0]
+    rep = _jacobians(fam, kfam, [(theta, lam)], spec)
+    return JacobianReport(rep.d_theta[0], rep.d_lambda[0], rep.error_estimates[0],
+                          FeatureVector(rep.features.values[0], rep.features.errors[0], rep.features.paths[0]))
 
 
-def _jacobians(fam: ModelFamily, kfam: ModelFamily, points, spec: FeatureMapSpec) -> list:
+def _jacobians(fam: ModelFamily, kfam: ModelFamily, points, spec: FeatureMapSpec) -> JacobianReport:
     """:func:`jacobian` at every (theta, lam) of ``points``, each checked
-    as there, from stacked passes (see ``features._pairing_pass``)."""
-    pairs = []
-    for theta, lam in points:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        for family, z in ((fam, theta), (kfam, lam)):
-            if z.size != family.p:
-                raise DimensionMismatch(f"family {family.name} expects {family.p} parameters")
-            for x, (lo, hi) in zip(z, family.box):
-                if not lo < x < hi:
-                    raise StepUnderflow(f"point {x} is not interior to the box [{lo}, {hi}]")
-        m = fam.make(theta)
+    as there, from stacked passes (see ``features._pairing_pass``): one
+    report with the points on a leading axis."""
+    columns = []
+    for family, z in zip((fam, kfam), zip(*points)):
+        try:
+            z = np.array(z, dtype=float).reshape(len(points), family.p)
+        except ValueError:
+            raise DimensionMismatch(f"family {family.name} expects {family.p} parameters") from None
+        box = np.array(family.box)
+        inside = (box[:, 0] < z) & (z < box[:, 1])
+        if not inside.all():
+            i, col = np.argwhere(~inside)[0]
+            raise StepUnderflow(f"point {z[i, col]} is not interior to the box [{box[col, 0]}, {box[col, 1]}]")
+        columns.append(z)
+    ms = [fam.make(theta) for theta in columns[0]]
+    for m, theta in zip(ms, columns[0]):
         if any(getattr(m, name, None) != value for name, value in zip(fam.param_names, theta)):
             raise Unsupported(f"family {fam.name}: parameters {fam.param_names} are not fields of {m}")
-        pairs.append((m, kfam.make(lam)))
-    reports = []
-    for route, values, errors in _pairing_pass(pairs, spec, (None, *fam.param_names), kfam.param_names):
-        v, e = np.reshape(values, (len(spec.orders), -1)), np.reshape(errors, (len(spec.orders), -1))
-        reports.append(JacobianReport(v[:, 1:fam.p + 1], v[:, fam.p + 1:], e[:, 1:],
-                                      FeatureVector(v[:, 0], e[:, 0], (route,) * len(spec.orders))))
-    return reports
+    routes, v, e = _pairing_pass(list(zip(ms, map(kfam.make, columns[1]))), spec,
+                                 (None, *fam.param_names), kfam.param_names)
+    return JacobianReport(v[..., 1:fam.p + 1], v[..., fam.p + 1:], e[..., 1:],
+                          FeatureVector(v[..., 0], e[..., 0], tuple((r,) * len(spec.orders) for r in routes)))
 
 
 def metric_tensor(report: JacobianReport) -> MetricTensor:
@@ -377,9 +380,9 @@ def injectivity_probe(fam: ModelFamily, kernel, spec: FeatureMapSpec,
     # the starts' pass counts as a kept step, which divides the damping by 10
     damping, live, idx = np.full(n, 1e-2), np.ones(n, dtype=bool), np.arange(n)
     for _ in range(_PROBE_ITERATIONS + 1):
-        out = _pairing_pass([(fam.make(theta), kernel) for theta in trial.reshape(-1, fam.p)],
-                            spec, (None, *fam.param_names), ())
-        rows = np.array([values for _, values, _ in out]).reshape(idx.size, 2, k, 1 + fam.p)
+        _, rows, _ = _pairing_pass([(fam.make(theta), kernel) for theta in trial.reshape(-1, fam.p)],
+                                   spec, (None, *fam.param_names), ())
+        rows = rows.reshape(idx.size, 2, k, 1 + fam.p)
         r_new = rows[:, 0, :, 0] - rows[:, 1, :, 0]
         obj_new = np.einsum("nk,nk->n", r_new, r_new)
         down = (obj_new < obj[idx]) & (np.linalg.norm(trial[:, 0] - trial[:, 1], axis=1) >= separation)

@@ -238,13 +238,16 @@ def test_eval_density_order_beyond_overflow_fails_at_once():
     # on the density route x^j overflows from about order 200 (Cauchy), and
     # the Gaussian w_j of its closed form from order 344: the running product
     # and the moment recurrence stop at their first non-finite term rather
-    # than running on to j = 10^8, which would take minutes
+    # than running on to j = 10^8, which would take minutes.  No integrand
+    # runs for the Gaussian, whose error names the order instead of a node
     env = dict(os.environ, PYTHONPATH=str(Path(wml.__file__).parents[1]))
-    for model in ("gaussian", "cauchy"):
+    for model, message in (("gaussian", "the closed-form Gaussian pairing is not finite at order 100000000; "
+                                        "Gaussian(mu=0.0, sigma=1.0) with KernelSpec(s=1.0, c=0.0)\n"),
+                           ("cauchy", "integrand returned a non-finite value")):
         proc = subprocess.run([sys.executable, "-m", "wml.cli", "eval", "--model", model,
                                "--orders", "0,100000000"], capture_output=True, text=True, env=env, timeout=30)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("wml: error: integrand returned a non-finite value"), model
+        assert proc.stderr.startswith("wml: error: " + message), model
 
 
 def test_eval_char_fn_non_finite_value_names_the_frequency(capsys):
@@ -366,3 +369,33 @@ def test_numeric_fields_have_seventeen_significant_digits(capsys):
     # round-trip; cut to 12 it would read 0.205236764794
     assert float(spread["value"]) != 0.205236764794
     assert abs(float(spread["value"]) - 0.205236764794) < 1e-12
+
+
+def test_sweep_negative_centre_grid_parses_spaced_or_joined(capsys):
+    # a grid after its flag that starts with '-' is a value, not a flag
+    base = ("sweep", "--model", "gaussian", "--orders", "0,1,2", "--s", "1:2:2")
+    docs = []
+    for centre in (("--c", "-1:1:2"), ("--c=-1:1:2",)):
+        code, out, err = run_cli(capsys, *base, *centre)
+        assert code == 0, err
+        docs.append(json.loads(out))
+    assert docs[0] == docs[1]
+    assert [(row["s"], row["c"]) for row in docs[0]["rows"]] == [(1.0, -1.0), (1.0, 1.0), (2.0, -1.0), (2.0, 1.0)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--model", "gaussian", "--kernel", "1,2,3"),
+    ("eval", "--model", "gaussian", "--kernel", "x"),
+    ("eval", "--model", "gaussian", "--kernel", "-1"),
+    ("eval", "--model", "gaussian", "--orders", "0,a"),
+    ("run", "thresholds", "--tol", "foo"),
+    ("run", "thresholds", "--tol", "k=abc"),
+    ("sweep", "--model", "cauchy", "--s", "1:2:2", "--grid", "zz=0:1:2"),
+    ("eval", "--model", "gaussian:mu=abc"),
+    ("sweep", "--model", "cauchy", "--s", "0:1:x"),
+], ids=["kernel-three-fields", "kernel-word", "kernel-negative", "orders-word", "tol-no-value",
+        "tol-word", "grid-unknown-parameter", "model-word", "grid-word"])
+def test_hostile_flag_value_is_a_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("wml: error:") and "Traceback" not in err

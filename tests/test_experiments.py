@@ -194,9 +194,12 @@ def test_numeric_failure_is_reported_not_raised(one_bisection):
 def test_metric_overflow_is_reported_not_raised(monkeypatch):
     # a Jacobian whose Gram matrix overflows makes metric_tensor raise;
     # the result carries the diagnostic instead
-    huge = JacobianReport(d_theta=np.full((3, 2), 1e200), d_lambda=np.zeros((3, 1)),
-                          error_estimates=np.zeros((3, 3)))
-    monkeypatch.setattr(wml.experiments, "_jacobians", lambda fam, kfam, points, spec: [huge] * len(points))
+    def huge(fam, kfam, points, spec):
+        n = len(points)
+        return JacobianReport(d_theta=np.full((n, 3, 2), 1e200), d_lambda=np.zeros((n, 3, 1)),
+                              error_estimates=np.zeros((n, 3, 3)))
+
+    monkeypatch.setattr(wml.experiments, "_jacobians", huge)
     res = run_experiment("singular-limit")
     assert res.passed is False
     assert res.metrics == {"numeric_failure": 1.0}

@@ -446,8 +446,9 @@ def test_one_point_pass_is_the_unstacked_pass_bit_for_bit():
                     (path != "charfn" and isinstance(m, Gaussian)):
                 continue
             for cols in ((None,), (None, *model_params), model_params):
-                [(_, values, errors)] = _pairing_pass([(m, k)], spec, cols, ("s", "c"))
+                routes, values, errors = _pairing_pass([(m, k)], spec, cols, ("s", "c"))
                 ref_values, ref_errors = unstacked_one_point_pass(m, k, spec, cols, ("s", "c"))
+                assert len(routes) == 1 and values.shape == errors.shape == (1, 3, len(cols) + 2)
                 assert values.tobytes() == ref_values.tobytes(), (m, k, path, cols)
                 assert errors.tobytes() == ref_errors.tobytes(), (m, k, path, cols)
 
@@ -524,12 +525,29 @@ def test_stacked_points_agree_with_each_point_alone():
             cols = next(c for m, _, c in points if isinstance(m, kind))
             if path == "charfn" and kind in (LogNormal, StieltjesLogNormal):
                 continue
-            stacked = _pairing_pass(group, spec, (None, *cols), ("s",))
-            for (m, k), (route, values, errors) in zip(group, stacked):
-                [(alone_route, alone, alone_errors)] = _pairing_pass([(m, k)], spec, (None, *cols), ("s",))
-                assert route == alone_route
+            routes, stacked, stacked_errors = _pairing_pass(group, spec, (None, *cols), ("s",))
+            assert stacked.shape == stacked_errors.shape == (len(group), 3, len(cols) + 2)
+            for (m, k), route, values, errors in zip(group, routes, stacked, stacked_errors):
+                alone_routes, alone, alone_errors = _pairing_pass([(m, k)], spec, (None, *cols), ("s",))
+                assert (route,) == alone_routes
                 assert values.tobytes() == alone.tobytes(), (m, k, path)
                 assert errors.tobytes() == alone_errors.tobytes(), (m, k, path)
+
+
+def test_a_pass_over_several_groups_returns_each_point_in_its_place():
+    # points of every family, interleaved, fall in several groups and
+    # passes on both routes: each comes back in its input place, bit for
+    # bit as it is alone
+    rng = np.random.default_rng(13)
+    points = [(m, k) for m, k, _ in seeded_points(rng, 3)]
+    spec = FeatureMapSpec((0, 1, 2))
+    routes, values, errors = _pairing_pass(points, spec, (None,), ("s",))
+    assert values.shape == errors.shape == (len(points), 3, 2)
+    assert set(routes) == {"density", "charfn"}
+    for point, route, v, e in zip(points, routes, values, errors):
+        alone_routes, alone, alone_errors = _pairing_pass([point], spec, (None,), ("s",))
+        assert (route,) == alone_routes, point
+        assert v.tobytes() == alone.tobytes() and e.tobytes() == alone_errors.tobytes(), point
 
 
 def test_a_stack_of_points_that_converge_alone_converges(monkeypatch):
@@ -545,10 +563,10 @@ def test_a_stack_of_points_that_converge_alone_converges(monkeypatch):
         points += [(Gaussian(-1.388 + d, 5.56), KernelSpec(0.051, -6.754 + d)),
                    (Gaussian(d, 1.0), KernelSpec(1.0, 54.0 + d))]
     spec = FeatureMapSpec((0, 1))
-    stacked = _pairing_pass(points, spec, ("mu", "sigma"), ("s", "c"))
+    _, stacked, stacked_errors = _pairing_pass(points, spec, ("mu", "sigma"), ("s", "c"))
     assert len(calls) == 0
-    for point, (_, values, errors) in zip(points, stacked):
-        [(_, alone, alone_errors)] = _pairing_pass([point], spec, ("mu", "sigma"), ("s", "c"))
+    for point, values, errors in zip(points, stacked, stacked_errors):
+        _, alone, alone_errors = _pairing_pass([point], spec, ("mu", "sigma"), ("s", "c"))
         assert values.tobytes() == alone.tobytes() and errors.tobytes() == alone_errors.tobytes(), point
 
 
@@ -572,11 +590,11 @@ def test_every_point_of_a_pass_has_its_own_budget(monkeypatch):
     kronrod = wml.quad._kronrod_panels
     monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(a[3]) or kronrod(*a))
     monkeypatch.setattr(wml.quad, "_MAX_SUBDIVISIONS", 5)
-    stacked = _pairing_pass(points, spec, (None,), ())
+    _, stacked, stacked_errors = _pairing_pass(points, spec, (None,), ())
     bisections = sum(np.bincount(seg, minlength=len(points)) // 2 for seg in calls[1:])
     assert list(bisections) == [4, 5, 5, 5]
-    for point, (_, values, errors) in zip(points, stacked):
-        [(_, alone, alone_errors)] = _pairing_pass([point], spec, (None,), ())
+    for point, values, errors in zip(points, stacked, stacked_errors):
+        _, alone, alone_errors = _pairing_pass([point], spec, (None,), ())
         assert values.tobytes() == alone.tobytes() and errors.tobytes() == alone_errors.tobytes()
 
 
@@ -602,8 +620,8 @@ def test_a_pass_that_meets_its_targets_at_once_ranks_no_panel(monkeypatch):
     monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))
     monkeypatch.setattr(np, "nextafter", lambda *a: pytest.fail("a panel was ranked"))
     points = [(LogNormal(0.1 * i, 0.8), KernelSpec(1.0 + 0.1 * i)) for i in range(4)]
-    stacked = _pairing_pass(points, FeatureMapSpec(range(5)), (None,), ())
-    assert len(calls) == 1 and all(np.all(np.isfinite(values)) for _, values, _ in stacked)
+    _, values, _ = _pairing_pass(points, FeatureMapSpec(range(5)), (None,), ())
+    assert len(calls) == 1 and values.shape == (4, 5, 1) and np.all(np.isfinite(values))
 
 
 def test_nonconvergence_names_the_point_order_and_column(one_bisection):
@@ -764,10 +782,10 @@ def test_stacked_gaussian_pairings_are_each_point_alone_bit_for_bit():
     grid += [(Gaussian(float(mu), 1.0), KernelSpec(1.0)) for mu in mus]
     spec = FeatureMapSpec((0, 1, 2, 5))
     for model_params, kernel_params in (((None,), ()), ((None, "mu", "sigma"), ("s", "c"))):
-        stacked = _pairing_pass(grid, spec, model_params, kernel_params)
-        for point, (route, values, errors) in zip(grid, stacked):
-            [(_, alone, alone_errors)] = _pairing_pass([point], spec, model_params, kernel_params)
-            assert route == "density"
+        routes, stacked, stacked_errors = _pairing_pass(grid, spec, model_params, kernel_params)
+        assert routes == ("density",) * len(grid)
+        for point, values, errors in zip(grid, stacked, stacked_errors):
+            _, alone, alone_errors = _pairing_pass([point], spec, model_params, kernel_params)
             assert values.tobytes() == alone.tobytes() and errors.tobytes() == alone_errors.tobytes(), point
 
 
@@ -1170,3 +1188,22 @@ def test_influence_value_and_bound_inequality():
         for x in np.linspace(-20, 20, 401):
             iv = influence_value(UNIT_KERNEL, j, x, w_j)
             assert abs(iv) <= bound + abs(w_j) + 1e-12
+
+
+def test_library_entry_points_refuse_bad_arguments():
+    with pytest.raises(ValueError, match="expects 2 parameters, got 3"):
+        feature_map(gaussian_family(), [0.0, 1.0, 2.0], UNIT_KERNEL, FeatureMapSpec((0,)))
+    with pytest.raises(Unsupported, match="nu"):
+        weak_moment_jacobian(Gaussian(0.0, 1.0), UNIT_KERNEL, ("nu",), (), FeatureMapSpec((0,)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        influence_bound(UNIT_KERNEL, -1)
+
+
+def test_closed_form_gaussian_overflow_names_its_order():
+    # no integrand runs for a closed-form pairing: the error names the
+    # first requested order that is not finite, not a node
+    for orders, first in (((0, 344), 344), ((0, 343, 344, 400), 344)):
+        with pytest.raises(NonFiniteEvaluation) as info:
+            feature_map(_GAUSSIANS, [0.0, 1.0], UNIT_KERNEL, FeatureMapSpec(orders))
+        assert str(info.value) == (f"the closed-form Gaussian pairing is not finite at order {first}; "
+                                   f"Gaussian(mu=0.0, sigma=1.0) with KernelSpec(s=1.0, c=0.0)")

@@ -278,11 +278,11 @@ def test_numerical_rank_of_a_stack_is_the_rank_of_each_matrix():
                 alone = numerical_rank(a[i], None if e is None else e[i])
                 assert (stacked.rank[i], stacked.tol_used[i]) == (alone.rank, alone.tol_used), (shape, i)
     # the mu = 0 Cauchy Jacobians: model rank 0 (d/dmu w_0 = 0 by symmetry), joint rank 1
-    reps = _jacobians(cauchy_family(), scale_kernel_family(), [([0.0], [s]) for s in np.geomspace(0.5, 100.0, 9)],
-                      FeatureMapSpec(orders=(0,)))
-    for block, errs, rank in (([r.d_theta for r in reps], [r.error_estimates[:, :1] for r in reps], 0),
-                              ([r.joint for r in reps], [r.error_estimates for r in reps], 1)):
-        stacked = numerical_rank(np.array(block), np.array(errs))
+    stack = _jacobians(cauchy_family(), scale_kernel_family(), [([0.0], [s]) for s in np.geomspace(0.5, 100.0, 9)],
+                       FeatureMapSpec(orders=(0,)))
+    for block, errs, rank in ((stack.d_theta, stack.error_estimates[..., :1], 0),
+                              (stack.joint, stack.error_estimates, 1)):
+        stacked = numerical_rank(block, errs)
         alone = [numerical_rank(b, e) for b, e in zip(block, errs)]
         assert stacked.rank.tolist() == [r.rank for r in alone] == [rank] * 9
         assert stacked.tol_used.tolist() == [r.tol_used for r in alone]
@@ -297,7 +297,7 @@ def test_sweep_rows_are_the_per_point_linear_algebra(fam, thetas):
     # numbers within 8 ulps of them
     kfam, spec, scales = scale_kernel_family(), FeatureMapSpec(orders=(0, 1, 2)), [(0.5,), (3.0,), (30.0,)]
     rows = sweep_kernel(fam, kfam, spec, scales, thetas)
-    reps = _jacobians(fam, kfam, [(th, lam) for lam in scales for th in thetas], spec)
+    reps = [jacobian(fam, kfam, th, lam, spec) for lam in scales for th in thetas]
     assert len(rows) == len(reps) == len(scales) * len(thetas)
     for row, rep in zip(rows, reps):
         g, trans = metric_tensor(rep), transversality_check(rep, (), rep.features)
@@ -640,7 +640,8 @@ def test_probe_solves_a_rank_one_jacobian(monkeypatch):
     # Phi(mu, sigma) = mu + sigma: J = [1, 1, -1, -1] times the box widths
     # has rank 1, and the least-squares steps bring every pair below tol^2
     def plane(points, spec, model_params, kernel_params):
-        return [("density", np.array([m.mu + m.sigma, 1.0, 1.0]), np.zeros(3)) for m, _ in points]
+        values = np.array([[[m.mu + m.sigma, 1.0, 1.0]] for m, _ in points])
+        return ("density",) * len(points), values, np.zeros_like(values)
 
     monkeypatch.setattr(wml.geometry, "_pairing_pass", plane)
     found = injectivity_probe(gaussian_family(), KernelSpec(1.0), FeatureMapSpec(orders=(0,)),
@@ -656,3 +657,50 @@ def test_probe_collapsed_box_returns_empty():
     collapsed = type(fam)(fam.name, fam.param_names, fam.make, ((0.3, 0.3),))
     assert injectivity_probe(collapsed, KernelSpec(1.0, 0.0), PROBE_SPEC,
                              n_starts=4, separation=0.5, tol=1e-4, seed=0) == []
+
+
+def test_geometry_entry_points_refuse_bad_arguments(monkeypatch):
+    # a wrong size is refused by the stacked path before any pass
+    pairing_pass = wml.geometry._pairing_pass
+    calls = []
+    monkeypatch.setattr(wml.geometry, "_pairing_pass", lambda *a: calls.append(1) or pairing_pass(*a))
+    for theta, lam in (([0.0, 1.0, 2.0], [1.0]), ([0.0, 1.0], [1.0, 0.0])):
+        with pytest.raises(DimensionMismatch, match="expects"):
+            jacobian(gaussian_family(), scale_kernel_family(), theta, lam, FeatureMapSpec(orders=(0,)))
+    with pytest.raises(DimensionMismatch):
+        _jacobians(gaussian_family(), scale_kernel_family(), [([0.0, 1.0], [1.0]), ([0.0], [1.0])],
+                   FeatureMapSpec(orders=(0,)))
+    assert not calls
+    with pytest.raises(ValueError, match="finite"):
+        numerical_rank(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="separation"):
+        injectivity_probe(gaussian_family(), KernelSpec(1.0), PROBE_SPEC, separation=0.0)
+
+
+@pytest.mark.parametrize("fam, kfam, thetas, lams, path", [
+    (gaussian_family(), scale_center_kernel_family(), [(0.0, 1.0), (0.7, 0.4)], [(0.5, 0.0), (3.0, -1.0)], "auto"),
+    (cauchy_family(), scale_kernel_family(), [(0.0,), (1.2,)], [(0.5,), (3.0,)], "auto"),
+    (lognormal_family(), scale_kernel_family(), [(0.2, 0.8)], [(1.0,), (2.0,)], "density"),
+    (stable_family(1.5), scale_center_kernel_family(), [(0.0, 1.0)], [(1.0, 0.5)], "charfn"),
+], ids=["gaussian", "cauchy", "lognormal", "stable1.5-charfn"])
+def test_jacobian_is_the_one_point_slice_of_a_stack(fam, kfam, thetas, lams, path):
+    # a grid's report holds its points on a leading axis; jacobian at one
+    # point returns that point's slice, with the single-point shapes and
+    # the same bits
+    spec = FeatureMapSpec(orders=(0, 1, 3), path=path)
+    grid = [(th, lam) for lam in lams for th in thetas]
+    stack = _jacobians(fam, kfam, grid, spec)
+    n, k, p, q = len(grid), len(spec.orders), fam.p, kfam.p
+    assert (stack.d_theta.shape, stack.d_lambda.shape, stack.error_estimates.shape) == \
+        ((n, k, p), (n, k, q), (n, k, p + q))
+    assert stack.features.values.shape == stack.features.errors.shape == (n, k)
+    assert len(stack.features.paths) == n
+    for i, (th, lam) in enumerate(grid):
+        rep = jacobian(fam, kfam, th, lam, spec)
+        assert (rep.d_theta.shape, rep.d_lambda.shape, rep.error_estimates.shape) == ((k, p), (k, q), (k, p + q))
+        assert rep.features.values.shape == rep.features.errors.shape == (k,)
+        assert rep.features.paths == stack.features.paths[i] == (rep.features.paths[0],) * k
+        for name in ("d_theta", "d_lambda", "error_estimates"):
+            assert getattr(rep, name).tobytes() == getattr(stack, name)[i].tobytes(), (name, th, lam)
+        assert rep.features.values.tobytes() == stack.features.values[i].tobytes()
+        assert rep.features.errors.tobytes() == stack.features.errors[i].tobytes()

@@ -256,3 +256,16 @@ def test_families():
     assert kfam2.p == 2 and kfam2.make([2.0, -0.5]) == KernelSpec(2.0, -0.5)
     fam2, theta = canonical_family(Cauchy(0.25))
     assert fam2.name == "cauchy" and theta[0] == 0.25
+
+
+def test_stieltjes_fisher_information_and_stable_two_moments_in_closed_form():
+    # the a-score of the Stieltjes family at a = 0 is sin(2 pi log x), so its
+    # information is E[sin^2(2 pi Z)] = (1 - e^{-8 pi^2}) / 2, Z ~ N(0, 1)
+    truth = 0.5 * (1.0 - np.exp(-8.0 * np.pi**2))
+    info = classical_fisher_info(StieltjesLogNormal(0.0), "a")
+    assert abs(info - truth) <= 4 * np.spacing(truth)
+    # stable(2, mu, sigma) is the Gaussian(mu, sqrt(2) sigma)
+    for mu, sigma in ((0.0, 1.0), (0.5, 0.3), (-1.2, 2.0)):
+        for n in range(1, 7):
+            assert classical_moment(SymmetricStable(2.0, mu, sigma), n) == \
+                classical_moment(Gaussian(mu, np.sqrt(2.0) * sigma), n), (mu, sigma, n)
