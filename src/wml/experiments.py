@@ -38,7 +38,7 @@ import numpy as np
 
 from .features import (
     FeatureMapSpec,
-    _feature_maps,
+    _pairing_pass,
     feature_map,
     weak_cumulants,
     weak_moment_jacobian,
@@ -48,6 +48,7 @@ from .geometry import (
     MetricOverflow,
     StepUnderflow,
     _jacobians,
+    _points,
     codimension_thresholds,
     metric_tensor,
     numerical_rank,
@@ -62,7 +63,7 @@ from .models import (
     Undefined,
     Unsupported,
     _Z_MESH,
-    _log_grid,
+    _columns,
     _score,
     cauchy_family,
     classical_fisher_info,
@@ -124,11 +125,11 @@ def _lognorm_power_integrand(orders):
 
 
 def _stieltjes_cancellation(tol):
-    orders = range(11)
+    orders, half_periods = range(11), np.exp(np.arange(-20.0, 41.0) * 0.5)
     power = _lognorm_power_integrand(orders)
     # row n peaks at log x = n + 1 with width 1: half periods of the sine
     # over [-10, 20] in log x cover every row out to 10 widths
-    res = integrate_half_line(lambda x: np.sin(2.0 * np.pi * np.log(x)) * power(x), _log_grid(-10.0, 20.0, 0.5))
+    res = integrate_half_line(lambda x: np.sin(2.0 * np.pi * np.log(x)) * power(x), half_periods)
     rows = []
     for n, value in zip(orders, res.value.tolist()):
         moment_scale = float(np.exp(0.5 * n * n))
@@ -156,7 +157,7 @@ def _stieltjes_kernel_break(tol):
 def _lognormal_classical_moments(tol):
     orders = range(7)
     # row n peaks at log x = n + 1 with width 1
-    res = integrate_half_line(_lognorm_power_integrand(orders), _log_grid(-10.0, 16.0, 1.0))
+    res = integrate_half_line(_lognorm_power_integrand(orders), np.exp(np.arange(-10.0, 17.0)))
     rows = []
     for n, value in zip(orders, res.value.tolist()):
         expected = float(np.exp(0.5 * n * n))
@@ -186,18 +187,19 @@ def _cauchy_submersion(tol):
     underwrites the rank-1 claim for a location family.  The Jacobian's
     pass gives it: d/ds w_0 = w_2 / s^3 - w_0 / s for the normalised window.
     """
-    grid = [(mu, s) for mu in np.linspace(-2.0, 2.0, 5) for s in np.linspace(0.5, 4.0, 5)]
-    stack = _jacobians(cauchy_family(), scale_kernel_family(), [([mu], [s]) for mu, s in grid],
+    grid = np.stack(np.meshgrid(np.linspace(-2.0, 2.0, 5), np.linspace(0.5, 4.0, 5), indexing="ij"), -1)
+    grid = grid.reshape(-1, 2)  # (mu, s), mu outermost
+    stack = _jacobians(cauchy_family(), scale_kernel_family(), grid[:, :1], grid[:, 1:],
                        FeatureMapSpec(orders=(0,), path="density"))
     models = numerical_rank(stack.d_theta, stack.error_estimates[..., :1]).rank.tolist()
     joints = numerical_rank(stack.joint, stack.error_estimates).rank.tolist()
     rows = []
-    for (mu, s), model, joint, d_mu, d_s, w0 in zip(grid, models, joints, stack.d_theta[:, 0, 0].tolist(),
+    for (mu, s), model, joint, d_mu, d_s, w0 in zip(grid.tolist(), models, joints, stack.d_theta[:, 0, 0].tolist(),
                                                    stack.d_lambda[:, 0, 0].tolist(),
                                                    stack.features.values[:, 0].tolist()):
-        rows.append({"mu": float(mu), "s": float(s), "model_rank": model, "joint_rank": joint,
+        rows.append({"mu": mu, "s": s, "model_rank": model, "joint_rank": joint,
                      "enrichment": joint - model, "d_mu": d_mu, "d_s": d_s,
-                     "scale_sensitivity": d_s + w0 / float(s)})
+                     "scale_sensitivity": d_s + w0 / s})
     ranks = [row["joint_rank"] for row in rows]
     metrics = {"min_joint_rank": float(min(ranks)), "max_joint_rank": float(max(ranks)),
                "min_scale_sensitivity": min(row["scale_sensitivity"] for row in rows),
@@ -229,23 +231,23 @@ def _lognormal_immersion(tol):
 
 def _behrens_fisher_w0(tol):
     spec = FeatureMapSpec(orders=(0,), path="density")
-    closed_grid = [(mu, sigma, s) for mu in (0.0, 1.0, 2.0) for sigma in (0.5, 1.0, 2.0)
-                   for s in (1.0, 3.0, 10.0)]
+    closed_grid = np.stack(np.meshgrid((0.0, 1.0, 2.0), (0.5, 1.0, 2.0), (1.0, 3.0, 10.0), indexing="ij"), -1)
     # nuisance flattening at fixed mu: the sigma-spread of w0 shrinks with s
     mu, scales, sigmas = 1.0, (1.0, 3.0, 10.0, 30.0), np.linspace(0.5, 2.0, 7)
-    spread_grid = [(mu, sg, s) for s in scales for sg in sigmas]
-    w0 = np.array([fv.values[0] for fv in _feature_maps(
-        [(Gaussian(m, sg), KernelSpec(s)) for m, sg, s in closed_grid + spread_grid], spec)])
-    rows = []
-    for (m, sigma, s), got in zip(closed_grid, w0):
-        v = sigma * sigma + s * s
-        closed = np.exp(-0.5 * m * m / v) / np.sqrt(2.0 * np.pi * v)
-        rel = abs(got - closed) / closed
-        rows.append({"mu": m, "sigma": sigma, "s": s, "w0": float(got),
-                     "closed_form": float(closed), "rel_err": float(rel)})
-
-    spreads = [float(np.max(np.abs(w - np.mean(w))) / np.mean(w))
-               for w in w0[len(closed_grid):].reshape(len(scales), -1)]
+    spread_grid = np.stack(np.meshgrid(scales, sigmas, (mu,), indexing="ij"), -1)[..., ::-1]  # s outermost
+    closed_grid = closed_grid.reshape(-1, 3)
+    grid = np.concatenate((closed_grid, spread_grid.reshape(-1, 3)))  # (mu, sigma, s)
+    _, w0, _ = _pairing_pass(_columns(Gaussian(0.0, 1.0), ("mu", "sigma"), grid[:, :2]),
+                             _columns(KernelSpec(1.0), ("s",), grid[:, 2:]), spec, (None,), ())
+    w0, spread = w0[:len(closed_grid), 0, 0], w0[len(closed_grid):, 0, 0].reshape(len(scales), -1)
+    m, sigma, s = closed_grid.T
+    v = sigma * sigma + s * s
+    closed = np.exp(-0.5 * m * m / v) / np.sqrt(2.0 * np.pi * v)
+    rows = [{"mu": m, "sigma": sigma, "s": s, "w0": got, "closed_form": want, "rel_err": rel}
+            for (m, sigma, s), got, want, rel in zip(closed_grid.tolist(), w0.tolist(), closed.tolist(),
+                                                     (abs(w0 - closed) / closed).tolist())]
+    mean = spread.mean(axis=1, keepdims=True)
+    spreads = (np.abs(spread - mean).max(axis=1) / mean[:, 0]).tolist()
     decreasing = all(a > b for a, b in zip(spreads, spreads[1:]))
 
     metrics = {"max_w0_rel_err": max(row["rel_err"] for row in rows),
@@ -289,17 +291,18 @@ def _type0_charpath(tol):
         rows.append({"model": "stable(1.5)", "j": j, "charfn_path": float(v),
                      "density_path": float("nan"), "rel_err": float("nan")})
 
-    # alpha in {1, 2} twins against the closed-form densities
+    # alpha in {1, 2} twins against the closed-form densities; on the char-fn
+    # route alpha is a column, and the two stables share one pass
     labels = ("stable(1)=cauchy", "stable(2)=gaussian")
-    stables = (SymmetricStable(1.0, 0.5, 1.0), SymmetricStable(2.0, 0.5, 1.0 / np.sqrt(2.0)))
+    stables = _columns(SymmetricStable(1.0, 0.5, 1.0), ("alpha", "sigma"), [[1.0, 1.0], [2.0, 1.0 / np.sqrt(2.0)]])
     twins = (Cauchy(0.5), Gaussian(0.5, 1.0))
     cspec = FeatureMapSpec(orders=tuple(range(5)), path="charfn")
     dspec = FeatureMapSpec(orders=tuple(range(5)), path="density")
-    via_char = _feature_maps([(m, kernel) for m in stables], cspec)
-    via_dens = _feature_maps([(m, kernel) for m in twins], dspec)
+    via_char = _pairing_pass(stables, kernel, cspec, (None,), ())[1][..., 0]
+    via_dens = [_pairing_pass(m, kernel, dspec, (None,), ())[1][0, :, 0] for m in twins]
     errs = []
     for label, fc, fd in zip(labels, via_char, via_dens):
-        for j, vc, vd in zip(cspec.orders, fc.values, fd.values):
+        for j, vc, vd in zip(cspec.orders, fc, fd):
             rel = abs(vc - vd) / abs(vd)
             errs.append(float(rel))
             rows.append({"model": label, "j": j, "charfn_path": float(vc),
@@ -425,20 +428,20 @@ def sweep_kernel(fam, kfam, spec: FeatureMapSpec, lambda_grid, theta_grid):
     of all pairs come from stacked passes, their tensors and ranks from
     one batched call each; the ranks count only singular values above the
     entries' error estimates."""
-    lambdas = [np.atleast_1d(np.asarray(l, dtype=float)) for l in lambda_grid]
-    thetas = [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_grid]
-    if not lambdas or not thetas:
+    if not len(lambda_grid) or not len(theta_grid):
         raise EmptyGrid("sweep grids must be non-empty")
-    grid = [(th, lam) for lam in lambdas for th in thetas]
-    stack = _jacobians(fam, kfam, grid, spec)
+    lambdas, thetas = _points(kfam, lambda_grid), _points(fam, theta_grid)
+    lam, theta = lambdas.repeat(len(thetas), axis=0), np.concatenate([thetas] * len(lambdas))
+    stack = _jacobians(fam, kfam, theta, lam, spec)
     g = metric_tensor(stack)
     models = numerical_rank(stack.d_theta, stack.error_estimates[..., :fam.p]).rank.tolist()
     joints = numerical_rank(stack.joint, stack.error_estimates).rank.tolist()
-    rows = []
-    for (th, lam), det, cond, corr, model, joint in zip(grid, g.det.tolist(), g.condition_number.tolist(),
-                                                        g.correlation_det.tolist(), models, joints):
-        rows.append({**{name: float(v) for name, v in zip(kfam.param_names + fam.param_names, (*lam, *th))},
-                     "det_g": det, "condition_number": cond, "correlation_det": corr, "model_rank": model,
-                     "joint_rank": joint, "enrichment": joint - model, "submersive": joint == len(spec.orders)})
+    names, rows = kfam.param_names + fam.param_names, []
+    for point, det, cond, corr, model, joint in zip(np.concatenate((lam, theta), axis=1).tolist(), g.det.tolist(),
+                                                    g.condition_number.tolist(), g.correlation_det.tolist(),
+                                                    models, joints):
+        rows.append({**dict(zip(names, point)), "det_g": det, "condition_number": cond, "correlation_det": corr,
+                     "model_rank": model, "joint_rank": joint, "enrichment": joint - model,
+                     "submersive": joint == len(spec.orders)})
     return tuple(rows)
 

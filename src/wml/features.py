@@ -31,10 +31,9 @@ evaluation routes are provided:
 
       Psi_0 = exp(-iuc - s^2 u^2 / 2),  Psi_{j+1} = a Psi_j + j s^2 Psi_{j-1}.
 
-Points share passes, each with a panel tree of its own: one vectorised
-call fills the rows of every point's nodes from that point's
-parameters, held as columns (``_pairing_pass``).
-
+A grid enters its pass as parameter columns (``models._columns``), and
+its points share passes, each with a panel tree of its own, while one
+vectorised call fills the rows of all their nodes (``_pairing_pass``).
 The tilted law f phi / w_0 supplies weak cumulants; the boundedness of
 x^j phi(x) supplies the influence bound.
 """
@@ -56,13 +55,16 @@ from .models import (
     _breakpoints,
     _charfn_points,
     _charfn_score,
+    _count,
     _frame,
     _score,
     _stack,
+    _take,
     _tilt,
     char_fn,
     density,
     kernel_eval,
+    support,
     support_has_density,
 )
 from .quad import NonConvergence, NonFiniteEvaluation, QuadratureError, _half_line, _real_line
@@ -143,14 +145,6 @@ class WeakCumulants:
         object.__setattr__(self, "kappa", k)
 
 
-def _feature_maps(points, spec: FeatureMapSpec) -> list:
-    """w_j for every j in ``spec.orders`` at each (model, kernel) point,
-    from stacked adaptive passes."""
-    routes, values, errors = _pairing_pass(points, spec, [None], ())
-    return [FeatureVector(v, e, (route,) * len(spec.orders))
-            for route, v, e in zip(routes, values[..., 0], errors[..., 0])]
-
-
 def weak_moment(m: ModelSpec, k: KernelSpec, j: int, spec: FeatureMapSpec | None = None) -> MomentEstimate:
     """Weak moment w_j = E[X^j phi(X)] with an error estimate.
 
@@ -162,8 +156,8 @@ def weak_moment(m: ModelSpec, k: KernelSpec, j: int, spec: FeatureMapSpec | None
     ``Unsupported`` there.
     """
     spec = FeatureMapSpec(orders=(j,)) if spec is None else replace(spec, orders=(j,))
-    fv = _feature_maps([(m, k)], spec)[0]
-    return MomentEstimate(float(fv.values[0]), float(fv.errors[0]), fv.paths[0])
+    route, values, errors = _pairing_pass(m, k, spec, (None,), ())
+    return MomentEstimate(float(values[0, 0, 0]), float(errors[0, 0, 0]), route)
 
 
 def feature_map(fam: ModelFamily, theta, k: KernelSpec, spec: FeatureMapSpec) -> FeatureVector:
@@ -171,7 +165,8 @@ def feature_map(fam: ModelFamily, theta, k: KernelSpec, spec: FeatureMapSpec) ->
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.size != fam.p:
         raise ValueError(f"family {fam.name} expects {fam.p} parameters, got {theta.size}")
-    return _feature_maps([(fam.make(theta), k)], spec)[0]
+    route, values, errors = _pairing_pass(fam.make(theta), k, spec, (None,), ())
+    return FeatureVector(values[0, :, 0], errors[0, :, 0], (route,) * len(spec.orders))
 
 
 # model parameter name -> the score it selects in models._score
@@ -201,7 +196,7 @@ def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_param
 
     The route follows ``spec.path`` as in :func:`weak_moment`.
     """
-    _, values, errors = _pairing_pass([(m, k)], spec, model_params, kernel_params)
+    _, values, errors = _pairing_pass(m, k, spec, model_params, kernel_params)
     return values[0], errors[0]
 
 
@@ -211,64 +206,60 @@ def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_param
 _CALL_VALUES = 2**17
 
 
-def _pairing_pass(points, spec, model_params, kernel_params):
-    """The rows of the pairing of each (model, kernel) point: for each
-    order j in ``spec.orders``, one row per entry of ``model_params``
-    (None: w_j itself; a name: d/dtheta w_j) and one per entry of
-    ``kernel_params``.  Returns the points' routes, and their values and
-    errors, of shape (N, K+1, C) for N points, K+1 orders and C columns.
+def _pairing_pass(models, kernels, spec, model_params, kernel_params):
+    """The rows of the pairing of each point of the columns ``models`` and
+    ``kernels`` (``models._columns``; a spec is one point, or beside
+    columns one shared by all): for each order j in ``spec.orders``, one
+    row per entry of ``model_params`` (None: w_j itself; a name: d/dtheta
+    w_j) and one per entry of ``kernel_params``.  Returns the route, and
+    the values and errors, (N, K+1, C) for N points, K+1 orders and C
+    columns.
 
-    Points are grouped by route, variable (u > 0 on the char-fn route,
-    else their ``models._frame``), model type and, on the density route,
-    alpha.  A Gaussian group (the frame 'z') takes its closed form
-    (``_gaussian_pairings``).  Any other shares adaptive passes of at most
-    ``_CALL_VALUES`` first-mesh values each (or one point): every point is
-    a segment of the pass, with its own panel tree from its own first mesh
-    (``models._breakpoints``, ``models._charfn_points``), so it returns,
-    bit for bit, what it returns alone, while each integrand call fills
-    the rows of all its points' nodes at once, over their
-    ``models._stack``.  A point that fails raises its error naming it,
-    and for ``NonConvergence`` the order and the column."""
+    The model type (and alpha) fixes the route.  On the density route the
+    points split by ``models._frame``: those of the frame 'z' take their
+    closed form at once (``_gaussian_pairings``).  The others (u > 0 on
+    the char-fn route) share adaptive passes of at most ``_CALL_VALUES``
+    first-mesh values (or one point): each point is a segment of its
+    pass, from its own row of one ``models._breakpoints`` (or
+    ``_charfn_points``) call, so it returns, bit for bit, what it returns
+    alone, while each integrand call fills the rows of all its points'
+    nodes at once (``models._stack``).  A point that fails raises its
+    error naming it, and for ``NonConvergence`` the order and column."""
     unknown = [name for name in model_params if name is not None and name not in _SCORE_NAMES]
     unknown += [name for name in kernel_params if name not in ("s", "c")]
     if unknown:
         raise Unsupported(f"no analytic derivative for parameters {unknown}")
+    if type(getattr(models, "alpha", None)) is np.ndarray and spec.path != "charfn":  # density branches on alpha
+        raise Unsupported("alpha is a column on the char-fn route only")
     columns = [name or "value" for name in model_params] + list(kernel_params)
-    width = len(spec.orders) * len(columns)
-    groups, passes, routes, out = {}, [], [], None
+    width, n = len(spec.orders) * len(columns), _count(models, kernels)
+    on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(models))
+    route, passes, out = "density" if on_density else "charfn", [], None
     # at extreme orders x^j, Psi_j or M_j overflows (raised as
     # NonFiniteEvaluation), and a score may divide by 0 where f is 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, (m, k) in enumerate(points):
-            on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(m))
-            key = ("density", _frame(m, k), type(m), getattr(m, "alpha", None)) if on_density \
-                else ("charfn", "u", type(m), None)
-            mesh = None if key[1] == "z" else (_breakpoints if on_density else _charfn_points)(m, k)
-            groups.setdefault(key, []).append((i, m, k, mesh))
-            routes.append(key[0])
-        for key, group in groups.items():
-            for point in group:
-                first = 0 if point[3] is None else 15 * width * (point[3].size + 1)  # first-mesh values, at most
-                if passes and passes[-1][0] == key and load + first <= _CALL_VALUES:
-                    passes[-1][1].append(point)
-                    load += first
-                else:
-                    passes.append((key, [point]))
-                    load = first
-        for (_, frame, *_), group in passes:
-            index, ms, ks, meshes = zip(*group)
+        frames = _frame(models, kernels) if on_density else "u"
+        for frame in [frames] if type(frames) is str else np.unique(frames).tolist():
+            index = range(n) if type(frames) is str else (frames == frame).nonzero()[0]
+            pick = index if len(index) > 1 else int(index[0])  # one point is a spec of its own
+            ms, ks = (models, kernels) if len(index) == n else (_take(models, pick), _take(kernels, pick))
+            mesh = None if frame == "z" else (_breakpoints if on_density else _charfn_points)(ms, ks)
+            per = len(index) if mesh is None else max(1, _CALL_VALUES // (15 * width * (mesh.shape[1] + 1)))
+            if per >= len(index):
+                passes.append((frame, index, ms, ks, mesh))
+            else:
+                passes += [(frame, index[a:a + per], _take(ms, slice(a, a + per)), _take(ks, slice(a, a + per)),
+                            mesh[a:a + per]) for a in range(0, len(index), per)]
+        for frame, index, ms, ks, mesh in passes:
             try:
                 if frame == "z":
                     values, errors = _gaussian_pairings(ms, ks, spec.orders, model_params, kernel_params)
-                else:
-                    f = (_charfn_stack if frame == "u" else _density_stack)(
-                        ms, ks, spec.orders, model_params, kernel_params)
-                    seg = np.repeat(np.arange(len(ms)), [mesh.size for mesh in meshes])
-                    # the char-fn rows are even in u: their pairing is the integral over u > 0
+                else:  # the char-fn rows are even in u: their pairing is the integral over u > 0
                     values, errors, _ = (_half_line if frame in ("half", "u") else _real_line)(
-                        f, np.concatenate(meshes), seg, len(ms))
+                        (_charfn_stack if frame == "u" else _density_stack)(ms, ks, spec.orders, model_params,
+                                                                             kernel_params), mesh)
             except QuadratureError as exc:
-                m, k = ms[exc.segment], ks[exc.segment]
+                m, k = _take(ms, exc.segment), _take(ks, exc.segment)
                 if frame == "u" and isinstance(exc, NonFiniteEvaluation):
                     exc = NonFiniteEvaluation(exc.points, "u")  # the char-fn rows are functions of u
                 elif isinstance(exc, NonFiniteEvaluation) and frame != "z":  # name the nodes in x
@@ -279,14 +270,13 @@ def _pairing_pass(points, spec, model_params, kernel_params):
                     where = f"order {spec.orders[order]}, column {columns[col]}, at {where}"
                 exc.args = (f"{exc}; {where}",)
                 raise exc from None
-            shape = (len(ms), len(spec.orders), len(columns))  # rows run (order, column)
-            values, errors = values.reshape(shape), errors.reshape(shape)
-            if len(passes) == 1:  # every point, in input order
-                return tuple(routes), values, errors
+            shape = (len(index), len(spec.orders), len(columns))  # rows run (order, column)
+            if len(index) == n:  # every point, in input order
+                return route, values.reshape(shape), errors.reshape(shape)
             if out is None:
-                out = np.empty((2, len(points)) + shape[1:])
-            out[:, list(index)] = values, errors
-    return tuple(routes), out[0], out[1]
+                out = np.empty((2, n) + shape[1:])
+            out[:, index] = values.reshape(shape), errors.reshape(shape)
+    return route, out[0], out[1]
 
 
 def _powers(x, orders):
@@ -304,15 +294,15 @@ def _powers(x, orders):
 
 
 def _density_stack(ms, ks, orders, model_params, kernel_params):
-    """f(v, seg), the density-route rows of the points (ms[i], ks[i]) of
-    one ``models._frame``, each node's rows those of its own point ``seg``
-    (``models._stack``): per order j, x^j phi f times each score
+    """f(v, seg), the density-route rows of the points of columns ``ms``
+    and ``ks`` of one ``models._frame``, each node's rows those of its own
+    point ``seg`` (``models._stack``): per order j, x^j phi f times each score
     d/dtheta log f (None: the value row), then x^j f d/dlambda phi.  In
     the frame 'window' v is the window's z = (x - c) / s and the rows
     carry dx/dz = s: s phi = exp(-z^2 / 2) / sqrt(2 pi) and d/dlambda log
     phi, (z^2 - 1) / s and z / s, come from z itself; in 'half' v is x."""
     models, kernels = _stack(ms), _stack(ks)
-    window = _frame(ms[0], ks[0]) == "window"
+    window = support(ms) == "real"
 
     def f(v, seg):
         m, k = models(seg), kernels(seg)
@@ -373,8 +363,8 @@ def _gaussian_pairings(ms, ks, orders, model_params, kernel_params):
     Its terms never cancel (M_j(-m) = (-1)^j M_j(m)), so each M_j's
     rounding bound runs beside it on |mean|, fed by the errors of mass,
     mean and width2 and by each step's rounding."""
-    n = len(ms)
-    m, k = _stack(ms)(np.arange(n)), _stack(ks)(np.arange(n))  # one point: its scalar fields
+    n = _count(ms, ks)
+    m, k = _stack(ms)(slice(None)), _stack(ks)(slice(None))  # one point: its scalar fields
     t = _tilt(m, k)
     zero = np.zeros(n) if n > 1 else 0.0  # every column n long, shared fields too
     w2, s2 = t.width2 + zero, k.s * k.s
@@ -402,7 +392,7 @@ def _gaussian_pairings(ms, ks, orders, model_params, kernel_params):
                "sigma": (vshare * t.spread, 2.0 * t.mu_gap * w2, w2 * w2, t.var * m.sigma, vshare * t.spread_err),
                "s": (kshare * t.spread, 2.0 * t.c_gap * w2, w2 * w2, s2 * k.s, kshare * t.spread_err)}
     k0, k1, k2, div, slack = (np.array([x + zero for x in col]) for col in zip(*(  # (columns[, n])
-        columns.get(name) or _score(ms[0], _SCORE_NAMES[name])  # one the model lacks raises there
+        columns.get(name) or _score(m, _SCORE_NAMES[name])  # one the model lacks raises there
         for name in (*model_params, *kernel_params))))
     scale = np.exp(-t.lift) / div
     values = (k0 * a[:, :, 2] + j * k1 * a[:, :, 1] + j * (j - 1.0) * k2 * a[:, :, 0]) * scale
@@ -419,12 +409,12 @@ def _gaussian_pairings(ms, ks, orders, model_params, kernel_params):
 
 
 def _charfn_stack(ms, ks, orders, model_params, kernel_params):
-    """f(u, seg), the char-fn-route rows of the points (ms[i], ks[i]), each
-    node's rows those of its own point ``seg`` (``models._stack``): per
-    order j, Re c Psi_j / pi times each d/dtheta log c (None: the value
-    row), then Re c d/dlambda Psi_j / pi.  Each row, the real part of the
-    transform of a real function, is even in u: 1 / pi over (0, inf) is
-    1 / 2 pi over the line.
+    """f(u, seg), the char-fn-route rows of the points of columns ``ms``
+    and ``ks``, each node's rows those of its own point ``seg``
+    (``models._stack``): per order j, Re c Psi_j / pi times each d/dtheta
+    log c (None: the value row), then Re c d/dlambda Psi_j / pi.  Each
+    row, the real part of the transform of a real function, is even in u:
+    1 / pi over (0, inf) is 1 / 2 pi over the line.
 
     Psi_j comes from the window-transform recurrence, rolled up to the
     highest order with only the last three terms kept.  It stops at the
@@ -475,17 +465,16 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
     frame = _frame(m, k)
     if frame == "z":
-        t, w0 = _tilt(m, k), _gaussian_pairings([m], [k], (0,), (None,), ())[0][0, 0, 0]
+        t, w0 = _tilt(m, k), _gaussian_pairings(m, k, (0,), (None,), ())[0][0, 0, 0]
         return complex(w0 * np.exp(1j * u * t.mean - 0.5 * t.width2 * u * u))
-    rows = _density_stack([m], [k], (0,), (None,), ())
+    rows = _density_stack(m, k, (0,), (None,), ())
 
     def f(v, seg):  # v is z = (x - c) / s in the frame 'window', else x; seg 0 is cos, 1 is sin
         ux = u * (k.c + k.s * v if frame == "window" else v)
         return np.where(seg == 0, np.cos(ux), np.sin(ux)) * rows(v, 0)[0]
 
     mesh = _breakpoints(m, k)
-    values, _, _ = (_half_line if frame == "half" else _real_line)(
-        f, np.concatenate((mesh, mesh)), np.arange(2).repeat(mesh.size), 2)
+    values, _, _ = (_half_line if frame == "half" else _real_line)(f, np.concatenate((mesh, mesh)))
     return complex(values[0], values[1])
 
 
@@ -512,10 +501,8 @@ def weak_cumulants(m: ModelSpec, k: KernelSpec, J: int) -> WeakCumulants:
         raise ValueError("cumulant order must lie in [1, 6]")
     if not support_has_density(m):
         raise NoDensity("weak cumulants need pointwise f phi (a density-bearing model)")
-    spec = FeatureMapSpec(orders=tuple(range(J + 1)), path="density")
-    w = _feature_maps([(m, k)], spec)[0].values
-    tilted = w[1:] / w[0]
-    return WeakCumulants(moments_to_cumulants(tilted))
+    w = _pairing_pass(m, k, FeatureMapSpec(orders=tuple(range(J + 1)), path="density"), (None,), ())[1][0, :, 0]
+    return WeakCumulants(moments_to_cumulants(w[1:] / w[0]))
 
 
 def influence_value(k: KernelSpec, j: int, x: float, w_j: float) -> float:

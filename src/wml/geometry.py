@@ -19,7 +19,9 @@ verdicts here are finite linear algebra on that matrix:
 Derivatives are analytic: each Jacobian entry pairs the kernel with a
 model score or a kernel parameter derivative, in closed form for a
 Gaussian density pairing and as an integral otherwise, with its own
-error estimate; a grid's Jacobians share passes and one stacked report.
+error estimate.  A grid is two arrays, theta (N, p) and lambda (N, q):
+its box checks are array comparisons, its points enter their passes as
+parameter columns, and its Jacobians come back as one stacked report.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .features import FeatureMapSpec, FeatureVector, _pairing_pass
-from .models import ModelFamily, Unsupported
+from .models import ModelFamily, Unsupported, _columns
 
 __all__ = [
     "StepUnderflow",
@@ -201,35 +203,53 @@ def jacobian(fam: ModelFamily, kfam: ModelFamily, theta, lam,
     :func:`wml.features.weak_moment_jacobian` for the integrals.  The
     family's parameters must be the model's own fields (as in every
     catalog family).  The feature values come from the same pass."""
-    rep = _jacobians(fam, kfam, [(theta, lam)], spec)
+    rep = _jacobians(fam, kfam, [theta], [lam], spec)
     return JacobianReport(rep.d_theta[0], rep.d_lambda[0], rep.error_estimates[0],
                           FeatureVector(rep.features.values[0], rep.features.errors[0], rep.features.paths[0]))
 
 
-def _jacobians(fam: ModelFamily, kfam: ModelFamily, points, spec: FeatureMapSpec) -> JacobianReport:
-    """:func:`jacobian` at every (theta, lam) of ``points``, each checked
-    as there, from stacked passes (see ``features._pairing_pass``): one
-    report with the points on a leading axis."""
-    columns = []
-    for family, z in zip((fam, kfam), zip(*points)):
-        try:
-            z = np.array(z, dtype=float).reshape(len(points), family.p)
-        except ValueError:
-            raise DimensionMismatch(f"family {family.name} expects {family.p} parameters") from None
+def _points(fam: ModelFamily, z, n=None) -> np.ndarray:
+    """The points ``z`` of ``fam`` as an (N, p) array (a point of one
+    parameter may be a number), N = ``n`` where given;
+    ``DimensionMismatch`` for a ragged grid or any other shape."""
+    try:
+        z = np.array(z, dtype=float)
+    except ValueError:  # ragged
+        z = np.empty((0, 0))
+    z = z[:, None] if z.ndim == 1 and fam.p == 1 else z
+    if z.ndim != 2 or z.shape[1] != fam.p or n not in (None, len(z)):
+        raise DimensionMismatch(f"family {fam.name} expects {fam.p} parameters at each of {n or 'its'} points")
+    return z
+
+
+def _family_columns(fam: ModelFamily, z: np.ndarray):
+    """The points ``z`` (N, p) of ``fam`` as columns (``models._columns``)
+    of its spec at the first point, whose other fields they share;
+    ``Unsupported`` unless the parameters are that spec's own fields."""
+    first = fam.make(z[0])
+    if any(getattr(first, name, None) != value for name, value in zip(fam.param_names, z[0].tolist())):
+        raise Unsupported(f"family {fam.name}: parameters {fam.param_names} are not fields of {first}")
+    return _columns(first, fam.param_names, z)
+
+
+def _jacobians(fam: ModelFamily, kfam: ModelFamily, theta, lam, spec: FeatureMapSpec) -> JacobianReport:
+    """:func:`jacobian` at every point of the grid theta (N, p), lam
+    (N, q), each checked as there by one array comparison per family,
+    from stacked passes over their columns (see
+    ``features._pairing_pass``): one report with the points on a leading
+    axis."""
+    theta = _points(fam, theta)
+    grid = []
+    for family, z in ((fam, theta), (kfam, _points(kfam, lam, len(theta)))):
         box = np.array(family.box)
         inside = (box[:, 0] < z) & (z < box[:, 1])
         if not inside.all():
             i, col = np.argwhere(~inside)[0]
             raise StepUnderflow(f"point {z[i, col]} is not interior to the box [{box[col, 0]}, {box[col, 1]}]")
-        columns.append(z)
-    ms = [fam.make(theta) for theta in columns[0]]
-    for m, theta in zip(ms, columns[0]):
-        if any(getattr(m, name, None) != value for name, value in zip(fam.param_names, theta)):
-            raise Unsupported(f"family {fam.name}: parameters {fam.param_names} are not fields of {m}")
-    routes, v, e = _pairing_pass(list(zip(ms, map(kfam.make, columns[1]))), spec,
-                                 (None, *fam.param_names), kfam.param_names)
+        grid.append(_family_columns(family, z))
+    route, v, e = _pairing_pass(*grid, spec, (None, *fam.param_names), kfam.param_names)
     return JacobianReport(v[..., 1:fam.p + 1], v[..., fam.p + 1:], e[..., 1:],
-                          FeatureVector(v[..., 0], e[..., 0], tuple((r,) * len(spec.orders) for r in routes)))
+                          FeatureVector(v[..., 0], e[..., 0], ((route,) * len(spec.orders),) * len(v)))
 
 
 def metric_tensor(report: JacobianReport) -> MetricTensor:
@@ -380,7 +400,7 @@ def injectivity_probe(fam: ModelFamily, kernel, spec: FeatureMapSpec,
     # the starts' pass counts as a kept step, which divides the damping by 10
     damping, live, idx = np.full(n, 1e-2), np.ones(n, dtype=bool), np.arange(n)
     for _ in range(_PROBE_ITERATIONS + 1):
-        _, rows, _ = _pairing_pass([(fam.make(theta), kernel) for theta in trial.reshape(-1, fam.p)],
+        _, rows, _ = _pairing_pass(_family_columns(fam, trial.reshape(-1, fam.p)), kernel,
                                    spec, (None, *fam.param_names), ())
         rows = rows.reshape(idx.size, 2, k, 1 + fam.p)
         r_new = rows[:, 0, :, 0] - rows[:, 1, :, 0]

@@ -20,9 +20,8 @@ models': lambda = (s) or (s, c) -> ``KernelSpec``, each with its box.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -59,7 +58,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 _EPS = np.finfo(float).eps
 _SCALE_BOX, _CENTRE_BOX = (0.05, 1000.0), (-10.0, 10.0)  # the kernel families' boxes
 
@@ -80,16 +79,24 @@ class Undefined(Exception):
     """The classical moment diverges or does not exist."""
 
 
-_fields = functools.cache(fields)  # a dataclass's fields, once per class
+# a field's admissible values beyond finiteness (elementwise over columns),
+# and the error of a value outside them
+_RANGES = {"sigma": (lambda v: v > 0.0, "sigma must be positive"),
+           "s": (lambda v: v > 0.0, "kernel scale must be positive"),
+           "a": (lambda v: abs(v) <= 1.0, "|a| must be <= 1"),
+           "alpha": (lambda v: (0.0 < v) & (v <= 2.0), "alpha must lie in (0, 2]")}
 
 
-def _require_finite(spec):
+def _check(spec):
     """ValueError naming the first field of the dataclass ``spec`` that is
-    infinite or NaN."""
-    for field in _fields(type(spec)):
-        value = getattr(spec, field.name)
+    infinite or NaN, or else outside its range (``_RANGES``)."""
+    fields = vars(spec).items()
+    for name, value in fields:
         if not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value}")
+            raise ValueError(f"{name} must be finite, got {value}")
+    for name, value in fields:
+        if name in _RANGES and not _RANGES[name][0](value):
+            raise ValueError(f"{_RANGES[name][1]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -97,18 +104,14 @@ class Gaussian:
     mu: float
     sigma: float
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not (self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
 class Cauchy:
     mu: float = 0.0
 
-    def __post_init__(self):
-        _require_finite(self)
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -116,10 +119,7 @@ class LogNormal:
     mu: float = 0.0
     sigma: float = 1.0
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not (self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,7 @@ class StieltjesLogNormal:
 
     a: float
 
-    def __post_init__(self):
-        if not (-1.0 <= self.a <= 1.0):
-            raise ValueError(f"|a| must be <= 1, got {self.a}")
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -147,12 +145,7 @@ class SymmetricStable:
     mu: float = 0.0
     sigma: float = 1.0
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not (0.0 < self.alpha <= 2.0):
-            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not (self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+    __post_init__ = _check
 
 
 ModelSpec = Union[Gaussian, Cauchy, LogNormal, StieltjesLogNormal, SymmetricStable]
@@ -435,12 +428,6 @@ def _tilt(m: ModelSpec, k: KernelSpec) -> _Tilt:
                  mass_err=_EPS * (8.0 + 2.0 * abs(log_total)), lift=lift)
 
 
-def _log_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """The points x = e^y for y the multiples of ``step`` from the last at
-    or below ``lo`` to the first at or above ``hi``."""
-    return np.exp(np.arange(np.floor(lo / step), np.ceil(hi / step) + 1.0) * step)
-
-
 # a first mesh for a factor exp(-z^2 / 2) in its own coordinate z (the
 # log-normal in log x, a window in x): the factor times x^j and a score is
 # resolved on it to 1e-10 for low orders, and the points at 10 widths
@@ -449,46 +436,76 @@ _Z_HALF = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0, 10.0]
 _Z_MESH = np.concatenate((-_Z_HALF[::-1], [0.0], _Z_HALF))
 
 
-def _frame(m: ModelSpec, k: KernelSpec) -> str:
+def _frame(m: ModelSpec, k: KernelSpec):
     """How a density pairing of ``m`` with ``k`` is evaluated: 'z', in
     closed form from its tilted law (``_tilt``), for a Gaussian product
     whose variance is a normal double; else integrated in 'window', the
     window's coordinate z = (x - c) / s, over the line for any other model
     on the line (a Gaussian whose product variance is not included), or in
-    'half', x over (0, inf), for a half-line model."""
+    'half', x over (0, inf), for a half-line model.  Over columns
+    (``_columns``): the frame all points share, else an array of them."""
     ratio = _variance_ratio(m)
-    if ratio is not None and _TINY < ratio * m.sigma * m.sigma + k.s * k.s < math.inf:
-        return "z"
-    return "window" if support(m) == "real" else "half"
+    total = math.inf if ratio is None else ratio * m.sigma * m.sigma + k.s * k.s
+    closed = (_TINY < total) & (total < math.inf)
+    if type(closed) is np.ndarray and closed.any() != closed.all():  # a Gaussian's points of two frames
+        return np.where(closed, "z", "window")
+    return "z" if _any(closed) else "window" if support(m) == "real" else "half"
 
 
-def _stack(specs):
-    """The specs as one: a function of each node's segment (an index into
-    ``specs``) that gives one spec of their common type, unchecked, whose
-    fields are each node's own spec's values, for ``density``,
-    ``char_fn``, the scores and ``kernel_eval`` to work on elementwise.
-    A field the specs share is a scalar (alpha on the density route,
-    where ``density`` branches on it); any other is gathered from its
-    column at the nodes' segments, as every integrand call reads every
-    such field.  A stack of one is its spec: a scalar gives the same bits
-    as its column at less cost."""
-    if len(specs) == 1:
-        return lambda seg: specs[0]
-    shared, columns = {}, {}
-    for name, value in vars(specs[0]).items():
-        column = np.array([getattr(spec, name) for spec in specs], dtype=float)
-        if (column.view(np.uint64) == column.view(np.uint64)[0]).all():
-            shared[name] = value
-        else:
-            columns[name] = column
-    kind = type(specs[0])
+def _columns(first, names, z):
+    """The points of a grid as one unchecked spec of the type of ``first``
+    (a spec is one point): its fields ``names`` are the (N,) columns of
+    ``z``, its others those of ``first``, shared (alpha may be a column on
+    the char-fn route only).  The points are checked as ``_check`` checks
+    one, by one comparison per field, and the first that fails raises its
+    ``ValueError``, naming the field; one point is a spec of its own."""
+    z = np.asarray(z, dtype=float)
+    ok = np.logical_and.reduce(np.isfinite(z), axis=1)
+    for name, column in zip(names, z.T):
+        if name in _RANGES:
+            ok &= _RANGES[name][0](column)
+    if len(z) == 1 or not ok.all():  # the first point that fails raises its error
+        return type(first)(**{**vars(first), **dict(zip(names, z[np.argmin(ok)].tolist()))})
+    spec = object.__new__(type(first))
+    vars(spec).update(vars(first), **dict(zip(names, z.T.copy())))  # each column contiguous
+    return spec
 
-    def at(seg):
-        spec = object.__new__(kind)
-        vars(spec).update(shared, **{name: column[seg] for name, column in columns.items()})
-        return spec
 
-    return at
+def _count(*specs) -> int:
+    """The number of points of columns (``_columns``)."""
+    for spec in specs:
+        for value in vars(spec).values():
+            if type(value) is np.ndarray:
+                return len(value)
+    return 1
+
+
+def _take(spec, index):
+    """The points ``index`` (an index array or a slice) of columns, or for
+    an int that point as a spec of its own."""
+    pick = {name: value[index] if type(value) is np.ndarray else value for name, value in vars(spec).items()}
+    if isinstance(index, int):
+        return type(spec)(**{name: float(value) for name, value in pick.items()})
+    out = object.__new__(type(spec))
+    vars(out).update(pick)
+    return out
+
+
+def _stack(spec):
+    """The points of columns (``_columns``) as a function of each node's
+    segment (an index into the points) that gives one unchecked spec of
+    the nodes' own values (``_take``), for ``density``, ``char_fn``, the
+    scores and ``kernel_eval`` to work on elementwise.  A column whose
+    points share one value (every column of one point) is that value: a
+    scalar gives the same bits as a column at less cost."""
+    bits = {name: value.view(np.uint64) for name, value in vars(spec).items() if type(value) is np.ndarray}
+    if not bits:  # one point
+        return lambda seg: spec
+    shared = [name for name, column in bits.items() if (column == column[0]).all()]
+    if shared:
+        spec = _take(spec, slice(None))
+        vars(spec).update({name: float(vars(spec)[name][0]) for name in shared})
+    return (lambda seg: _take(spec, seg)) if len(shared) < len(bits) else (lambda seg: spec)
 
 
 # the first mesh of a window pairing, in z = (x - c) / s, whose half also
@@ -497,69 +514,106 @@ def _stack(specs):
 _W_HALF = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0])
 _W_MESH = np.concatenate((-_W_HALF[::-1], [0.0], _W_HALF))
 _PEAK = np.array([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
+_NO_TAIL = np.full(_PEAK.size, -np.inf)  # the peak's points are not tail points
 
-# the tails of a Stieltjes pairing in log x, beyond its quarter periods
-_LOG_TAIL = np.array([-10.0, -8.0, -6.0, -5.0, 5.0, 6.0, 8.0, 10.0])
+# a Stieltjes pairing's own points in y = log x, and in x: the quarter
+# periods of sin(2 pi y) over |y| <= 4, and its tails beyond them.  A window
+# over (lo, hi) in y keeps the quarter periods out to the first beyond each
+# end, lo < y + 1/4 and y - 1/4 < hi, and the tails within it: lo <= y <= hi,
+# each from y's edge in _LOG_LOW or _LOG_HIGH
+_LOG_POINTS = np.concatenate((np.arange(-16.0, 17.0) * 0.25, [-10.0, -8.0, -6.0, -5.0, 5.0, 6.0, 8.0, 10.0]))
+_QUARTER, _LOG_POINTS_X = np.abs(_LOG_POINTS) <= 4.0, np.exp(_LOG_POINTS)
+_LOG_LOW = np.where(_QUARTER, np.nextafter(_LOG_POINTS + 0.25, -np.inf), _LOG_POINTS)
+_LOG_HIGH = np.where(_QUARTER, np.nextafter(_LOG_POINTS - 0.25, np.inf), _LOG_POINTS)
 
 
-def _breakpoints(m: ModelSpec, k: KernelSpec) -> np.ndarray:
-    """Breakpoints for the density pairing of ``m`` with the window ``k``,
-    in the variable of its ``_frame`` ('window' or 'half'), placed on the
-    product f phi:
+def _breakpoints(m: ModelSpec, k: KernelSpec):
+    """Breakpoints for the density pairings of the points of columns ``m``
+    and ``k`` (``_columns``), all of one ``_frame``, 'window' or 'half', in
+    its variable, each placed on its own product f phi, a row a point:
 
-    * the Cauchy and stable(1) (and a Gaussian outside the frame 'z'),
-      in the window's z = (x - c) / s: z = 0, +-0.5, +-1, +-1.5, +-2,
-      +-3, +-4, +-6, +-10, the same for every such pairing; and where
-      the model is narrower than the window (sigma / s < 0.7, sigma = 1
-      for the Cauchy), its own points
-      (mu - c) / s + (sigma / s) {0, +-0.5, +-1, +-2, +-4} within
-      |z| <= 10, and at +-(sigma / s) 2^k, k >= 3, up to the window
-      mesh's 0.5, which split the Lorentzian's 1 / z^2 tails;
-    * the Stieltjes family, whose log-normal factor is N(0, 1) in
-      y = log x: the quarter periods of sin(2 pi y) over |y| <= 4, and
-      y = +-{5, 6, 8, 10} for the tails, as far as the window reaches
-      (c +- 10 s, where that lies in x > 0); and the window's points
-      c + s ``_Z_MESH`` where its range in y is bounded, as it then is
-      narrow there;
+    * the Cauchy and stable(1) (and a Gaussian outside the frame 'z'), in
+      the window's z = (x - c) / s: ``_W_MESH``, the same for all; and for
+      a model narrower than the window (sigma / s < 0.7, sigma = 1 for the
+      Cauchy) its own points (mu - c) / s + (sigma / s) ``_PEAK`` within
+      |z| <= 10, and +-(sigma / s) 2^k, k >= 3, up to the window mesh's
+      0.5, which split the Lorentzian's 1 / z^2 tails;
+    * the Stieltjes family, N(0, 1) in y = log x: the quarter periods of
+      sin(2 pi y) over |y| <= 4 and y = +-{5, 6, 8, 10} as far as the
+      window reaches (c +- 10 s, in x > 0), and the window's points
+      c + s ``_Z_MESH`` where its range in y is bounded (narrow there);
     * the log-normal, and a Stieltjes pairing with no quarter period in
-      that range as N(0, 1) in y: y = mu + sigma ``_Z_MESH``, up to the
-      window's reach log(c + 10 s), and the window's points
-      c + s ``_Z_MESH`` in x > 0.
-    """
-    if _frame(m, k) == "window":
-        width = getattr(m, "sigma", 1.0) / k.s
-        if not width < 0.7:
-            return _W_MESH
-        tail = width * 2.0 ** np.arange(3.0, np.log2(0.5 / width) + 1.0)  # up to 0.5
-        peak = (m.mu - k.c) / k.s + np.concatenate((width * _PEAK, tail, -tail))
-        return np.concatenate((_W_MESH, peak[np.abs(peak) <= 10.0]))
-    window = k.c + k.s * _Z_MESH
-    if isinstance(m, StieltjesLogNormal) and window[-1] > 0.0:
-        lo = np.log(window[0]) if window[0] > 0.0 else -np.inf
-        hi = np.log(window[-1])
-        if max(lo, -4.0) < min(hi, 4.0):
-            tail = _LOG_TAIL[(lo <= _LOG_TAIL) & (_LOG_TAIL <= hi)]
-            points = np.concatenate((_log_grid(max(lo, -4.0), min(hi, 4.0), 0.25), np.exp(tail)))
-            return points if lo == -np.inf else np.concatenate((points, window))
-    y = getattr(m, "mu", 0.0) + getattr(m, "sigma", 1.0) * _Z_MESH
-    if window[-1] > 0.0:
-        y = y[y <= np.log(window[-1])]
-    return np.concatenate((np.exp(y), window[window > 0.0]))
+      that range: y = mu + sigma ``_Z_MESH`` up to the window's reach, and
+      the window's points in x > 0 (the pass drops x <= 0).
+
+    Each block of candidates is one array expression, nan where a point
+    does not keep one (``_rows``); a block no point keeps is skipped."""
+    if support(m) == "real":
+        width = _col(getattr(m, "sigma", 1.0) / k.s)
+        narrow, blocks = width < 0.7, [(_W_MESH, True)]
+        if _any(narrow):
+            top = np.log2(0.5 / width) + 1.0  # the tail's exponents run 3, 4, ... below top
+            exps = np.arange(3.0, np.maximum.reduce(top, axis=None))
+            tail = 2.0 ** exps
+            peak = _col((m.mu - k.c) / k.s) + width * np.concatenate((_PEAK, tail, -tail))
+            below = np.concatenate((_NO_TAIL, exps, exps)) < top
+            blocks.append((peak, narrow & below & (np.abs(peak) <= 10.0)))
+        return _rows(_count(m, k), blocks)
+    window = _col(k.c) + _col(k.s) * _Z_MESH
+    start, end = _col(k.c - 10.0 * k.s), _col(k.c + 10.0 * k.s)  # the window's first and last points
+    hi, blocks, rest = np.log(np.where(end > 0.0, end, np.inf)), [], True  # the window's reach in y
+    if isinstance(m, StieltjesLogNormal):
+        lo = np.log(np.maximum(start, _TINY))
+        quarter = (end > 0.0) & (np.maximum(lo, -4.0) < np.minimum(hi, 4.0))  # its quarter periods in range
+        if _any(quarter):
+            blocks += [(_LOG_POINTS_X, quarter & (lo <= _LOG_LOW) & (_LOG_HIGH <= hi)),
+                       (window, quarter & (start > 0.0))]
+        rest = ~quarter
+    if _any(rest):
+        y = _col(getattr(m, "mu", 0.0)) + _col(getattr(m, "sigma", 1.0)) * _Z_MESH
+        blocks += [(np.exp(y), rest & (y <= hi)), (window, rest)]
+    return _rows(_count(m, k), blocks)
+
+
+def _any(mask) -> bool:
+    """Whether a mask over the points, a bool or a column, holds anywhere."""
+    return mask.any() if type(mask) is np.ndarray else bool(mask)
+
+
+def _col(v):
+    """A field against a row of candidates: a column as (N, 1)."""
+    return v[:, None] if type(v) is np.ndarray else v
+
+
+def _rows(n: int, blocks):
+    """The candidates of n points, a row each, nan where a point does not
+    keep one, from blocks of (candidates, mask): one row or a row a point.
+    One point, of scalar fields, keeps its candidates only, with no nan."""
+    if n == 1:
+        return np.concatenate([block[keep] if type(keep) is np.ndarray else block if keep else block[:0]
+                               for block, keep in blocks])[None]
+    out, at = np.empty((n, sum([block.shape[-1] for block, _ in blocks]))), 0
+    for block, keep in blocks:
+        out[:, at:at + block.shape[-1]] = block if keep is True else np.where(keep, block, np.nan)
+        at += block.shape[-1]
+    return out
 
 
 _LEFT_TAIL = np.exp(-np.array([0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 16.0, 24.0]))
 
 
-def _charfn_points(m: ModelSpec, k: KernelSpec) -> np.ndarray:
-    """Breakpoints in u > 0 for the char-fn pairing of ``m`` with ``k``:
+def _charfn_points(m: ModelSpec, k: KernelSpec):
+    """Breakpoints in u > 0 for the char-fn pairing of each point of
+    columns ``m`` and ``k``, a row each:
     {0.5, 1, 1.5, 2, 3, 4, 6, 10} over s, where the window transform
     decays, and over sigma (1 for a model without one, as the Cauchy),
     where the char fn decays; and the least of those times
     e^{-0.5, -1, -2, -3, -5, -7.5, -10, -16, -24}, for the left tail in
     log u, where the pairing levels off towards u = 0, close enough that
     the panels there converge on the first mesh."""
-    decay = np.concatenate((_W_HALF / k.s, _W_HALF / getattr(m, "sigma", 1.0)))
-    return np.concatenate((decay, decay.min() * _LEFT_TAIL))
+    sigma = _col(getattr(m, "sigma", 1.0))
+    least = np.minimum(_W_HALF[0] / _col(k.s), _W_HALF[0] / sigma)  # the least decay point
+    return _rows(_count(m, k), [(_W_HALF / _col(k.s), True), (_W_HALF / sigma, True), (least * _LEFT_TAIL, True)])
 
 
 def classical_fisher_info(m: ModelSpec, which: str = "location") -> float:
@@ -585,10 +639,7 @@ class KernelSpec:
     s: float
     c: float = 0.0
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not (self.s > 0.0):
-            raise ValueError(f"kernel scale must be positive, got {self.s}")
+    __post_init__ = _check
 
 
 def kernel_eval(k: KernelSpec, x, derivs: bool = False):

@@ -235,7 +235,6 @@ def _adaptive(f, a, b, seg):
     furthest from its target.  Both settings are read at call time.
     """
     first = np.bincount(seg)  # the initial panels of each segment
-    firsts = first.tolist()
     vals, errs, l1s, scalar = _kronrod_panels(f, a, b, seg)
     keys = None
 
@@ -250,10 +249,14 @@ def _adaptive(f, a, b, seg):
         err_sum = np.add.reduceat(errs, starts, axis=0)
         goal = np.maximum(_REL_TOL * np.add.reduceat(l1s, starts, axis=0), _TINY)
         unmet = np.logical_or.reduce(err_sum > goal, axis=1).nonzero()[0]
-        # each segment's value is the sum of its own panels, as alone: numpy's
-        # sum rounds by blocks of the summed length
-        value = lambda: np.array([np.add.reduce(vals[lo:lo + size]) for lo, size in
-                                  zip(starts.tolist(), sizes.tolist())])
+        # each segment's panels summed in table order, one after another (as
+        # numpy sums a (P, m) table, m > 1), a row each padded with -0.0
+        def value():
+            rows = vals[None]
+            if sizes.size > 1:
+                rows = np.full((sizes.size, sizes.max(), vals.shape[1]), -0.0)
+                rows[np.arange(sizes.max()) < sizes[:, None]] = vals
+            return np.add.accumulate(rows, axis=1)[:, -1]
         # every bisection adds one panel to the table and evaluates two
         evaluations = lambda: 15 * (2 * sizes - first)
         if unmet.size == 0:
@@ -261,25 +264,27 @@ def _adaptive(f, a, b, seg):
         if keys is None:  # the targets at the first estimate
             log_scale = np.log2(goal)
             keys = rank(a, b, errs, seg)
-        runs, starts_at, sizes_of = [], starts.tolist(), sizes.tolist()
-        for s in unmet.tolist():
-            lo, size = starts_at[s], sizes_of[s]
-            order = (-keys[lo:lo + size]).argsort(kind="stable")
-            meets = np.logical_and.reduce(err_sum[s] - np.add.accumulate(errs[lo:lo + size][order]) <= goal[s],
-                                          axis=1)
-            # the shortest run meeting every target (meets only turns True), within splittable and budget
-            n = min(1 + size - np.count_nonzero(meets), np.count_nonzero(keys[lo:lo + size] > -np.inf),
-                    _MAX_SUBDIVISIONS - (size - firsts[s]))
-            if n <= 0:
-                c = int(np.argmax(err_sum[s] / goal[s]))
-                pick = 0 if scalar else slice(None)  # a 1-D integrand's value and error are scalars
-                which = f"component {c} " if err_sum.shape[1] > 1 else ""
-                spent = 15 * (2 * size - firsts[s])
-                raise NonConvergence(f"adaptive quadrature: {which}error {err_sum[s][c]:.3e} against a target "
-                                     f"of {goal[s][c]:.3e} after {spent // 15} panels",
-                                     IntegralResult(value()[s][pick], err_sum[s][pick], spent, False), c, s)
-            runs.append(lo + order[:n])
-        popped = np.concatenate(runs)
+        # the unmet segments' panels, a row each, ranked worst first by a
+        # stable sort as alone; the padding ranks last and adds 0
+        lens, step, lo = sizes[unmet], np.arange(sizes.max()), starts[unmet, None]
+        inside = step < lens[:, None]
+        ranked = np.where(inside, keys[np.where(inside, lo + step, 0)], -np.inf)
+        at = np.where(inside, lo + (-ranked).argsort(axis=1, kind="stable"), 0)
+        spent = np.add.accumulate(np.where(inside[..., None], errs[at], 0.0), axis=1)
+        meets = np.logical_and.reduce(err_sum[unmet, None] - spent <= goal[unmet, None], axis=2) & inside
+        # the shortest run meeting every target (meets only turns True), within splittable and budget
+        n = np.minimum(np.minimum(1 + lens - np.add.reduce(meets, axis=1), np.add.reduce(ranked > -np.inf, axis=1)),
+                       _MAX_SUBDIVISIONS - (lens - first[unmet]))
+        if (n <= 0).any():
+            s = int(unmet[np.argmax(n <= 0)])
+            c = int(np.argmax(err_sum[s] / goal[s]))
+            pick = 0 if scalar else slice(None)  # a 1-D integrand's value and error are scalars
+            which = f"component {c} " if err_sum.shape[1] > 1 else ""
+            spent = 15 * (2 * sizes[s] - first[s])
+            raise NonConvergence(f"adaptive quadrature: {which}error {err_sum[s][c]:.3e} against a target "
+                                 f"of {goal[s][c]:.3e} after {spent // 15} panels",
+                                 IntegralResult(value()[s][pick], err_sum[s][pick], int(spent), False), c, s)
+        popped = at[step < n[:, None]]
         pa, pb, ps = a[popped], b[popped], seg[popped]
         mid = 0.5 * (pa + pb)
         left, right, both = np.concatenate((pa, mid)), np.concatenate((mid, pb)), np.concatenate((ps, ps))
@@ -318,10 +323,11 @@ def _on_nodes(fx, w, good):
     return vals
 
 
-def _real_line(f, points, seg, n):
+def _real_line(f, points, reach=1e150):
     """The integrals over the whole real line of n segments of ``f``,
-    which takes nodes and their segments, from breakpoints ``points`` in
-    x (``seg`` gives each one's segment); see :func:`integrate_real_line`."""
+    which takes nodes and their segments, each from its own breakpoints in
+    x within |x| < ``reach``, a row of ``points`` (n, L), nan where it has
+    fewer than L; see :func:`integrate_real_line`."""
     def transformed(t, seg):
         good = _inside(t, 1.0)  # where 1 - t^2 > 0
         t, seg = _at(good, t, seg)
@@ -334,26 +340,21 @@ def _real_line(f, points, seg, n):
         w /= np.multiply(one, one, out=one)
         return _on_nodes(fx, w, good)
 
-    x = np.asarray(points, dtype=float)
-    x, seg = _at(_inside(x, 1e150), x, seg)
-    # inverse of x = t / (1 - t^2), written to avoid cancellation
+    n = len(points)
+    # inverse of x = t / (1 - t^2), written to avoid cancellation; nan where dropped
+    x = np.where(np.abs(points) < reach, points, np.nan)
     t = 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * x * x))
-    t, seg = _at(_inside(t, 1.0), t, seg)
-    ends = np.arange(n)
-    t = np.concatenate((t, _ENDS.repeat(n)))
-    seg = np.concatenate((seg, ends, ends))
-    order = np.lexsort((t, seg))
-    t, seg = t[order], seg[order]
-    # the panels between consecutive distinct edges of a segment (copies, as
-    # the engine writes its table in place)
-    panel = (seg[1:] == seg[:-1]) & (t[1:] != t[:-1])
+    t = np.sort(np.concatenate((np.where(np.abs(t) < 1.0, t, np.nan), _ENDS.repeat(n).reshape(2, n).T), axis=1))
+    # the panels between consecutive distinct edges of a row, nan (sorted
+    # last) never an edge (copies, as the engine writes its table in place)
+    panel = t[:, 1:] > t[:, :-1]
     try:
-        return _adaptive(transformed, t[:-1][panel], t[1:][panel], seg[:-1][panel])
+        return _adaptive(transformed, t[:, :-1][panel], t[:, 1:][panel], panel.nonzero()[0])
     except NonFiniteEvaluation as exc:  # name the nodes in x, as f received them
         raise NonFiniteEvaluation(exc.points / (1.0 - exc.points * exc.points), segment=exc.segment) from None
 
 
-def _half_line(f, points, seg, n):
+def _half_line(f, points):
     """The integrals over (0, inf) of n segments of ``f``, as
     :func:`_real_line`; see :func:`integrate_half_line`."""
     def substituted(y, seg):
@@ -362,20 +363,15 @@ def _half_line(f, points, seg, n):
         x = np.exp(y)
         return _on_nodes(f(x, seg), x, good)
 
-    x = np.asarray(points, dtype=float)
-    positive = x > 0.0
-    y, seg = np.log(x[positive]), seg[positive]
-    near = np.abs(y) < 64.0
     try:
-        return _real_line(substituted, y[near], seg[near], n)
+        return _real_line(substituted, np.log(np.where(points > 0.0, points, np.nan)), 64.0)
     except NonFiniteEvaluation as exc:
         raise NonFiniteEvaluation(np.exp(exc.points), segment=exc.segment) from None
 
 
 def _one(points):
-    """A lone integrand's breakpoints and their segment, 0."""
-    points = np.empty(0) if points is None else np.ravel(np.asarray(points, dtype=float))
-    return points, np.zeros(points.size, dtype=np.intp)
+    """A lone integrand's breakpoints, as the row of its segment 0."""
+    return np.reshape(np.asarray(() if points is None else points, dtype=float), (1, -1))
 
 
 def _lone(out) -> IntegralResult:
@@ -401,7 +397,7 @@ def integrate_real_line(f, points=None) -> IntegralResult:
     feature narrower than one panel of the transformed line (a peak far
     from 0) is seen from the start.
     """
-    return _lone(_real_line(lambda x, _: f(x), *_one(points), 1))
+    return _lone(_real_line(lambda x, _: f(x), _one(points)))
 
 
 def integrate_half_line(f, points=None) -> IntegralResult:
@@ -418,4 +414,4 @@ def integrate_half_line(f, points=None) -> IntegralResult:
     integrands evaluable (x^j stays finite there for j <= 11; compose
     more extreme products in exponent space).
     """
-    return _lone(_half_line(lambda x, _: f(x), *_one(points), 1))
+    return _lone(_half_line(lambda x, _: f(x), _one(points)))

@@ -29,14 +29,18 @@ def format_number(x: float) -> str:
 
 def _plain(obj):
     """``obj`` with numpy scalars and arrays as Python values and
-    non-finite floats as None."""
+    non-finite floats as None, each value dispatched on its type, the
+    JSON scalars first; an array is converted by one ``tolist``."""
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else None
+    if kind is int or kind is str or kind is bool or obj is None:
+        return obj
     if isinstance(obj, dict):
         return {key: _plain(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return [_plain(val) for val in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+    return _plain(obj.tolist()) if isinstance(obj, (np.ndarray, np.generic)) else obj
 
 
 def dumps_json(obj) -> str:

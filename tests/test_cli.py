@@ -399,3 +399,16 @@ def test_hostile_flag_value_is_a_config_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("wml: error:") and "Traceback" not in err
+
+
+def test_missing_and_unknown_commands_keep_their_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = "usage: wml [-h] {list,run,eval,sweep} ...\n"
+    assert run_cli(capsys) == (2, "", usage + "wml: error: the following arguments are required: command\n")
+    code, out, err = run_cli(capsys, "bogus")
+    assert (code, out) == (2, "") and err.startswith(usage + "wml: error: argument command: invalid choice: 'bogus'")
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "") and out.startswith(usage) and "{list,run,eval,sweep}" in out
+    code, out, err = run_cli(capsys, "run")
+    assert (code, out) == (2, "") and err.startswith("usage: wml run [-h]")
+    assert err.endswith("wml run: error: the following arguments are required: experiment\n")

@@ -194,8 +194,8 @@ def test_numeric_failure_is_reported_not_raised(one_bisection):
 def test_metric_overflow_is_reported_not_raised(monkeypatch):
     # a Jacobian whose Gram matrix overflows makes metric_tensor raise;
     # the result carries the diagnostic instead
-    def huge(fam, kfam, points, spec):
-        n = len(points)
+    def huge(fam, kfam, theta, lam, spec):
+        n = len(theta)
         return JacobianReport(d_theta=np.full((n, 3, 2), 1e200), d_lambda=np.zeros((n, 3, 1)),
                               error_estimates=np.zeros((n, 3, 3)))
 

@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from wml.models import (
     _breakpoints,
     _charfn_points,
     _charfn_score,
+    _columns,
     _frame,
     _score,
     canonical_family,
@@ -209,7 +211,7 @@ def test_char_fn_rows_are_even_in_u():
     for m in models:
         for k in (UNIT_KERNEL, KernelSpec(0.7, -1.3)):
             model_params = (None, "mu") if isinstance(m, Cauchy) else (None, "mu", "sigma")
-            rows = _charfn_stack([m], [k], orders, model_params, ("s", "c"))
+            rows = _charfn_stack(m, k, orders, model_params, ("s", "c"))
             at_u, at_minus_u = rows(u, 0), rows(-u, 0)
             assert np.all(np.isfinite(at_u))
             np.testing.assert_array_equal(at_u, at_minus_u, err_msg=f"{m} with {k}")
@@ -420,6 +422,17 @@ def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
     return res.value, res.error_estimate
 
 
+def columns(points):
+    """(model, kernel) points of one model type and one alpha as the
+    columns a pass takes (``models._columns``): each other field a
+    column."""
+    ms, ks = zip(*points)
+    assert len({getattr(m, "alpha", None) for m in ms}) == 1
+    names = [name for name in vars(ms[0]) if name != "alpha"]
+    return (_columns(ms[0], names, [[getattr(m, name) for name in names] for m in ms]),
+            _columns(ks[0], ("s", "c"), [[k.s, k.c] for k in ks]))
+
+
 def seeded_points(rng, n):
     """n (model, kernel, model_params) triples per family, over both
     routes and both supports."""
@@ -434,6 +447,13 @@ def seeded_points(rng, n):
     return out
 
 
+def one_alpha(group):
+    """The (model, kernel) points with the first one's alpha, if any: a
+    pass holds one alpha."""
+    alpha = getattr(group[0][0], "alpha", None)
+    return [(replace(m, alpha=alpha) if alpha is not None else m, k) for m, k in group]
+
+
 def test_one_point_pass_is_the_unstacked_pass_bit_for_bit():
     # every quadrature pass; a Gaussian density pairing takes its closed
     # form, checked against quadrature by the oracle tests below
@@ -446,9 +466,9 @@ def test_one_point_pass_is_the_unstacked_pass_bit_for_bit():
                     (path != "charfn" and isinstance(m, Gaussian)):
                 continue
             for cols in ((None,), (None, *model_params), model_params):
-                routes, values, errors = _pairing_pass([(m, k)], spec, cols, ("s", "c"))
+                route, values, errors = _pairing_pass(m, k, spec, cols, ("s", "c"))
                 ref_values, ref_errors = unstacked_one_point_pass(m, k, spec, cols, ("s", "c"))
-                assert len(routes) == 1 and values.shape == errors.shape == (1, 3, len(cols) + 2)
+                assert route in ("density", "charfn") and values.shape == errors.shape == (1, 3, len(cols) + 2)
                 assert values.tobytes() == ref_values.tobytes(), (m, k, path, cols)
                 assert errors.tobytes() == ref_errors.tobytes(), (m, k, path, cols)
 
@@ -485,8 +505,8 @@ def test_stack_fill_equals_each_point_fill_bit_for_bit():
         for model_params, kernel_params in (((None,), ()), ((None, *names), ()), ((None, *names), ("s", "c"))):
             # the points' nodes interleaved, as a pass's rounds give them
             seg = np.tile(np.arange(len(ms)), v.size)
-            stacked = build(ms, ks, orders, model_params, kernel_params)(np.repeat(v, len(ms)), seg)
-            alone = np.stack([build([m], [k], orders, model_params, kernel_params)(v, 0) for m, k in zip(ms, ks)])
+            stacked = build(*columns(zip(ms, ks)), orders, model_params, kernel_params)(np.repeat(v, len(ms)), seg)
+            alone = np.stack([build(m, k, orders, model_params, kernel_params)(v, 0) for m, k in zip(ms, ks)])
             rows = stacked.reshape(stacked.shape[0], v.size, len(ms)).transpose(2, 0, 1)
             assert rows.tobytes() == alone.tobytes(), (frame, ms[0], model_params, kernel_params)
             assert np.any(alone == 0.0) or frame == "u"
@@ -508,7 +528,7 @@ def test_a_stack_makes_one_model_call_per_integrand_call(monkeypatch):
                           ([LogNormal(0.1 * i, 0.8) for i in range(10)], "density"),
                           ([SymmetricStable(1.5, 0.1 * i, 1.0) for i in range(10)], "char_fn")):
         counts.update(density=0, char_fn=0, panels=0)
-        _pairing_pass(list(zip(models, kernels)), spec, (None,), ())
+        _pairing_pass(*columns(zip(models, kernels)), spec, (None,), ())
         assert counts["panels"] >= 1 and counts[route] == counts["panels"], (models[0], counts)
 
 
@@ -521,33 +541,53 @@ def test_stacked_points_agree_with_each_point_alone():
     for path in ("auto", "charfn"):
         spec = FeatureMapSpec((0, 1, 2), path=path)
         for kind in (Gaussian, Cauchy, LogNormal, StieltjesLogNormal, SymmetricStable):
-            group = [(m, k) for m, k, _ in points if isinstance(m, kind)]
+            group = one_alpha([(m, k) for m, k, _ in points if isinstance(m, kind)])
             cols = next(c for m, _, c in points if isinstance(m, kind))
             if path == "charfn" and kind in (LogNormal, StieltjesLogNormal):
                 continue
-            routes, stacked, stacked_errors = _pairing_pass(group, spec, (None, *cols), ("s",))
+            route, stacked, stacked_errors = _pairing_pass(*columns(group), spec, (None, *cols), ("s",))
             assert stacked.shape == stacked_errors.shape == (len(group), 3, len(cols) + 2)
-            for (m, k), route, values, errors in zip(group, routes, stacked, stacked_errors):
-                alone_routes, alone, alone_errors = _pairing_pass([(m, k)], spec, (None, *cols), ("s",))
-                assert (route,) == alone_routes
+            for (m, k), values, errors in zip(group, stacked, stacked_errors):
+                alone_route, alone, alone_errors = _pairing_pass(m, k, spec, (None, *cols), ("s",))
+                assert route == alone_route
                 assert values.tobytes() == alone.tobytes(), (m, k, path)
                 assert errors.tobytes() == alone_errors.tobytes(), (m, k, path)
 
 
-def test_a_pass_over_several_groups_returns_each_point_in_its_place():
-    # points of every family, interleaved, fall in several groups and
-    # passes on both routes: each comes back in its input place, bit for
-    # bit as it is alone
+@pytest.mark.parametrize("path", ["auto", "density"])
+def test_an_alpha_column_is_refused_off_the_charfn_path(path):
+    # density branches on alpha, and 'auto' picks a route by it: a pass of
+    # several alphas runs on the char-fn path only, where nothing does
+    stables = _columns(SymmetricStable(1.0, 0.5, 1.0), ("alpha", "sigma"), [[1.0, 1.0], [2.0, 0.7]])
+    with pytest.raises(Unsupported, match="alpha is a column on the char-fn route only"):
+        _pairing_pass(stables, UNIT_KERNEL, FeatureMapSpec((0, 1), path=path), (None,), ())
+    route, values, _ = _pairing_pass(stables, UNIT_KERNEL, FeatureMapSpec((0, 1), path="charfn"), (None,), ())
+    assert route == "charfn" and values.shape == (2, 2, 1)
+
+
+def test_a_pass_over_several_groups_returns_each_point_in_its_place(monkeypatch):
+    # each family's points, on both routes, Gaussian points of both frames
+    # interleaved (a product variance below the normal range takes the
+    # window's), cut into passes of two or three points by a small
+    # first-mesh budget: each comes back in its input place, bit for bit
+    # as it is alone
+    monkeypatch.setattr(wml.features, "_CALL_VALUES", 6000)
     rng = np.random.default_rng(13)
-    points = [(m, k) for m, k, _ in seeded_points(rng, 3)]
-    spec = FeatureMapSpec((0, 1, 2))
-    routes, values, errors = _pairing_pass(points, spec, (None,), ("s",))
-    assert values.shape == errors.shape == (len(points), 3, 2)
-    assert set(routes) == {"density", "charfn"}
-    for point, route, v, e in zip(points, routes, values, errors):
-        alone_routes, alone, alone_errors = _pairing_pass([point], spec, (None,), ("s",))
-        assert (route,) == alone_routes, point
-        assert v.tobytes() == alone.tobytes() and e.tobytes() == alone_errors.tobytes(), point
+    points = seeded_points(rng, 6)
+    spec, routes = FeatureMapSpec((0, 1, 2)), set()
+    for kind in (Gaussian, Cauchy, LogNormal, StieltjesLogNormal, SymmetricStable):
+        group = one_alpha([(m, k) for m, k, _ in points if isinstance(m, kind)])
+        kernel_params = ("s",)
+        if kind is Gaussian:  # where d/ds w_j overflows
+            group[1::2], kernel_params = [(Gaussian(5e-155 * i, 1e-154), KernelSpec(1e-154)) for i in range(3)], ()
+        route, values, errors = _pairing_pass(*columns(group), spec, (None,), kernel_params)
+        assert values.shape == errors.shape == (len(group), 3, 1 + len(kernel_params))
+        routes.add(route)
+        for point, v, e in zip(group, values, errors):
+            alone_route, alone, alone_errors = _pairing_pass(*point, spec, (None,), kernel_params)
+            assert route == alone_route, point
+            assert v.tobytes() == alone.tobytes() and e.tobytes() == alone_errors.tobytes(), point
+    assert routes == {"density", "charfn"}
 
 
 def test_a_stack_of_points_that_converge_alone_converges(monkeypatch):
@@ -563,10 +603,10 @@ def test_a_stack_of_points_that_converge_alone_converges(monkeypatch):
         points += [(Gaussian(-1.388 + d, 5.56), KernelSpec(0.051, -6.754 + d)),
                    (Gaussian(d, 1.0), KernelSpec(1.0, 54.0 + d))]
     spec = FeatureMapSpec((0, 1))
-    _, stacked, stacked_errors = _pairing_pass(points, spec, ("mu", "sigma"), ("s", "c"))
+    _, stacked, stacked_errors = _pairing_pass(*columns(points), spec, ("mu", "sigma"), ("s", "c"))
     assert len(calls) == 0
     for point, values, errors in zip(points, stacked, stacked_errors):
-        _, alone, alone_errors = _pairing_pass([point], spec, ("mu", "sigma"), ("s", "c"))
+        _, alone, alone_errors = _pairing_pass(*point, spec, ("mu", "sigma"), ("s", "c"))
         assert values.tobytes() == alone.tobytes() and errors.tobytes() == alone_errors.tobytes(), point
 
 
@@ -578,7 +618,7 @@ def test_a_hostile_point_in_a_stack_raises_its_own_error():
     hostile = (SymmetricStable(1.5, 0.5, 1.0), KernelSpec(2.0))
     with pytest.raises(NonFiniteEvaluation, match=r"u=\[.*; SymmetricStable\(alpha=1.5, mu=0.5, sigma=1.0\) "
                                                   r"with KernelSpec\(s=2.0, c=0.0\)$"):
-        _pairing_pass([benign, benign, hostile, benign], spec, (None,), ("s",))
+        _pairing_pass(*columns([benign, benign, hostile, benign]), spec, (None,), ("s",))
 
 
 def test_every_point_of_a_pass_has_its_own_budget(monkeypatch):
@@ -590,11 +630,11 @@ def test_every_point_of_a_pass_has_its_own_budget(monkeypatch):
     kronrod = wml.quad._kronrod_panels
     monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(a[3]) or kronrod(*a))
     monkeypatch.setattr(wml.quad, "_MAX_SUBDIVISIONS", 5)
-    _, stacked, stacked_errors = _pairing_pass(points, spec, (None,), ())
+    _, stacked, stacked_errors = _pairing_pass(*columns(points), spec, (None,), ())
     bisections = sum(np.bincount(seg, minlength=len(points)) // 2 for seg in calls[1:])
     assert list(bisections) == [4, 5, 5, 5]
     for point, values, errors in zip(points, stacked, stacked_errors):
-        _, alone, alone_errors = _pairing_pass([point], spec, (None,), ())
+        _, alone, alone_errors = _pairing_pass(*point, spec, (None,), ())
         assert values.tobytes() == alone.tobytes() and errors.tobytes() == alone_errors.tobytes()
 
 
@@ -606,7 +646,7 @@ def test_a_stacked_point_out_of_budget_raises_its_own_error(one_bisection):
     benign = (LogNormal(0.0, 1.0), KernelSpec(1.0))
     hostile = (LogNormal(0.3, 0.1), KernelSpec(0.05))
     with pytest.raises(NonConvergence) as info:
-        _pairing_pass([benign, hostile, benign], spec, ("mu", "sigma"), ("s",))
+        _pairing_pass(*columns([benign, hostile, benign]), spec, ("mu", "sigma"), ("s",))
     order, col = divmod(info.value.component, 3)
     assert str(info.value).endswith(f"; order {spec.orders[order]}, column {('mu', 'sigma', 's')[col]}, "
                                     f"at LogNormal(mu=0.3, sigma=0.1) with KernelSpec(s=0.05, c=0.0)")
@@ -620,7 +660,7 @@ def test_a_pass_that_meets_its_targets_at_once_ranks_no_panel(monkeypatch):
     monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))
     monkeypatch.setattr(np, "nextafter", lambda *a: pytest.fail("a panel was ranked"))
     points = [(LogNormal(0.1 * i, 0.8), KernelSpec(1.0 + 0.1 * i)) for i in range(4)]
-    _, values, _ = _pairing_pass(points, FeatureMapSpec(range(5)), (None,), ())
+    _, values, _ = _pairing_pass(*columns(points), FeatureMapSpec(range(5)), (None,), ())
     assert len(calls) == 1 and values.shape == (4, 5, 1) and np.all(np.isfinite(values))
 
 
@@ -782,10 +822,10 @@ def test_stacked_gaussian_pairings_are_each_point_alone_bit_for_bit():
     grid += [(Gaussian(float(mu), 1.0), KernelSpec(1.0)) for mu in mus]
     spec = FeatureMapSpec((0, 1, 2, 5))
     for model_params, kernel_params in (((None,), ()), ((None, "mu", "sigma"), ("s", "c"))):
-        routes, stacked, stacked_errors = _pairing_pass(grid, spec, model_params, kernel_params)
-        assert routes == ("density",) * len(grid)
+        route, stacked, stacked_errors = _pairing_pass(*columns(grid), spec, model_params, kernel_params)
+        assert route == "density" and len(stacked) == len(grid)
         for point, values, errors in zip(grid, stacked, stacked_errors):
-            _, alone, alone_errors = _pairing_pass([point], spec, model_params, kernel_params)
+            _, alone, alone_errors = _pairing_pass(*point, spec, model_params, kernel_params)
             assert values.tobytes() == alone.tobytes() and errors.tobytes() == alone_errors.tobytes(), point
 
 

@@ -278,7 +278,7 @@ def test_numerical_rank_of_a_stack_is_the_rank_of_each_matrix():
                 alone = numerical_rank(a[i], None if e is None else e[i])
                 assert (stacked.rank[i], stacked.tol_used[i]) == (alone.rank, alone.tol_used), (shape, i)
     # the mu = 0 Cauchy Jacobians: model rank 0 (d/dmu w_0 = 0 by symmetry), joint rank 1
-    stack = _jacobians(cauchy_family(), scale_kernel_family(), [([0.0], [s]) for s in np.geomspace(0.5, 100.0, 9)],
+    stack = _jacobians(cauchy_family(), scale_kernel_family(), np.zeros((9, 1)), np.geomspace(0.5, 100.0, 9)[:, None],
                        FeatureMapSpec(orders=(0,)))
     for block, errs, rank in ((stack.d_theta, stack.error_estimates[..., :1], 0),
                               (stack.joint, stack.error_estimates, 1)):
@@ -587,16 +587,15 @@ def test_probe_makes_one_stacked_pass_per_iteration(monkeypatch):
     calls = []
     pairing_pass = wml.geometry._pairing_pass
 
-    def counted(points, spec, model_params, kernel_params):
-        calls.append(([(m.mu, m.sigma) for m, _ in points], model_params, kernel_params))
-        return pairing_pass(points, spec, model_params, kernel_params)
+    def counted(models, kernels, spec, model_params, kernel_params):
+        calls.append((np.column_stack((models.mu, models.sigma)), model_params, kernel_params))
+        return pairing_pass(models, kernels, spec, model_params, kernel_params)
 
     def refuse(*args):
         raise AssertionError("the probe evaluated a feature map alone")
 
     monkeypatch.setattr(wml.geometry, "_pairing_pass", counted)
     monkeypatch.setattr(wml.features, "feature_map", refuse)
-    monkeypatch.setattr(wml.features, "_feature_maps", refuse)
     assert not hasattr(wml.geometry, "feature_map")
     injectivity_probe(gaussian_family(), KernelSpec(1.0), PROBE_SPEC, n_starts=4, seed=0)
     sizes = [len(points) for points, _, _ in calls]
@@ -639,9 +638,9 @@ def test_probe_runs_where_the_normal_equations_are_singular(fam, path):
 def test_probe_solves_a_rank_one_jacobian(monkeypatch):
     # Phi(mu, sigma) = mu + sigma: J = [1, 1, -1, -1] times the box widths
     # has rank 1, and the least-squares steps bring every pair below tol^2
-    def plane(points, spec, model_params, kernel_params):
-        values = np.array([[[m.mu + m.sigma, 1.0, 1.0]] for m, _ in points])
-        return ("density",) * len(points), values, np.zeros_like(values)
+    def plane(models, kernels, spec, model_params, kernel_params):
+        values = np.stack(np.broadcast_arrays(models.mu + models.sigma, 1.0, 1.0), axis=-1)[:, None]
+        return "density", values, np.zeros_like(values)
 
     monkeypatch.setattr(wml.geometry, "_pairing_pass", plane)
     found = injectivity_probe(gaussian_family(), KernelSpec(1.0), FeatureMapSpec(orders=(0,)),
@@ -667,9 +666,15 @@ def test_geometry_entry_points_refuse_bad_arguments(monkeypatch):
     for theta, lam in (([0.0, 1.0, 2.0], [1.0]), ([0.0, 1.0], [1.0, 0.0])):
         with pytest.raises(DimensionMismatch, match="expects"):
             jacobian(gaussian_family(), scale_kernel_family(), theta, lam, FeatureMapSpec(orders=(0,)))
-    with pytest.raises(DimensionMismatch):
-        _jacobians(gaussian_family(), scale_kernel_family(), [([0.0, 1.0], [1.0]), ([0.0], [1.0])],
-                   FeatureMapSpec(orders=(0,)))
+    # a ragged grid, a wrong width, and a lambda grid of another length
+    # whose values would regroup into as many numbers as theta holds
+    for theta, lam in (([[0.0, 1.0], [0.0]], [[1.0], [1.0]]), ([[0.0], [1.0]], [[1.0], [1.0]]),
+                       ([[0.0, 1.0]], [[1.0], [1.0]])):
+        with pytest.raises(DimensionMismatch):
+            _jacobians(gaussian_family(), scale_kernel_family(), theta, lam, FeatureMapSpec(orders=(0,)))
+    for lambdas, thetas in (([[1.0], [2.0, 0.5]], [[0.0, 1.0]]), ([[1.0]], [[0.0, 1.0], [0.0]]), ([1.0], [0.0, 1.0])):
+        with pytest.raises(DimensionMismatch):
+            sweep_kernel(gaussian_family(), scale_kernel_family(), FeatureMapSpec(orders=(0,)), lambdas, thetas)
     assert not calls
     with pytest.raises(ValueError, match="finite"):
         numerical_rank(np.array([[1.0, np.nan], [0.0, 1.0]]))
@@ -689,7 +694,7 @@ def test_jacobian_is_the_one_point_slice_of_a_stack(fam, kfam, thetas, lams, pat
     # the same bits
     spec = FeatureMapSpec(orders=(0, 1, 3), path=path)
     grid = [(th, lam) for lam in lams for th in thetas]
-    stack = _jacobians(fam, kfam, grid, spec)
+    stack = _jacobians(fam, kfam, *(np.array(z) for z in zip(*grid)), spec)
     n, k, p, q = len(grid), len(spec.orders), fam.p, kfam.p
     assert (stack.d_theta.shape, stack.d_lambda.shape, stack.error_estimates.shape) == \
         ((n, k, p), (n, k, q), (n, k, p + q))
@@ -704,3 +709,30 @@ def test_jacobian_is_the_one_point_slice_of_a_stack(fam, kfam, thetas, lams, pat
             assert getattr(rep, name).tobytes() == getattr(stack, name)[i].tobytes(), (name, th, lam)
         assert rep.features.values.tobytes() == stack.features.values[i].tobytes()
         assert rep.features.errors.tobytes() == stack.features.errors[i].tobytes()
+
+
+@pytest.mark.parametrize("fam, model", [(cauchy_family(), "Cauchy"), (lognormal_family(), "LogNormal")])
+def test_a_grid_enters_its_pass_as_columns(monkeypatch, fam, model):
+    # a 300-point grid builds no spec object per point: its columns are
+    # checked, meshed and stacked as arrays, with one call of the mesh
+    # builder for every point, which the passes share out; sweep_kernel
+    # is that grid with its rows
+    import wml.models
+
+    made, meshes, passes = [], [], []
+    for kind in (getattr(wml.models, model), wml.models.KernelSpec):
+        check = kind.__post_init__
+        monkeypatch.setattr(kind, "__post_init__", lambda self, check=check: made.append(self) or check(self))
+    breakpoints, real_line, half_line = wml.features._breakpoints, wml.features._real_line, wml.features._half_line
+    monkeypatch.setattr(wml.features, "_breakpoints", lambda m, k: meshes.append(1) or breakpoints(m, k))
+    monkeypatch.setattr(wml.features, "_real_line", lambda f, mesh: passes.append(len(mesh)) or real_line(f, mesh))
+    monkeypatch.setattr(wml.features, "_half_line", lambda f, mesh: passes.append(len(mesh)) or half_line(f, mesh))
+    monkeypatch.setattr(wml.features, "_CALL_VALUES", 2**15)  # several passes
+    theta = np.column_stack([np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 25) for lo, hi in fam.box])
+    grid = np.repeat(np.geomspace(0.5, 20.0, 12), 25)[:, None]
+    stack = _jacobians(fam, scale_kernel_family(), np.tile(theta, (12, 1)), grid, FeatureMapSpec((0, 1)))
+    assert stack.d_theta.shape == (300, 2, fam.p) and np.all(np.isfinite(stack.joint))
+    assert len(made) <= 2 and meshes == [1] and len(passes) > 1 and sum(passes) == 300
+    made.clear(), meshes.clear(), passes.clear()
+    rows = sweep_kernel(fam, scale_kernel_family(), FeatureMapSpec((0, 1)), np.geomspace(0.5, 20.0, 12), theta)
+    assert len(rows) == 300 and len(made) <= 2 and meshes == [1] and sum(passes) == 300

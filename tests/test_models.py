@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+import wml.models
 from wml.models import (
+    _W_MESH,
+    _Z_MESH,
+    _breakpoints,
+    _charfn_points,
+    _columns,
     Cauchy,
     Gaussian,
     KernelSpec,
@@ -269,3 +275,117 @@ def test_stieltjes_fisher_information_and_stable_two_moments_in_closed_form():
         for n in range(1, 7):
             assert classical_moment(SymmetricStable(2.0, mu, sigma), n) == \
                 classical_moment(Gaussian(mu, np.sqrt(2.0) * sigma), n), (mu, sigma, n)
+
+
+def reference_breakpoints(m, k):
+    """The per-point first mesh as it was written before grids entered
+    their pass as columns, the reference for the column form."""
+    peak_offsets = np.array([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
+    log_tail = np.array([-10.0, -8.0, -6.0, -5.0, 5.0, 6.0, 8.0, 10.0])
+    if support(m) == "real":
+        width = getattr(m, "sigma", 1.0) / k.s
+        if not width < 0.7:
+            return _W_MESH
+        tail = width * 2.0 ** np.arange(3.0, np.log2(0.5 / width) + 1.0)  # up to 0.5
+        peak = (m.mu - k.c) / k.s + np.concatenate((width * peak_offsets, tail, -tail))
+        return np.concatenate((_W_MESH, peak[np.abs(peak) <= 10.0]))
+    window = k.c + k.s * _Z_MESH
+    if isinstance(m, StieltjesLogNormal) and window[-1] > 0.0:
+        lo = np.log(window[0]) if window[0] > 0.0 else -np.inf
+        hi = np.log(window[-1])
+        if max(lo, -4.0) < min(hi, 4.0):
+            tail = log_tail[(lo <= log_tail) & (log_tail <= hi)]
+            a, b = max(lo, -4.0), min(hi, 4.0)
+            grid = np.exp(np.arange(np.floor(a / 0.25), np.ceil(b / 0.25) + 1.0) * 0.25)
+            points = np.concatenate((grid, np.exp(tail)))
+            return points if lo == -np.inf else np.concatenate((points, window))
+    y = getattr(m, "mu", 0.0) + getattr(m, "sigma", 1.0) * _Z_MESH
+    if window[-1] > 0.0:
+        y = y[y <= np.log(window[-1])]
+    return np.concatenate((np.exp(y), window[window > 0.0]))
+
+
+def reference_charfn_points(m, k):
+    w_half = _W_MESH[_W_MESH > 0.0]
+    decay = np.concatenate((w_half / k.s, w_half / getattr(m, "sigma", 1.0)))
+    return np.concatenate((decay, decay.min() * np.exp(-np.array([0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 16.0, 24.0]))))
+
+
+def mesh_cases():
+    """(name, models, kernels, cases to cover) over seeded box points of
+    every integrated frame, each family's points one grid: the window
+    frame's wide windows and narrow Lorentzians (peak points clipped at
+    |z| <= 10, tails down to 0.5), log-normal windows that do and do not
+    reach x <= 0, and Stieltjes windows with and without quarter periods
+    in range."""
+    rng = np.random.default_rng(31)
+    n = 60
+    mu, s = rng.uniform(-5.0, 5.0, n), np.exp(rng.uniform(np.log(0.05), np.log(1000.0), n))
+    c, sigma = rng.uniform(-10.0, 10.0, n), np.exp(rng.uniform(np.log(0.05), np.log(10.0), n))
+    kernels = [KernelSpec(float(a), float(b)) for a, b in zip(s, c)]
+    # a narrow Lorentzian whose peak points pass |z| = 10, and one whose
+    # tail points run down to the window mesh's 0.5
+    yield "cauchy", [Cauchy(float(a)) for a in mu] + [Cauchy(5.0), Cauchy(0.3)], \
+        kernels + [KernelSpec(1.6, -10.0), KernelSpec(900.0)]
+    yield "stable(1)", [SymmetricStable(1.0, float(a), float(b)) for a, b in zip(mu, sigma)], kernels
+    yield "gaussian in the window frame", [Gaussian(float(a), 1e-160) for a in mu[:8]], \
+        [KernelSpec(1e-160 * float(b), 1e-160 * float(a)) for a, b in zip(c[:8], sigma[:8])]
+    yield "lognormal", [LogNormal(float(a) * 0.6, float(b) * 0.5) for a, b in zip(mu, sigma)], kernels
+    yield "stieltjes", [StieltjesLogNormal(float(a) / 5.0) for a in mu], kernels
+
+
+def test_column_meshes_are_the_per_point_meshes_bit_for_bit():
+    # one masked array expression per frame gives each point of a grid,
+    # bit for bit, the breakpoints it had alone, and has as one point; nan
+    # pads a row, and the pass sorts each row
+    seen = set()
+    for name, ms, ks in mesh_cases():
+        names = [field for field in vars(ms[0]) if field != "alpha"]
+        models = _columns(ms[0], names, [[getattr(m, field) for field in names] for m in ms])
+        kernels = _columns(ks[0], ("s", "c"), [[k.s, k.c] for k in ks])
+        for build, reference in ((_breakpoints, reference_breakpoints), (_charfn_points, reference_charfn_points)):
+            if build is _charfn_points and isinstance(ms[0], (LogNormal, StieltjesLogNormal)):
+                continue
+            rows = build(models, kernels)
+            assert rows.shape[0] == len(ms)
+            # the pass drops nan, and in the frame 'half' every point at x <= 0
+            kept = (lambda r: np.sort(r[r > 0.0])) if support(ms[0]) == "half" else (lambda r: np.sort(r[r == r]))
+            for m, k, row in zip(ms, ks, rows):
+                assert kept(row).tobytes() == kept(reference(m, k)).tobytes(), (name, m, k)
+                assert kept(build(m, k)[0]).tobytes() == kept(row).tobytes(), (name, m, k)
+                window = k.c + k.s * _Z_MESH
+                if name == "cauchy":
+                    seen.add("narrow" if k.s > 1.0 / 0.7 else "wide")
+                    if k.s > 1.0 / 0.7 and abs(m.mu - k.c) / k.s + 4.0 / k.s > 10.0:
+                        seen.add("peak clipped")
+                if isinstance(m, LogNormal):
+                    seen.add("reaches x <= 0" if window[0] <= 0.0 else "in x > 0")
+                if isinstance(m, StieltjesLogNormal):
+                    quarter = window[-1] > 0.0 and max(np.log(window[0]) if window[0] > 0.0 else -np.inf, -4.0) \
+                        < min(np.log(window[-1]), 4.0)
+                    seen.add("quarter periods" if quarter else "no quarter period")
+    assert seen == {"narrow", "wide", "peak clipped", "reaches x <= 0", "in x > 0", "quarter periods",
+                    "no quarter period"}
+
+
+@pytest.mark.parametrize("kind, names, bad, field", [
+    (Gaussian(0.0, 1.0), ("mu", "sigma"), [0.0, -1.0], "sigma must be positive"),
+    (Gaussian(0.0, 1.0), ("mu", "sigma"), [np.nan, 1.0], "mu must be finite"),
+    (LogNormal(0.0, 1.0), ("mu", "sigma"), [np.inf, 1.0], "mu must be finite"),
+    (Cauchy(0.0), ("mu",), [-np.inf], "mu must be finite"),
+    (StieltjesLogNormal(0.0), ("a",), [1.5], r"\|a\| must be <= 1"),
+    (SymmetricStable(1.5, 0.0, 1.0), ("mu", "sigma"), [0.0, 0.0], "sigma must be positive"),
+    (KernelSpec(1.0), ("s",), [0.0], "kernel scale must be positive"),
+    (KernelSpec(1.0), ("s", "c"), [1.0, np.nan], "c must be finite"),
+])
+def test_the_column_entry_rejects_a_bad_field_by_name(kind, names, bad, field):
+    # the checks of __post_init__ as one array comparison per field: the
+    # first bad point of a grid raises the ValueError its spec would
+    good = [getattr(kind, name) for name in names]
+    with pytest.raises(ValueError, match=f"^{field}, got "):
+        _columns(kind, names, [good, good, bad, good])
+    columns = _columns(kind, names, [good, good])
+    assert all(np.array_equal(getattr(columns, name), [value, value]) for name, value in zip(names, good))
+    with pytest.raises(ValueError, match=f"^{field}, got "):  # one point is a spec of its own
+        _columns(kind, names, [bad])
+    assert _columns(kind, names, [good]) == kind

@@ -169,7 +169,7 @@ def test_a_non_finite_value_names_the_first_segment_that_has_one():
         return np.where(seg >= 1, np.nan, np.exp(-x * x))
 
     with pytest.raises(NonFiniteEvaluation) as info:
-        wml.quad._real_line(f, np.empty(0), np.empty(0, dtype=int), 3)
+        wml.quad._real_line(f, np.empty((3, 0)))
     assert info.value.segment == 1 and info.value.points.size == 15
 
 
