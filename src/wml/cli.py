@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
+import math
 import re
 import sys
 
@@ -58,6 +60,9 @@ class ConfigError(Exception):
     """Bad flag value; maps to exit code 2."""
 
 
+_MAX_GRID_POINTS = 10**5  # the most (lambda, theta) points of a sweep: --s x --c x every --grid axis
+
+
 _MODEL_GRAMMAR = {
     "gaussian": (Gaussian, {"mu": 0.0, "sigma": 1.0}),
     "cauchy": (Cauchy, {"mu": 0.0}),
@@ -92,6 +97,12 @@ def parse_model(text: str):
 
 
 def parse_grid(text: str) -> np.ndarray:
+    return _grid_axis(text)[1]()
+
+
+def _grid_axis(text: str):
+    """The grid ``text``, checked, as its number of points and a function
+    that builds it, so that its size is known before it is built."""
     spec = text.strip()
     geometric = spec.startswith("log")
     if geometric:
@@ -108,8 +119,7 @@ def parse_grid(text: str) -> np.ndarray:
     if geometric:
         if lo <= 0 or hi <= 0:
             raise ConfigError(f"grid {text!r}: geometric spacing needs positive endpoints")
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+    return n, functools.partial(np.geomspace if geometric else np.linspace, lo, hi, n)
 
 
 def parse_kernel(text: str) -> KernelSpec:
@@ -228,26 +238,22 @@ def _cmd_sweep(args) -> int:
     spec = FeatureMapSpec(orders=parse_orders(args.orders), path=args.path)
     fam, theta0 = canonical_family(model)
 
-    s_grid = parse_grid(args.s)
-    if args.c is not None:
-        kfam = scale_center_kernel_family()
-        c_grid = parse_grid(args.c)
-        lam_grid = [(s, c) for s in s_grid for c in c_grid]
-    else:
-        kfam = scale_kernel_family()
-        lam_grid = [(s,) for s in s_grid]
-
-    axes = {name: [theta0[i]] for i, name in enumerate(fam.param_names)}
+    kfam = scale_kernel_family() if args.c is None else scale_center_kernel_family()
+    lam_axes = [_grid_axis(args.s)] + ([] if args.c is None else [_grid_axis(args.c)])
+    theta_axes = {}
     for item in args.grid:
         key, eq, val = item.partition("=")
         key = key.strip()
         if not eq or key not in fam.param_names:
             raise ConfigError(f"--grid: unknown parameter in {item!r} "
                               f"(family has {', '.join(fam.param_names)})")
-        axes[key] = list(parse_grid(val))
-    theta_grid = [()]
-    for name in fam.param_names:
-        theta_grid = [prev + (v,) for prev in theta_grid for v in axes[name]]
+        theta_axes[key] = _grid_axis(val)
+    count = math.prod(n for n, _ in lam_axes + list(theta_axes.values()))
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(f"sweep grid of {count} points (--s x --c x --grid); at most {_MAX_GRID_POINTS}")
+    lam_grid = list(itertools.product(*(build() for _, build in lam_axes)))
+    theta_grid = list(itertools.product(*(theta_axes[name][1]() if name in theta_axes else [theta0[i]]
+                                          for i, name in enumerate(fam.param_names))))
 
     rows = sweep_kernel(fam, kfam, spec, lam_grid, theta_grid)
     text = dumps_csv(rows) if args.format == "csv" else dumps_json(sweep_doc(rows))

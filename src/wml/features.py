@@ -50,15 +50,16 @@ from .models import (
     ModelFamily,
     ModelSpec,
     NoDensity,
+    Undefined,
     Unsupported,
     _SQRT_2PI,
+    _TINY,
     _breakpoints,
     _charfn_points,
     _charfn_score,
     _count,
     _frame,
     _score,
-    _stack,
     _take,
     _tilt,
     char_fn,
@@ -223,7 +224,7 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
     pass, from its own row of one ``models._breakpoints`` (or
     ``_charfn_points``) call, so it returns, bit for bit, what it returns
     alone, while each integrand call fills the rows of all its points'
-    nodes at once (``models._stack``).  A point that fails raises its
+    nodes at once (``models._take``).  A point that fails raises its
     error naming it, and for ``NonConvergence`` the order and column."""
     unknown = [name for name in model_params if name is not None and name not in _SCORE_NAMES]
     unknown += [name for name in kernel_params if name not in ("s", "c")]
@@ -234,15 +235,14 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
     columns = [name or "value" for name in model_params] + list(kernel_params)
     width, n = len(spec.orders) * len(columns), _count(models, kernels)
     on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(models))
-    route, passes, out = "density" if on_density else "charfn", [], None
+    route, passes, out = "density" if on_density else "charfn", [], np.empty((2, n, len(spec.orders), len(columns)))
     # at extreme orders x^j, Psi_j or M_j overflows (raised as
     # NonFiniteEvaluation), and a score may divide by 0 where f is 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         frames = _frame(models, kernels) if on_density else "u"
         for frame in [frames] if type(frames) is str else np.unique(frames).tolist():
             index = range(n) if type(frames) is str else (frames == frame).nonzero()[0]
-            pick = index if len(index) > 1 else int(index[0])  # one point is a spec of its own
-            ms, ks = (models, kernels) if len(index) == n else (_take(models, pick), _take(kernels, pick))
+            ms, ks = (models, kernels) if len(index) == n else (_take(models, index), _take(kernels, index))
             mesh = None if frame == "z" else (_breakpoints if on_density else _charfn_points)(ms, ks)
             per = len(index) if mesh is None else max(1, _CALL_VALUES // (15 * width * (mesh.shape[1] + 1)))
             if per >= len(index):
@@ -273,8 +273,6 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
             shape = (len(index), len(spec.orders), len(columns))  # rows run (order, column)
             if len(index) == n:  # every point, in input order
                 return route, values.reshape(shape), errors.reshape(shape)
-            if out is None:
-                out = np.empty((2, n) + shape[1:])
             out[:, index] = values.reshape(shape), errors.reshape(shape)
     return route, out[0], out[1]
 
@@ -296,16 +294,15 @@ def _powers(x, orders):
 def _density_stack(ms, ks, orders, model_params, kernel_params):
     """f(v, seg), the density-route rows of the points of columns ``ms``
     and ``ks`` of one ``models._frame``, each node's rows those of its own
-    point ``seg`` (``models._stack``): per order j, x^j phi f times each score
+    point ``seg`` (``models._take``): per order j, x^j phi f times each score
     d/dtheta log f (None: the value row), then x^j f d/dlambda phi.  In
     the frame 'window' v is the window's z = (x - c) / s and the rows
     carry dx/dz = s: s phi = exp(-z^2 / 2) / sqrt(2 pi) and d/dlambda log
     phi, (z^2 - 1) / s and z / s, come from z itself; in 'half' v is x."""
-    models, kernels = _stack(ms), _stack(ks)
     window = support(ms) == "real"
 
     def f(v, seg):
-        m, k = models(seg), kernels(seg)
+        m, k = _take(ms, seg), _take(ks, seg)
         if window:
             x = k.s * v
             x += k.c
@@ -345,9 +342,9 @@ _EPS, _SUBNORMAL = np.finfo(float).eps, float(np.nextafter(0.0, 1.0))
 _ROUNDING = 20.0 * _EPS  # a closed-form entry's own, beside its M_j's (about 12 eps)
 
 
-def _gaussian_pairings(ms, ks, orders, model_params, kernel_params):
+def _gaussian_pairings(m, k, orders, model_params, kernel_params):
     """(values, errors), (N, K+1, C) as in ``_pairing_pass``, of Gaussian
-    models ``ms`` (of one type) paired with windows ``ks`` in closed form:
+    models ``m`` (of one type) paired with windows ``k`` in closed form:
     f phi = w_0 N(mean, width2) (``models._tilt``), so w_j = w_0 M_j with
     M_j = E[Y^j], Y = mean + width Z, M_{j+1} = mean M_j + j width2 M_{j-1}.
     A score is a polynomial in x - mu = mu_gap + width Z, and by Stein
@@ -363,10 +360,8 @@ def _gaussian_pairings(ms, ks, orders, model_params, kernel_params):
     Its terms never cancel (M_j(-m) = (-1)^j M_j(m)), so each M_j's
     rounding bound runs beside it on |mean|, fed by the errors of mass,
     mean and width2 and by each step's rounding."""
-    n = _count(ms, ks)
-    m, k = _stack(ms)(slice(None)), _stack(ks)(slice(None))  # one point: its scalar fields
-    t = _tilt(m, k)
-    zero = np.zeros(n) if n > 1 else 0.0  # every column n long, shared fields too
+    n, t = _count(m, k), _tilt(m, k)
+    zero = np.zeros(n) if np.ndim(t.mean) else 0.0  # columns: every one n long, shared fields too
     w2, s2 = t.width2 + zero, k.s * k.s
     mean_err = _EPS * (4.0 * np.minimum(abs(t.mu_gap), abs(t.c_gap)) + 3.0 * abs(t.mean))  # with its rounding
     a, e = [zero, zero, t.mass + zero], [zero, zero, t.mass * t.mass_err + _SUBNORMAL + zero]  # M_{j-2, j-1, j}
@@ -411,7 +406,7 @@ def _gaussian_pairings(ms, ks, orders, model_params, kernel_params):
 def _charfn_stack(ms, ks, orders, model_params, kernel_params):
     """f(u, seg), the char-fn-route rows of the points of columns ``ms``
     and ``ks``, each node's rows those of its own point ``seg``
-    (``models._stack``): per order j, Re c Psi_j / pi times each d/dtheta
+    (``models._take``): per order j, Re c Psi_j / pi times each d/dtheta
     log c (None: the value row), then Re c d/dlambda Psi_j / pi.  Each
     row, the real part of the transform of a real function, is even in u:
     1 / pi over (0, inf) is 1 / 2 pi over the line.
@@ -421,10 +416,8 @@ def _charfn_stack(ms, ks, orders, model_params, kernel_params):
     first non-finite Psi_j, and every higher order gets that Psi_j's rows,
     so the engine raises at once rather than rolling on through inf/nan.
     """
-    models, kernels = _stack(ms), _stack(ks)
-
     def f(u, seg):
-        m, k = models(seg), kernels(seg)
+        m, k = _take(ms, seg), _take(ks, seg)
         s2 = k.s * k.s
         cf = char_fn(m, u)
         dcf = [cf if name is None else cf * _charfn_score(m, _SCORE_NAMES[name])(u) for name in model_params]
@@ -496,18 +489,21 @@ def moments_to_cumulants(raw: np.ndarray) -> np.ndarray:
 
 
 def weak_cumulants(m: ModelSpec, k: KernelSpec, J: int) -> WeakCumulants:
-    """Cumulants of the tilted probability f phi / w_0 up to order J <= 6."""
+    """Cumulants of the tilted probability f phi / w_0 up to order J <= 6;
+    ``Undefined`` where w_0 is not a positive normal double."""
     if not (1 <= J <= 6):
         raise ValueError("cumulant order must lie in [1, 6]")
     if not support_has_density(m):
         raise NoDensity("weak cumulants need pointwise f phi (a density-bearing model)")
     w = _pairing_pass(m, k, FeatureMapSpec(orders=tuple(range(J + 1)), path="density"), (None,), ())[1][0, :, 0]
+    if not _TINY <= w[0] < np.inf:
+        raise Undefined(f"weak cumulants of {m} with {k}: w_0 = {w[0]:.3e} is not a positive normal double")
     return WeakCumulants(moments_to_cumulants(w[1:] / w[0]))
 
 
 def influence_value(k: KernelSpec, j: int, x: float, w_j: float) -> float:
     """Influence function of the weak-moment functional at x: x^j phi(x) - w_j."""
-    return float(x**j * kernel_eval(k, x) - w_j)
+    return float(_power_window(k, j, np.float64(x)) - w_j)
 
 
 def influence_bound(k: KernelSpec, j: int) -> float:
@@ -521,4 +517,15 @@ def influence_bound(k: KernelSpec, j: int) -> float:
         raise ValueError("order must be nonnegative")
     half_gap = 0.5 * np.sqrt(k.c * k.c + 4.0 * j * k.s * k.s)
     roots = 0.5 * k.c + np.array([half_gap, -half_gap])
-    return float(np.max(np.abs(roots**j * kernel_eval(k, roots))))
+    return float(np.max(np.abs(_power_window(k, j, roots))))
+
+
+def _power_window(k: KernelSpec, j: int, x):
+    """x^j phi(x) at a numpy float x or over an array: the product where
+    x^j and phi are normal doubles, else, so that neither factor's range
+    spoils it, exp(j log|x| + log phi) with the sign of x^j."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        xj, phi = x**j, kernel_eval(k, x)
+        normal = (_TINY <= np.abs(xj)) & (np.abs(xj) < np.inf) & (phi >= _TINY)
+        log = (j * np.log(np.abs(x)) if j else 0.0) - 0.5 * ((x - k.c) / k.s) ** 2 - np.log(_SQRT_2PI * k.s)
+        return np.where(normal, xj * phi, np.copysign(np.exp(log), xj))

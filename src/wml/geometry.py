@@ -203,22 +203,22 @@ def jacobian(fam: ModelFamily, kfam: ModelFamily, theta, lam,
     :func:`wml.features.weak_moment_jacobian` for the integrals.  The
     family's parameters must be the model's own fields (as in every
     catalog family).  The feature values come from the same pass."""
-    rep = _jacobians(fam, kfam, [theta], [lam], spec)
+    rep = _jacobians(fam, kfam, _points(fam, [theta]), _points(kfam, [lam]), spec)
     return JacobianReport(rep.d_theta[0], rep.d_lambda[0], rep.error_estimates[0],
                           FeatureVector(rep.features.values[0], rep.features.errors[0], rep.features.paths[0]))
 
 
-def _points(fam: ModelFamily, z, n=None) -> np.ndarray:
+def _points(fam: ModelFamily, z) -> np.ndarray:
     """The points ``z`` of ``fam`` as an (N, p) array (a point of one
-    parameter may be a number), N = ``n`` where given;
-    ``DimensionMismatch`` for a ragged grid or any other shape."""
+    parameter may be a number); ``DimensionMismatch`` for a ragged grid
+    or any other shape."""
     try:
         z = np.array(z, dtype=float)
     except ValueError:  # ragged
         z = np.empty((0, 0))
     z = z[:, None] if z.ndim == 1 and fam.p == 1 else z
-    if z.ndim != 2 or z.shape[1] != fam.p or n not in (None, len(z)):
-        raise DimensionMismatch(f"family {fam.name} expects {fam.p} parameters at each of {n or 'its'} points")
+    if z.ndim != 2 or z.shape[1] != fam.p:
+        raise DimensionMismatch(f"family {fam.name} expects {fam.p} parameters at each of its points")
     return z
 
 
@@ -234,13 +234,12 @@ def _family_columns(fam: ModelFamily, z: np.ndarray):
 
 def _jacobians(fam: ModelFamily, kfam: ModelFamily, theta, lam, spec: FeatureMapSpec) -> JacobianReport:
     """:func:`jacobian` at every point of the grid theta (N, p), lam
-    (N, q), each checked as there by one array comparison per family,
-    from stacked passes over their columns (see
-    ``features._pairing_pass``): one report with the points on a leading
-    axis."""
-    theta = _points(fam, theta)
+    (N, q), arrays of those shapes (see ``_points``), each point checked
+    as there by one array comparison per family, from stacked passes
+    over their columns (see ``features._pairing_pass``): one report with
+    the points on a leading axis."""
     grid = []
-    for family, z in ((fam, theta), (kfam, _points(kfam, lam, len(theta)))):
+    for family, z in ((fam, theta), (kfam, lam)):
         box = np.array(family.box)
         inside = (box[:, 0] < z) & (z < box[:, 1])
         if not inside.all():

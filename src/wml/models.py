@@ -273,7 +273,7 @@ def _gaussian_moment(n, mu, sigma):
 def _score(m: ModelSpec, which: str):
     """Analytic score function d/dtheta log f for the selected parameter;
     ``NoDensity`` for a characteristic-function-only model.  Powers of a
-    field are products: a field and its ``_stack`` column round alike."""
+    field are products: a field and its column (``_take``) round alike."""
     ratio = _variance_ratio(m)
     if ratio is not None:
         # a Gaussian with standard deviation sd: stable(2) has sd = sqrt(2)
@@ -378,7 +378,7 @@ class _Tilt:
     closed form: f phi = w_0 N(mean, width2), w_0 = mass e^-lift, ``mass``
     within a relative ``mass_err``; ``mu_gap``, ``c_gap`` are mean - mu and
     mean - c, and ``spread`` is (c - mu)^2 - total, total = var + s^2, within
-    ``spread_err``.  Each field is a scalar or a ``_stack``'s column."""
+    ``spread_err``.  Each field is a scalar or a column (``_columns``)."""
 
     mean: float
     width2: float
@@ -396,7 +396,7 @@ class _Tilt:
 def _tilt(m: ModelSpec, k: KernelSpec) -> _Tilt:
     """The tilted law (``_Tilt``) of a Gaussian model under the window
     ``k``, a pairing of the frame 'z' (``_frame``), elementwise over the
-    columns of ``_stack``s of points (scalar fields give the same bits).
+    columns of points (``_columns``; scalar fields give the same bits).
 
     log(mass e^-lift) = -(c - mu)^2 / 2T - log(2 pi T) / 2, T = var + s^2.
     Its first term reaches 700 before the pairing underflows, where one
@@ -481,31 +481,18 @@ def _count(*specs) -> int:
 
 
 def _take(spec, index):
-    """The points ``index`` (an index array or a slice) of columns, or for
-    an int that point as a spec of its own."""
-    pick = {name: value[index] if type(value) is np.ndarray else value for name, value in vars(spec).items()}
+    """The points ``index`` (an index array, each node's segment, or a
+    slice) of columns, for ``density``, ``char_fn``, the scores and
+    ``kernel_eval`` to work on elementwise; a spec of no column as it is;
+    for an int, that point as a spec of its own."""
+    columns = {name: value[index] for name, value in vars(spec).items() if type(value) is np.ndarray}
     if isinstance(index, int):
-        return type(spec)(**{name: float(value) for name, value in pick.items()})
+        return type(spec)(**{name: float(value) for name, value in {**vars(spec), **columns}.items()})
+    if not columns:
+        return spec
     out = object.__new__(type(spec))
-    vars(out).update(pick)
+    vars(out).update(vars(spec), **columns)
     return out
-
-
-def _stack(spec):
-    """The points of columns (``_columns``) as a function of each node's
-    segment (an index into the points) that gives one unchecked spec of
-    the nodes' own values (``_take``), for ``density``, ``char_fn``, the
-    scores and ``kernel_eval`` to work on elementwise.  A column whose
-    points share one value (every column of one point) is that value: a
-    scalar gives the same bits as a column at less cost."""
-    bits = {name: value.view(np.uint64) for name, value in vars(spec).items() if type(value) is np.ndarray}
-    if not bits:  # one point
-        return lambda seg: spec
-    shared = [name for name, column in bits.items() if (column == column[0]).all()]
-    if shared:
-        spec = _take(spec, slice(None))
-        vars(spec).update({name: float(vars(spec)[name][0]) for name in shared})
-    return (lambda seg: _take(spec, seg)) if len(shared) < len(bits) else (lambda seg: spec)
 
 
 # the first mesh of a window pairing, in z = (x - c) / s, whose half also
@@ -587,11 +574,7 @@ def _col(v):
 
 def _rows(n: int, blocks):
     """The candidates of n points, a row each, nan where a point does not
-    keep one, from blocks of (candidates, mask): one row or a row a point.
-    One point, of scalar fields, keeps its candidates only, with no nan."""
-    if n == 1:
-        return np.concatenate([block[keep] if type(keep) is np.ndarray else block if keep else block[:0]
-                               for block, keep in blocks])[None]
+    keep one, from blocks of (candidates, mask)."""
     out, at = np.empty((n, sum([block.shape[-1] for block, _ in blocks]))), 0
     for block, keep in blocks:
         out[:, at:at + block.shape[-1]] = block if keep is True else np.where(keep, block, np.nan)

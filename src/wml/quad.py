@@ -395,7 +395,9 @@ def integrate_real_line(f, points=None) -> IntegralResult:
 
     ``points`` are breakpoints in x: the first panels end there, so a
     feature narrower than one panel of the transformed line (a peak far
-    from 0) is seen from the start.
+    from 0) is seen from the start, but only within them: the first panel
+    beyond the outermost one reaches to infinity, and its nodes and error
+    estimate may both miss a tail just past that point.
     """
     return _lone(_real_line(lambda x, _: f(x), _one(points)))
 
@@ -406,7 +408,8 @@ def integrate_half_line(f, points=None) -> IntegralResult:
     Applies the logarithmic substitution ``x = e^y`` and integrates
     ``y -> f(e^y) e^y`` over the real line as there; ``f`` may be
     (m, n)-valued as there, and ``points`` are breakpoints in x (those
-    outside the range below are dropped).  The substituted
+    outside the range below are dropped; the first panel beyond the
+    outermost one reaches to infinity, as there).  The substituted
     range is clipped to |log x| <= 64, i.e. x in [e^-64, e^64]; outside
     it the integrand is treated as zero.  Every density/kernel pairing in
     this package is identically zero in double precision well inside

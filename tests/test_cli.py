@@ -347,6 +347,33 @@ def test_sweep_empty_grid_is_config_error(capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("grids, count", [(("--s", "1:2:1000000000000"), 1000000000000),
+                                          (("--s", "log1:2:100", "--c", "-1:1:40", "--grid", "mu=-2:2:30"), 120000)],
+                         ids=["one-huge-axis", "product-of-modest-axes"])
+def test_sweep_grid_over_its_bound_is_refused_before_it_is_built(capsys, monkeypatch, grids, count):
+    # the grid's size comes from its axes' counts: no axis is built, and
+    # the message names the count
+    def build(*args, **kwargs):
+        raise AssertionError("an axis was built")
+
+    monkeypatch.setattr(np, "linspace", build)
+    monkeypatch.setattr(np, "geomspace", build)
+    code, out, err = run_cli(capsys, "sweep", "--model", "gaussian", "--orders", "0", *grids)
+    assert (code, out) == (2, "")
+    assert err.startswith("wml: error: sweep grid of") and f" {count} points" in err and "Traceback" not in err
+
+
+def test_sweep_grid_bound_counts_every_axis(capsys, monkeypatch):
+    import wml.cli
+
+    monkeypatch.setattr(wml.cli, "_MAX_GRID_POINTS", 4)
+    base = ("sweep", "--model", "gaussian", "--orders", "0", "--s", "1:2:2")
+    assert run_cli(capsys, *base, "--c=-1:1:2")[0] == 0
+    for extra, count in ((("--c=-1:1:3",), 6), (("--grid", "sigma=1:2:3"), 6), (("--c=-1:1:2", "--grid", "mu=0:1:2"), 8)):
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert (code, out) == (2, "") and f" {count} points" in err, extra
+
+
 def test_output_schema_is_stable_across_runs(capsys):
     code, first, _ = run_cli(capsys, "run", "thresholds")
     code2, second, _ = run_cli(capsys, "run", "thresholds")

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 from dataclasses import replace
@@ -33,6 +34,7 @@ from wml.models import (
     NoDensity,
     StieltjesLogNormal,
     SymmetricStable,
+    Undefined,
     Unsupported,
     _breakpoints,
     _charfn_points,
@@ -590,6 +592,20 @@ def test_a_pass_over_several_groups_returns_each_point_in_its_place(monkeypatch)
     assert routes == {"density", "charfn"}
 
 
+def test_a_frame_of_one_point_in_a_grid_is_that_point_alone():
+    # a Gaussian grid whose other points take the other frame: the lone
+    # point's group is a one-point gather of the columns, in closed form
+    # or integrated, and every point comes back bit for bit as it is alone
+    z = [(Gaussian(0.2, 1.0), KernelSpec(2.0)), (Gaussian(0.3, 0.7), KernelSpec(1.0))]
+    window = [(Gaussian(0.0, 1e-160), KernelSpec(1e-160)), (Gaussian(0.0, 2e-160), KernelSpec(1e-160))]
+    spec = FeatureMapSpec((0,))
+    for grid in ([z[0], window[0], z[1]], [window[0], z[1], window[1]]):
+        _, values, errors = _pairing_pass(*columns(grid), spec, (None,), ())
+        for point, v, e in zip(grid, values, errors):
+            _, alone, alone_errors = _pairing_pass(*point, spec, (None,), ())
+            assert v.tobytes() == alone.tobytes() and e.tobytes() == alone_errors.tobytes(), point
+
+
 def test_a_stack_of_points_that_converge_alone_converges(monkeypatch):
     # shifted copies of a narrow window far out in a wide model (once out
     # of budget) and of a unit window 54 model widths out (once near
@@ -1050,6 +1066,16 @@ def test_weak_cumulants_of_a_tiny_w0():
     assert wc.kappa == pytest.approx([32.0, 0.2], rel=1e-8)
 
 
+@pytest.mark.parametrize("m, k, w0", [(Gaussian(0.0, 0.05), KernelSpec(0.05, 10.0), "0.000e+00"),
+                                      (Gaussian(0.0, 1.0), KernelSpec(0.5, 42.5), "5.952e-315")],
+                         ids=["zero", "subnormal"])
+def test_weak_cumulants_refuse_a_w0_below_the_normal_range(m, k, w0):
+    # the moments divided by a w_0 of 0 gave NaN kappas; by a subnormal
+    # one, kappas of no relative precision
+    with pytest.raises(Undefined, match=re.escape(f"{m} with {k}: w_0 = {w0} is not a positive normal double")):
+        weak_cumulants(m, k, 2)
+
+
 def test_subnormal_pairings_meet_a_target_floored_at_the_smallest_normal():
     # a narrow model 38 widths from a narrow window: every entry is
     # subnormal, without relative precision, and once exhausted the
@@ -1228,6 +1254,37 @@ def test_influence_value_and_bound_inequality():
         for x in np.linspace(-20, 20, 401):
             iv = influence_value(UNIT_KERNEL, j, x, w_j)
             assert abs(iv) <= bound + abs(w_j) + 1e-12
+
+
+def test_influence_functions_hold_a_product_in_range_when_a_factor_is_not():
+    # x^j overflows or phi underflows where x^j phi(x) is a normal double:
+    # against mpmath, 1e-12 relative there; inf above the range, and
+    # within the smallest normal of the truth below it
+    import mpmath
+
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    assert influence_bound(UNIT_KERNEL, 260) == pytest.approx(1.2278990252440e257, rel=1e-12)
+    assert influence_value(UNIT_KERNEL, 3, 1e200, 0.0) == 0.0
+    rng = np.random.default_rng(3)
+    xs = np.concatenate((rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-3.0, 200.0 ** 0.5, 40) ** 2,
+                         [0.0, 1e-3, 16.1, -38.7, 40.0, -60.0, 1e200, -1e200]))
+    with mpmath.workdps(40):
+        def truth(k, j, x):
+            x, s = mpmath.mpf(x), mpmath.mpf(k.s)
+            return x**j * mpmath.exp(-(x - k.c) ** 2 / (2 * s * s)) / (mpmath.sqrt(2 * mpmath.pi) * s)
+
+        for k in (UNIT_KERNEL, KernelSpec(0.5, 2.0), KernelSpec(30.0, -1.0)):
+            for j in (0, 1, 3, 50, 101, 200, 260, 300):
+                half = mpmath.sqrt(mpmath.mpf(k.c) ** 2 + 4 * j * mpmath.mpf(k.s) ** 2) / 2
+                sup = max(abs(truth(k, j, k.c / 2 + half)), abs(truth(k, j, k.c / 2 - half)))
+                pairs = [(influence_value(k, j, x, 0.0), truth(k, j, x)) for x in xs]
+                for got, true in pairs + [(influence_bound(k, j), sup)]:
+                    if abs(true) > big:
+                        assert abs(got) == np.inf, (k, j)
+                    elif abs(true) < tiny:
+                        assert abs(got - true) <= tiny, (k, j)
+                    else:
+                        assert abs(got - true) <= 1e-12 * abs(true), (k, j, got, true)
 
 
 def test_library_entry_points_refuse_bad_arguments():

@@ -326,6 +326,18 @@ def test_breakpoints_reveal_a_narrow_peak():
     assert on_half.value == pytest.approx(1.0, rel=1e-10)
 
 
+def test_a_peak_bracketed_out_to_its_tails_reports_an_error_that_bounds_its_true_error():
+    # the first panel beyond the outermost breakpoint reaches to infinity:
+    # with points at 40 +- {0, 1, 3, 6} widths only, its nodes miss the
+    # peak's tail, and the call reports 9.6e-13 against a true error of
+    # 2.0e-9; points at +-10 widths close the tails
+    peak = lambda x: np.exp(-0.5 * ((x - 40.0) / 0.01) ** 2) / (0.01 * np.sqrt(2 * np.pi))
+    points = 40.0 + 0.01 * np.array([-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 10.0])
+    for integrate in (integrate_real_line, integrate_half_line):
+        res = integrate(peak, points=points)
+        assert abs(res.value - 1.0) <= res.error_estimate < 1e-10, integrate.__name__
+
+
 def test_scaling_in_place_leaves_every_result_bit_identical():
     # reference: the substitutions as first written, scaling into a fresh
     # zero-filled array, run by the same engine
