@@ -8,13 +8,14 @@ finite for every order and every model in the catalog because the
 Gaussian window decays faster than any polynomial grows.  Two
 evaluation routes are provided:
 
-* the density route pairs x^j phi(x) with f(x).  A Gaussian model
-  times the window is w_0 N(m, w^2), so its w_j = w_0 E[Y^j], Y ~ N(m, w^2),
-  and their Jacobian come in closed form, with no integral
-  (``_gaussian_pairings``).  Any other pairing is integrated: the Cauchy
-  and stable(1) in the window's coordinate z = (x - c) / s, the
-  half-line models in log x, each from a first mesh placed on its own
-  product (``models._breakpoints``);
+* the density route pairs x^j phi(x) with f(x), in one way per law
+  (``models._frame``).  A Gaussian model times the window is w_0 N(m, w^2),
+  so its w_j = w_0 E[Y^j], Y ~ N(m, w^2), and their Jacobian come in
+  closed form, with no integral (``_gaussian_pairings``); where var + s^2
+  is not a normal double it is refused (``Unsupported``).  The others are
+  integrated: the Lorentzians, the Cauchy and stable(1), in the window's
+  coordinate z = (x - c) / s, the half-line models in log x, each from a
+  first mesh placed on its own product (``models._breakpoints``);
 * the characteristic-function route uses Parseval's identity.  With the
   forward transform Psi(u) = int psi(x) e^{-iux} dx and the model's
   char fn c(u) = E[e^{iuX}] = int f(x) e^{iux} dx, one has
@@ -202,8 +203,8 @@ def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_param
 
 
 # first-mesh values per integrand call (15 nodes a panel, times the rows):
-# a group of points is cut into passes of at most this many, so that a
-# pass's arrays stay a few MB however many points it holds
+# the points are cut into passes of at most this many, so that a pass's
+# arrays stay a few MB however many points it holds
 _CALL_VALUES = 2**17
 
 
@@ -216,10 +217,10 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
     the values and errors, (N, K+1, C) for N points, K+1 orders and C
     columns.
 
-    The model type (and alpha) fixes the route.  On the density route the
-    points split by ``models._frame``: those of the frame 'z' take their
-    closed form at once (``_gaussian_pairings``).  The others (u > 0 on
-    the char-fn route) share adaptive passes of at most ``_CALL_VALUES``
+    The law (and alpha) fixes the route, and on the density route its
+    ``models._frame``: in the frame 'z' every point takes its closed form
+    at once (``_gaussian_pairings``).  Otherwise (u > 0 on the char-fn
+    route) the points share adaptive passes of at most ``_CALL_VALUES``
     first-mesh values (or one point): each point is a segment of its
     pass, from its own row of one ``models._breakpoints`` (or
     ``_charfn_points``) call, so it returns, bit for bit, what it returns
@@ -235,46 +236,41 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
     columns = [name or "value" for name in model_params] + list(kernel_params)
     width, n = len(spec.orders) * len(columns), _count(models, kernels)
     on_density = spec.path == "density" or (spec.path == "auto" and support_has_density(models))
-    route, passes, out = "density" if on_density else "charfn", [], np.empty((2, n, len(spec.orders), len(columns)))
+    route, out = "density" if on_density else "charfn", np.empty((2, n, len(spec.orders), len(columns)))
     # at extreme orders x^j, Psi_j or M_j overflows (raised as
     # NonFiniteEvaluation), and a score may divide by 0 where f is 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        frames = _frame(models, kernels) if on_density else "u"
-        for frame in [frames] if type(frames) is str else np.unique(frames).tolist():
-            index = range(n) if type(frames) is str else (frames == frame).nonzero()[0]
-            ms, ks = (models, kernels) if len(index) == n else (_take(models, index), _take(kernels, index))
-            mesh = None if frame == "z" else (_breakpoints if on_density else _charfn_points)(ms, ks)
-            per = len(index) if mesh is None else max(1, _CALL_VALUES // (15 * width * (mesh.shape[1] + 1)))
-            if per >= len(index):
-                passes.append((frame, index, ms, ks, mesh))
-            else:
-                passes += [(frame, index[a:a + per], _take(ms, slice(a, a + per)), _take(ks, slice(a, a + per)),
-                            mesh[a:a + per]) for a in range(0, len(index), per)]
-        for frame, index, ms, ks, mesh in passes:
+        frame = _frame(models) if on_density else "u"
+        mesh = None if frame == "z" else (_breakpoints if on_density else _charfn_points)(models, kernels)
+        per = n if mesh is None else max(1, _CALL_VALUES // (15 * width * (mesh.shape[1] + 1)))
+        for at in range(0, n, per):
+            cut = slice(at, at + per)
+            ms, ks = (models, kernels) if per >= n else (_take(models, cut), _take(kernels, cut))
             try:
                 if frame == "z":
                     values, errors = _gaussian_pairings(ms, ks, spec.orders, model_params, kernel_params)
                 else:  # the char-fn rows are even in u: their pairing is the integral over u > 0
                     values, errors, _ = (_half_line if frame in ("half", "u") else _real_line)(
                         (_charfn_stack if frame == "u" else _density_stack)(ms, ks, spec.orders, model_params,
-                                                                             kernel_params), mesh)
+                                                                             kernel_params), mesh[cut])
             except QuadratureError as exc:
-                m, k = _take(ms, exc.segment), _take(ks, exc.segment)
-                if frame == "u" and isinstance(exc, NonFiniteEvaluation):
-                    exc = NonFiniteEvaluation(exc.points, "u")  # the char-fn rows are functions of u
-                elif isinstance(exc, NonFiniteEvaluation) and frame != "z":  # name the nodes in x
-                    exc = NonFiniteEvaluation(k.c + k.s * exc.points if frame == "window" else exc.points)
-                where = f"{m} with {k}"
-                if isinstance(exc, NonConvergence):
-                    order, col = divmod(exc.component, len(columns))
-                    where = f"order {spec.orders[order]}, column {columns[col]}, at {where}"
-                exc.args = (f"{exc}; {where}",)
-                raise exc from None
-            shape = (len(index), len(spec.orders), len(columns))  # rows run (order, column)
-            if len(index) == n:  # every point, in input order
+                order, col = divmod(getattr(exc, "component", 0), len(columns))
+                what = f"order {spec.orders[order]}, column {columns[col]}" if isinstance(exc, NonConvergence) else ""
+                raise _named(exc, frame, _take(ms, exc.segment), _take(ks, exc.segment), what) from None
+            shape = (min(per, n - at), len(spec.orders), len(columns))  # rows run (order, column)
+            if per >= n:  # every point, in input order
                 return route, values.reshape(shape), errors.reshape(shape)
-            out[:, index] = values.reshape(shape), errors.reshape(shape)
+            out[:, cut] = values.reshape(shape), errors.reshape(shape)
     return route, out[0], out[1]
+
+
+def _named(exc, frame, m, k, what):
+    """``exc`` of a pass in ``frame``, naming ``what`` failed (if anything),
+    the point ``m`` with ``k`` and a non-finite node in x (u on the char-fn route)."""
+    if isinstance(exc, NonFiniteEvaluation) and frame in ("window", "u"):
+        exc = NonFiniteEvaluation(exc.points, "u") if frame == "u" else NonFiniteEvaluation(k.c + k.s * exc.points)
+    exc.args = (f"{exc}; {what + ', at ' if what else ''}{m} with {k}",)
+    return exc
 
 
 def _powers(x, orders):
@@ -293,12 +289,13 @@ def _powers(x, orders):
 
 def _density_stack(ms, ks, orders, model_params, kernel_params):
     """f(v, seg), the density-route rows of the points of columns ``ms``
-    and ``ks`` of one ``models._frame``, each node's rows those of its own
-    point ``seg`` (``models._take``): per order j, x^j phi f times each score
-    d/dtheta log f (None: the value row), then x^j f d/dlambda phi.  In
-    the frame 'window' v is the window's z = (x - c) / s and the rows
-    carry dx/dz = s: s phi = exp(-z^2 / 2) / sqrt(2 pi) and d/dlambda log
-    phi, (z^2 - 1) / s and z / s, come from z itself; in 'half' v is x."""
+    and ``ks`` of an integrated law (``models._frame``), each node's rows
+    those of its own point ``seg`` (``models._take``): per order j, x^j phi
+    f times each score d/dtheta log f (None: the value row), then x^j f
+    d/dlambda phi.  In the frame 'window' v is the window's z = (x - c) / s
+    and the rows carry dx/dz = s: s phi = exp(-z^2 / 2) / sqrt(2 pi) and
+    d/dlambda log phi, (z^2 - 1) / s and z / s, come from z itself; in
+    'half' v is x."""
     window = support(ms) == "real"
 
     def f(v, seg):
@@ -450,13 +447,13 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
     pairing (entire in u): for a Gaussian product w_0 N(mean, width2),
     w_0 exp(iu mean - width2 u^2 / 2) in closed form, with w_0 that of
     ``weak_moment``; else E[cos(uX) phi(X)] and E[sin(uX) phi(X)] as the
-    one-row segments 0 and 1 (as a ``NonConvergence`` names them) of one
-    adaptive pass in the pairing's own variable, each from its own
-    breakpoints: each rounds as the w_0 pass does, so at u = 0 the real
-    part is w_0 bit for bit."""
+    one-row segments 0 and 1 of one adaptive pass in the pairing's own
+    variable, each from its own breakpoints: each rounds as the w_0 pass
+    does, so at u = 0 the real part is w_0 bit for bit.  A failure names
+    its part, u and the point."""
     if not support_has_density(m):
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
-    frame = _frame(m, k)
+    frame = _frame(m)
     if frame == "z":
         t, w0 = _tilt(m, k), _gaussian_pairings(m, k, (0,), (None,), ())[0][0, 0, 0]
         return complex(w0 * np.exp(1j * u * t.mean - 0.5 * t.width2 * u * u))
@@ -467,7 +464,10 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
         return np.where(seg == 0, np.cos(ux), np.sin(ux)) * rows(v, 0)[0]
 
     mesh = _breakpoints(m, k)
-    values, _, _ = (_half_line if frame == "half" else _real_line)(f, np.concatenate((mesh, mesh)))
+    try:
+        values, _, _ = (_half_line if frame == "half" else _real_line)(f, np.concatenate((mesh, mesh)))
+    except QuadratureError as exc:
+        raise _named(exc, frame, _take(m, 0), _take(k, 0), f"{('cos', 'sin')[exc.segment]} part at u={u}") from None
     return complex(values[0], values[1])
 
 

@@ -183,20 +183,16 @@ def density(m: ModelSpec, x):
         raise OutOfSupport(f"x must be positive for {type(m).__name__}")
 
     with np.errstate(over="ignore"):  # far-tail overflow collapses to the correct 0
-        if isinstance(m, Gaussian):
-            out = _gauss_pdf(xv, m.mu, m.sigma)
-        elif isinstance(m, Cauchy):
+        ratio, gamma = _variance_ratio(m), _lorentz_width(m)
+        if ratio is not None:
+            out = _gauss_pdf(xv, m.mu, m.sigma * np.sqrt(ratio))
+        elif gamma is not None:
             d = xv - m.mu
-            out = 1.0 / (np.pi * (1.0 + d * d))
+            out = gamma / (np.pi * (gamma * gamma + d * d))
         elif isinstance(m, LogNormal):
             out = _lognorm_pdf(xv, m.mu, m.sigma)
         elif isinstance(m, StieltjesLogNormal):
             out = (1.0 + m.a * np.sin(2.0 * np.pi * np.log(xv))) * _lognorm_pdf(xv, 0.0, 1.0)
-        elif m.alpha == 1.0:  # SymmetricStable
-            d = xv - m.mu
-            out = m.sigma / (np.pi * (m.sigma * m.sigma + d * d))
-        elif m.alpha == 2.0:
-            out = _gauss_pdf(xv, m.mu, m.sigma * np.sqrt(2.0))
         else:
             raise _no_density(m)
     return float(out) if scalar else out
@@ -224,10 +220,8 @@ def char_fn(m: ModelSpec, u):
 
     if isinstance(m, Gaussian):
         out = np.exp(1j * uv * m.mu - 0.5 * (m.sigma * uv) ** 2)
-    elif isinstance(m, Cauchy):
-        out = np.exp(1j * uv * m.mu - np.abs(uv))
-    elif isinstance(m, SymmetricStable):
-        out = np.exp(1j * uv * m.mu - np.abs(m.sigma * uv) ** m.alpha)
+    elif isinstance(m, (Cauchy, SymmetricStable)):  # the Cauchy is stable(1) of sigma 1
+        out = np.exp(1j * uv * m.mu - np.abs(getattr(m, "sigma", 1.0) * uv) ** getattr(m, "alpha", 1.0))
     else:
         raise _no_char_fn(m)
     return complex(out) if scalar else out
@@ -245,8 +239,9 @@ def classical_moment(m: ModelSpec, n: int) -> float:
     if n == 0:
         return 1.0
 
-    if isinstance(m, Gaussian):
-        return _gaussian_moment(n, m.mu, m.sigma)
+    ratio = _variance_ratio(m)
+    if ratio is not None:
+        return _gaussian_moment(n, m.mu, m.sigma * np.sqrt(ratio))
     if isinstance(m, Cauchy):
         raise Undefined("the Cauchy law has no finite moments of order >= 1")
     if isinstance(m, LogNormal):
@@ -254,10 +249,7 @@ def classical_moment(m: ModelSpec, n: int) -> float:
     if isinstance(m, StieltjesLogNormal):
         # moment-blind: identical to LogNormal(0, 1) for every a
         return float(np.exp(0.5 * n * n))
-    # SymmetricStable
-    if m.alpha == 2.0:
-        return _gaussian_moment(n, m.mu, m.sigma * np.sqrt(2.0))
-    if n == 1 and m.alpha > 1.0:
+    if n == 1 and m.alpha > 1.0:  # SymmetricStable
         return m.mu
     raise Undefined(f"stable law with alpha={m.alpha} has no finite moment of order {n}")
 
@@ -274,7 +266,7 @@ def _score(m: ModelSpec, which: str):
     """Analytic score function d/dtheta log f for the selected parameter;
     ``NoDensity`` for a characteristic-function-only model.  Powers of a
     field are products: a field and its column (``_take``) round alike."""
-    ratio = _variance_ratio(m)
+    ratio, gamma = _variance_ratio(m), _lorentz_width(m)
     if ratio is not None:
         # a Gaussian with standard deviation sd: stable(2) has sd = sqrt(2)
         # sigma, and its scale score carries the chain-rule factor sqrt(2)
@@ -283,9 +275,11 @@ def _score(m: ModelSpec, which: str):
             return lambda x: (x - m.mu) / (sd * sd)
         if which == "scale":
             return lambda x: chain * (((x - m.mu) ** 2 - sd * sd) / (sd * sd * sd))
-    elif isinstance(m, Cauchy):
+    elif gamma is not None:  # the Cauchy has gamma = 1 and no scale
         if which == "location":
-            return lambda x: 2.0 * (x - m.mu) / (1.0 + (x - m.mu) ** 2)
+            return lambda x: 2.0 * (x - m.mu) / (gamma * gamma + (x - m.mu) ** 2)
+        if which == "scale" and isinstance(m, SymmetricStable):
+            return lambda x: ((x - m.mu) ** 2 - gamma * gamma) / (gamma * (gamma * gamma + (x - m.mu) ** 2))
     elif isinstance(m, LogNormal):
         if which == "location":
             return lambda x: (np.log(x) - m.mu) / (m.sigma * m.sigma)
@@ -294,12 +288,6 @@ def _score(m: ModelSpec, which: str):
     elif isinstance(m, StieltjesLogNormal):
         if which == "a":
             return lambda x: np.sin(2.0 * np.pi * np.log(x)) / (1.0 + m.a * np.sin(2.0 * np.pi * np.log(x)))
-    elif isinstance(m, SymmetricStable) and m.alpha == 1.0:
-        if which == "location":
-            return lambda x: 2.0 * (x - m.mu) / (m.sigma * m.sigma + (x - m.mu) ** 2)
-        if which == "scale":
-            return lambda x: ((x - m.mu) ** 2 - m.sigma * m.sigma) / \
-                (m.sigma * (m.sigma * m.sigma + (x - m.mu) ** 2))
     elif isinstance(m, SymmetricStable):
         raise _no_density(m)
     raise ValueError(f"no '{which}' score for {type(m).__name__}")
@@ -324,17 +312,13 @@ _OFFSETS = np.array([-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 10.0])
 
 def _model_points(m: ModelSpec) -> np.ndarray:
     """Breakpoints for ``classical_fisher_info``, at the model's location
-    +- {0, 1, 3, 6, 10} scales (placed in log x for the half-line models),
-    so that the first panels see a narrow peak wherever it sits.  The
-    points at 10 scales keep the panels next to the 6-scale ones short
-    enough that their nodes sample the tails."""
-    if isinstance(m, LogNormal):
-        return np.exp(m.mu + m.sigma * _OFFSETS)
-    if isinstance(m, StieltjesLogNormal):
-        return np.exp(_OFFSETS)
-    if isinstance(m, Cauchy):
-        return m.mu + _OFFSETS
-    return m.mu + m.sigma * _OFFSETS  # Gaussian, SymmetricStable
+    +- {0, 1, 3, 6, 10} scales sigma (1 where there is none: the Cauchy's
+    width, the Stieltjes' N(0, 1)), in log x for the half-line models, so
+    that the first panels see a narrow peak wherever it sits.  The points
+    at 10 scales keep the panels next to the 6-scale ones short enough
+    that their nodes sample the tails."""
+    at = getattr(m, "mu", 0.0) + getattr(m, "sigma", 1.0) * _OFFSETS
+    return np.exp(at) if support(m) == "half" else at
 
 
 def _variance_ratio(m: ModelSpec):
@@ -344,6 +328,14 @@ def _variance_ratio(m: ModelSpec):
         return 1.0
     if isinstance(m, SymmetricStable) and m.alpha == 2.0:
         return 2.0
+    return None
+
+
+def _lorentz_width(m: ModelSpec):
+    """gamma of a Lorentzian model, of density gamma / (pi (gamma^2 + (x - mu)^2)):
+    1 for the Cauchy, sigma for stable(1); None for any other."""
+    if isinstance(m, Cauchy) or isinstance(m, SymmetricStable) and m.alpha == 1.0:
+        return getattr(m, "sigma", 1.0)
     return None
 
 
@@ -395,14 +387,15 @@ class _Tilt:
 
 def _tilt(m: ModelSpec, k: KernelSpec) -> _Tilt:
     """The tilted law (``_Tilt``) of a Gaussian model under the window
-    ``k``, a pairing of the frame 'z' (``_frame``), elementwise over the
-    columns of points (``_columns``; scalar fields give the same bits).
+    ``k`` (the frame 'z'), elementwise over the columns of points
+    (``_columns``; scalar fields give the same bits); ``Unsupported``
+    at the first point whose T = var + s^2 is not a normal double.
 
-    log(mass e^-lift) = -(c - mu)^2 / 2T - log(2 pi T) / 2, T = var + s^2.
-    Its first term reaches 700 before the pairing underflows, where one
-    rounding of it costs 1e-13 of every entry, so it is formed in
-    double-double arithmetic, as is the spread, which cancels near its
-    zero; lift > 0 only where e^log_mass would be subnormal, or nearly so."""
+    log(mass e^-lift) = -(c - mu)^2 / 2T - log(2 pi T) / 2.  Its first
+    term reaches 700 before the pairing underflows, where one rounding of
+    it costs 1e-13 of every entry, so it is formed in double-double
+    arithmetic, as is the spread, which cancels near its zero; lift > 0
+    only where e^log_mass would be subnormal, or nearly so."""
     ratio = _variance_ratio(m)
     gap, gap_lo = _two_sum(k.c, -m.mu)
     square, square_lo = _two_product(gap, gap)
@@ -411,6 +404,10 @@ def _tilt(m: ModelSpec, k: KernelSpec) -> _Tilt:
     var, var_lo = ratio * var, ratio * var_lo
     s2, s2_lo = _two_product(k.s, k.s)
     total, total_lo = _two_sum(var, s2)
+    bad = np.logical_not((_TINY <= total) & (total < np.inf))
+    if _any(bad):
+        i = int(np.argmax(bad))  # the first such point
+        raise Unsupported(f"a Gaussian's var + s^2 is not a normal double, at {_take(m, i)} with {_take(k, i)}")
     total_lo += var_lo + s2_lo
     q = square / total  # (c - mu)^2 / T = q + q_lo
     p, p_lo = _two_product(q, total)
@@ -436,20 +433,14 @@ _Z_HALF = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0, 10.0]
 _Z_MESH = np.concatenate((-_Z_HALF[::-1], [0.0], _Z_HALF))
 
 
-def _frame(m: ModelSpec, k: KernelSpec):
-    """How a density pairing of ``m`` with ``k`` is evaluated: 'z', in
-    closed form from its tilted law (``_tilt``), for a Gaussian product
-    whose variance is a normal double; else integrated in 'window', the
-    window's coordinate z = (x - c) / s, over the line for any other model
-    on the line (a Gaussian whose product variance is not included), or in
-    'half', x over (0, inf), for a half-line model.  Over columns
-    (``_columns``): the frame all points share, else an array of them."""
-    ratio = _variance_ratio(m)
-    total = math.inf if ratio is None else ratio * m.sigma * m.sigma + k.s * k.s
-    closed = (_TINY < total) & (total < math.inf)
-    if type(closed) is np.ndarray and closed.any() != closed.all():  # a Gaussian's points of two frames
-        return np.where(closed, "z", "window")
-    return "z" if _any(closed) else "window" if support(m) == "real" else "half"
+def _frame(m: ModelSpec) -> str:
+    """How a density pairing of the law ``m`` is evaluated: 'z', in closed
+    form (``_tilt``), for a Gaussian; else integrated, in 'window', the
+    window's z = (x - c) / s over the line, for a Lorentzian, or in
+    'half', x over (0, inf); ``NoDensity`` for a law without a density."""
+    if not support_has_density(m):
+        raise _no_density(m)
+    return "z" if _variance_ratio(m) is not None else "window" if support(m) == "real" else "half"
 
 
 def _columns(first, names, z):
@@ -516,15 +507,15 @@ _LOG_HIGH = np.where(_QUARTER, np.nextafter(_LOG_POINTS - 0.25, np.inf), _LOG_PO
 
 def _breakpoints(m: ModelSpec, k: KernelSpec):
     """Breakpoints for the density pairings of the points of columns ``m``
-    and ``k`` (``_columns``), all of one ``_frame``, 'window' or 'half', in
-    its variable, each placed on its own product f phi, a row a point:
+    and ``k`` (``_columns``) of a law in the ``_frame`` 'window' or 'half',
+    in its variable, each placed on its own product f phi, a row a point:
 
-    * the Cauchy and stable(1) (and a Gaussian outside the frame 'z'), in
-      the window's z = (x - c) / s: ``_W_MESH``, the same for all; and for
-      a model narrower than the window (sigma / s < 0.7, sigma = 1 for the
-      Cauchy) its own points (mu - c) / s + (sigma / s) ``_PEAK`` within
-      |z| <= 10, and +-(sigma / s) 2^k, k >= 3, up to the window mesh's
-      0.5, which split the Lorentzian's 1 / z^2 tails;
+    * the Lorentzians, the Cauchy and stable(1), in the window's
+      z = (x - c) / s: ``_W_MESH``, the same for all; and for one
+      narrower than the window (gamma / s < 0.7, ``_lorentz_width``) its
+      own points (mu - c) / s + (gamma / s) ``_PEAK`` within |z| <= 10,
+      and +-(gamma / s) 2^k, k >= 3, up to the window mesh's 0.5, which
+      split its 1 / z^2 tails;
     * the Stieltjes family, N(0, 1) in y = log x: the quarter periods of
       sin(2 pi y) over |y| <= 4 and y = +-{5, 6, 8, 10} as far as the
       window reaches (c +- 10 s, in x > 0), and the window's points
@@ -536,7 +527,7 @@ def _breakpoints(m: ModelSpec, k: KernelSpec):
     Each block of candidates is one array expression, nan where a point
     does not keep one (``_rows``); a block no point keeps is skipped."""
     if support(m) == "real":
-        width = _col(getattr(m, "sigma", 1.0) / k.s)
+        width = _col(_lorentz_width(m) / k.s)
         narrow, blocks = width < 0.7, [(_W_MESH, True)]
         if _any(narrow):
             top = np.log2(0.5 / width) + 1.0  # the tail's exponents run 3, 4, ... below top

@@ -415,7 +415,7 @@ def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
         return np.real(rows)
 
     if route == "density":
-        frame = _frame(m, k)
+        frame = _frame(m)
         rows = window_rows if frame == "window" else x_rows
         integrate = wml.quad.integrate_half_line if frame == "half" else wml.quad.integrate_real_line
         res = integrate(rows, _breakpoints(m, k))
@@ -488,7 +488,7 @@ def stack_fill_cases(rng, n):
     charfn_models = [[Gaussian(a, b) for a, b in zip(mu, sigma)], [Cauchy(a) for a in mu],
                      [SymmetricStable(1.5, a, b) for a, b in zip(mu, sigma)]]
     for ms in density_models:
-        yield _frame(ms[0], kernels[0]), _density_stack, ms, kernels, canonical_family(ms[0])[0].param_names
+        yield _frame(ms[0]), _density_stack, ms, kernels, canonical_family(ms[0])[0].param_names
     for ms in charfn_models:
         yield "u", _charfn_stack, ms, kernels, canonical_family(ms[0])[0].param_names
 
@@ -503,7 +503,7 @@ def test_stack_fill_equals_each_point_fill_bit_for_bit():
     orders = (0, 1, 2, 4)
     for frame, build, ms, ks, names in stack_fill_cases(rng, 6):
         v = nodes[frame]
-        assert all(_frame(m, k) == frame for m, k in zip(ms, ks)) or frame == "u"
+        assert frame == "u" or all(_frame(m) == frame for m in ms)
         for model_params, kernel_params in (((None,), ()), ((None, *names), ()), ((None, *names), ("s", "c"))):
             # the points' nodes interleaved, as a pass's rounds give them
             seg = np.tile(np.arange(len(ms)), v.size)
@@ -567,21 +567,17 @@ def test_an_alpha_column_is_refused_off_the_charfn_path(path):
     assert route == "charfn" and values.shape == (2, 2, 1)
 
 
-def test_a_pass_over_several_groups_returns_each_point_in_its_place(monkeypatch):
-    # each family's points, on both routes, Gaussian points of both frames
-    # interleaved (a product variance below the normal range takes the
-    # window's), cut into passes of two or three points by a small
-    # first-mesh budget: each comes back in its input place, bit for bit
+def test_a_pass_over_several_passes_returns_each_point_in_its_place(monkeypatch):
+    # each family's points, on both routes, cut into passes of two or
+    # three points by a small first-mesh budget (a Gaussian's closed form
+    # takes all at once): each comes back in its input place, bit for bit
     # as it is alone
     monkeypatch.setattr(wml.features, "_CALL_VALUES", 6000)
     rng = np.random.default_rng(13)
     points = seeded_points(rng, 6)
-    spec, routes = FeatureMapSpec((0, 1, 2)), set()
+    spec, routes, kernel_params = FeatureMapSpec((0, 1, 2)), set(), ("s",)
     for kind in (Gaussian, Cauchy, LogNormal, StieltjesLogNormal, SymmetricStable):
         group = one_alpha([(m, k) for m, k, _ in points if isinstance(m, kind)])
-        kernel_params = ("s",)
-        if kind is Gaussian:  # where d/ds w_j overflows
-            group[1::2], kernel_params = [(Gaussian(5e-155 * i, 1e-154), KernelSpec(1e-154)) for i in range(3)], ()
         route, values, errors = _pairing_pass(*columns(group), spec, (None,), kernel_params)
         assert values.shape == errors.shape == (len(group), 3, 1 + len(kernel_params))
         routes.add(route)
@@ -590,20 +586,6 @@ def test_a_pass_over_several_groups_returns_each_point_in_its_place(monkeypatch)
             assert route == alone_route, point
             assert v.tobytes() == alone.tobytes() and e.tobytes() == alone_errors.tobytes(), point
     assert routes == {"density", "charfn"}
-
-
-def test_a_frame_of_one_point_in_a_grid_is_that_point_alone():
-    # a Gaussian grid whose other points take the other frame: the lone
-    # point's group is a one-point gather of the columns, in closed form
-    # or integrated, and every point comes back bit for bit as it is alone
-    z = [(Gaussian(0.2, 1.0), KernelSpec(2.0)), (Gaussian(0.3, 0.7), KernelSpec(1.0))]
-    window = [(Gaussian(0.0, 1e-160), KernelSpec(1e-160)), (Gaussian(0.0, 2e-160), KernelSpec(1e-160))]
-    spec = FeatureMapSpec((0,))
-    for grid in ([z[0], window[0], z[1]], [window[0], z[1], window[1]]):
-        _, values, errors = _pairing_pass(*columns(grid), spec, (None,), ())
-        for point, v, e in zip(grid, values, errors):
-            _, alone, alone_errors = _pairing_pass(*point, spec, (None,), ())
-            assert v.tobytes() == alone.tobytes() and e.tobytes() == alone_errors.tobytes(), point
 
 
 def test_a_stack_of_points_that_converge_alone_converges(monkeypatch):
@@ -1015,6 +997,101 @@ def test_weak_char_fn_gaussian_closed_form():
 def test_weak_char_fn_no_density():
     with pytest.raises(NoDensity):
         weak_char_fn(SymmetricStable(1.5, 0, 1), UNIT_KERNEL, 1.0)
+
+
+def test_a_weak_char_fn_failure_names_its_part_u_and_point(monkeypatch):
+    # the cos part, cos(1000 x) across a Cauchy pairing under a window of
+    # scale 3, runs out of budget; a non-finite node is named in x, not in
+    # the window's z = (x - c) / s
+    with pytest.raises(NonConvergence, match=re.escape(
+            " panels; cos part at u=1000, at Cauchy(mu=0.0) with KernelSpec(s=3.0, c=0.0)")):
+        weak_char_fn(Cauchy(0), KernelSpec(3), 1000)
+    monkeypatch.setattr(wml.features, "density", lambda m, x: np.where(x > 2.0, np.nan, density(m, x)))
+    with pytest.raises(NonFiniteEvaluation, match=re.escape("; cos part at u=0.5, at Cauchy(mu=0.0) with ")) as info:
+        weak_char_fn(Cauchy(0), KernelSpec(3.0, 1.0), 0.5)
+    assert info.value.points.size and np.all(info.value.points > 2.0)
+
+
+_TINY_PAIR = "Gaussian(mu=0.0, sigma=1e-160) with KernelSpec(s=1e-160, c=0.0)"
+
+
+@pytest.mark.parametrize("call, point", [
+    (lambda: weak_moment(Gaussian(0.0, 1e-160), KernelSpec(1e-160), 2), _TINY_PAIR),
+    (lambda: weak_moment(Gaussian(1.0, 1e-170), KernelSpec(3e-170, 1.0), 0),
+     "Gaussian(mu=1.0, sigma=1e-170) with KernelSpec(s=3e-170, c=1.0)"),
+    (lambda: weak_char_fn(Gaussian(0.0, 1e-160), KernelSpec(1e-160), 1.0), _TINY_PAIR),
+    (lambda: weak_cumulants(SymmetricStable(2.0, 0.0, 1e-160), KernelSpec(1e-160), 2),
+     "SymmetricStable(alpha=2.0, mu=0.0, sigma=1e-160) with KernelSpec(s=1e-160, c=0.0)"),
+    (lambda: feature_map(gaussian_family(), [0.0, 1e200], KernelSpec(1.0, 0.3), FeatureMapSpec((0, 1, 2, 3))),
+     "Gaussian(mu=0.0, sigma=1e+200) with KernelSpec(s=1.0, c=0.3)"),
+    (lambda: _pairing_pass(*columns([(Gaussian(0.2, 1.0), KernelSpec(2.0)), (Gaussian(0.0, 1e-160), KernelSpec(1e-160)),
+                                     (Gaussian(0.4, 2e-160), KernelSpec(1e-160))]), FeatureMapSpec((0,)), (None,), ()),
+     _TINY_PAIR),
+])
+def test_a_gaussian_pairing_outside_the_normal_range_is_refused_at_once(call, point):
+    # a Gaussian's pairing is its closed form, which needs var + s^2 to be
+    # a normal double: outside that it has no second route, and every
+    # entry point refuses it at once, naming the point (in a grid, the
+    # first such point)
+    start = time.perf_counter()
+    with pytest.raises(Unsupported, match=re.escape(f"var + s^2 is not a normal double, at {point}")):
+        call()
+    assert time.perf_counter() - start < 0.01
+
+
+def test_the_cauchy_and_stable_one_of_unit_width_agree_bit_for_bit():
+    # one Lorentzian view: Cauchy(mu) is SymmetricStable(1, mu, 1), and the
+    # two give the same bits in every quantity, on both routes
+    rng = np.random.default_rng(29)
+    x, u = np.linspace(-60.0, 60.0, 241), np.linspace(-30.0, 30.0, 121)
+    mus, scales, centres = rng.uniform(-5.0, 5.0, 50), np.exp(rng.uniform(-3.0, 6.9, 50)), rng.uniform(-10.0, 10.0, 50)
+    for mu, s, c in zip(mus.tolist(), scales.tolist(), centres.tolist()):
+        cauchy, stable, k = Cauchy(mu), SymmetricStable(1.0, mu, 1.0), KernelSpec(s, c)
+        assert density(cauchy, x).tobytes() == density(stable, x).tobytes()
+        assert _score(cauchy, "location")(x).tobytes() == _score(stable, "location")(x).tobytes()
+        assert char_fn(cauchy, u).tobytes() == char_fn(stable, u).tobytes()
+        for path in ("density", "charfn"):
+            spec = FeatureMapSpec((0, 1, 2, 3, 4), path=path)
+            one = feature_map(cauchy_family(), [mu], k, spec)
+            other = feature_map(stable_family(1.0), [mu, 1.0], k, spec)
+            assert one.values.tobytes() == other.values.tobytes(), (mu, s, c, path)
+            assert one.errors.tobytes() == other.errors.tobytes(), (mu, s, c, path)
+            one = weak_moment_jacobian(cauchy, k, ("mu",), ("s", "c"), spec)
+            other = weak_moment_jacobian(stable, k, ("mu",), ("s", "c"), spec)
+            assert np.array(one).tobytes() == np.array(other).tobytes(), (mu, s, c, path)
+
+
+# (case, first point, route): the laws with a location, and those with a
+# scale too, in closed form (a Gaussian density pairing) and integrated
+_SYMMETRY_CASES = [("gaussian", Gaussian(0.0, 1.0), "density"), ("stable(2)", SymmetricStable(2.0), "density"),
+                   ("cauchy", Cauchy(0.0), "density"), ("cauchy", Cauchy(0.0), "charfn"),
+                   ("stable(1)", SymmetricStable(1.0), "density"), ("stable(1)", SymmetricStable(1.0), "charfn"),
+                   ("gaussian", Gaussian(0.0, 1.0), "charfn"), ("stable(1.5)", SymmetricStable(1.5), "charfn")]
+
+
+@pytest.mark.parametrize("name, first, path", _SYMMETRY_CASES, ids=[f"{n}-{p}" for n, _, p in _SYMMETRY_CASES])
+def test_symmetry_identities_hold_within_the_error_estimates(name, first, path):
+    # w_j = int x^j phi_{s,c}(x) f(x) dx under x -> x + h and x -> l x:
+    # (d/dmu + d/dc) w_j = j w_{j-1} for a law with a location, and
+    # (mu d/dmu + sigma d/dsigma + s d/ds + c d/dc) w_j = (j - 1) w_j for
+    # one with a scale too; the residual at 200 seeded box points, one
+    # stacked pass, is within the sum of its terms' error estimates
+    rng = np.random.default_rng([17, _SYMMETRY_CASES.index((name, first, path))])
+    n, orders = 200, (0, 1, 2, 3, 4)
+    mu, sigma = rng.uniform(-5.0, 5.0, n), np.exp(rng.uniform(np.log(0.05), np.log(10.0), n))
+    s, c = np.exp(rng.uniform(np.log(0.05), np.log(1000.0), n)), rng.uniform(-10.0, 10.0, n)
+    names = ("mu", "sigma") if hasattr(first, "sigma") else ("mu",)
+    models = _columns(first, names, np.stack([mu, sigma], axis=1)[:, :len(names)])
+    kernels = _columns(UNIT_KERNEL, ("s", "c"), np.stack([s, c], axis=1))
+    _, v, e = _pairing_pass(models, kernels, FeatureMapSpec(orders, path=path), (None, *names), ("s", "c"))
+    j = np.array(orders, dtype=float)
+    (w, dmu, ds, dc), (ew, emu, es, ec) = (np.moveaxis(a[..., [0, 1, -2, -1]], -1, 0) for a in (v, e))
+    lower, elower = np.pad(w[:, :-1], ((0, 0), (1, 0))), np.pad(ew[:, :-1], ((0, 0), (1, 0)))
+    assert np.all(np.abs(dmu + dc - j * lower) <= emu + ec + j * elower), (name, path)
+    if len(names) == 2:
+        (mu, sigma, s, c), dsigma, esigma = (a[:, None] for a in (mu, sigma, s, c)), v[..., 2], e[..., 2]
+        residual = mu * dmu + sigma * dsigma + s * ds + c * dc - (j - 1.0) * w
+        assert np.all(np.abs(residual) <= abs(mu) * emu + sigma * esigma + s * es + abs(c) * ec + abs(j - 1.0) * ew)
 
 
 def test_moments_to_cumulants_explicit_formulas():

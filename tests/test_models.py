@@ -328,8 +328,6 @@ def mesh_cases():
     yield "cauchy", [Cauchy(float(a)) for a in mu] + [Cauchy(5.0), Cauchy(0.3)], \
         kernels + [KernelSpec(1.6, -10.0), KernelSpec(900.0)]
     yield "stable(1)", [SymmetricStable(1.0, float(a), float(b)) for a, b in zip(mu, sigma)], kernels
-    yield "gaussian in the window frame", [Gaussian(float(a), 1e-160) for a in mu[:8]], \
-        [KernelSpec(1e-160 * float(b), 1e-160 * float(a)) for a, b in zip(c[:8], sigma[:8])]
     yield "lognormal", [LogNormal(float(a) * 0.6, float(b) * 0.5) for a, b in zip(mu, sigma)], kernels
     yield "stieltjes", [StieltjesLogNormal(float(a) / 5.0) for a in mu], kernels
 
