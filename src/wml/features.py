@@ -12,10 +12,14 @@ evaluation routes are provided:
   (``models._frame``).  A Gaussian model times the window is w_0 N(m, w^2),
   so its w_j = w_0 E[Y^j], Y ~ N(m, w^2), and their Jacobian come in
   closed form, with no integral (``_gaussian_pairings``); where var + s^2
-  is not a normal double it is refused (``Unsupported``).  The others are
-  integrated: the Lorentzians, the Cauchy and stable(1), in the window's
-  coordinate z = (x - c) / s, the half-line models in log x, each from a
-  first mesh placed on its own product (``models._breakpoints``);
+  is not a normal double it is refused (``Unsupported``).  The
+  Lorentzians, the Cauchy and stable(1), are Voigt profiles: their w_j
+  and Jacobian come from the trapezoidal rule in the window's coordinate
+  z = (x - c) / s with the pole's correction, the Faddeeva function's
+  moments, each entry with a propagated bound (``_lorentz_pairings``);
+  a point that bound cannot certify is integrated in z, as are the
+  half-line models in log x, each from a first mesh placed on its own
+  product (``models._breakpoints``);
 * the characteristic-function route uses Parseval's identity.  With the
   forward transform Psi(u) = int psi(x) e^{-iux} dx and the model's
   char fn c(u) = E[e^{iuX}] = int f(x) e^{iux} dx, one has
@@ -41,6 +45,8 @@ x^j phi(x) supplies the influence bound.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 from math import comb
 
@@ -60,6 +66,7 @@ from .models import (
     _charfn_score,
     _count,
     _frame,
+    _lorentz_width,
     _score,
     _take,
     _tilt,
@@ -69,7 +76,7 @@ from .models import (
     support,
     support_has_density,
 )
-from .quad import NonConvergence, NonFiniteEvaluation, QuadratureError, _half_line, _real_line
+from .quad import _REL_TOL, NonConvergence, NonFiniteEvaluation, QuadratureError, _half_line, _real_line
 
 __all__ = [
     "FeatureMapSpec",
@@ -202,9 +209,10 @@ def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_param
     return values[0], errors[0]
 
 
-# first-mesh values per integrand call (15 nodes a panel, times the rows):
-# the points are cut into passes of at most this many, so that a pass's
-# arrays stay a few MB however many points it holds
+# first-mesh values per integrand call (15 nodes a panel, times the rows),
+# and closed-form Lorentzian node values per call (times 4 arrays): the
+# points are cut into calls of at most this many, so that a call's arrays
+# stay a few MB however many points it holds
 _CALL_VALUES = 2**17
 
 
@@ -219,7 +227,12 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
 
     The law (and alpha) fixes the route, and on the density route its
     ``models._frame``: in the frame 'z' every point takes its closed form
-    at once (``_gaussian_pairings``).  Otherwise (u > 0 on the char-fn
+    at once (``_gaussian_pairings``), and in 'window' every point whose
+    closed form certifies each of its entries (``_lorentz_pairings``: a
+    bound at most ``quad._REL_TOL`` of |value| - bound; in calls of at
+    most ``_CALL_VALUES`` node values, orders up to ``_LORENTZ_TOP``) takes
+    it; the others are gathered (``models._take``) and integrated as
+    below, each returned to its place.  Otherwise (u > 0 on the char-fn
     route) the points share adaptive passes of at most ``_CALL_VALUES``
     first-mesh values (or one point): each point is a segment of its
     pass, from its own row of one ``models._breakpoints`` (or
@@ -227,7 +240,8 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
     alone, while each integrand call fills the rows of all its points'
     nodes at once (``models._take``).  A point that fails raises its
     error naming it, and for ``NonConvergence`` the order and column."""
-    unknown = [name for name in model_params if name is not None and name not in _SCORE_NAMES]
+    unknown = [name for name in model_params  # a field the law lacks has no score either
+               if name is not None and (name not in _SCORE_NAMES or not hasattr(models, name))]
     unknown += [name for name in kernel_params if name not in ("s", "c")]
     if unknown:
         raise Unsupported(f"no analytic derivative for parameters {unknown}")
@@ -240,7 +254,21 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
     # at extreme orders x^j, Psi_j or M_j overflows (raised as
     # NonFiniteEvaluation), and a score may divide by 0 where f is 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        frame = _frame(models) if on_density else "u"
+        frame, todo = _frame(models) if on_density else "u", None
+        if frame == "window":
+            done = np.zeros(n, bool)
+            if spec.orders[-1] <= _LORENTZ_TOP:  # higher orders' grids would run to thousands of nodes
+                nodes = _lorentz_grid(spec.orders)[3].size  # a point's
+                per = max(1, _CALL_VALUES // (4 * width * nodes))
+                for at in range(0, n, per):
+                    cut = slice(at, at + per)
+                    out[0, cut], out[1, cut], done[cut] = _lorentz_pairings(
+                        _take(models, cut), _take(kernels, cut), spec.orders, model_params, kernel_params)
+            if done.all():
+                return route, out[0], out[1]
+            if done.any():  # only the points it cannot certify are integrated
+                todo = np.flatnonzero(~done)
+                models, kernels, n = _take(models, todo), _take(kernels, todo), len(todo)
         mesh = None if frame == "z" else (_breakpoints if on_density else _charfn_points)(models, kernels)
         per = n if mesh is None else max(1, _CALL_VALUES // (15 * width * (mesh.shape[1] + 1)))
         for at in range(0, n, per):
@@ -258,9 +286,9 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
                 what = f"order {spec.orders[order]}, column {columns[col]}" if isinstance(exc, NonConvergence) else ""
                 raise _named(exc, frame, _take(ms, exc.segment), _take(ks, exc.segment), what) from None
             shape = (min(per, n - at), len(spec.orders), len(columns))  # rows run (order, column)
-            if per >= n:  # every point, in input order
+            if per >= n and todo is None:  # every point, in input order
                 return route, values.reshape(shape), errors.reshape(shape)
-            out[:, cut] = values.reshape(shape), errors.reshape(shape)
+            out[:, cut if todo is None else todo[cut]] = values.reshape(shape), errors.reshape(shape)
     return route, out[0], out[1]
 
 
@@ -273,15 +301,16 @@ def _named(exc, frame, m, k, what):
     return exc
 
 
-def _powers(x, orders):
+def _powers(x, orders, stop=32):
     """x^j for j in ``orders`` on a new first axis, by a running product
-    (``x ** j`` takes libm's scalar pow at every negative x).  Past order 32
-    it stops at the first non-finite power, as the char-fn recurrence does,
-    or at the first power that is 0 at every node, as every higher one is."""
+    (``x ** j`` takes libm's scalar pow at every negative x).  Past order
+    ``stop`` it stops at the first non-finite power, as the char-fn
+    recurrence does, or at the first power that is 0 at every node, as
+    every higher one is."""
     out = np.empty((len(orders),) + x.shape)
     xj, j = 1.0, 0
     for i, order in enumerate(orders):
-        while j < order and (j < 32 or np.isfinite(xj).all() and np.any(xj)):
+        while j < order and (j < stop or np.isfinite(xj).all() and np.any(xj)):
             xj, j = xj * x, j + 1
         out[i] = xj
     return out
@@ -398,6 +427,121 @@ def _gaussian_pairings(m, k, orders, model_params, kernel_params):
         exc.args = (f"the closed-form Gaussian pairing is not finite at order {orders[order]}",)
         raise exc
     return values, errors
+
+
+_LORENTZ_TOP = 400  # the highest order in closed form (``_pairing_pass``)
+_ONE_OFF = np.array([-1.0, 1.0])[:, None, None]
+
+
+@functools.lru_cache(maxsize=32)
+def _lorentz_grid(orders):
+    """The grid of ``_lorentz_pairings`` for ``orders``: the step h, the
+    contour's height a = 2 pi / h, the first node's shift and the nodes'
+    offsets from it, the orders j (K+1, 1) and, for the contour's and the
+    tails' remainders, bounded by D (k (|c| + s R))^j, the arrays D, k, R."""
+    top = orders[-1] + 2.0  # the highest degree of a row's polynomial in t
+    h = math.floor(128.0 * math.pi / (math.sqrt(top + 1.0) + 11.0)) / 64.0
+    far, reach = 2.0 * math.pi / h, math.sqrt(top) + 10.0
+    offsets = (np.arange(math.ceil(2.0 * reach / h) + 2) + 0.5) * h
+    j = np.array(orders, dtype=float)[:, None]
+    nu = np.exp([[(math.lgamma(0.5 * order + 1.5) + 0.5 * (order + 2) * math.log(2.0) - 0.5 * math.log(math.pi))
+                  / (order + 2.0)] for order in orders])  # the L^{j+2} norm of N(0, 1)
+    # coef V^2 U^{j-1} (U + j s) <= coef V^2 (1 + j / R) U^j, U = |c| + s R, on the contour and past the reach
+    coef = np.array([2.02 * math.exp(0.5 - 0.5 * far * far),
+                     4.0 * math.exp(-0.5 * reach * reach) / (_SQRT_2PI * (1.0 - math.exp(-10.0 * h)))])[:, None, None]
+    big = np.array([far + 1.0 + nu, reach + 0.0 * nu])
+    first = j == 0.0
+    return h, far, -reach / h - 0.5, offsets, j, (
+        np.array([2.0 + far + nu, 1.0 + reach + 0.0 * nu]) ** 2 * (1.0 + j / big) * np.where(first, coef, 1.0),
+        np.where(first, 1.0, coef ** (1.0 / np.maximum(j, 1.0))), big)
+
+
+def _lorentz_pairings(m, k, orders, model_params, kernel_params):
+    """(values, errors, certified) of Lorentzian models ``m`` (the Cauchy
+    and stable(1), of width gamma, ``models._lorentz_width``) paired with
+    windows ``k``: (N, K+1, C) as in ``_pairing_pass``, and whether each
+    point's every entry is certified.  In the window's t = (x - c) / s the
+    density is Im 1/(t - t0) / (pi s), t0 = x0 + i y0 = (mu - c + i gamma) / s,
+    so with Z ~ N(0, 1) each row is Im (d/dsigma: Re) of M_Q = E[Q(Z) / (Z - t0)]
+    (i sqrt(pi / 2) w(t0 / sqrt 2) for Q = 1, w the Faddeeva function) over
+    pi s (w_j, Q = x^j) or pi s^2: Q = x^j t (d/dc), x^j (t^2 - 1) (d/ds),
+    and j s x^{j-1} - t x^j (d/dmu, d/dsigma), by Stein's identity
+    E[Q / (Z - t0)^2] = E[(Q' - t Q) / (Z - t0)].  Each M_Q is the
+    trapezoidal sum with its pole's correction (Matta & Reichel 1971,
+    Math. Comp. 25:339), the pole midway between two nodes,
+
+        M_Q = h sum_n (Q N)(t_n) / (t_n - t0) + 2 pi i (Q N)(t0) / (e^{a y0} + 1),
+
+    N the normal density, a = 2 pi / h = sqrt(J + 1) + 11 (to a 64th in h)
+    for J = max order + 2 and the correction made where y0 < a.  Moving
+    the contour to Im t = +-(a +- 1), a unit from the pole, leaves
+    2.02 e^{(1 - a^2) / 2} times the mean of |Q| there (by Hoelder's
+    inequality); the nodes cover |t| <= sqrt(J) + 10, and the tails past
+    them are bounded geometrically.  Rounding is bounded at each node
+    from the majorant of Q ((|c| + s |t|)^j for |x|^j), and x0's own by
+    |Im 1/(t - t0)^2| = Im 1/(t - t0) 2 |t - x0| / |t - t0|^2.  An entry is
+    certified when its bound is at most ``quad._REL_TOL`` times |value| -
+    bound, a lower bound on its row's int |f|; an overflow never is.  The
+    orders are at most ``_LORENTZ_TOP``, and the powers run in full at each
+    node, so a point's entries do not depend on the other points."""
+    names, n = (*model_params, *kernel_params), _count(m, k)
+    h, far, start, offsets, j, extra = _lorentz_grid(orders)
+    zero = np.zeros(n)
+    mu, gamma, s, c = m.mu + zero, _lorentz_width(m) + zero, k.s + zero, k.c + zero
+    x0, y0 = np.array((mu - c, gamma)) / s
+    e = np.floor(x0 * (-1.0 / h) + start)[:, None] * h + offsets  # the nodes t, from Re t0
+    t = x0[:, None] + e
+    tt, tb = t * t, np.array((t, abs(t)))
+    inv = 1.0 / (e * e + (y0 * y0)[:, None])  # 1 / |t - t0|^2
+    w = np.exp(-0.5 * tt) * (y0 * (h / _SQRT_2PI))[:, None] * inv  # h N Im 1/(t - t0)
+    ac = abs(c)
+    xb = np.array((c, ac))[:, :, None] + s[:, None] * tb  # x and its majorant
+    inside, y_in = y0 < far, np.minimum(y0, far)
+    t0, a = x0 + 1j * y_in, mu + 1j * gamma
+    pole = np.exp(-0.5 * t0 * t0 - np.logaddexp(far * y_in, 0.0)) * (inside * (2j * math.pi / _SQRT_2PI))
+    pw, aj = _powers(xb, orders, _LORENTZ_TOP), a ** j
+    rows, at_pole, held_pole, stein = [], [], [], None  # per column: Q and its majorant at the nodes and at t0
+    for name in names:
+        if name is None:
+            rows.append(pw)
+            at_pole.append(aj)
+            held_pole.append(abs(aj))
+        elif name in ("c", "s"):
+            rows.append(pw * (tb if name == "c" else tt + _ONE_OFF))
+            f = (t0, abs(t0)) if name == "c" else (t0 * t0 - 1.0, abs(t0) ** 2 + 1.0)
+            at_pole.append(aj * f[0])
+            held_pole.append(abs(aj) * f[1])
+        else:  # d/dmu and d/dsigma share their Q, the Im and Re of one M_Q
+            if stein is None:
+                pl = _powers(xb, [max(order - 1, 0) for order in orders], _LORENTZ_TOP)
+                al, js = a ** np.maximum(j - 1.0, 0.0), j * s
+                stein = (js[:, None, :, None] * pl + tb * _ONE_OFF * pw, js * al - t0 * aj,
+                         js * abs(al) + abs(t0) * abs(aj))
+            for part, q in zip((rows, at_pole, held_pole), stein):
+                part.append(q)
+    # rounding per node, and x0's (3 ulp, 2x for |Q|) by |Im 1/(t - t0)^2| = Im 1/(t - t0) 2 |e| / |t - t0|^2
+    u, shift = 0.5 * _EPS, abs(x0) * (6.0 * _EPS)
+    kappa = u * (3.0 * orders[-1] + 28.0 + 2.0 * math.log2(offsets.size))
+    wk = w * (kappa + (0.5 * u) * tt + shift[:, None] * abs(e) * inv)
+    rows = np.array(rows) if len(rows) > 1 else rows[0][None]  # (C, K+1, (Q, |Q|), N, L)
+    at_pole, held_pole = pole * np.array(at_pole), abs(pole) * np.array(held_pole)  # (C, K+1, N)
+    value, bound = (rows[:, :, 0] * w).sum(-1) + at_pole.imag, (rows[:, :, 1] * wk).sum(-1)
+    if "sigma" in names:  # Re 1/(t - t0) in place of Im, and both in its bound
+        col, wr = names.index("sigma"), w * e / y0[:, None]
+        value[col] = (rows[col][:, 0] * wr).sum(-1) + at_pole[col].real
+        held = abs(wr) * (kappa + (0.5 * u) * tt) + (shift / y0)[:, None] * w
+        bound[col] += (rows[col][:, 1] * held).sum(-1)
+    r0 = abs(x0) + y0  # >= |t0|: the pole's rounding, of exp(-t0^2 / 2 - a y0), and x0's through N and Q
+    bound += ((shift + u * y0 * r0 * (r0 + far)) / y0 + (kappa + u * (8.0 * orders[-1] + 16.0))) * held_pole
+    bound += (extra[0] * (extra[1] * (ac + s * extra[2])) ** j).sum(0)
+    scale = 1.0 / (math.pi * s)
+    for col, name in enumerate(names):  # a derivative is over pi s^2
+        if name is not None:
+            value[col] /= s
+            bound[col] /= s
+    values, errors = (value * scale).transpose(2, 1, 0), (bound * scale).transpose(2, 1, 0)
+    certified = (errors <= _REL_TOL * (abs(values) - errors)) & (abs(values) < np.inf)
+    return values, errors, certified.all(axis=(1, 2))
 
 
 def _charfn_stack(ms, ks, orders, model_params, kernel_params):

@@ -136,36 +136,39 @@ def test_cauchy_submersion_takes_its_scale_sensitivity_from_the_jacobian_pass(mo
 
 
 def test_cauchy_submersion_stacks_converge_on_their_first_mesh(monkeypatch):
-    # its Cauchy points are integrated in the window's z = (x - c) / s, each
-    # over its own panel tree from its own mesh: the pass evaluates the
-    # 1,704 rows x panels that the 25 points need alone, 36 of them on a
-    # second call.  Stacks of 10 points over the union of their
-    # breakpoints evaluated 3,570
-    calls = []
+    # the closed form certifies the 20 points off mu = 0; at mu = 0 d/dmu w_0
+    # vanishes by symmetry, and those 5 points are integrated in the
+    # window's z = (x - c) / s, each over its own panel tree from its own
+    # mesh.  All 25 took 1,704 rows x panels that way, 36 of them on a
+    # second call; stacks of 10 points over the union of their breakpoints
+    # evaluated 3,570
+    calls, segments = [], []
     kronrod = wml.quad._kronrod_panels
 
     def panels(f, a, b, seg):
         out = kronrod(f, a, b, seg)
         calls.append(a.size * out[0].shape[1])
+        segments.append(np.unique(seg).size)
         return out
 
     monkeypatch.setattr(wml.quad, "_kronrod_panels", panels)
     res = run_experiment("cauchy-submersion")
     assert res.passed, res.metrics
-    assert len(calls) <= 2 and sum(calls) <= 1704
+    assert len(calls) <= 2 and sum(calls) <= 1704 and max(segments) <= 5
 
 
 def test_type0_charpath_twins_share_one_pass(monkeypatch):
     # alpha is a column on the char-fn route, where nothing branches on it:
     # the stable(1) and stable(2) twins share one pass, and the experiment
-    # makes 3 integrand calls (5 when alpha split them, 4 while the
-    # Gaussian twin's density pairing was integrated)
+    # makes 2 integrand calls, as the Cauchy twin's density pairing takes
+    # its closed form (5 when alpha split them, 4 while the Gaussian
+    # twin's density pairing was integrated, 3 while the Cauchy's was)
     calls = []
     kronrod = wml.quad._kronrod_panels
     monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(np.unique(a[3]).size) or kronrod(*a))
     res = run_experiment("type0-charpath")
     assert res.passed, res.metrics
-    assert len(calls) == 3 and max(calls) == 2
+    assert len(calls) == 2 and max(calls) == 2
 
 
 def test_cauchy_submersion_checks_the_model_rank():

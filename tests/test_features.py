@@ -270,10 +270,11 @@ def test_density_feature_maps_converge_on_their_first_mesh(monkeypatch, fam, mos
 
 
 @pytest.mark.parametrize("s", (30.0, 100.0, 300.0, 1000.0))
-def test_wide_window_cauchy_feature_maps_converge_on_their_first_mesh(monkeypatch, s):
+def test_wide_window_cauchy_feature_maps_converge_on_their_first_mesh(monkeypatch, integrated, s):
     # a Lorentzian much narrower than the window gets points at (1 / s) 2^k
     # out to the window mesh's 0.5 in z: its 1 / z^2 tails ran there in one
-    # panel, and these feature maps took 2 (s = 30) to 8 (s = 1000) calls
+    # panel, and these feature maps took 2 (s = 30) to 8 (s = 1000) calls.
+    # The pass is the closed form's fallback, so the closed form is kept out
     calls = []
     kronrod = wml.quad._kronrod_panels
     monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))
@@ -456,9 +457,10 @@ def one_alpha(group):
     return [(replace(m, alpha=alpha) if alpha is not None else m, k) for m, k in group]
 
 
-def test_one_point_pass_is_the_unstacked_pass_bit_for_bit():
-    # every quadrature pass; a Gaussian density pairing takes its closed
-    # form, checked against quadrature by the oracle tests below
+def test_one_point_pass_is_the_unstacked_pass_bit_for_bit(integrated):
+    # every quadrature pass, the Lorentzians' fallback pass too; a Gaussian
+    # density pairing takes its closed form, checked against quadrature by
+    # the oracle tests below
     rng = np.random.default_rng(11)
     for m, k, model_params in seeded_points(rng, 4):
         for path in ("density", "charfn", "auto"):
@@ -908,11 +910,12 @@ def test_kernel_separates_stieltjes_from_lognormal():
     assert abs(w_stieltjes - w_lognormal) > 1e-6
 
 
-def test_weak_char_fn_at_zero_equals_w0_exactly(monkeypatch):
+def test_weak_char_fn_at_zero_equals_w0_exactly(monkeypatch, integrated):
     # the cos part of the weak char fn is a one-row segment, which rounds
     # as the w_0 pass does; as a row of one panel tree with the sin part it
     # would round otherwise.  A Gaussian pairing's is w_0 exp(iu mean -
-    # width2 u^2 / 2), with w_0 from the same closed form, and no call
+    # width2 u^2 / 2), with w_0 from the same closed form, and no call.  A
+    # Lorentzian's is integrated, so its w_0 is taken from the pass here
     calls = []
     kronrod = wml.quad._kronrod_panels
     monkeypatch.setattr(wml.quad, "_kronrod_panels", lambda *a: calls.append(1) or kronrod(*a))

@@ -728,7 +728,11 @@ def test_a_grid_enters_its_pass_as_columns(monkeypatch, fam, model):
     grid = np.repeat(np.geomspace(0.5, 20.0, 12), 25)[:, None]
     stack = _jacobians(fam, scale_kernel_family(), np.tile(theta, (12, 1)), grid, FeatureMapSpec((0, 1)))
     assert stack.d_theta.shape == (300, 2, fam.p) and np.all(np.isfinite(stack.joint))
-    assert len(made) <= 2 and meshes == [1] and len(passes) > 1 and sum(passes) == 300
+    # every log-normal point is integrated, and of the Cauchy's, the 12 at
+    # mu = 0, where d/dmu w_j vanishes by symmetry and its closed form
+    # cannot certify a bound relative to |value|
+    integrated = 300 if model == "LogNormal" else 12
+    assert len(made) <= 2 and meshes == [1] and len(passes) > 1 and sum(passes) == integrated
     made.clear(), meshes.clear(), passes.clear()
     rows = sweep_kernel(fam, scale_kernel_family(), FeatureMapSpec((0, 1)), np.geomspace(0.5, 20.0, 12), theta)
-    assert len(rows) == 300 and len(made) <= 2 and meshes == [1] and sum(passes) == 300
+    assert len(rows) == 300 and len(made) <= 2 and meshes == [1] and sum(passes) == integrated
