@@ -210,9 +210,9 @@ def weak_moment_jacobian(m: ModelSpec, k: KernelSpec, model_params, kernel_param
 
 
 # first-mesh values per integrand call (15 nodes a panel, times the rows),
-# and closed-form Lorentzian node values per call (times 4 arrays): the
-# points are cut into calls of at most this many, so that a call's arrays
-# stay a few MB however many points it holds
+# and closed-form values per call (a Gaussian's one a row, a Lorentzian's
+# node values times 4 arrays): the points are cut into calls of at most
+# this many, so that a call's arrays stay a few MB however many points it holds
 _CALL_VALUES = 2**17
 
 
@@ -226,14 +226,14 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
     columns.
 
     The law (and alpha) fixes the route, and on the density route its
-    ``models._frame``: in the frame 'z' every point takes its closed form
-    at once (``_gaussian_pairings``), and in 'window' every point whose
-    closed form certifies each of its entries (``_lorentz_pairings``: a
-    bound at most ``quad._REL_TOL`` of |value| - bound; in calls of at
-    most ``_CALL_VALUES`` node values, orders up to ``_LORENTZ_TOP``) takes
-    it; the others are gathered (``models._take``) and integrated as
-    below, each returned to its place.  Otherwise (u > 0 on the char-fn
-    route) the points share adaptive passes of at most ``_CALL_VALUES``
+    ``models._frame``.  In 'z' and 'window' a closed form comes first, in
+    calls of at most ``_CALL_VALUES`` values (a row of a point holds about
+    one in ``_gaussian_pairings``, four node arrays in ``_lorentz_pairings``,
+    orders up to ``_LORENTZ_TOP``); each call returns the points it took,
+    the Gaussian's every point, the Lorentzian's those whose every entry it
+    certifies (a bound at most ``quad._REL_TOL`` of |value| - bound).  The
+    others are gathered (``models._take``) and integrated, each returned to
+    its place, and share adaptive passes of at most ``_CALL_VALUES``
     first-mesh values (or one point): each point is a segment of its
     pass, from its own row of one ``models._breakpoints`` (or
     ``_charfn_points``) call, so it returns, bit for bit, what it returns
@@ -255,40 +255,40 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
     # NonFiniteEvaluation), and a score may divide by 0 where f is 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         frame, todo = _frame(models) if on_density else "u", None
-        if frame == "window":
-            done = np.zeros(n, bool)
-            if spec.orders[-1] <= _LORENTZ_TOP:  # higher orders' grids would run to thousands of nodes
-                nodes = _lorentz_grid(spec.orders)[3].size  # a point's
-                per = max(1, _CALL_VALUES // (4 * width * nodes))
+        try:
+            if frame == "z" or frame == "window" and spec.orders[-1] <= _LORENTZ_TOP:
+                closed, size = ((_gaussian_pairings, 1) if frame == "z"
+                                else (_lorentz_pairings, 4 * _lorentz_grid(spec.orders)[3].size))
+                per, taken = max(1, _CALL_VALUES // (size * width)), np.empty(n, bool)
                 for at in range(0, n, per):
                     cut = slice(at, at + per)
-                    out[0, cut], out[1, cut], done[cut] = _lorentz_pairings(
-                        _take(models, cut), _take(kernels, cut), spec.orders, model_params, kernel_params)
-            if done.all():
-                return route, out[0], out[1]
-            if done.any():  # only the points it cannot certify are integrated
-                todo = np.flatnonzero(~done)
-                models, kernels, n = _take(models, todo), _take(kernels, todo), len(todo)
-        mesh = None if frame == "z" else (_breakpoints if on_density else _charfn_points)(models, kernels)
-        per = n if mesh is None else max(1, _CALL_VALUES // (15 * width * (mesh.shape[1] + 1)))
-        for at in range(0, n, per):
-            cut = slice(at, at + per)
-            ms, ks = (models, kernels) if per >= n else (_take(models, cut), _take(kernels, cut))
-            try:
-                if frame == "z":
-                    values, errors = _gaussian_pairings(ms, ks, spec.orders, model_params, kernel_params)
-                else:  # the char-fn rows are even in u: their pairing is the integral over u > 0
-                    values, errors, _ = (_half_line if frame in ("half", "u") else _real_line)(
-                        (_charfn_stack if frame == "u" else _density_stack)(ms, ks, spec.orders, model_params,
-                                                                             kernel_params), mesh[cut])
-            except QuadratureError as exc:
-                order, col = divmod(getattr(exc, "component", 0), len(columns))
-                what = f"order {spec.orders[order]}, column {columns[col]}" if isinstance(exc, NonConvergence) else ""
-                raise _named(exc, frame, _take(ms, exc.segment), _take(ks, exc.segment), what) from None
-            shape = (min(per, n - at), len(spec.orders), len(columns))  # rows run (order, column)
-            if per >= n and todo is None:  # every point, in input order
-                return route, values.reshape(shape), errors.reshape(shape)
-            out[:, cut if todo is None else todo[cut]] = values.reshape(shape), errors.reshape(shape)
+                    ms, ks = (models, kernels) if per >= n else (_take(models, cut), _take(kernels, cut))
+                    values, errors, took = closed(ms, ks, spec.orders, model_params, kernel_params)
+                    if per >= n and (took is True or took.all()):  # every point, in input order
+                        return route, values, errors
+                    out[0, cut], out[1, cut], taken[cut] = values, errors, took
+                if taken.all():
+                    return route, out[0], out[1]
+                if taken.any():  # only the points no closed form took are integrated
+                    todo = np.flatnonzero(~taken)
+                    models, kernels, n = _take(models, todo), _take(kernels, todo), len(todo)
+            mesh = (_breakpoints if on_density else _charfn_points)(models, kernels)
+            per = max(1, _CALL_VALUES // (15 * width * (mesh.shape[1] + 1)))
+            for at in range(0, n, per):
+                cut = slice(at, at + per)
+                ms, ks = (models, kernels) if per >= n else (_take(models, cut), _take(kernels, cut))
+                # the char-fn rows are even in u: their pairing is the integral over u > 0
+                values, errors, _ = (_half_line if frame in ("half", "u") else _real_line)(
+                    (_charfn_stack if frame == "u" else _density_stack)(ms, ks, spec.orders, model_params,
+                                                                         kernel_params), mesh[cut])
+                shape = (min(per, n - at), len(spec.orders), len(columns))  # rows run (order, column)
+                if per >= n and todo is None:  # every point, in input order
+                    return route, values.reshape(shape), errors.reshape(shape)
+                out[:, cut if todo is None else todo[cut]] = values.reshape(shape), errors.reshape(shape)
+        except QuadratureError as exc:
+            order, col = divmod(getattr(exc, "component", 0), len(columns))
+            what = f"order {spec.orders[order]}, column {columns[col]}" if isinstance(exc, NonConvergence) else ""
+            raise _named(exc, frame, _take(ms, exc.segment), _take(ks, exc.segment), what) from None
     return route, out[0], out[1]
 
 
@@ -369,8 +369,8 @@ _ROUNDING = 20.0 * _EPS  # a closed-form entry's own, beside its M_j's (about 12
 
 
 def _gaussian_pairings(m, k, orders, model_params, kernel_params):
-    """(values, errors), (N, K+1, C) as in ``_pairing_pass``, of Gaussian
-    models ``m`` (of one type) paired with windows ``k`` in closed form:
+    """(values, errors, True), (N, K+1, C) as in ``_pairing_pass``: Gaussian
+    models ``m`` (of one type) and windows ``k``, every point in closed form:
     f phi = w_0 N(mean, width2) (``models._tilt``), so w_j = w_0 M_j with
     M_j = E[Y^j], Y = mean + width Z, M_{j+1} = mean M_j + j width2 M_{j-1}.
     A score is a polynomial in x - mu = mu_gap + width Z, and by Stein
@@ -412,9 +412,8 @@ def _gaussian_pairings(m, k, orders, model_params, kernel_params):
     columns = {None: (1.0, 0.0, 0.0, 1.0, 0.0), "mu": (t.mu_gap, w2, 0.0, t.var, 0.0), "c": (t.c_gap, w2, 0.0, s2, 0.0),
                "sigma": (vshare * t.spread, 2.0 * t.mu_gap * w2, w2 * w2, t.var * m.sigma, vshare * t.spread_err),
                "s": (kshare * t.spread, 2.0 * t.c_gap * w2, w2 * w2, s2 * k.s, kshare * t.spread_err)}
-    k0, k1, k2, div, slack = (np.array([x + zero for x in col]) for col in zip(*(  # (columns[, n])
-        columns.get(name) or _score(m, _SCORE_NAMES[name])  # one the model lacks raises there
-        for name in (*model_params, *kernel_params))))
+    k0, k1, k2, div, slack = (np.array([x + zero for x in col])  # (columns[, n])
+                              for col in zip(*(columns[name] for name in (*model_params, *kernel_params))))
     scale = np.exp(-t.lift) / div
     values = (k0 * a[:, :, 2] + j * k1 * a[:, :, 1] + j * (j - 1.0) * k2 * a[:, :, 0]) * scale
     errors = (abs(k0) * e[:, :, 2] + j * abs(k1) * e[:, :, 1] + j * (j - 1.0) * abs(k2) * e[:, :, 0]
@@ -426,10 +425,10 @@ def _gaussian_pairings(m, k, orders, model_params, kernel_params):
         exc = NonFiniteEvaluation(np.atleast_1d(t.mean + zero)[i:i + 1], segment=int(i))
         exc.args = (f"the closed-form Gaussian pairing is not finite at order {orders[order]}",)
         raise exc
-    return values, errors
+    return values, errors, True
 
 
-_LORENTZ_TOP = 400  # the highest order in closed form (``_pairing_pass``)
+_LORENTZ_TOP = 400  # the highest order in closed form: a higher order's grid runs to thousands of nodes
 _ONE_OFF = np.array([-1.0, 1.0])[:, None, None]
 
 

@@ -296,8 +296,6 @@ def _score(m: ModelSpec, which: str):
 def _charfn_score(m: ModelSpec, which: str):
     """d/dtheta log c(u) of a closed-form characteristic function;
     ``Unsupported`` for a model that has none."""
-    if isinstance(m, (LogNormal, StieltjesLogNormal)):
-        raise _no_char_fn(m)
     if isinstance(m, (Gaussian, Cauchy, SymmetricStable)) and which == "location":
         return lambda u: 1j * u
     if isinstance(m, Gaussian) and which == "scale":

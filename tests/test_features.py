@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -571,9 +572,9 @@ def test_an_alpha_column_is_refused_off_the_charfn_path(path):
 
 def test_a_pass_over_several_passes_returns_each_point_in_its_place(monkeypatch):
     # each family's points, on both routes, cut into passes of two or
-    # three points by a small first-mesh budget (a Gaussian's closed form
-    # takes all at once): each comes back in its input place, bit for bit
-    # as it is alone
+    # three points by a small first-mesh budget (a Gaussian's closed form,
+    # about one value a row, takes them in one call): each comes back in
+    # its input place, bit for bit as it is alone
     monkeypatch.setattr(wml.features, "_CALL_VALUES", 6000)
     rng = np.random.default_rng(13)
     points = seeded_points(rng, 6)
@@ -827,6 +828,41 @@ def test_stacked_gaussian_pairings_are_each_point_alone_bit_for_bit():
         for point, values, errors in zip(grid, stacked, stacked_errors):
             _, alone, alone_errors = _pairing_pass(*point, spec, model_params, kernel_params)
             assert values.tobytes() == alone.tobytes() and errors.tobytes() == alone_errors.tobytes(), point
+
+
+def gaussian_box_columns(rng, n):
+    """n seeded Gaussian points over the family and scale-centre boxes,
+    as parameter columns, and the points themselves."""
+    points = np.column_stack([rng.uniform(-5.0, 5.0, n), np.exp(rng.uniform(np.log(0.05), np.log(10.0), n)),
+                              np.exp(rng.uniform(np.log(0.05), np.log(1000.0), n)), rng.uniform(-10.0, 10.0, n)])
+    return (_columns(Gaussian(0.0, 1.0), ("mu", "sigma"), points[:, :2]),
+            _columns(KernelSpec(1.0), ("s", "c"), points[:, 2:]), points)
+
+
+def test_a_gaussian_grid_runs_in_bounded_calls(monkeypatch):
+    # 20,000 points at orders 0-8 with every column: the closed form runs in
+    # calls of at most _CALL_VALUES values, so the pass peaks below twice
+    # its 13.7 MB result (in one call it peaked at 63.9 MB)
+    models, kernels, _ = gaussian_box_columns(np.random.default_rng(61), 20000)
+    spec, names = FeatureMapSpec(tuple(range(9))), ((None, "mu", "sigma"), ("s", "c"))
+    tracemalloc.start()
+    try:
+        _, values, errors = _pairing_pass(models, kernels, spec, *names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (20000, 9, 5) and peak < 2 * (values.nbytes + errors.nbytes), peak
+    # three points a call: a 10-point grid takes four calls, and each of
+    # its points comes back in its place, bit for bit as it is alone
+    monkeypatch.setattr(wml.features, "_CALL_VALUES", 3 * 9 * 5)
+    calls, closed = [], wml.features._gaussian_pairings
+    monkeypatch.setattr(wml.features, "_gaussian_pairings", lambda *a: calls.append(1) or closed(*a))
+    models, kernels, points = gaussian_box_columns(np.random.default_rng(67), 10)
+    _, grid, grid_errors = _pairing_pass(models, kernels, spec, *names)
+    assert len(calls) == 4
+    for (mu, sigma, s, c), values, errors in zip(points, grid, grid_errors):
+        _, alone, alone_errors = _pairing_pass(Gaussian(mu, sigma), KernelSpec(s, c), spec, *names)
+        assert values.tobytes() == alone.tobytes() and errors.tobytes() == alone_errors.tobytes(), (mu, sigma, s, c)
 
 
 def test_reported_error_covers_a_tilted_mean_that_cancels():

@@ -464,6 +464,20 @@ def test_stratum_constraints_and_normals():
         StratumSpec.affine(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
     with pytest.raises(ValueError):
         StratumSpec.sphere(np.zeros(2), -1.0)
+    with pytest.raises(DimensionMismatch, match="sphere normal is undefined at the centre"):
+        sph.normal_basis(np.zeros(2))
+
+
+def test_a_stratum_of_the_wrong_size_is_refused():
+    # a constraint whose size is not its codimension, and a normal basis
+    # wider than the feature point, at a point the stratum passes through
+    rep = make_report(np.eye(2), np.zeros((2, 0)))
+    short = StratumSpec("short", 2, lambda y: np.array([y[0]]), lambda y: np.eye(2)[:1])
+    with pytest.raises(DimensionMismatch, match="stratum short: constraint size != codim"):
+        transversality_check(rep, (short,), np.zeros(2))
+    wide = StratumSpec("wide", 1, lambda y: np.array([y[0]]), lambda y: np.ones((1, 3)))
+    with pytest.raises(DimensionMismatch, match="stratum wide: normal basis has wrong width"):
+        transversality_check(rep, (wide,), np.zeros(2))
 
 
 def test_transversality_dimension_mismatch():

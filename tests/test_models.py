@@ -8,11 +8,13 @@ from wml.models import (
     _Z_MESH,
     _breakpoints,
     _charfn_points,
+    _charfn_score,
     _columns,
     Cauchy,
     Gaussian,
     KernelSpec,
     LogNormal,
+    ModelFamily,
     NoDensity,
     OutOfSupport,
     StieltjesLogNormal,
@@ -149,6 +151,10 @@ def test_char_fn_unsupported():
     for m in (StieltjesLogNormal(0.5), LogNormal(0.1, 0.8)):
         with pytest.raises(Unsupported):
             char_fn(m, 1.0)
+    # nor a score: a law without a closed-form char fn, or a parameter its char fn lacks
+    for m, which in ((LogNormal(0.1, 0.8), "location"), (StieltjesLogNormal(0.5), "a"), (Cauchy(0.0), "scale")):
+        with pytest.raises(Unsupported, match=f"no closed-form '{which}' derivative of the char fn of {type(m).__name__}"):
+            _charfn_score(m, which)
 
 
 def test_classical_moments():
@@ -162,6 +168,9 @@ def test_classical_moments():
     with pytest.raises(Undefined):
         classical_moment(SymmetricStable(1.5, 0, 1), 2)
     assert classical_moment(SymmetricStable(1.5, 0.7, 1), 1) == 0.7
+    for n in (-1, 1.5):
+        with pytest.raises(ValueError, match="moment order must be a nonnegative integer"):
+            classical_moment(Gaussian(0.0, 1.0), n)
     # moment blindness: the Stieltjes family reports the log-normal values
     for a in (-1.0, 0.5):
         for n in range(5):
@@ -262,6 +271,16 @@ def test_families():
     assert kfam2.p == 2 and kfam2.make([2.0, -0.5]) == KernelSpec(2.0, -0.5)
     fam2, theta = canonical_family(Cauchy(0.25))
     assert fam2.name == "cauchy" and theta[0] == 0.25
+
+
+@pytest.mark.parametrize("names, box, message", [
+    ((), (), "a family needs at least one parameter"),
+    (("mu",), (), r"box must have one \(lo, hi\) pair per parameter"),
+    (("mu", "sigma"), ((-1.0, 1.0), (2.0, 1.0)), r"invalid box interval \(2.0, 1.0\)"),
+])
+def test_a_malformed_family_is_refused(names, box, message):
+    with pytest.raises(ValueError, match=message):
+        ModelFamily("bad", names, lambda th: Gaussian(0.0, 1.0), box)
 
 
 def test_stieltjes_fisher_information_and_stable_two_moments_in_closed_form():

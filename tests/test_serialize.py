@@ -10,7 +10,7 @@ import wml.serialize
 from wml.cli import parse_model
 from wml.experiments import list_experiments, run_experiment, sweep_kernel
 from wml.features import FeatureMapSpec
-from wml.geometry import jacobian, metric_tensor, numerical_rank, transversality_check
+from wml.geometry import StratumSpec, jacobian, metric_tensor, numerical_rank, transversality_check
 from wml.models import KernelSpec, canonical_family, cauchy_family, gaussian_family, scale_kernel_family
 from wml.serialize import dumps_csv, dumps_json, eval_doc, experiment_doc, sweep_doc
 
@@ -83,3 +83,19 @@ def test_every_document_serializes_as_the_reference_walk_did():
         want = json.dumps(reference_plain(doc), allow_nan=False) + "\n"
         assert dumps_json(doc) == want
         assert json.dumps(wml.serialize._plain(doc), allow_nan=False) + "\n" == want
+
+
+def test_an_evaluation_writes_one_row_per_stratum_verdict():
+    # a level set through the point and one a quarter off it
+    spec = FeatureMapSpec((0, 1, 2))
+    rep = jacobian(gaussian_family(), scale_kernel_family(), [0.3, 1.1], [1.2], spec)
+    w0 = float(rep.features.values[0])
+    strata = (StratumSpec.coordinate(0, w0, name="through"), StratumSpec.coordinate(0, w0 + 0.25, name="off"))
+    trans = transversality_check(rep, strata, rep.features)
+    doc = eval_doc("gaussian:mu=0.3,sigma=1.1", KernelSpec(1.2), spec, rep.features, metric_tensor(rep),
+                   numerical_rank(rep.joint, rep.error_estimates), trans)
+    verdicts = json.loads(dumps_json(doc))["transversality"]["verdicts"]
+    assert verdicts == [{"stratum": "through", "status": "transversal", "distance": 0.0, "normal_rank": 1},
+                        {"stratum": "off", "status": "no-intersection", "distance": trans.verdicts[1].distance,
+                         "normal_rank": 0}]
+    assert trans.verdicts[1].distance == pytest.approx(0.25, rel=1e-15)
