@@ -17,9 +17,10 @@ evaluation routes are provided:
   and Jacobian come from the trapezoidal rule in the window's coordinate
   z = (x - c) / s with the pole's correction, the Faddeeva function's
   moments, each entry with a propagated bound (``_lorentz_pairings``);
-  a point that bound cannot certify is integrated in z, as are the
-  half-line models in log x, each from a first mesh placed on its own
-  product (``models._breakpoints``);
+  a point that bound cannot certify is integrated over the line in z,
+  and the half-line models in y = log x, with the law's density and
+  scores in y (``models._log_density``), each from a first mesh placed
+  on its own product (``models._breakpoints``);
 * the characteristic-function route uses Parseval's identity.  With the
   forward transform Psi(u) = int psi(x) e^{-iux} dx and the model's
   char fn c(u) = E[e^{iuX}] = int f(x) e^{iux} dx, one has
@@ -28,8 +29,9 @@ evaluation routes are provided:
                          = (1 / pi) int_0^inf Re c(u) Psi(u) du,
 
   since f and psi are real, so c(-u) Psi(-u) is the conjugate of
-  c(u) Psi(u).  The half-line is integrated in log u, where the kink of
-  a stable char fn exp(-|sigma u|^alpha) at u = 0 is smooth.  For
+  c(u) Psi(u).  The half-line is integrated over the line in v = log u,
+  where the kink of a stable char fn exp(-|sigma u|^alpha) at u = 0 is
+  smooth, with the Jacobian u folded into the integrand.  For
   psi(x) = x^j phi(x) with a Gaussian window the identity
   x phi = c phi - s^2 phi' gives the transforms Psi_j by a three-term
   recurrence: with a = c - i s^2 u,
@@ -62,21 +64,23 @@ from .models import (
     _SQRT_2PI,
     _TINY,
     _breakpoints,
+    _char_law,
+    _char_power,
     _charfn_points,
     _charfn_score,
     _count,
     _frame,
+    _log_density,
     _lorentz_width,
     _score,
     _take,
     _tilt,
-    char_fn,
     density,
     kernel_eval,
     support,
     support_has_density,
 )
-from .quad import _REL_TOL, NonConvergence, NonFiniteEvaluation, QuadratureError, _half_line, _real_line
+from .quad import _REL_TOL, NonConvergence, NonFiniteEvaluation, QuadratureError, _real_line
 
 __all__ = [
     "FeatureMapSpec",
@@ -277,8 +281,9 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
             for at in range(0, n, per):
                 cut = slice(at, at + per)
                 ms, ks = (models, kernels) if per >= n else (_take(models, cut), _take(kernels, cut))
-                # the char-fn rows are even in u: their pairing is the integral over u > 0
-                values, errors, _ = (_half_line if frame in ("half", "u") else _real_line)(
+                # every frame's variable runs over the line: z, y = log x, or
+                # v = log u (the char-fn rows are even in u: their pairing is over u > 0)
+                values, errors, _ = _real_line(
                     (_charfn_stack if frame == "u" else _density_stack)(ms, ks, spec.orders, model_params,
                                                                          kernel_params), mesh[cut])
                 shape = (min(per, n - at), len(spec.orders), len(columns))  # rows run (order, column)
@@ -295,8 +300,9 @@ def _pairing_pass(models, kernels, spec, model_params, kernel_params):
 def _named(exc, frame, m, k, what):
     """``exc`` of a pass in ``frame``, naming ``what`` failed (if anything),
     the point ``m`` with ``k`` and a non-finite node in x (u on the char-fn route)."""
-    if isinstance(exc, NonFiniteEvaluation) and frame in ("window", "u"):
-        exc = NonFiniteEvaluation(exc.points, "u") if frame == "u" else NonFiniteEvaluation(k.c + k.s * exc.points)
+    if isinstance(exc, NonFiniteEvaluation) and frame != "z":
+        at = k.c + k.s * exc.points if frame == "window" else np.exp(exc.points)
+        exc = NonFiniteEvaluation(at, "u" if frame == "u" else "x")
     exc.args = (f"{exc}; {what + ', at ' if what else ''}{m} with {k}",)
     return exc
 
@@ -321,24 +327,27 @@ def _density_stack(ms, ks, orders, model_params, kernel_params):
     and ``ks`` of an integrated law (``models._frame``), each node's rows
     those of its own point ``seg`` (``models._take``): per order j, x^j phi
     f times each score d/dtheta log f (None: the value row), then x^j f
-    d/dlambda phi.  In the frame 'window' v is the window's z = (x - c) / s
-    and the rows carry dx/dz = s: s phi = exp(-z^2 / 2) / sqrt(2 pi) and
-    d/dlambda log phi, (z^2 - 1) / s and z / s, come from z itself; in
-    'half' v is x."""
+    d/dlambda phi, phi and d/dlambda log phi, (z^2 - 1) / s and z / s,
+    from the window's z = (x - c) / s.  In the frame 'window' v is z and
+    the rows carry dx/dz = s: s phi = exp(-z^2 / 2) / sqrt(2 pi); in
+    'half' v is y = log x, x = e^y is formed once, and the law's density
+    and scores are those in y (``models._log_density``, ``models._score``),
+    which carry dx/dy = x.  Where e^y overflows phi is 0, as is each row."""
     window = support(ms) == "real"
 
     def f(v, seg):
         m, k = _take(ms, seg), _take(ks, seg)
         if window:
-            x = k.s * v
+            z, x = v, k.s * v
             x += k.c
-            phi = np.exp(-0.5 * v * v) / _SQRT_2PI
-            dphi = {"s": lambda: phi * (v * v - 1.0) / k.s, "c": lambda: phi * v / k.s}
+            phi = np.exp(-0.5 * z * z) / _SQRT_2PI
+            dens, at = density(m, x), x
         else:
-            x = v
-            phi, *derivs = kernel_eval(k, x, derivs=True) if kernel_params else (kernel_eval(k, x),)
-            dphi = {"s": lambda: derivs[0], "c": lambda: derivs[1]}
-        dens = density(m, x)
+            x = np.exp(v)
+            z = (x - k.c) / k.s
+            phi = np.exp(-0.5 * z * z) / (_SQRT_2PI * k.s)
+            dens, at = _log_density(m, v), v
+        dphi = {"s": lambda: phi * (z * z - 1.0) / k.s, "c": lambda: phi * z / k.s}
         # x^j goes into phi before f: far out phi * f alone is subnormal, and
         # x^j and the score would magnify its rounding.  Where phi or f is
         # 0 the product is far below double range, while x^j alone may
@@ -353,7 +362,7 @@ def _density_stack(ms, ks, orders, model_params, kernel_params):
             if name is None:
                 rows[:, col] = base
             else:
-                np.multiply(base, _score(m, _SCORE_NAMES[name])(x), out=rows[:, col])
+                np.multiply(base, _score(m, _SCORE_NAMES[name])(at), out=rows[:, col])
         for col, name in enumerate(kernel_params, len(model_params)):
             np.multiply(xj, dphi[name](), out=rows[:, col])
             rows[:, col] *= dens
@@ -365,6 +374,7 @@ def _density_stack(ms, ks, orders, model_params, kernel_params):
 
 
 _EPS, _SUBNORMAL = np.finfo(float).eps, float(np.nextafter(0.0, 1.0))
+_LOG_PI = math.log(math.pi)
 _ROUNDING = 20.0 * _EPS  # a closed-form entry's own, beside its M_j's (about 12 eps)
 
 
@@ -544,42 +554,60 @@ def _lorentz_pairings(m, k, orders, model_params, kernel_params):
 
 
 def _charfn_stack(ms, ks, orders, model_params, kernel_params):
-    """f(u, seg), the char-fn-route rows of the points of columns ``ms``
-    and ``ks``, each node's rows those of its own point ``seg``
-    (``models._take``): per order j, Re c Psi_j / pi times each d/dtheta
-    log c (None: the value row), then Re c d/dlambda Psi_j / pi.  Each
-    row, the real part of the transform of a real function, is even in u:
-    1 / pi over (0, inf) is 1 / 2 pi over the line.
+    """f(v, seg), the char-fn-route rows in v = log u of the points of
+    columns ``ms`` and ``ks``, each node's rows those of its own point
+    ``seg`` (``models._take``): per order j, Re T_j times each d/dtheta
+    log c (None: the value row), then Re d/dlambda T_j, where
+    T_j = u c Psi_j / pi.  Each row, the real part of the transform of a
+    real function, is even in u: 1 / pi over (0, inf) is 1 / 2 pi over the
+    line, and u = du/dv.  u = e^v is formed once, and c's h |sigma u|^alpha
+    as h e^{alpha (v + log sigma)} (``models._char_power``, log sigma once
+    a point), so T_0 = e^{v - h |sigma u|^alpha - s^2 u^2 / 2 + iu (mu - c)}
+    / pi is one exponential.  Where it underflows to 0, so does every row,
+    and u may overflow there: those nodes are computed at u = 0 and their
+    rows set to 0.
 
-    Psi_j comes from the window-transform recurrence, rolled up to the
-    highest order with only the last three terms kept.  It stops at the
-    first non-finite Psi_j, and every higher order gets that Psi_j's rows,
-    so the engine raises at once rather than rolling on through inf/nan.
+    T_j follows the window-transform recurrence, as u c / pi is the same
+    factor at every order, rolled up to the highest order with only the
+    last three terms kept.  Past order 32 it stops at the first
+    non-finite T_j, and every higher order gets that T_j's rows, so the
+    engine raises at once rather than rolling on through inf/nan.
     """
-    def f(u, seg):
+    law = _char_law(ms)
+
+    def f(v, seg):
         m, k = _take(ms, seg), _take(ks, seg)
         s2 = k.s * k.s
-        cf = char_fn(m, u)
-        dcf = [cf if name is None else cf * _charfn_score(m, _SCORE_NAMES[name])(u) for name in model_params]
+        u = np.exp(v)
+        power = _char_power([x[seg] if type(x) is np.ndarray else x for x in law], v)
+        lead = (v - _LOG_PI) - power - 0.5 * s2 * u * u  # log |T_0|
+        live = lead > -746.0  # elsewhere T_0 is 0 (and u may be inf)
+        masked = not live.all()
+        if masked:
+            u, lead = np.where(live, u, 0.0), np.where(live, lead, -np.inf)
+        psi, a = np.empty(v.shape, complex), np.empty(v.shape, complex)  # T_0 and c - i s^2 u
+        psi.real, psi.imag, a.real, a.imag = lead, u * (m.mu - k.c), k.c, -s2 * u
+        psi = np.exp(psi, out=psi)
+        scores = [None if name is None else _charfn_score(m, _SCORE_NAMES[name])(u, power) for name in model_params]
         iu = 1j * u
-        a = k.c - s2 * iu
-        psi = np.exp(-iu * k.c - 0.5 * s2 * u * u) / np.pi
         older = old = np.zeros_like(psi)
-        rows = np.empty((len(orders) * (len(dcf) + len(kernel_params)), u.size))
+        rows = np.empty((len(orders) * (len(scores) + len(kernel_params)), u.size))
         j, row = 0, 0
         for order in orders:
-            while j < order and np.isfinite(psi).all():
+            while j < order and (j < 32 or np.isfinite(psi).all()):
                 older, old, psi = old, psi, a * psi + j * s2 * old
                 j += 1
-            cols = [d * psi for d in dcf]
+            cols = [psi if score is None else score * psi for score in scores]
             for name in kernel_params:
                 if name == "s":
-                    cols.append(cf * k.s * (j * (j - 1) * older - 2 * j * iu * old + iu * iu * psi))
+                    cols.append(k.s * (j * (j - 1) * older - 2 * j * iu * old + iu * iu * psi))
                 else:
-                    cols.append(cf * (j * old - iu * psi))
+                    cols.append(j * old - iu * psi)
             for z in cols:
                 rows[row] = z.real
                 row += 1
+        if masked:
+            rows[:, ~live] = 0.0
         return rows
 
     return f
@@ -590,10 +618,11 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
     pairing (entire in u): for a Gaussian product w_0 N(mean, width2),
     w_0 exp(iu mean - width2 u^2 / 2) in closed form, with w_0 that of
     ``weak_moment``; else E[cos(uX) phi(X)] and E[sin(uX) phi(X)] as the
-    one-row segments 0 and 1 of one adaptive pass in the pairing's own
-    variable, each from its own breakpoints: each rounds as the w_0 pass
-    does, so at u = 0 the real part is w_0 bit for bit.  A failure names
-    its part, u and the point."""
+    one-row segments 0 and 1 of one adaptive pass over the line in the
+    pairing's own variable (``models._frame``: z, or y = log x), each from
+    its own breakpoints: each rounds as the w_0 pass does, so at u = 0 the
+    real part is w_0 bit for bit.  A failure names its part, u and the
+    point."""
     if not support_has_density(m):
         raise NoDensity(f"{type(m).__name__}: the weak char fn is computed on the density path")
     frame = _frame(m)
@@ -602,13 +631,15 @@ def weak_char_fn(m: ModelSpec, k: KernelSpec, u: float) -> complex:
         return complex(w0 * np.exp(1j * u * t.mean - 0.5 * t.width2 * u * u))
     rows = _density_stack(m, k, (0,), (None,), ())
 
-    def f(v, seg):  # v is z = (x - c) / s in the frame 'window', else x; seg 0 is cos, 1 is sin
-        ux = u * (k.c + k.s * v if frame == "window" else v)
-        return np.where(seg == 0, np.cos(ux), np.sin(ux)) * rows(v, 0)[0]
+    def f(v, seg):  # seg 0 is cos, 1 is sin; x = e^y may overflow where the row is 0
+        row = rows(v, 0)[0]
+        ux = u * np.where(row != 0.0, k.c + k.s * v if frame == "window" else np.exp(v), 0.0)
+        return np.where(seg == 0, np.cos(ux), np.sin(ux)) * row
 
     mesh = _breakpoints(m, k)
     try:
-        values, _, _ = (_half_line if frame == "half" else _real_line)(f, np.concatenate((mesh, mesh)))
+        with np.errstate(over="ignore"):
+            values, _, _ = _real_line(f, np.concatenate((mesh, mesh)))
     except QuadratureError as exc:
         raise _named(exc, frame, _take(m, 0), _take(k, 0), f"{('cos', 'sin')[exc.segment]} part at u={u}") from None
     return complex(values[0], values[1])

@@ -26,7 +26,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .quad import integrate_half_line, integrate_real_line
+from .quad import integrate_real_line
 
 __all__ = [
     "NoDensity",
@@ -164,11 +164,15 @@ def _gauss_pdf(x, mu, sigma):
         return np.exp(-0.5 * z * z) / (_SQRT_2PI * sigma)
 
 
-def _lognorm_pdf(x, mu, sigma):
-    lx = np.log(x)
-    z = (lx - mu) / sigma
+def _log_density(m: ModelSpec, y):
+    """The density of Y = log X of a half-line law at y: N(y; mu, sigma^2)
+    for the log-normal, (1 + a sin 2 pi y) N(y; 0, 1) for the Stieltjes
+    family.  f(x) dx is this times dy, so the law's pairings integrate in
+    y, and its density at x is this at log x over x."""
+    if isinstance(m, LogNormal):
+        return _gauss_pdf(y, m.mu, m.sigma)
     with np.errstate(over="ignore"):
-        return np.exp(-0.5 * z * z) / (x * sigma * _SQRT_2PI)
+        return (1.0 + m.a * np.sin(2.0 * np.pi * y)) * (np.exp(-0.5 * y * y) / _SQRT_2PI)
 
 
 def density(m: ModelSpec, x):
@@ -189,10 +193,8 @@ def density(m: ModelSpec, x):
         elif gamma is not None:
             d = xv - m.mu
             out = gamma / (np.pi * (gamma * gamma + d * d))
-        elif isinstance(m, LogNormal):
-            out = _lognorm_pdf(xv, m.mu, m.sigma)
-        elif isinstance(m, StieltjesLogNormal):
-            out = (1.0 + m.a * np.sin(2.0 * np.pi * np.log(xv))) * _lognorm_pdf(xv, 0.0, 1.0)
+        elif support(m) == "half":
+            out = _log_density(m, np.log(xv)) / xv
         else:
             raise _no_density(m)
     return float(out) if scalar else out
@@ -211,20 +213,36 @@ def support_has_density(m: ModelSpec) -> bool:
 def char_fn(m: ModelSpec, u):
     """Characteristic function E[e^{iuX}] at ``u`` (scalar or ndarray).
 
-    Closed forms for Gaussian, Cauchy and symmetric stable.  Raises
-    ``Unsupported`` for the log-normal and the Stieltjes family, which
-    have none (use the density route).
+    Closed forms for Gaussian, Cauchy and symmetric stable
+    (``_char_law``).  Raises ``Unsupported`` for the log-normal and the
+    Stieltjes family, which have none (use the density route).
     """
     scalar = np.isscalar(u)
     uv = np.asarray(u, dtype=float)
-
-    if isinstance(m, Gaussian):
-        out = np.exp(1j * uv * m.mu - 0.5 * (m.sigma * uv) ** 2)
-    elif isinstance(m, (Cauchy, SymmetricStable)):  # the Cauchy is stable(1) of sigma 1
-        out = np.exp(1j * uv * m.mu - np.abs(getattr(m, "sigma", 1.0) * uv) ** getattr(m, "alpha", 1.0))
-    else:
-        raise _no_char_fn(m)
+    law = _char_law(m)
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf gives c(0) = 1
+        out = np.exp(1j * uv * m.mu - _char_power(law, np.log(np.abs(uv))))
     return complex(out) if scalar else out
+
+
+def _char_law(m: ModelSpec):
+    """(h, alpha, log sigma) of a law whose char fn is
+    c(u) = exp(iu mu - h |sigma u|^alpha): the Gaussian (1/2, 2), the
+    symmetric stable laws (1, alpha) and the Cauchy, stable(1) of sigma 1;
+    a field of columns gives a column.  ``Unsupported`` for a law with no
+    closed-form char fn."""
+    if isinstance(m, Gaussian):
+        return 0.5, 2.0, np.log(m.sigma)
+    if isinstance(m, (Cauchy, SymmetricStable)):
+        return 1.0, getattr(m, "alpha", 1.0), np.log(getattr(m, "sigma", 1.0))
+    raise _no_char_fn(m)
+
+
+def _char_power(law, v):
+    """h |sigma u|^alpha at |u| = e^v of the law (h, alpha, log sigma) of
+    ``_char_law``, formed as h e^{alpha (v + log sigma)}: -log |c(u)|."""
+    h, alpha, log_sigma = law
+    return h * np.exp(alpha * (v + log_sigma))
 
 
 def _no_char_fn(m: ModelSpec) -> Unsupported:
@@ -263,9 +281,11 @@ def _gaussian_moment(n, mu, sigma):
 
 
 def _score(m: ModelSpec, which: str):
-    """Analytic score function d/dtheta log f for the selected parameter;
-    ``NoDensity`` for a characteristic-function-only model.  Powers of a
-    field are products: a field and its column (``_take``) round alike."""
+    """Analytic score function d/dtheta log f for the selected parameter,
+    of x for a law on the line and of y = log x for a half-line law (whose
+    pairings integrate in y, ``_log_density``); ``NoDensity`` for a
+    characteristic-function-only model.  Powers of a field are products: a
+    field and its column (``_take``) round alike."""
     ratio, gamma = _variance_ratio(m), _lorentz_width(m)
     if ratio is not None:
         # a Gaussian with standard deviation sd: stable(2) has sd = sqrt(2)
@@ -282,26 +302,30 @@ def _score(m: ModelSpec, which: str):
             return lambda x: ((x - m.mu) ** 2 - gamma * gamma) / (gamma * (gamma * gamma + (x - m.mu) ** 2))
     elif isinstance(m, LogNormal):
         if which == "location":
-            return lambda x: (np.log(x) - m.mu) / (m.sigma * m.sigma)
+            return lambda y: (y - m.mu) / (m.sigma * m.sigma)
         if which == "scale":
-            return lambda x: ((np.log(x) - m.mu) ** 2 - m.sigma * m.sigma) / (m.sigma * m.sigma * m.sigma)
+            return lambda y: ((y - m.mu) ** 2 - m.sigma * m.sigma) / (m.sigma * m.sigma * m.sigma)
     elif isinstance(m, StieltjesLogNormal):
         if which == "a":
-            return lambda x: np.sin(2.0 * np.pi * np.log(x)) / (1.0 + m.a * np.sin(2.0 * np.pi * np.log(x)))
+            def a_score(y):
+                wave = np.sin(2.0 * np.pi * y)
+                return wave / (1.0 + m.a * wave)
+            return a_score
     elif isinstance(m, SymmetricStable):
         raise _no_density(m)
     raise ValueError(f"no '{which}' score for {type(m).__name__}")
 
 
 def _charfn_score(m: ModelSpec, which: str):
-    """d/dtheta log c(u) of a closed-form characteristic function;
-    ``Unsupported`` for a model that has none."""
+    """d/dtheta log c(u) of a closed-form characteristic function
+    (``_char_law``) at u and its power = h |sigma u|^alpha
+    (``_char_power``): iu for the location, -alpha power / sigma for the
+    scale; ``Unsupported`` for a model that has none."""
     if isinstance(m, (Gaussian, Cauchy, SymmetricStable)) and which == "location":
-        return lambda u: 1j * u
-    if isinstance(m, Gaussian) and which == "scale":
-        return lambda u: -m.sigma * u * u
-    if isinstance(m, SymmetricStable) and which == "scale":  # alpha sigma^(alpha - 1) |u|^alpha
-        return lambda u: -m.alpha * np.abs(m.sigma * u) ** m.alpha / m.sigma
+        return lambda u, power: 1j * u
+    if isinstance(m, (Gaussian, SymmetricStable)) and which == "scale":
+        alpha = m.alpha if isinstance(m, SymmetricStable) else 2.0  # the Gaussian's, as in _char_law
+        return lambda u, power: power * (-alpha / m.sigma)
     raise Unsupported(f"no closed-form '{which}' derivative of the char fn of {type(m).__name__}")
 
 
@@ -311,12 +335,11 @@ _OFFSETS = np.array([-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 10.0])
 def _model_points(m: ModelSpec) -> np.ndarray:
     """Breakpoints for ``classical_fisher_info``, at the model's location
     +- {0, 1, 3, 6, 10} scales sigma (1 where there is none: the Cauchy's
-    width, the Stieltjes' N(0, 1)), in log x for the half-line models, so
-    that the first panels see a narrow peak wherever it sits.  The points
-    at 10 scales keep the panels next to the 6-scale ones short enough
-    that their nodes sample the tails."""
-    at = getattr(m, "mu", 0.0) + getattr(m, "sigma", 1.0) * _OFFSETS
-    return np.exp(at) if support(m) == "half" else at
+    width, the Stieltjes' N(0, 1)), in y = log x for the half-line models,
+    so that the first panels see a narrow peak wherever it sits.  The
+    points at 10 scales keep the panels next to the 6-scale ones short
+    enough that their nodes sample the tails."""
+    return getattr(m, "mu", 0.0) + getattr(m, "sigma", 1.0) * _OFFSETS
 
 
 def _variance_ratio(m: ModelSpec):
@@ -433,9 +456,10 @@ _Z_MESH = np.concatenate((-_Z_HALF[::-1], [0.0], _Z_HALF))
 
 def _frame(m: ModelSpec) -> str:
     """How a density pairing of the law ``m`` is evaluated: 'z', in closed
-    form (``_tilt``), for a Gaussian; else integrated, in 'window', the
-    window's z = (x - c) / s over the line, for a Lorentzian, or in
-    'half', x over (0, inf); ``NoDensity`` for a law without a density."""
+    form (``_tilt``), for a Gaussian; else integrated over the line, in
+    'window', the window's z = (x - c) / s, for a Lorentzian, or in
+    'half', y = log x, for a half-line law; ``NoDensity`` for a law
+    without a density."""
     if not support_has_density(m):
         raise _no_density(m)
     return "z" if _variance_ratio(m) is not None else "window" if support(m) == "real" else "half"
@@ -492,13 +516,13 @@ _W_MESH = np.concatenate((-_W_HALF[::-1], [0.0], _W_HALF))
 _PEAK = np.array([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
 _NO_TAIL = np.full(_PEAK.size, -np.inf)  # the peak's points are not tail points
 
-# a Stieltjes pairing's own points in y = log x, and in x: the quarter
-# periods of sin(2 pi y) over |y| <= 4, and its tails beyond them.  A window
-# over (lo, hi) in y keeps the quarter periods out to the first beyond each
-# end, lo < y + 1/4 and y - 1/4 < hi, and the tails within it: lo <= y <= hi,
+# a Stieltjes pairing's own points in y = log x: the quarter periods of
+# sin(2 pi y) over |y| <= 4, and its tails beyond them.  A window over
+# (lo, hi) in y keeps the quarter periods out to the first beyond each end,
+# lo < y + 1/4 and y - 1/4 < hi, and the tails within it: lo <= y <= hi,
 # each from y's edge in _LOG_LOW or _LOG_HIGH
 _LOG_POINTS = np.concatenate((np.arange(-16.0, 17.0) * 0.25, [-10.0, -8.0, -6.0, -5.0, 5.0, 6.0, 8.0, 10.0]))
-_QUARTER, _LOG_POINTS_X = np.abs(_LOG_POINTS) <= 4.0, np.exp(_LOG_POINTS)
+_QUARTER = np.abs(_LOG_POINTS) <= 4.0
 _LOG_LOW = np.where(_QUARTER, np.nextafter(_LOG_POINTS + 0.25, -np.inf), _LOG_POINTS)
 _LOG_HIGH = np.where(_QUARTER, np.nextafter(_LOG_POINTS - 0.25, np.inf), _LOG_POINTS)
 
@@ -514,13 +538,16 @@ def _breakpoints(m: ModelSpec, k: KernelSpec):
       own points (mu - c) / s + (gamma / s) ``_PEAK`` within |z| <= 10,
       and +-(gamma / s) 2^k, k >= 3, up to the window mesh's 0.5, which
       split its 1 / z^2 tails;
-    * the Stieltjes family, N(0, 1) in y = log x: the quarter periods of
+    * the half-line laws in y = log x, where each law's own points go in
+      directly and the window's points c + s ``_Z_MESH`` in x > 0 through
+      one log (nan at x <= 0);
+    * the Stieltjes family, N(0, 1) in y: the quarter periods of
       sin(2 pi y) over |y| <= 4 and y = +-{5, 6, 8, 10} as far as the
-      window reaches (c +- 10 s, in x > 0), and the window's points
-      c + s ``_Z_MESH`` where its range in y is bounded (narrow there);
+      window reaches (c +- 10 s, in x > 0), and the window's points where
+      its range in y is bounded (narrow there);
     * the log-normal, and a Stieltjes pairing with no quarter period in
-      that range: y = mu + sigma ``_Z_MESH`` up to the window's reach, and
-      the window's points in x > 0 (the pass drops x <= 0).
+      that range: y = mu + sigma ``_Z_MESH`` up to the window's reach,
+      however far below it they run, and the window's points.
 
     Each block of candidates is one array expression, nan where a point
     does not keep one (``_rows``); a block no point keeps is skipped."""
@@ -536,18 +563,19 @@ def _breakpoints(m: ModelSpec, k: KernelSpec):
             blocks.append((peak, narrow & below & (np.abs(peak) <= 10.0)))
         return _rows(_count(m, k), blocks)
     window = _col(k.c) + _col(k.s) * _Z_MESH
+    window = np.log(np.where(window > 0.0, window, np.nan))  # in y, nan at x <= 0
     start, end = _col(k.c - 10.0 * k.s), _col(k.c + 10.0 * k.s)  # the window's first and last points
     hi, blocks, rest = np.log(np.where(end > 0.0, end, np.inf)), [], True  # the window's reach in y
     if isinstance(m, StieltjesLogNormal):
         lo = np.log(np.maximum(start, _TINY))
         quarter = (end > 0.0) & (np.maximum(lo, -4.0) < np.minimum(hi, 4.0))  # its quarter periods in range
         if _any(quarter):
-            blocks += [(_LOG_POINTS_X, quarter & (lo <= _LOG_LOW) & (_LOG_HIGH <= hi)),
+            blocks += [(_LOG_POINTS, quarter & (lo <= _LOG_LOW) & (_LOG_HIGH <= hi)),
                        (window, quarter & (start > 0.0))]
         rest = ~quarter
     if _any(rest):
         y = _col(getattr(m, "mu", 0.0)) + _col(getattr(m, "sigma", 1.0)) * _Z_MESH
-        blocks += [(np.exp(y), rest & (y <= hi)), (window, rest)]
+        blocks += [(y, rest & (y <= hi)), (window, rest)]
     return _rows(_count(m, k), blocks)
 
 
@@ -571,37 +599,40 @@ def _rows(n: int, blocks):
     return out
 
 
-_LEFT_TAIL = np.exp(-np.array([0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 16.0, 24.0]))
+_LOG_W_HALF = np.log(_W_HALF)
+_LEFT_TAIL = np.array([0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 16.0, 24.0])
 
 
 def _charfn_points(m: ModelSpec, k: KernelSpec):
-    """Breakpoints in u > 0 for the char-fn pairing of each point of
-    columns ``m`` and ``k``, a row each:
+    """Breakpoints in v = log u, the char-fn pairing's variable over the
+    line, for each point of columns ``m`` and ``k``, a row each: u at
     {0.5, 1, 1.5, 2, 3, 4, 6, 10} over s, where the window transform
     decays, and over sigma (1 for a model without one, as the Cauchy),
     where the char fn decays; and the least of those times
-    e^{-0.5, -1, -2, -3, -5, -7.5, -10, -16, -24}, for the left tail in
-    log u, where the pairing levels off towards u = 0, close enough that
-    the panels there converge on the first mesh."""
-    sigma = _col(getattr(m, "sigma", 1.0))
-    least = np.minimum(_W_HALF[0] / _col(k.s), _W_HALF[0] / sigma)  # the least decay point
-    return _rows(_count(m, k), [(_W_HALF / _col(k.s), True), (_W_HALF / sigma, True), (least * _LEFT_TAIL, True)])
+    e^{-0.5, -1, -2, -3, -5, -7.5, -10, -16, -24}, for the left tail,
+    where the pairing levels off towards u = 0, close enough that the
+    panels there converge on the first mesh."""
+    log_s, log_sigma = _col(np.log(k.s)), _col(np.log(getattr(m, "sigma", 1.0)))
+    least = _LOG_W_HALF[0] - np.maximum(log_s, log_sigma)  # the least decay point
+    return _rows(_count(m, k), [(_LOG_W_HALF - log_s, True), (_LOG_W_HALF - log_sigma, True),
+                                (least - _LEFT_TAIL, True)])
 
 
 def classical_fisher_info(m: ModelSpec, which: str = "location") -> float:
     """Classical Fisher information for one parameter, by quadrature of
-    score^2 * density over the model's support, with breakpoints at the
-    model's location and scale."""
-    score = _score(m, which)
+    score^2 * density over the line: in x for a law on the line, and in
+    y = log x, with the law's density and scores in y (``_log_density``,
+    ``_score``), for a half-line law; with breakpoints at the model's
+    location and scale (``_model_points``)."""
+    score, law = _score(m, which), _log_density if support(m) == "half" else density
 
-    def f(x):
-        dens = density(m, x)
+    def f(v):
+        dens = law(m, v)
         out = np.zeros_like(dens)
         nz = dens != 0.0
-        out[nz] = score(x[nz]) ** 2 * dens[nz]
+        out[nz] = score(v[nz]) ** 2 * dens[nz]
         return out
-    integrate = integrate_half_line if support(m) == "half" else integrate_real_line
-    return float(integrate(f, _model_points(m)).value)
+    return float(integrate_real_line(f, _model_points(m)).value)
 
 
 @dataclass(frozen=True)

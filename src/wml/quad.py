@@ -1,9 +1,9 @@
 """Adaptive quadrature over the real line and the positive half-line.
 
-All pairings in this package reduce to one-dimensional integrals of
-rapidly decaying, possibly oscillatory, real integrands (a complex
-one is two: its real and imaginary parts).  The engine here is
-deliberately simple and robust:
+All pairings in this package reduce to one-dimensional integrals over
+the real line, each in its own variable, of rapidly decaying, possibly
+oscillatory, real integrands (a complex one is two: its real and
+imaginary parts).  The engine here is deliberately simple and robust:
 
 * the real line is mapped to (-1, 1) by ``x = t / (1 - t^2)``, which is
   smooth, monotone, and preserves exponential decay of the integrand;
@@ -40,9 +40,10 @@ gets each node's segment.  As each panel's sums are its own, a segment
 returns, bit for bit, what it returns alone.  A lone integrand is one
 segment.
 
-The half-line is reduced to the real line by the logarithmic
-substitution ``x = e^y``, so endpoint behaviour at 0 becomes ordinary
-decay at ``y -> -inf``.
+The public :func:`integrate_half_line` reduces the half-line to the real
+line by the logarithmic substitution ``x = e^y``, so endpoint behaviour
+at 0 becomes ordinary decay at ``y -> -inf``; the package's own
+half-line pairings are written in y and integrated over the line.
 
 Everything is computed in 64-bit floating point; integrands are called
 with a numpy array of nodes and must return an array of real values.
@@ -411,10 +412,12 @@ def integrate_half_line(f, points=None) -> IntegralResult:
     outside the range below are dropped; the first panel beyond the
     outermost one reaches to infinity, as there).  The substituted
     range is clipped to |log x| <= 64, i.e. x in [e^-64, e^64]; outside
-    it the integrand is treated as zero.  Every density/kernel pairing in
-    this package is identically zero in double precision well inside
-    that envelope, and the clip keeps naive power-times-density
+    it the integrand is treated as zero, and the error estimate does not
+    see the mass dropped there: a log-normal wider than about sigma = 10
+    loses a visible share.  The clip keeps naive power-times-density
     integrands evaluable (x^j stays finite there for j <= 11; compose
-    more extreme products in exponent space).
+    more extreme products in exponent space).  The package's pairings do
+    not come here: they integrate over the line in y = log x (or log u),
+    with no clip.
     """
     return _lone(_half_line(lambda x, _: f(x), _one(points)))

@@ -38,14 +38,18 @@ from wml.models import (
     Undefined,
     Unsupported,
     _breakpoints,
+    _char_law,
+    _char_power,
     _charfn_points,
     _charfn_score,
     _columns,
     _frame,
+    _log_density,
     _score,
     canonical_family,
     cauchy_family,
     char_fn,
+    classical_fisher_info,
     density,
     gaussian_family,
     kernel_eval,
@@ -204,20 +208,48 @@ def test_stable_char_fn_high_orders_converge():
     assert np.all(np.isfinite(fv.values)) and np.all(fv.errors <= 1e-6 * np.abs(fv.values))
 
 
+def charfn_rows_in_u(m, k, orders, model_params, kernel_params):
+    """The char-fn rows over the whole line in u, Re c d/dtheta log c Psi_j
+    / 2 pi and Re c d/dlambda Psi_j / 2 pi, written apart from the stack:
+    the scores of |sigma u|^alpha as powers of |u|."""
+    def rows(u):
+        cf, s2, iu = char_fn(m, u) / (2.0 * np.pi), k.s * k.s, 1j * u
+        scores = {None: 1.0, "mu": iu}
+        if hasattr(m, "sigma"):
+            alpha = getattr(m, "alpha", 2.0)
+            scores["sigma"] = -(0.5 if isinstance(m, Gaussian) else 1.0) * alpha * np.abs(m.sigma * u) ** alpha / m.sigma
+        psi = [np.exp(-iu * k.c - 0.5 * s2 * u * u)]
+        for j in range(max(orders) + 1):
+            psi.append((k.c - s2 * iu) * psi[j] + j * s2 * (psi[j - 1] if j else 0.0))
+        out = []
+        for j in orders:
+            older, old = (psi[j - 2] if j > 1 else 0.0), (psi[j - 1] if j else 0.0)
+            out += [cf * scores[name] * psi[j] for name in model_params]
+            out += [cf * (k.s * (j * (j - 1) * older - 2 * j * iu * old + iu * iu * psi[j]) if name == "s"
+                          else j * old - iu * psi[j]) for name in kernel_params]
+        return np.real(out)
+    return rows
+
+
 def test_char_fn_rows_are_even_in_u():
     # each row is the real part of the Fourier transform of a real function,
     # c(-u) Psi_j(-u) = conj(c(u) Psi_j(u)) and likewise for the score and
-    # kernel columns, so the pairing over R is twice the one over (0, inf)
-    u = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 40)))
+    # kernel columns, so the pairing over R is twice the one over (0, inf):
+    # the rows over the line are even in u, and the stack's rows in
+    # v = log u are twice those at u > 0 times u = du/dv
+    u = np.geomspace(1e-3, 30.0, 40)
     orders = range(9)
     models = [Gaussian(0.4, 1.3), Cauchy(0.4)] + [SymmetricStable(a, 0.4, 1.3) for a in (0.5, 1.0, 1.5, 2.0)]
     for m in models:
         for k in (UNIT_KERNEL, KernelSpec(0.7, -1.3)):
             model_params = (None, "mu") if isinstance(m, Cauchy) else (None, "mu", "sigma")
-            rows = _charfn_stack(m, k, orders, model_params, ("s", "c"))
-            at_u, at_minus_u = rows(u, 0), rows(-u, 0)
+            line = charfn_rows_in_u(m, k, orders, model_params, ("s", "c"))
+            at_u, at_minus_u = line(np.concatenate(([0.0], u))), line(-np.concatenate(([0.0], u)))
             assert np.all(np.isfinite(at_u))
             np.testing.assert_array_equal(at_u, at_minus_u, err_msg=f"{m} with {k}")
+            folded = _charfn_stack(m, k, orders, model_params, ("s", "c"))(np.log(u), 0)
+            want = 2.0 * u * at_u[:, 1:]
+            assert np.all(np.abs(folded - want) <= 1e-12 * np.abs(want).max(axis=1, keepdims=True)), (m, k)
 
 
 def test_stable_feature_maps_take_few_integrand_calls(monkeypatch):
@@ -366,8 +398,10 @@ def test_one_adaptive_pass_per_call(monkeypatch):
 def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
     """The one-point pass as written before points were stacked: every
     row from arrays of its own, stacked into a fresh array, over the
-    point's own breakpoints, in its own variable (the window's
-    z = (x - c) / s for a model on the line).  Returns (values, errors)."""
+    point's own breakpoints, in its own variable over the line (the
+    window's z = (x - c) / s for a model on the line, y = log x for a
+    half-line model, v = log u on the char-fn route).  Returns (values,
+    errors)."""
     route = "density" if spec.path == "density" or (spec.path == "auto" and support_has_density(m)) \
         else "charfn"
     score_of = _score if route == "density" else _charfn_score
@@ -380,49 +414,58 @@ def unstacked_one_point_pass(m, k, spec, model_params, kernel_params):
         products = np.cumprod(np.broadcast_to(x, (max(spec.orders), x.size)), axis=0)
         return np.vstack((np.ones_like(x), products))[powers[:, 0]]
 
-    def density_rows(x, phi, dphi_ds, dphi_dc):
-        dens = density(m, x)
+    def density_rows(x, phi, dphi_ds, dphi_dc, dens, at):
+        # at: the scores' variable, x on the line and y = log x on the half-line
         nz = (phi != 0.0) & (dens != 0.0)
         xs, fs = x[nz], dens[nz]
         xj = running_powers(xs)
         base = xj * phi[nz] * fs
-        cols = [base if score is None else base * score(xs) for score in scores]
+        cols = [base if score is None else base * score(at[nz]) for score in scores]
         cols += [xj * {"s": dphi_ds, "c": dphi_dc}[name][nz] * fs for name in kernel_params]
         out = np.zeros((powers.size, len(cols), x.size))
         out[:, :, nz] = np.stack(cols, axis=1)
         return out.reshape(-1, x.size)
 
-    def x_rows(x):
-        return density_rows(x, *kernel_eval(k, x, derivs=True))
+    def log_rows(y):
+        # y = log x; the law's density in y carries dx/dy = x
+        x = np.exp(y)
+        z = (x - k.c) / k.s
+        phi = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * k.s)
+        return density_rows(x, phi, phi * (z * z - 1.0) / k.s, phi * z / k.s, _log_density(m, y), y)
 
     def window_rows(z):
         # z = (x - c) / s; s phi and its d/dlambda come from z itself
         s_phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-        return density_rows(k.c + k.s * z, s_phi, s_phi * (z * z - 1.0) / k.s, s_phi * z / k.s)
+        x = k.c + k.s * z
+        return density_rows(x, s_phi, s_phi * (z * z - 1.0) / k.s, s_phi * z / k.s, density(m, x), x)
 
-    def charfn_rows(u):
-        s2, cf = k.s * k.s, char_fn(m, u)
-        dcf = [cf if score is None else cf * score(u) for score in scores]
-        iu = 1j * u
-        psi = np.exp(-iu * k.c - 0.5 * s2 * u * u) / np.pi
+    def charfn_rows(v):
+        # u c(u) Psi_j(u) / pi at u = e^v, where it is not 0
+        s2, u = k.s * k.s, np.exp(v)
+        power = _char_power(_char_law(m), v)
+        lead = (v - np.log(np.pi)) - power - 0.5 * s2 * u * u
+        live = lead > -746.0
+        us, ps = u[live], power[live]
+        psi = np.exp(lead[live] + 1j * (us * (m.mu - k.c)))
+        dcf = [1.0 if score is None else score(us, ps) for score in scores]
+        iu = 1j * us
         older = old = np.zeros_like(psi)
         j, rows = 0, []
         for order in spec.orders:
             while j < order:
                 older, old, psi = old, psi, (k.c - s2 * iu) * psi + j * s2 * old
                 j += 1
-            rows += [d * psi for d in dcf]
-            rows += [cf * k.s * (j * (j - 1) * older - 2 * j * iu * old + iu * iu * psi) if name == "s"
-                     else cf * (j * old - iu * psi) for name in kernel_params]
-        return np.real(rows)
+            rows += [psi if score is None else d * psi for score, d in zip(scores, dcf)]
+            rows += [k.s * (j * (j - 1) * older - 2 * j * iu * old + iu * iu * psi) if name == "s"
+                     else j * old - iu * psi for name in kernel_params]
+        out = np.zeros((len(rows), v.size))
+        out[:, live] = np.real(rows)
+        return out
 
-    if route == "density":
-        frame = _frame(m)
-        rows = window_rows if frame == "window" else x_rows
-        integrate = wml.quad.integrate_half_line if frame == "half" else wml.quad.integrate_real_line
-        res = integrate(rows, _breakpoints(m, k))
-    else:
-        res = wml.quad.integrate_half_line(charfn_rows, _charfn_points(m, k))
+    rows, mesh = ((window_rows if _frame(m) == "window" else log_rows, _breakpoints(m, k)) if route == "density"
+                  else (charfn_rows, _charfn_points(m, k)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # e^y or e^v overflows far out
+        res = wml.quad.integrate_real_line(rows, mesh)
     return res.value, res.error_estimate
 
 
@@ -499,10 +542,13 @@ def stack_fill_cases(rng, n):
 def test_stack_fill_equals_each_point_fill_bit_for_bit():
     # one vectorised call over the nodes of N points, each node's rows
     # from its own point's fields, fills, bit for bit, the rows that N
-    # one-point calls fill, nodes where a row is 0 included
+    # one-point calls fill, nodes where a row is 0 included: in y = log x
+    # and v = log u those past e^709, where x or u overflows
     rng = np.random.default_rng(19)
+    far = np.array([-800.0, -720.0, 720.0, 800.0])
     nodes = {"window": np.linspace(-45.0, 45.0, 181),
-             "half": np.geomspace(1e-6, 1e6, 181), "u": np.geomspace(1e-6, 60.0, 181)}
+             "half": np.concatenate((np.linspace(np.log(1e-6), np.log(1e6), 181), far)),
+             "u": np.concatenate((np.linspace(np.log(1e-6), np.log(60.0), 181), far))}
     orders = (0, 1, 2, 4)
     for frame, build, ms, ks, names in stack_fill_cases(rng, 6):
         v = nodes[frame]
@@ -510,18 +556,45 @@ def test_stack_fill_equals_each_point_fill_bit_for_bit():
         for model_params, kernel_params in (((None,), ()), ((None, *names), ()), ((None, *names), ("s", "c"))):
             # the points' nodes interleaved, as a pass's rounds give them
             seg = np.tile(np.arange(len(ms)), v.size)
-            stacked = build(*columns(zip(ms, ks)), orders, model_params, kernel_params)(np.repeat(v, len(ms)), seg)
-            alone = np.stack([build(m, k, orders, model_params, kernel_params)(v, 0) for m, k in zip(ms, ks)])
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in a pass
+                stacked = build(*columns(zip(ms, ks)), orders, model_params, kernel_params)(np.repeat(v, len(ms)),
+                                                                                            seg)
+                alone = np.stack([build(m, k, orders, model_params, kernel_params)(v, 0) for m, k in zip(ms, ks)])
             rows = stacked.reshape(stacked.shape[0], v.size, len(ms)).transpose(2, 0, 1)
             assert rows.tobytes() == alone.tobytes(), (frame, ms[0], model_params, kernel_params)
-            assert np.any(alone == 0.0) or frame == "u"
+            assert np.all(np.isfinite(alone)) and np.any(alone == 0.0)
+
+
+def test_no_pairing_pass_goes_through_the_half_line_substitution(monkeypatch):
+    # every integrated pairing runs over the line in its own variable, the
+    # half-line laws in y = log x and the char-fn route in v = log u; only
+    # the public integrate_half_line substitutes x = e^y
+    def refuse(*args):
+        raise AssertionError("the half-line substitution was called")
+
+    monkeypatch.setattr(wml.quad, "_half_line", refuse)
+    k, spec = KernelSpec(0.8, 0.3), FeatureMapSpec((0, 1, 2))
+    for fam, theta, path in ((lognormal_family(), [0.2, 0.7], "density"), (stieltjes_family(), [0.4], "density"),
+                             (stable_family(1.5), [0.2, 0.7], "charfn")):
+        fv = feature_map(fam, theta, k, spec)
+        assert fv.paths == (path,) * 3 and np.all(np.isfinite(fv.values)), fam.name
+        values, errors = weak_moment_jacobian(fam.make(theta), k, (None, *fam.param_names), ("s", "c"), spec)
+        assert values.shape == (3, fam.p + 3) and np.all(np.isfinite(values)) and np.all(errors < np.inf), fam.name
+    m = LogNormal(0.2, 0.7)
+    assert weak_char_fn(m, k, 0.0).real == weak_moment(m, k, 0).value
+    assert np.isfinite(weak_char_fn(m, k, 1.5))
+    assert classical_fisher_info(m, "scale") == pytest.approx(2.0 / 0.49, rel=1e-10)
+    with pytest.raises(AssertionError, match="half-line substitution"):
+        wml.quad.integrate_half_line(lambda x: np.exp(-x))
 
 
 def test_a_stack_makes_one_model_call_per_integrand_call(monkeypatch):
-    # ten points share every density or char fn call of their pass; one
-    # call per point filled a stack's rows before
-    counts = {"density": 0, "char_fn": 0, "panels": 0}
-    for name in ("density", "char_fn"):
+    # ten points share every call of their law's form in their pass's
+    # variable: the density in x of a Cauchy, in y = log x of a log-normal,
+    # and the char fn's |sigma u|^alpha in v = log u; one call per point
+    # filled a stack's rows before
+    counts = {"density": 0, "_log_density": 0, "_char_power": 0, "panels": 0}
+    for name in ("density", "_log_density", "_char_power"):
         original = getattr(wml.features, name)
         monkeypatch.setattr(wml.features, name, lambda *a, name=name, original=original:
                             counts.__setitem__(name, counts[name] + 1) or original(*a))
@@ -530,9 +603,9 @@ def test_a_stack_makes_one_model_call_per_integrand_call(monkeypatch):
                         lambda *a: counts.__setitem__("panels", counts["panels"] + 1) or kronrod(*a))
     spec, kernels = FeatureMapSpec((0, 1)), [KernelSpec(1.0 + 0.2 * i, 0.1 * i) for i in range(10)]
     for models, route in (([Cauchy(0.1 * i) for i in range(10)], "density"),
-                          ([LogNormal(0.1 * i, 0.8) for i in range(10)], "density"),
-                          ([SymmetricStable(1.5, 0.1 * i, 1.0) for i in range(10)], "char_fn")):
-        counts.update(density=0, char_fn=0, panels=0)
+                          ([LogNormal(0.1 * i, 0.8) for i in range(10)], "_log_density"),
+                          ([SymmetricStable(1.5, 0.1 * i, 1.0) for i in range(10)], "_char_power")):
+        counts.update({name: 0 for name in counts})
         _pairing_pass(*columns(zip(models, kernels)), spec, (None,), ())
         assert counts["panels"] >= 1 and counts[route] == counts["panels"], (models[0], counts)
 
@@ -730,33 +803,68 @@ def composite_moments(integrand, lo, hi, orders, panels=48):
     return np.array(out).T
 
 
+def half_line_moments(k, log_density, lo, orders, fine=192):
+    """(int v, int |v|) for v = x^j phi(x) f(x) over y = log x, f of
+    density ``log_density`` in y, by ``composite_moments``: from ``lo`` to
+    y0 = log s - 8, where phi(e^y) is nearly flat, in panels at most 1/2
+    wide, and from y0 to the window's reach, log(c + 12 s), in ``fine``
+    panels.  Doubling either count moves no value by more than 1e-15 of
+    its L1 mass at the points below."""
+    y0, y1 = math.log(k.s) - 8.0, math.log(k.c + 12.0 * k.s)
+
+    def integrand(y):
+        x = np.exp(y)
+        return x, np.exp(-0.5 * ((x - k.c) / k.s) ** 2) / (SQRT_2PI * k.s) * log_density(y)
+
+    out = composite_moments(integrand, y0, y1, orders, fine)
+    if lo < y0:
+        out += composite_moments(integrand, lo, y0, orders, math.ceil(2.0 * (y0 - lo)))
+    return out
+
+
 def test_reported_error_bounds_the_cauchy_and_lognormal_feature_maps():
     # the window-coordinate mesh of the Cauchy and the log-x mesh of the
-    # log-normal converge on their first call at most of these points; a
-    # converged entry must still lie within its reported error.  The
-    # oracle integrates the product in the window's z = (x - c) / s over
-    # |z| <= 12 (Cauchy) and in y = log x over mu +- 12 sigma (log-normal)
+    # log-normal and the Stieltjes family converge on their first call at
+    # most of these points; a converged entry must still lie within its
+    # reported error.  The oracle integrates the product in the window's
+    # z = (x - c) / s over |z| <= 12 (Cauchy) and in y = log x
+    # (``half_line_moments``; log-normal from mu - 12 sigma)
     rng = np.random.default_rng(17)
     eps = np.finfo(float).eps
     spec = FeatureMapSpec(orders=(0, 1, 2, 3, 4))
+
+    def normal(nu, sigma):
+        return lambda y: np.exp(-0.5 * ((y - nu) / sigma) ** 2) / (SQRT_2PI * sigma)
+
+    def stieltjes(a):
+        return lambda y: (1.0 + a * np.sin(2.0 * np.pi * y)) * normal(0.0, 1.0)(y)
+
     for _ in range(40):
         k = KernelSpec(float(np.exp(rng.uniform(np.log(0.3), np.log(5.0)))), float(rng.uniform(-1.0, 1.0)))
-        mu, sigma, nu = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 1.2), rng.uniform(-1.0, 1.0)
+        mu, sigma, nu, a = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 1.2), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
 
         def cauchy(z):
             x = k.c + k.s * z
             return x, np.exp(-0.5 * z * z) / SQRT_2PI / (np.pi * (1.0 + (x - mu) ** 2))
 
-        def lognormal(y):
-            x = np.exp(y)
-            return x, np.exp(-0.5 * ((x - k.c) / k.s) ** 2 - 0.5 * ((y - nu) / sigma) ** 2) / (2 * np.pi * k.s * sigma)
-
-        for fam, theta, integrand, lo, hi in ((cauchy_family(), [mu], cauchy, -12.0, 12.0),
-                                              (lognormal_family(), [nu, sigma], lognormal,
-                                               nu - 12.0 * sigma, nu + 12.0 * sigma)):
-            truth, scale = composite_moments(integrand, lo, hi, spec.orders)
+        for fam, theta, truth_and_scale in (
+                (cauchy_family(), [mu], lambda: composite_moments(cauchy, -12.0, 12.0, spec.orders)),
+                (lognormal_family(), [nu, sigma],
+                 lambda: half_line_moments(k, normal(nu, sigma), nu - 12.0 * sigma, spec.orders)),
+                (stieltjes_family(), [a], lambda: half_line_moments(k, stieltjes(a), -12.0, spec.orders))):
+            truth, scale = truth_and_scale()
             fv = feature_map(fam, theta, k, spec)
             assert np.all(np.abs(fv.values - truth) <= fv.errors + 4.0 * eps * scale), (fam.name, theta, k)
+    # log-normals wider than the family box, whose mass runs past |log x| = 64
+    # (where a half-line substitution that drops it missed w_0 by 1e4 to
+    # 2e10 times its error)
+    for sigma in (12.0, 20.0, 100.0):
+        for _ in range(2):
+            k = KernelSpec(float(np.exp(rng.uniform(np.log(0.3), np.log(5.0)))), float(rng.uniform(-1.0, 1.0)))
+            nu = rng.uniform(-1.0, 1.0)
+            truth, scale = half_line_moments(k, normal(nu, sigma), nu - 12.0 * sigma, spec.orders)
+            fv = feature_map(lognormal_family(), [nu, sigma], k, spec)
+            assert np.all(np.abs(fv.values - truth) <= fv.errors + 4.0 * eps * scale), (sigma, nu, k)
 
 
 def raw_gaussian_pairings(mu, sigma, ratio, s, c, orders):

@@ -733,10 +733,10 @@ def test_a_grid_enters_its_pass_as_columns(monkeypatch, fam, model):
     for kind in (getattr(wml.models, model), wml.models.KernelSpec):
         check = kind.__post_init__
         monkeypatch.setattr(kind, "__post_init__", lambda self, check=check: made.append(self) or check(self))
-    breakpoints, real_line, half_line = wml.features._breakpoints, wml.features._real_line, wml.features._half_line
+    breakpoints, real_line = wml.features._breakpoints, wml.features._real_line
     monkeypatch.setattr(wml.features, "_breakpoints", lambda m, k: meshes.append(1) or breakpoints(m, k))
+    # every pass of both frames, the window's z and the log-normal's y = log x, is over the line
     monkeypatch.setattr(wml.features, "_real_line", lambda f, mesh: passes.append(len(mesh)) or real_line(f, mesh))
-    monkeypatch.setattr(wml.features, "_half_line", lambda f, mesh: passes.append(len(mesh)) or half_line(f, mesh))
     monkeypatch.setattr(wml.features, "_CALL_VALUES", 2**15)  # several passes
     theta = np.column_stack([np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 25) for lo, hi in fam.box])
     grid = np.repeat(np.geomspace(0.5, 20.0, 12), 25)[:, None]

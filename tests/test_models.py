@@ -214,6 +214,16 @@ def test_fisher_information():
         classical_fisher_info(Cauchy(0), "scale")
 
 
+@pytest.mark.parametrize("sigma", [1.0, 8.0, 20.0])
+def test_lognormal_fisher_information_in_log_x(sigma):
+    # in y = log x the log-normal is N(mu, sigma^2), of information 1 / sigma^2
+    # in mu and 2 / sigma^2 in sigma; over (0, inf) with |log x| clipped at
+    # 64, sigma = 20 read 1.7% and 8.7% low
+    m = LogNormal(0.0, sigma)
+    assert classical_fisher_info(m, "location") == pytest.approx(1.0 / sigma**2, rel=1e-10)
+    assert classical_fisher_info(m, "scale") == pytest.approx(2.0 / sigma**2, rel=1e-10)
+
+
 def test_fisher_information_of_narrow_models_away_from_zero():
     # Gaussian(2.5, 0.05) falls between the nodes of the first panel: the
     # quadrature used to return 7.1e-58, reported converged; breakpoints at
@@ -298,7 +308,9 @@ def test_stieltjes_fisher_information_and_stable_two_moments_in_closed_form():
 
 def reference_breakpoints(m, k):
     """The per-point first mesh as it was written before grids entered
-    their pass as columns, the reference for the column form."""
+    their pass as columns, the reference for the column form: in the
+    window's z = (x - c) / s for a law on the line, in y = log x for a
+    half-line law."""
     peak_offsets = np.array([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
     log_tail = np.array([-10.0, -8.0, -6.0, -5.0, 5.0, 6.0, 8.0, 10.0])
     if support(m) == "real":
@@ -315,19 +327,20 @@ def reference_breakpoints(m, k):
         if max(lo, -4.0) < min(hi, 4.0):
             tail = log_tail[(lo <= log_tail) & (log_tail <= hi)]
             a, b = max(lo, -4.0), min(hi, 4.0)
-            grid = np.exp(np.arange(np.floor(a / 0.25), np.ceil(b / 0.25) + 1.0) * 0.25)
-            points = np.concatenate((grid, np.exp(tail)))
-            return points if lo == -np.inf else np.concatenate((points, window))
+            grid = np.arange(np.floor(a / 0.25), np.ceil(b / 0.25) + 1.0) * 0.25
+            points = np.concatenate((grid, tail))
+            return points if lo == -np.inf else np.concatenate((points, np.log(window)))
     y = getattr(m, "mu", 0.0) + getattr(m, "sigma", 1.0) * _Z_MESH
     if window[-1] > 0.0:
         y = y[y <= np.log(window[-1])]
-    return np.concatenate((np.exp(y), window[window > 0.0]))
+    return np.concatenate((y, np.log(window[window > 0.0])))
 
 
 def reference_charfn_points(m, k):
-    w_half = _W_MESH[_W_MESH > 0.0]
-    decay = np.concatenate((w_half / k.s, w_half / getattr(m, "sigma", 1.0)))
-    return np.concatenate((decay, decay.min() * np.exp(-np.array([0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 16.0, 24.0]))))
+    """The char-fn route's first mesh in v = log u."""
+    log_half = np.log(_W_MESH[_W_MESH > 0.0])
+    decay = np.concatenate((log_half - np.log(k.s), log_half - np.log(getattr(m, "sigma", 1.0))))
+    return np.concatenate((decay, decay.min() - np.array([0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 16.0, 24.0])))
 
 
 def mesh_cases():
@@ -351,6 +364,12 @@ def mesh_cases():
     yield "stieltjes", [StieltjesLogNormal(float(a) / 5.0) for a in mu], kernels
 
 
+def kept(row):
+    """A mesh row as the pass takes it: sorted, nan dropped (in the frame
+    'half' nan marks the window's points at x <= 0)."""
+    return np.sort(row[row == row])
+
+
 def test_column_meshes_are_the_per_point_meshes_bit_for_bit():
     # one masked array expression per frame gives each point of a grid,
     # bit for bit, the breakpoints it had alone, and has as one point; nan
@@ -365,8 +384,6 @@ def test_column_meshes_are_the_per_point_meshes_bit_for_bit():
                 continue
             rows = build(models, kernels)
             assert rows.shape[0] == len(ms)
-            # the pass drops nan, and in the frame 'half' every point at x <= 0
-            kept = (lambda r: np.sort(r[r > 0.0])) if support(ms[0]) == "half" else (lambda r: np.sort(r[r == r]))
             for m, k, row in zip(ms, ks, rows):
                 assert kept(row).tobytes() == kept(reference(m, k)).tobytes(), (name, m, k)
                 assert kept(build(m, k)[0]).tobytes() == kept(row).tobytes(), (name, m, k)
