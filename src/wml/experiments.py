@@ -17,16 +17,11 @@ builds the :class:`ExperimentResult`.  The two grid experiments
 (log-normal immersion, singular limit) are :func:`sweep_kernel` calls,
 so their table rows are sweep rows.
 
-A note on the cancellation residuals: the integrals
-int x^n sin(2 pi log x) dLogNormal vanish exactly, but their integrands
-reach magnitude exp(n^2/2) (5e21 at n = 10), so 64-bit arithmetic can
-only certify the cancellation relative to that scale: the best
-achievable absolute residual is about exp(n^2/2) * 1e-16.  Each order's
-integrand is therefore divided by exp(n^2/2), and the one pass over all
-orders returns the scale-normalised residuals |I_n| / exp(n^2/2) that
-are reported, with the raw values kept in the table.  The quadrature
-needs no per-order setting for this: each row's target is rel_tol times
-its own int |f|.
+The two log-normal moment experiments integrate in y = log x, where
+x^n dLogNormal(0, 1) is exp(n^2/2) N(y; n, 1) dy: their rows are O(1),
+one pass over all orders, and the cancellation residuals are reported
+relative to exp(n^2/2) (5e21 at n = 10), the scale that 64-bit
+arithmetic can certify, with the raw values kept in the table.
 """
 
 from __future__ import annotations
@@ -64,6 +59,7 @@ from .models import (
     Unsupported,
     _Z_MESH,
     _columns,
+    _gauss_pdf,
     _score,
     cauchy_family,
     classical_fisher_info,
@@ -73,7 +69,7 @@ from .models import (
     scale_kernel_family,
     stable_family,
 )
-from .quad import QuadratureError, integrate_half_line, integrate_real_line
+from .quad import QuadratureError, integrate_real_line
 
 __all__ = [
     "UnknownExperiment",
@@ -83,8 +79,6 @@ __all__ = [
     "list_experiments",
     "sweep_kernel",
 ]
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 _NUMERIC_ERRORS = (QuadratureError, NoDensity, Unsupported, Undefined,
                    StepUnderflow, DimensionMismatch, MetricOverflow)
@@ -109,29 +103,17 @@ class ExperimentResult:
     diagnostic: str = ""
 
 
-def _lognorm_power_integrand(orders):
-    """Rows x^n * LogNormal(0,1) density / e^{n^2/2}, one per order n, as
-    a function of x.  Each row integrates to 1 (e^{n^2/2} is the n-th
-    moment) and is evaluated through a single exponential of
-    (n - 1) y - y^2 / 2 - n^2 / 2 with y = log x, so that no
-    intermediate power of x can overflow."""
-    n = np.asarray(orders, dtype=float)[:, None]
-
-    def f(x):
-        y = np.log(x)
-        return np.exp((n - 1.0) * y - 0.5 * y * y - 0.5 * n * n) / _SQRT_2PI
-
-    return f
-
-
 def _stieltjes_cancellation(tol):
-    orders, half_periods = range(11), np.exp(np.arange(-20.0, 41.0) * 0.5)
-    power = _lognorm_power_integrand(orders)
-    # row n peaks at log x = n + 1 with width 1: half periods of the sine
-    # over [-10, 20] in log x cover every row out to 10 widths
-    res = integrate_half_line(lambda x: np.sin(2.0 * np.pi * np.log(x)) * power(x), half_periods)
+    """I_n = int x^n sin(2 pi log x) dLogNormal(0, 1), n = 0..10, in
+    y = log x, where x^n dLogNormal(0, 1) is e^{n^2/2} N(y; n, 1) dy:
+    the pass integrates sin(2 pi y) N(y; n, 1), I_n / e^{n^2/2}."""
+    orders = np.arange(11)
+    # row n peaks at y = n with width 1: half periods of the sine over
+    # [-10, 20] cover every row out to 10 widths
+    res = integrate_real_line(lambda y: np.sin(2.0 * np.pi * y) * _gauss_pdf(y, orders[:, None], 1.0),
+                              np.arange(-20.0, 41.0) * 0.5)
     rows = []
-    for n, value in zip(orders, res.value.tolist()):
+    for n, value in zip(orders.tolist(), res.value.tolist()):
         moment_scale = float(np.exp(0.5 * n * n))
         rows.append({"n": n, "integral": value * moment_scale, "moment_scale": moment_scale,
                      "scaled_residual": abs(value)})
@@ -155,11 +137,13 @@ def _stieltjes_kernel_break(tol):
 
 
 def _lognormal_classical_moments(tol):
-    orders = range(7)
-    # row n peaks at log x = n + 1 with width 1
-    res = integrate_half_line(_lognorm_power_integrand(orders), np.exp(np.arange(-10.0, 17.0)))
+    """E[X^n] = e^{n^2/2} of LogNormal(0, 1), n = 0..6, in y = log x:
+    the pass integrates N(y; n, 1), E[X^n] / e^{n^2/2}, to 1."""
+    orders = np.arange(7)
+    # row n peaks at y = n with width 1
+    res = integrate_real_line(lambda y: _gauss_pdf(y, orders[:, None], 1.0), np.arange(-10.0, 17.0))
     rows = []
-    for n, value in zip(orders, res.value.tolist()):
+    for n, value in zip(orders.tolist(), res.value.tolist()):
         expected = float(np.exp(0.5 * n * n))
         got = value * expected
         rows.append({"n": n, "quadrature": got, "closed_form": expected,

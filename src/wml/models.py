@@ -26,7 +26,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .quad import integrate_real_line
+from .quad import _REL_TOL, integrate_real_line
 
 __all__ = [
     "NoDensity",
@@ -550,7 +550,12 @@ def _breakpoints(m: ModelSpec, k: KernelSpec):
       however far below it they run, and the window's points.
 
     Each block of candidates is one array expression, nan where a point
-    does not keep one (``_rows``); a block no point keeps is skipped."""
+    does not keep one (``_rows``); a block no point keeps is skipped.
+
+    A half-line pairing forms the window's z = (e^y - c) / s, which
+    carries a rounding of about eps c / s that no error estimate sees:
+    ``Unsupported`` at the first point whose 4 eps c / s exceeds
+    ``quad._REL_TOL`` (c / s above about 1.1e5)."""
     if support(m) == "real":
         width = _col(_lorentz_width(m) / k.s)
         narrow, blocks = width < 0.7, [(_W_MESH, True)]
@@ -562,6 +567,11 @@ def _breakpoints(m: ModelSpec, k: KernelSpec):
             below = np.concatenate((_NO_TAIL, exps, exps)) < top
             blocks.append((peak, narrow & below & (np.abs(peak) <= 10.0)))
         return _rows(_count(m, k), blocks)
+    narrow = 4.0 * _EPS * k.c > _REL_TOL * k.s
+    if _any(narrow):
+        i = int(np.argmax(narrow))  # the first such point
+        raise Unsupported(f"a half-line pairing's window is narrower than the rounding of x - c "
+                          f"(c / s > {_REL_TOL / (4.0 * _EPS):.3g}), at {_take(m, i)} with {_take(k, i)}")
     window = _col(k.c) + _col(k.s) * _Z_MESH
     window = np.log(np.where(window > 0.0, window, np.nan))  # in y, nan at x <= 0
     start, end = _col(k.c - 10.0 * k.s), _col(k.c + 10.0 * k.s)  # the window's first and last points

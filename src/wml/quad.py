@@ -1,8 +1,8 @@
 """Adaptive quadrature over the real line and the positive half-line.
 
-All pairings in this package reduce to one-dimensional integrals over
-the real line, each in its own variable, of rapidly decaying, possibly
-oscillatory, real integrands (a complex one is two: its real and
+Every integral this package takes is one-dimensional, over the real
+line in its own variable, of a rapidly decaying, possibly
+oscillatory, real integrand (a complex one is two: its real and
 imaginary parts).  The engine here is deliberately simple and robust:
 
 * the real line is mapped to (-1, 1) by ``x = t / (1 - t^2)``, which is
@@ -40,10 +40,12 @@ gets each node's segment.  As each panel's sums are its own, a segment
 returns, bit for bit, what it returns alone.  A lone integrand is one
 segment.
 
-The public :func:`integrate_half_line` reduces the half-line to the real
-line by the logarithmic substitution ``x = e^y``, so endpoint behaviour
-at 0 becomes ordinary decay at ``y -> -inf``; the package's own
-half-line pairings are written in y and integrated over the line.
+The engine has one substitution, ``x = t / (1 - t^2)``.  The public
+:func:`integrate_half_line` is :func:`integrate_real_line` of
+``f(e^y) e^y`` over y = log x, so endpoint behaviour at 0 becomes
+ordinary decay at ``y -> -inf``.  Nothing in the package calls it: each
+of the package's half-line integrals is written in y and taken over the
+line.
 
 Everything is computed in 64-bit floating point; integrands are called
 with a numpy array of nodes and must return an array of real values.
@@ -324,11 +326,11 @@ def _on_nodes(fx, w, good):
     return vals
 
 
-def _real_line(f, points, reach=1e150):
+def _real_line(f, points):
     """The integrals over the whole real line of n segments of ``f``,
     which takes nodes and their segments, each from its own breakpoints in
-    x within |x| < ``reach``, a row of ``points`` (n, L), nan where it has
-    fewer than L; see :func:`integrate_real_line`."""
+    x, a row of ``points`` (n, L), nan where it has fewer than L; see
+    :func:`integrate_real_line`."""
     def transformed(t, seg):
         good = _inside(t, 1.0)  # where 1 - t^2 > 0
         t, seg = _at(good, t, seg)
@@ -343,7 +345,7 @@ def _real_line(f, points, reach=1e150):
 
     n = len(points)
     # inverse of x = t / (1 - t^2), written to avoid cancellation; nan where dropped
-    x = np.where(np.abs(points) < reach, points, np.nan)
+    x = np.where(np.abs(points) < 1e150, points, np.nan)
     t = 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * x * x))
     t = np.sort(np.concatenate((np.where(np.abs(t) < 1.0, t, np.nan), _ENDS.repeat(n).reshape(2, n).T), axis=1))
     # the panels between consecutive distinct edges of a row, nan (sorted
@@ -353,21 +355,6 @@ def _real_line(f, points, reach=1e150):
         return _adaptive(transformed, t[:, :-1][panel], t[:, 1:][panel], panel.nonzero()[0])
     except NonFiniteEvaluation as exc:  # name the nodes in x, as f received them
         raise NonFiniteEvaluation(exc.points / (1.0 - exc.points * exc.points), segment=exc.segment) from None
-
-
-def _half_line(f, points):
-    """The integrals over (0, inf) of n segments of ``f``, as
-    :func:`_real_line`; see :func:`integrate_half_line`."""
-    def substituted(y, seg):
-        good = _inside(y, 64.0)
-        y, seg = _at(good, y, seg)
-        x = np.exp(y)
-        return _on_nodes(f(x, seg), x, good)
-
-    try:
-        return _real_line(substituted, np.log(np.where(points > 0.0, points, np.nan)), 64.0)
-    except NonFiniteEvaluation as exc:
-        raise NonFiniteEvaluation(np.exp(exc.points), segment=exc.segment) from None
 
 
 def _one(points):
@@ -406,18 +393,28 @@ def integrate_real_line(f, points=None) -> IntegralResult:
 def integrate_half_line(f, points=None) -> IntegralResult:
     """Approximate the integral of ``f`` over (0, inf).
 
-    Applies the logarithmic substitution ``x = e^y`` and integrates
-    ``y -> f(e^y) e^y`` over the real line as there; ``f`` may be
-    (m, n)-valued as there, and ``points`` are breakpoints in x (those
-    outside the range below are dropped; the first panel beyond the
-    outermost one reaches to infinity, as there).  The substituted
-    range is clipped to |log x| <= 64, i.e. x in [e^-64, e^64]; outside
-    it the integrand is treated as zero, and the error estimate does not
-    see the mass dropped there: a log-normal wider than about sigma = 10
+    Integrates ``y -> f(e^y) e^y`` over the real line with
+    :func:`integrate_real_line`; ``f`` may be (m, n)-valued as there.
+    ``points`` are breakpoints in x, taken to y = log x; those outside
+    the range below are dropped, and the first panel beyond the
+    outermost one reaches to infinity, as there.  The substituted range
+    is clipped to |log x| < 64, i.e. x in (e^-64, e^64); outside it the
+    integrand is treated as zero, and the error estimate does not see
+    the mass dropped there: a log-normal wider than about sigma = 10
     loses a visible share.  The clip keeps naive power-times-density
-    integrands evaluable (x^j stays finite there for j <= 11; compose
-    more extreme products in exponent space).  The package's pairings do
-    not come here: they integrate over the line in y = log x (or log u),
-    with no clip.
+    integrands evaluable (x^j stays finite there for j <= 11).  Nothing
+    in the package calls it: each half-line integral the package takes
+    is written in y = log x (or log u) and taken over the line, with no
+    clip.
     """
-    return _lone(_half_line(lambda x, _: f(x), _one(points)))
+    def substituted(y):
+        good = _inside(y, 64.0)
+        x = np.exp(y if good is None else y[good])
+        return _on_nodes(f(x), x, good)
+
+    x = _one(points)
+    y = np.log(np.where(x > 0.0, x, np.nan))
+    try:
+        return integrate_real_line(substituted, y[np.abs(y) < 64.0])
+    except NonFiniteEvaluation as exc:  # name the nodes in x, as f received them
+        raise NonFiniteEvaluation(np.exp(exc.points)) from None

@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 import time
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 import wml.quad
-from wml.experiments import sweep_kernel
+from wml.experiments import list_experiments, run_experiment, sweep_kernel
 from wml.features import (
     FeatureMapSpec,
     _charfn_stack,
@@ -566,13 +567,18 @@ def test_stack_fill_equals_each_point_fill_bit_for_bit():
 
 
 def test_no_pairing_pass_goes_through_the_half_line_substitution(monkeypatch):
-    # every integrated pairing runs over the line in its own variable, the
-    # half-line laws in y = log x and the char-fn route in v = log u; only
-    # the public integrate_half_line substitutes x = e^y
-    def refuse(*args):
+    # every integral the package takes runs over the line in its own
+    # variable: the pairings in y = log x and v = log u, and the catalog's
+    # log-normal moments in y; only the public integrate_half_line
+    # substitutes x = e^y, and no wml module calls it
+    def refuse(*args, **kwargs):
         raise AssertionError("the half-line substitution was called")
 
-    monkeypatch.setattr(wml.quad, "_half_line", refuse)
+    original = wml.quad.integrate_half_line
+    for name in ("", ".quad", ".models", ".features", ".geometry", ".experiments", ".cli", ".serialize"):
+        module = importlib.import_module("wml" + name)
+        if getattr(module, "integrate_half_line", None) is original:
+            monkeypatch.setattr(module, "integrate_half_line", refuse)
     k, spec = KernelSpec(0.8, 0.3), FeatureMapSpec((0, 1, 2))
     for fam, theta, path in ((lognormal_family(), [0.2, 0.7], "density"), (stieltjes_family(), [0.4], "density"),
                              (stable_family(1.5), [0.2, 0.7], "charfn")):
@@ -584,6 +590,9 @@ def test_no_pairing_pass_goes_through_the_half_line_substitution(monkeypatch):
     assert weak_char_fn(m, k, 0.0).real == weak_moment(m, k, 0).value
     assert np.isfinite(weak_char_fn(m, k, 1.5))
     assert classical_fisher_info(m, "scale") == pytest.approx(2.0 / 0.49, rel=1e-10)
+    for name in list_experiments():
+        result = run_experiment(name)
+        assert result.passed, (name, result.diagnostic)
     with pytest.raises(AssertionError, match="half-line substitution"):
         wml.quad.integrate_half_line(lambda x: np.exp(-x))
 
@@ -865,6 +874,52 @@ def test_reported_error_bounds_the_cauchy_and_lognormal_feature_maps():
             truth, scale = half_line_moments(k, normal(nu, sigma), nu - 12.0 * sigma, spec.orders)
             fv = feature_map(lognormal_family(), [nu, sigma], k, spec)
             assert np.all(np.abs(fv.values - truth) <= fv.errors + 4.0 * eps * scale), (sigma, nu, k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weak_moment(LogNormal(0.0, 1.0), KernelSpec(1e-17, 1.0), 0),
+    lambda: weak_moment(LogNormal(0.0, 1.0), KernelSpec(1e-15, 1.0), 0),
+    lambda: weak_char_fn(LogNormal(0.0, 1.0), KernelSpec(1e-17, 1.0), 0.5),
+    lambda: feature_map(stieltjes_family(), [0.5], KernelSpec(1e-6, 1.0), FeatureMapSpec((0, 1))),
+    lambda: weak_moment_jacobian(LogNormal(0.5, 0.4), KernelSpec(1e-6, 9.9), ("mu",), ("s", "c"),
+                                 FeatureMapSpec((0, 1))),
+    lambda: weak_cumulants(StieltjesLogNormal(0.5), KernelSpec(4e-7, 5.0), 2),
+], ids=["s=1e-17", "s=1e-15", "weak_char_fn", "feature_map", "jacobian", "weak_cumulants"])
+def test_a_half_line_window_narrower_than_the_rounding_of_x_minus_c_is_refused(call):
+    # in y = log x the window's z = (e^y - c) / s carries a rounding of
+    # about eps c / s that no error estimate sees: w_0 of LogNormal(0, 1)
+    # read 0.7178 +- 8e-15 under KernelSpec(1e-17, 1) and 0.39692 +- 4e-11
+    # under KernelSpec(1e-15, 1), against 0.39894; at c / s = 1e7 it costs
+    # up to 3.2e-9 relative, above the engine's 1e-10 target
+    with pytest.raises(Unsupported, match="narrower than the rounding of x - c"):
+        call()
+
+
+def test_a_grid_with_a_too_narrow_half_line_window_names_its_first_such_point():
+    grid = np.array([[0.0, 1.0, 1.0, 1.0], [0.5, 0.4, 0.5, 2.0], [0.2, 0.7, 1e-6, 1.0], [0.1, 0.3, 1e-7, 5.0]])
+    models = _columns(LogNormal(0.0, 1.0), ("mu", "sigma"), grid[:, :2])
+    kernels = _columns(UNIT_KERNEL, ("s", "c"), grid[:, 2:])
+    with pytest.raises(Unsupported, match=re.escape(f"at {LogNormal(0.2, 0.7)} with {KernelSpec(1e-6, 1.0)}")):
+        _pairing_pass(models, kernels, FeatureMapSpec((0, 1)), (None,), ())
+
+
+def test_a_half_line_window_at_the_refusal_edge_agrees_with_the_window_coordinate():
+    # at c / s = 1e5 the rounding of x - c is below the engine's target:
+    # each w_j agrees to 1e-10 with the product integrated in the window's
+    # z = (x - c) / s, where f(c + s z) is smooth across the window
+    spec = FeatureMapSpec((0, 1, 2))
+    for fam, theta in ((lognormal_family(), [0.5, 0.4]), (stieltjes_family(), [0.5])):
+        m = fam.make(theta)
+        for c in (1.0, 5.0, 9.9):
+            k = KernelSpec(c * 1e-5, c)
+
+            def in_z(z):
+                x = k.c + k.s * z
+                return x, np.exp(-0.5 * z * z) / SQRT_2PI * _log_density(m, np.log(x)) / x
+
+            truth, _ = composite_moments(in_z, -12.0, 12.0, spec.orders)
+            fv = feature_map(fam, theta, k, spec)
+            assert np.all(np.abs(fv.values - truth) <= 1e-10 * np.abs(truth)), (fam.name, c)
 
 
 def raw_gaussian_pairings(mu, sigma, ratio, s, c, orders):
@@ -1221,12 +1276,20 @@ def test_symmetry_identities_hold_within_the_error_estimates(name, first, path):
     # w_j = int x^j phi_{s,c}(x) f(x) dx under x -> x + h and x -> l x:
     # (d/dmu + d/dc) w_j = j w_{j-1} for a law with a location, and
     # (mu d/dmu + sigma d/dsigma + s d/ds + c d/dc) w_j = (j - 1) w_j for
-    # one with a scale too; the residual at 200 seeded box points, one
-    # stacked pass, is within the sum of its terms' error estimates
+    # one with a scale too; the residual at 200 seeded box points, and at
+    # the box's edges, one stacked pass, is within the sum of its terms'
+    # error estimates
     rng = np.random.default_rng([17, _SYMMETRY_CASES.index((name, first, path))])
     n, orders = 200, (0, 1, 2, 3, 4)
     mu, sigma = rng.uniform(-5.0, 5.0, n), np.exp(rng.uniform(np.log(0.05), np.log(10.0), n))
     s, c = np.exp(rng.uniform(np.log(0.05), np.log(1000.0), n)), rng.uniform(-10.0, 10.0, n)
+    # the edges: the 16 corners, and each of mu, sigma, s and c at both
+    # ends of its box with the others at 20 of the seeded points
+    box, seeded = np.array([[-5.0, 5.0], [0.05, 10.0], [0.05, 1000.0], [-10.0, 10.0]]), np.stack([mu, sigma, s, c])
+    corners = box[np.arange(4)[:, None], np.indices((2,) * 4).reshape(4, -1)]
+    faces = np.repeat(seeded[:, None, :20], 8, axis=1)
+    faces[np.arange(8) // 2, np.arange(8)] = box.ravel()[:, None]
+    mu, sigma, s, c = np.concatenate((seeded, corners, faces.reshape(4, -1)), axis=1)
     names = ("mu", "sigma") if hasattr(first, "sigma") else ("mu",)
     models = _columns(first, names, np.stack([mu, sigma], axis=1)[:, :len(names)])
     kernels = _columns(UNIT_KERNEL, ("s", "c"), np.stack([s, c], axis=1))
